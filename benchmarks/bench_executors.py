@@ -1,14 +1,23 @@
-"""Experiment `executors` — serial vs. thread pool vs. process pool.
+"""Experiment `executors` — serial vs. process pool.
 
 The advisor workload (Kimura et al.'s compression-aware physical design
 loop) is a large batch of independent (column-set × algorithm) CF
-estimations. The units are compress-heavy pure Python, so a thread pool
-is GIL-bound; the process-pool executor ships picklable plan units to
-worker processes and parallelizes for real. This bench times the same
-advisor-sized batch on all three executors, checks the estimates are
-bit-identical (the engine's determinism contract), and persists a JSON
-baseline — ``benchmarks/results/BENCH_executors.json`` — so the perf
-trajectory of later PRs has a first data point.
+estimations. The units are compress-heavy pure Python, so only worker
+processes parallelize them; the process-pool executor ships picklable
+plan units to forked workers, placing every unit that shares a sample
+on one worker. This bench times two advisor batches on both executors:
+
+* ``many_samples`` — two tables, several trials: more samples than
+  workers, so the pool keeps each sample on one worker and its reuse
+  counters must equal serial's exactly;
+* ``single_sample`` — one table, one trial (the advisor's default): one
+  sample that would serialize the batch on one worker, so the pool
+  splits it by index key, and only its index counters must equal
+  serial's (the sample is drawn once per worker).
+
+Both must produce bit-identical estimates (the engine's determinism
+contract). The JSON baseline lands in
+``benchmarks/results/BENCH_executors.json``.
 
 Run it directly (it is a script, not a pytest module)::
 
@@ -18,8 +27,8 @@ Run it directly (it is a script, not a pytest module)::
 Interpreting the numbers: the process pool only wins when real cores
 are available (the JSON records ``cpu_count``) and the batch is heavy
 enough to amortize worker startup plus the one-time pickling of the
-unit list. On a single-core runner the three executors are expected to
-tie, which is itself worth recording.
+unit list. On a single-core runner serial is expected to win, which is
+itself worth recording.
 """
 
 from __future__ import annotations
@@ -50,6 +59,12 @@ FULL_ALGORITHMS = ["null_suppression", "null_suppression_runs",
                    "global_dictionary", "dictionary", "prefix", "delta",
                    "rle"]
 SMOKE_ALGORITHMS = ["null_suppression", "global_dictionary"]
+
+#: Reuse counters the pool must report exactly as serial does when it
+#: places whole samples; a split sample keeps only the index counters.
+REUSE_COUNTERS = ("samples_materialized", "sample_cache_hits",
+                  "indexes_built", "index_reuse_hits")
+INDEX_COUNTERS = ("indexes_built", "index_reuse_hits")
 
 
 def build_workload(smoke: bool) -> tuple[dict, list[tuple[str, tuple]]]:
@@ -99,32 +114,54 @@ def fingerprint(batch) -> list[tuple]:
             for estimate in result.estimates]
 
 
-def run(smoke: bool, workers: int, output: pathlib.Path) -> dict:
-    algorithms = SMOKE_ALGORITHMS if smoke else FULL_ALGORITHMS
-    # Full mode draws fat samples (f=0.2 of 8-12k rows) for many trials
-    # so the byte-level compression loops dominate pool overhead — the
-    # compress-heavy advisor shape the process pool exists for.
-    fraction = 0.05 if smoke else 0.2
-    trials = 1 if smoke else 5
-    tables, key_sets = build_workload(smoke)
-    requests = build_requests(tables, key_sets, algorithms, fraction,
-                              trials)
-
+def compare(requests: list[EstimationRequest], workers: int,
+            pinned: tuple[str, ...]) -> dict:
+    """Time ``requests`` on both executors; check estimates and the
+    ``pinned`` counters match serial's."""
     timings: dict[str, float] = {}
     prints: dict[str, list] = {}
-    for name in ("serial", "threads", "process"):
+    reuse: dict[str, dict[str, int]] = {}
+    for name in ("serial", "process"):
         engine = EstimationEngine(
             seed=MASTER_SEED,
             executor=make_executor(name, max_workers=workers))
         outcome = timed(lambda: engine.execute(requests))
         timings[name] = outcome.seconds
         prints[name] = fingerprint(outcome.value)
-    identical = prints["serial"] == prints["threads"] == \
-        prints["process"]
-    if not identical:
+        reuse[name] = {counter: outcome.value.stats[counter]
+                       for counter in REUSE_COUNTERS}
+    if prints["serial"] != prints["process"]:
         raise AssertionError(
             "executor choice changed the estimates — the determinism "
             "contract is broken")
+    moved = [counter for counter in pinned
+             if reuse["process"][counter] != reuse["serial"][counter]]
+    if moved:
+        raise AssertionError(
+            f"the process pool's {moved} differ from serial's — units "
+            f"were placed off their sample or index: {reuse}")
+    return {"requests": len(requests),
+            "trial_units": sum(request.trials for request in requests),
+            "seconds": timings,
+            "speedup_vs_serial": {
+                name: round(timings["serial"] / seconds, 3)
+                for name, seconds in timings.items()},
+            "reuse_counters": reuse}
+
+
+def run(smoke: bool, workers: int, output: pathlib.Path) -> dict:
+    algorithms = SMOKE_ALGORITHMS if smoke else FULL_ALGORITHMS
+    # Full mode draws fat samples (f=0.2 of 8-12k rows) for many trials
+    # so the byte-level compression loops dominate pool overhead — the
+    # compress-heavy advisor shape the process pool exists for.
+    fraction = 0.05 if smoke else 0.2
+    trials = 4 if smoke else 5
+    tables, key_sets = build_workload(smoke)
+    many = compare(build_requests(tables, key_sets, algorithms, fraction,
+                                  trials), workers, REUSE_COUNTERS)
+    single = compare(build_requests(
+        tables, [key for key in key_sets if key[0] == "orders"],
+        algorithms, 0.1 if smoke else 0.5, 1), workers, INDEX_COUNTERS)
 
     report = {
         "experiment": "executors",
@@ -134,22 +171,18 @@ def run(smoke: bool, workers: int, output: pathlib.Path) -> dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "workers": workers,
-        "batch": {
-            "requests": len(requests),
-            "trial_units": len(requests) * trials,
-            "algorithms": algorithms,
-            "fraction": fraction,
-            "trials": trials,
-            "tables": {name: table.num_rows
-                       for name, table in tables.items()},
-        },
-        "seconds": timings,
-        "speedup_vs_serial": {
-            name: round(timings["serial"] / seconds, 3)
-            for name, seconds in timings.items()},
-        "process_vs_threads": round(
-            timings["threads"] / timings["process"], 3),
-        "estimates_identical": identical,
+        "algorithms": algorithms,
+        "tables": {name: table.num_rows
+                   for name, table in tables.items()},
+        "many_samples": {"fraction": fraction, "trials": trials,
+                         "counters_equal_serial": list(REUSE_COUNTERS),
+                         **many},
+        "single_sample": {"table": "orders",
+                          "fraction": 0.1 if smoke else 0.5,
+                          "trials": 1,
+                          "counters_equal_serial": list(INDEX_COUNTERS),
+                          **single},
+        "estimates_identical": True,
     }
     emit_result("executors", report,
                 parameters={"mode": "smoke" if smoke else "full",
@@ -160,13 +193,13 @@ def run(smoke: bool, workers: int, output: pathlib.Path) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time serial/thread/process executors on an "
+        description="Time the serial and process executors on an "
                     "advisor-sized estimation batch.")
     parser.add_argument("--smoke", action="store_true",
                         help="small CI-sized batch (seconds, not minutes)")
     parser.add_argument("--workers", type=int,
                         default=min(4, os.cpu_count() or 2),
-                        help="worker count for the pooled executors")
+                        help="worker count for the process pool")
     parser.add_argument("--output", type=pathlib.Path,
                         default=RESULTS_DIR / "BENCH_executors.json",
                         help="where to write the JSON baseline")

@@ -19,8 +19,8 @@ everything it runs on, built from scratch:
   every table and figure (see EXPERIMENTS.md);
 * the **estimation engine** (:mod:`repro.engine`) — plan/execute batches
   of estimation requests with shared materialized samples, LRU caching,
-  and pluggable serial/thread-pool executors; every other layer's
-  estimates run through it.
+  and pluggable serial, process-pool and remote executors; every other
+  layer's estimates run through it.
 
 Quickstart::
 
@@ -64,8 +64,7 @@ from repro.experiments import EXPERIMENTS, get_experiment
 from repro.engine import (BatchResult, EstimationEngine, EstimationPlan,
                           EstimationRequest, MaterializedSample, PlanUnit,
                           ProcessPoolPlanExecutor, RequestResult,
-                          SerialExecutor, ThreadPoolPlanExecutor,
-                          default_engine, make_executor)
+                          SerialExecutor, default_engine, make_executor)
 from repro.store import SampleStore, open_store, table_fingerprint
 
 __all__ = [
@@ -102,7 +101,7 @@ __all__ = [
     "BatchResult", "EstimationEngine", "EstimationPlan",
     "EstimationRequest", "MaterializedSample", "PlanUnit",
     "ProcessPoolPlanExecutor", "RequestResult", "SerialExecutor",
-    "ThreadPoolPlanExecutor", "default_engine", "make_executor",
+    "default_engine", "make_executor",
     # store
     "SampleStore", "open_store", "table_fingerprint",
 ]

@@ -202,7 +202,7 @@ def enumerate_candidates_batch(
     numbers — the estimates come straight from the tables.
 
     ``executor`` overrides how the batch runs (an executor instance or
-    a name: ``"serial"``, ``"threads"``, ``"process"``). The advisor
+    a name: ``"serial"``, ``"process"``, ``"remote"``). The advisor
     batch is embarrassingly parallel and compress-heavy, which is
     exactly the shape the process pool is for; estimates are
     byte-identical across executors for a fixed seed.

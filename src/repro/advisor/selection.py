@@ -142,8 +142,8 @@ def advise_from_data(tables: dict[str, "Table"],
     rather than supplied by the caller, and table statistics are
     derived from the heaps. This is the paper's motivating application
     loop — SampleCF inside a physical design tool — packaged as one
-    call. ``executor`` (instance or name: ``"serial"``, ``"threads"``,
-    ``"process"``) picks how the sizing batch runs; results are
+    call. ``executor`` (instance or name: ``"serial"``, ``"process"``,
+    ``"remote"``) picks how the sizing batch runs; results are
     byte-identical across executors for a fixed seed. ``store`` (a
     :class:`~repro.store.store.SampleStore` or directory path) makes
     repeated advisor runs over the same stored tables warm-start from

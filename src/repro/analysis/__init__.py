@@ -1,7 +1,7 @@
 """Project-specific invariant linting (``repro lint``).
 
 The reproduction's whole value is a contract the type system cannot
-see: estimates are bit-identical across serial/thread/process/remote
+see: estimates are bit-identical across serial/process/remote
 executors, plan units and storage pickle cleanly, and store/fingerprint
 keys are stable across processes. Three shipped PRs each fixed a latent
 violation of that contract found only by luck — a default ``repr``

@@ -160,14 +160,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the spec's master seed")
     batch.add_argument("--executor", choices=list(EXECUTOR_NAMES),
                        default=None,
-                       help="override the spec's executor choice: serial, "
-                            "thread[s] (one process, GIL-bound), "
-                            "process (parallel workers; requests must "
-                            "be picklable), or remote (shard across "
-                            "'repro worker serve' hosts)")
+                       help="override the spec's executor choice: serial "
+                            "(the default), process (forked parallel "
+                            "workers; requests must be picklable), or "
+                            "remote (shard across 'repro worker serve' "
+                            "hosts)")
     batch.add_argument("--workers", default=None,
-                       help="worker count for thread/process executors, "
-                            "or comma-separated host:port addresses for "
+                       help="worker count for --executor process, or "
+                            "comma-separated host:port addresses for "
                             "--executor remote (default: the "
                             "REPRO_REMOTE_WORKERS environment variable)")
     batch.add_argument("--indent", type=int, default=2,
@@ -233,9 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="how estimation batches run")
     advise.add_argument("--workers", default=None,
-                        help="worker count for thread/process executors, "
-                             "or comma-separated host:port addresses "
-                             "for --executor remote")
+                        help="worker count for --executor process, or "
+                             "comma-separated host:port addresses for "
+                             "--executor remote")
     advise.add_argument("--store-dir", default=None,
                         help="persistent sample/estimate store; repeated "
                              "advise runs over the same spec warm-start "
@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="engine executor for coalesced batches")
     serve.add_argument("--workers", type=int, default=None,
-                       help="worker count for thread/process executors")
+                       help="worker count for --executor process")
     serve.add_argument("--max-body-bytes", type=int, default=1 << 20,
                        help="reject larger request bodies with 413 "
                             "(default: 1048576)")
@@ -402,7 +402,7 @@ def _cli_executor(name: str | None, workers: str | None):
     """Build the executor a CLI flag pair describes (or ``None``).
 
     ``--workers`` is overloaded the way the executors need it: an
-    integer worker count for the local pools, a comma-separated
+    integer worker count for the process pool, a comma-separated
     ``host:port`` list for ``--executor remote``.
     """
     if name is None:

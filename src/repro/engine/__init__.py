@@ -30,12 +30,11 @@ mutations invalidate naturally. The per-tier movement is visible in
 """
 
 from repro.engine.engine import EstimationEngine, default_engine
-from repro.engine.executors import (PlanExecutor, ProcessPoolPlanExecutor,
-                                    SerialExecutor, ThreadPoolPlanExecutor,
-                                    make_executor)
-from repro.engine.remote import (RemotePlanExecutor, UnitCostModel,
-                                 lpt_assign, round_robin_assign,
-                                 spawn_local_workers, start_worker_thread)
+from repro.engine.executors import PlanExecutor, SerialExecutor, make_executor
+from repro.engine.remote import (ProcessPoolPlanExecutor, RemotePlanExecutor,
+                                 UnitCostModel, lpt_assign,
+                                 round_robin_assign, spawn_local_workers,
+                                 start_worker_thread)
 from repro.engine.plan import (EstimationPlan, PlanNode, expand_trials,
                                plan_batch)
 from repro.engine.requests import (BatchResult, EstimationRequest,
@@ -73,7 +72,6 @@ __all__ = [
     "SAMPLE_CACHE_SIZE_ENV",
     "SampleCache",
     "SerialExecutor",
-    "ThreadPoolPlanExecutor",
     "UnitContext",
     "UnitCostModel",
     "UnitFailure",

@@ -13,8 +13,8 @@ the CLI's ``estimate-batch`` — funnels through :meth:`execute`, which
    algorithms probing it, and
 4. runs the independent (node, trial) units — picklable
    :class:`~repro.engine.units.PlanUnit` objects — on a pluggable
-   executor (:mod:`repro.engine.executors`): serial, thread pool, or
-   process pool.
+   executor (:mod:`repro.engine.executors`): serial, process pool, or
+   remote workers.
 
 Determinism contract: with an integer master seed, ``execute`` returns
 byte-identical results for the same batch content regardless of

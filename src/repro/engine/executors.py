@@ -1,48 +1,32 @@
 """Pluggable executors for independent plan units.
 
 The engine reduces a plan to a flat list of
-:class:`~repro.engine.units.PlanUnit` work items (one per (node, trial))
-whose results are order-aligned with the list; an executor's only job is
-to run them all against a :class:`~repro.engine.units.UnitContext` and
-return results *in input order*. Because every unit's randomness was
-resolved at plan time and shared state (sample cache, index cache) is
-single-flight, all three executors produce byte-identical estimates —
-the determinism property suite locks that in.
+:class:`~repro.engine.units.PlanUnit` work items (one per (node, trial));
+an executor runs them all against a
+:class:`~repro.engine.units.UnitContext` and returns results *in input
+order*. Every unit's randomness was resolved at plan time, so every
+executor produces byte-identical estimates — the determinism property
+suite locks that in. Three executors exist:
 
-Four executors exist:
+* :class:`SerialExecutor` — one unit after another on the calling
+  thread; the default, and the fastest choice on one core;
+* :class:`~repro.engine.remote.ProcessPoolPlanExecutor` — workers
+  forked per batch, for compress-heavy batches on multi-core machines;
+* :class:`~repro.engine.remote.RemotePlanExecutor` — long-lived workers
+  on other hosts, degrading to the local process pool.
 
-* :class:`SerialExecutor` — one unit after another, calling thread;
-* :class:`ThreadPoolPlanExecutor` — overlap in one process; useful when
-  units spend time in numpy, limited by the GIL on the byte-level
-  compression loops;
-* :class:`ProcessPoolPlanExecutor` — true parallelism for
-  compress-heavy batches. Units are pickled to worker processes (the
-  whole unit list is serialized *once*, so a table shared by many units
-  ships once and keeps shared identity inside each worker); each worker
-  runs a private sample cache and returns its stats deltas for the
-  parent to merge;
-* :class:`~repro.engine.remote.RemotePlanExecutor` — shards units
-  across long-lived worker *processes-as-hosts* over a socket
-  protocol, with cost-model LPT scheduling, work stealing, and
-  degradation to the local process pool (see
-  :mod:`repro.engine.remote`).
+The two parallel executors are one dispatcher (:mod:`repro.engine.remote`)
+that places units by sample, schedules sample groups by LPT with work
+stealing, and recovers from worker death the same way.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
-import os
-import pickle
-from concurrent.futures.process import BrokenProcessPool
 from typing import Protocol, Sequence
 
 from repro.errors import EstimationError
-from repro.faults import injector_from_env
-from repro.engine.samples import EngineStats, SampleCache
-from repro.engine.units import (PlanUnit, UnitContext, _note_degraded,
-                                deadline_failure, run_plan_unit)
-from repro.obs import NULL_TRACER, SpanContext, Tracer
+from repro.engine.remote import ProcessPoolPlanExecutor, RemotePlanExecutor
+from repro.engine.units import PlanUnit, UnitContext, deadline_failure
 
 
 class PlanExecutor(Protocol):
@@ -76,304 +60,9 @@ class SerialExecutor:
         return "SerialExecutor()"
 
 
-class ThreadPoolPlanExecutor:
-    """Run units on a thread pool; results return in unit order.
-
-    Estimation units spend much of their time in numpy sampling and
-    byte-level compression loops, so modest pools already overlap
-    usefully; correctness never depends on the worker count.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise EstimationError(
-                f"need a positive worker count, got {max_workers}")
-        self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
-
-    def run(self, units: Sequence[PlanUnit],
-            context: UnitContext | None = None) -> list:
-        # Pool threads have no open spans, so when tracing they must
-        # re-attach under the caller's current span (engine.execute)
-        # or every unit span would float at the trace root.
-        parent = (context.tracer.current_context()
-                  if context is not None and context.tracer.enabled
-                  else None)
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.max_workers) as pool:
-            if context is not None and context.deadline is not None:
-                futures = [pool.submit(_run_checked, unit, context,
-                                       parent) for unit in units]
-            elif parent is not None:
-                futures = [pool.submit(_run_attached, unit, context,
-                                       parent) for unit in units]
-            else:
-                futures = [pool.submit(unit, context) for unit in units]
-            return [future.result() for future in futures]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadPoolPlanExecutor(max_workers={self.max_workers})"
-
-
-def _run_attached(unit: PlanUnit, context: UnitContext,
-                  parent: SpanContext) -> object:
-    """Run one unit on a foreign thread, re-parented under ``parent``."""
-    with context.tracer.attach(parent):
-        return unit(context)
-
-
-def _run_checked(unit: PlanUnit, context: UnitContext,
-                 parent: SpanContext | None) -> object:
-    """The deadline-aware pool-thread entry: skip past-budget units."""
-    assert context.deadline is not None
-    if context.deadline.expired:
-        return deadline_failure(unit, context)
-    if parent is not None:
-        return _run_attached(unit, context, parent)
-    return unit(context)
-
-
-# ----------------------------------------------------------------------
-# Process pool
-# ----------------------------------------------------------------------
-#: Per-worker-process unit list, installed once by the pool initializer.
-_WORKER_UNITS: tuple[PlanUnit, ...] = ()
-#: Per-worker-process runtime state (private cache + local counters).
-_WORKER_CONTEXT: UnitContext | None = None
-#: Per-worker-process span collector; ``None`` when the batch is
-#: untraced (the common case — workers then skip trace plumbing
-#: entirely and return two-element results).
-_WORKER_TRACER: Tracer | None = None
-
-
-def _init_worker(blob: bytes, store_blob: bytes | None = None,
-                 trace_ctx: SpanContext | None = None) -> None:
-    """Pool initializer: install this worker's units and context.
-
-    The unit list arrives as one pre-pickled blob so sources shared by
-    many units (the same Table object) deserialize to *one* object per
-    worker — which is what keeps the worker's identity-keyed sample
-    cache effective. When the parent engine has a persistent store, its
-    handle ships too (a store pickles as its configuration and reopens
-    on the same directory), so all workers share one disk tier instead
-    of private cold caches — a sample any worker materializes is a disk
-    hit for every other worker, and for every later run.
-
-    When the parent batch is traced, ``trace_ctx`` carries the parent
-    span's identity: this worker's spans buffer in a collector rooted
-    under it and ship home with each unit result, where the parent
-    tracer adopts them (see :meth:`repro.obs.Tracer.adopt`).
-    """
-    global _WORKER_UNITS, _WORKER_CONTEXT, _WORKER_TRACER
-    _WORKER_UNITS = tuple(pickle.loads(blob))
-    store = pickle.loads(store_blob) if store_blob is not None else None
-    _WORKER_TRACER = (Tracer.collector(trace_ctx)
-                      if trace_ctx is not None else None)
-    # Workers arm their own injector from REPRO_FAULT_PLAN (inherited
-    # with the environment), counting hook invocations process-locally
-    # — which is how chaos plans reach pool workers without widening
-    # the initializer protocol.
-    _WORKER_CONTEXT = UnitContext(cache=SampleCache(),
-                                  stats=EngineStats(), store=store,
-                                  tracer=_WORKER_TRACER
-                                  if _WORKER_TRACER is not None
-                                  else NULL_TRACER,
-                                  injector=injector_from_env())
-
-
-def _run_worker_unit(position: int) -> tuple:
-    """Run one unit in a worker; returns (estimate, stats delta[, spans]).
-
-    Workers are single-threaded, so a before/after snapshot of the
-    worker-local stats is an exact per-unit delta. Traced workers
-    append a third element: the span records this unit produced.
-    """
-    context = _WORKER_CONTEXT
-    assert context is not None, "worker initializer did not run"
-    if context.injector.enabled and \
-            context.injector.fire("pool.unit") is not None:
-        # Simulated hard worker death. Only workers check this site —
-        # the parent's rerun path must stay immune so a crash plan can
-        # never take down the test process itself.
-        os._exit(33)
-    before = context.stats.snapshot()
-    estimate = run_plan_unit(_WORKER_UNITS[position], context)
-    delta = EngineStats.delta(before, context.stats.snapshot())
-    if _WORKER_TRACER is not None:
-        return estimate, delta, _WORKER_TRACER.drain()
-    return estimate, delta
-
-
-class ProcessPoolPlanExecutor:
-    """Run units on a process pool; results return in unit order.
-
-    This is the executor for compress-heavy advisor batches: the
-    byte-level compression loops are pure Python, so a thread pool is
-    GIL-bound while processes parallelize for real. Requirements and
-    behaviour:
-
-    * units must be picklable (Table/HeapFile serialize via their
-      heaps; plan seeds are plain ints) — the whole unit list is
-      pickled **once** and shipped to each worker by the pool
-      initializer, so shared sources ship once, not per unit;
-    * units with opaque ``Generator`` seeds run in the parent process
-      instead (pickling would fork the generator's stream and silently
-      decouple it from the caller's object);
-    * each worker keeps a private in-memory sample cache; when the
-      engine has a persistent :class:`~repro.store.store.SampleStore`,
-      workers share it as a common disk tier (one worker materializes,
-      the rest — and later runs — hit disk). Estimates stay
-      byte-identical to the serial executor either way because all
-      randomness was resolved at plan time. Worker stats deltas are
-      merged into the batch's counters, so reuse accounting stays
-      truthful (hit counts depend on how units land on workers).
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: int | None = None,
-                 start_method: str | None = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise EstimationError(
-                f"need a positive worker count, got {max_workers}")
-        self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
-        if start_method is not None and \
-                start_method not in multiprocessing.get_all_start_methods():
-            raise EstimationError(
-                f"unknown start method {start_method!r}; known: "
-                f"{multiprocessing.get_all_start_methods()}")
-        self.start_method = start_method
-
-    def run(self, units: Sequence[PlanUnit],
-            context: UnitContext | None = None) -> list:
-        units = list(units)
-        for unit in units:
-            if not isinstance(unit, PlanUnit):
-                raise EstimationError(
-                    "the process executor ships PlanUnit objects to "
-                    f"workers; got {type(unit).__name__}")
-        if context is None:
-            context = UnitContext(cache=SampleCache(8),
-                                  stats=EngineStats())
-        results: list = [None] * len(units)
-        remote = [position for position, unit in enumerate(units)
-                  if not unit.request.seed_is_opaque()]
-        if remote:
-            self._run_remote(units, remote, results, context)
-        for position, unit in enumerate(units):
-            if unit.request.seed_is_opaque():
-                if context.deadline is not None and \
-                        context.deadline.expired:
-                    results[position] = deadline_failure(unit, context)
-                else:
-                    results[position] = run_plan_unit(unit, context)
-        return results
-
-    def _run_remote(self, units: list[PlanUnit], remote: list[int],
-                    results: list, context: UnitContext) -> None:
-        shipped = [units[position] for position in remote]
-        try:
-            blob = pickle.dumps(tuple(shipped),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            raise EstimationError(
-                f"plan units are not picklable for process execution: "
-                f"{exc}") from exc
-        store_blob = (pickle.dumps(context.store,
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-                      if context.store is not None else None)
-        mp_context = multiprocessing.get_context(self.start_method)
-        workers = min(self.max_workers, len(shipped))
-        tracer = context.tracer
-        with tracer.span("pool.run", workers=workers,
-                         units=len(shipped)) as pool_span:
-            initargs: tuple = (blob, store_blob)
-            if tracer.enabled:
-                # Worker spans re-parent under this pool.run span: its
-                # context ships via the initializer, collectors return
-                # per-unit records, and the parent adopts them here.
-                initargs = (blob, store_blob, pool_span.context)
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers, mp_context=mp_context,
-                    initializer=_init_worker,
-                    initargs=initargs) as pool:
-                futures = [pool.submit(_run_worker_unit, j)
-                           for j in range(len(shipped))]
-                rerun = self._collect(units, remote, futures,
-                                      results, context, tracer)
-            if rerun:
-                # A dead worker breaks the whole pool, so every unit
-                # it owed comes home at once; reruns happen here in
-                # the parent where the crash site is never armed, and
-                # produce bit-identical values (all randomness was
-                # resolved at plan time).
-                context.stats.add("pool_worker_deaths")
-                for position in rerun:
-                    unit = units[position]
-                    if context.deadline is not None and \
-                            context.deadline.expired:
-                        results[position] = deadline_failure(unit,
-                                                             context)
-                        continue
-                    context.stats.add("pool_degraded_units")
-                    _note_degraded(context, unit, "pool_worker_death")
-                    results[position] = run_plan_unit(unit, context)
-
-    def _collect(self, units: list[PlanUnit], remote: list[int],
-                 futures: list, results: list, context: UnitContext,
-                 tracer: Tracer) -> list[int]:
-        """Drain worker futures; return positions owed by dead workers.
-
-        Three non-happy paths, each a *typed* outcome instead of an
-        executor-level raise: a past-deadline future becomes a
-        :class:`~repro.engine.units.UnitFailure`, a broken pool queues
-        the position for a parent-side rerun, and worker-side
-        degradations (visible in the exact per-unit stats delta) mark
-        the unit degraded in the parent's context.
-        """
-        rerun: list[int] = []
-        for position, future in zip(remote, futures):
-            try:
-                if context.deadline is None:
-                    payload = future.result()
-                elif context.deadline.expired and not future.done():
-                    future.cancel()
-                    results[position] = deadline_failure(
-                        units[position], context)
-                    continue
-                else:
-                    payload = future.result(
-                        timeout=max(context.deadline.remaining(), 0.0))
-            except concurrent.futures.TimeoutError:
-                future.cancel()
-                results[position] = deadline_failure(units[position],
-                                                     context)
-                continue
-            except BrokenProcessPool:
-                rerun.append(position)
-                continue
-            estimate, delta, *extra = payload
-            results[position] = estimate
-            context.stats.merge(delta)
-            if delta.get("degraded_units") and \
-                    context.degraded is not None:
-                context.degraded.add(units[position].index)
-            if extra:
-                tracer.adopt(extra[0])
-        return rerun
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ProcessPoolPlanExecutor("
-                f"max_workers={self.max_workers}, "
-                f"start_method={self.start_method!r})")
-
-
 #: Accepted spellings per executor (CLI flags, batch specs, configs).
 _EXECUTOR_ALIASES = {
     "serial": "serial",
-    "thread": "threads",
-    "threads": "threads",
     "process": "process",
     "processes": "process",
     "remote": "remote",
@@ -398,15 +87,10 @@ def make_executor(name: str, max_workers: int | None = None,
     canonical = _EXECUTOR_ALIASES.get(name)
     if canonical == "serial":
         return SerialExecutor()
-    if canonical == "threads":
-        return ThreadPoolPlanExecutor(max_workers=max_workers)
     if canonical == "process":
         return ProcessPoolPlanExecutor(max_workers=max_workers)
     if canonical == "remote":
-        from repro.engine.remote import RemotePlanExecutor  # lazy: cycle
-
         return RemotePlanExecutor(workers=workers,
                                   max_local_workers=max_workers)
-    raise EstimationError(
-        f"unknown executor {name!r}; known: "
-        f"['serial', 'threads', 'process', 'remote']")
+    raise EstimationError(f"unknown executor {name!r}; known: "
+                          f"['serial', 'process', 'remote']")

@@ -1,34 +1,24 @@
-"""Remote plan execution: shard units across worker processes-as-hosts.
+"""Sharded plan execution on worker processes, remote or forked.
 
-The engine already reduces every batch to a flat list of picklable
+The engine reduces every batch to a flat list of picklable
 :class:`~repro.engine.units.PlanUnit` objects whose randomness was
-resolved at plan time, and the persistent
-:class:`~repro.store.store.SampleStore` already makes concurrent
-cross-process materialization single-flight. This module adds the last
-scale-out piece from the ROADMAP: a :class:`RemotePlanExecutor` that
-ships each shard's unit sublist once to a long-lived worker process
-(``repro worker serve --store-dir ...``) over a length-prefixed socket
-protocol, and merges order-tagged results plus
-:class:`~repro.engine.samples.EngineStats` deltas back in the parent.
+resolved at plan time. One dispatcher runs them on worker processes
+over a length-prefixed socket protocol and merges order-tagged results
+plus :class:`~repro.engine.samples.EngineStats` deltas in the parent,
+for both parallel executors: :class:`RemotePlanExecutor` (long-lived
+``repro worker serve`` hosts, over TCP) and
+:class:`ProcessPoolPlanExecutor` (workers forked per batch, each over
+one end of a ``socket.socketpair()``).
 
-Scheduling is the perf core:
-
-* a :class:`UnitCostModel` predicts per-unit cost from the sample row
-  count (``rows_for_fraction(n, f)``) times an algorithm-class weight,
-  and calibrates itself from observed per-unit worker timings (an EMA
-  of seconds per predicted cost unit, per algorithm);
-* predicted costs feed an LPT (longest-processing-time-first) shard
-  assignment (:func:`lpt_assign`), with :func:`round_robin_assign` as
-  the measurable baseline;
-* dispatch is chunked and pull-based: a worker whose queue drains
-  steals half of the largest remaining victim queue, so one straggler
-  host cannot serialize the batch's tail.
-
-Robustness is part of the contract: a socket timeout or dead worker
-marks the link failed, its undispatched and in-flight units return to
-a shared pool that surviving workers drain (retry-on-fresh-worker),
-and when no worker is reachable at all the executor degrades to the
-local process pool. Results stay bit-identical to
+Units are placed **by sample** (:func:`placement_groups`), so each
+sample is drawn and indexed once per batch and a batch's reuse counters
+follow from its plan. A calibrated :class:`UnitCostModel` prices each
+group; groups go out by LPT (:func:`lpt_assign`; :func:`round_robin_assign`
+is the baseline) in chunks of at most ``chunk_units`` units, and an
+idle worker steals whole unstarted groups. A timeout or dead worker
+buries its link: survivors drain its unfinished groups, marked
+degraded; with no worker left the remote executor falls back to the
+pool, and the pool to the parent. Results stay bit-identical to
 :class:`~repro.engine.executors.SerialExecutor` throughout — the
 determinism property suite asserts it, including mid-run worker death.
 
@@ -38,27 +28,31 @@ Wire protocol (one 8-byte big-endian length prefix per pickled frame):
 parent -> worker               worker -> parent
 =============================  =======================================
 ``("ping",)``                  ``("pong", info_dict)``
+``("source", index, source)``  ``("installed", count)``
 ``("install", blob, store)``   ``("installed", count)``
 ``("run", positions)``         ``("results", [(pos, est, sec), ...],
-                               stats_delta)``
+                               stats_delta)`` or ``("raised", exc)``
 ``("shutdown",)``              ``("bye",)``
 =============================  =======================================
 
-``install`` may repeat on one connection (work stealing appends to the
-worker's unit table); each unit therefore ships at most twice — once to
-its LPT home, once more if stolen or reassigned after a failure.
-
-Traced batches extend ``run`` with an optional third element — the
-parent ``chunk.run`` span's :class:`~repro.obs.SpanContext` — and the
-worker then appends a fourth ``results`` element: the span records its
-units produced, rooted under that context (the parent adopts them into
-its trace). Untraced frames keep the exact three/two-element shapes
-above, so old parents and workers interoperate.
+``install`` precedes the first chunk of each group a worker starts: the
+group's ``(position, unit)`` pairs, pickled once per batch with their
+source (table or histogram) by index, after that ``source`` frame (also
+encoded once per batch) if the worker lacks it. So a unit ships only to
+the worker that runs it, and a source at most once per worker. A unit
+that raises ends its chunk with ``("raised", exc)``; the parent
+re-raises it.
+Traced batches append the parent ``chunk.run`` span's
+:class:`~repro.obs.SpanContext` to ``run``, and the worker appends its
+units' span records to ``results`` for the parent to adopt.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import multiprocessing
 import os
 import pickle
 import socket
@@ -67,9 +61,10 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ContextManager, Sequence
 
 from repro.errors import EstimationError
 from repro.faults import (CircuitBreaker, FaultInjector, NullInjector,
@@ -97,14 +92,26 @@ MAX_FRAME_BYTES = 1 << 34
 # ----------------------------------------------------------------------
 def send_frame(sock: socket.socket, message: object) -> None:
     """Send one length-prefixed pickled frame."""
-    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LENGTH.pack(len(blob)) + blob)
+    _send_body(sock, pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _send_body(sock: socket.socket, body: bytes) -> None:
+    """Send a pickled frame body behind its length prefix; one
+    ``sendmsg`` call sends both, so a large body is never copied."""
+    view = memoryview(body)
+    header = _LENGTH.pack(len(view))
+    sent = sock.sendmsg([header, view]) - len(header)
+    if sent < 0:
+        sock.sendall(header[sent:])
+        sent = 0
+    if sent < len(view):
+        sock.sendall(view[sent:])
 
 
 def recv_frame(sock: socket.socket) -> object | None:
     """Receive one frame; ``None`` on a clean EOF at a frame boundary."""
     header = _recv_exact(sock, _LENGTH.size, allow_eof=True)
-    if header is None:
+    if not header:
         return None
     (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
@@ -115,18 +122,22 @@ def recv_frame(sock: socket.socket) -> object | None:
 
 
 def _recv_exact(sock: socket.socket, count: int,
-                allow_eof: bool = False) -> bytes | None:
-    parts = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if allow_eof and remaining == count:
-                return None
+                allow_eof: bool = False) -> bytearray:
+    """Read ``count`` bytes; empty on an allowed EOF before the first.
+
+    An EOF anywhere else is a torn frame. The buffer grows as bytes
+    arrive, so a corrupt length prefix cannot force a large allocation,
+    and the parts are never joined into a second copy.
+    """
+    data = bytearray()
+    while len(data) < count:
+        part = sock.recv(min(count - len(data), 1 << 20))
+        if not part:
+            if allow_eof and not data:
+                return data
             raise ConnectionError("remote peer closed mid-frame")
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
+        data += part
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +226,7 @@ class UnitCostModel:
 
 
 # ----------------------------------------------------------------------
-# Shard assignment
+# Placement
 # ----------------------------------------------------------------------
 def lpt_assign(costs: Sequence[float], shards: int) -> list[list[int]]:
     """Longest-processing-time-first assignment to ``shards`` bins.
@@ -259,6 +270,111 @@ def makespan(costs: Sequence[float],
                 for shard in assignment), default=0.0)
 
 
+class _Part(list):
+    """A group split off a sample by index key. It stays where LPT put
+    it, so the sample's draws (one per worker holding a part) follow
+    from the plan, never from stealing."""
+
+
+def placement_groups(units: Sequence[PlanUnit], positions: Sequence[int],
+                     workers: int) -> list[list[int]]:
+    """``positions`` grouped for placement, each group in plan order.
+
+    Units sharing a ``sample_key`` form one group: splitting it would
+    mostly duplicate its sample draw and index build, which dominate
+    its cost. A ``None`` key (uncacheable unit) is a group of its own.
+    A group predicted to cost more than one worker's share of the batch
+    would bound the makespan on its own (a single-table advisor batch
+    is one sample), so it splits by index key ``(columns, kind)`` into
+    :class:`_Part` groups: each index is still built once, and only the
+    sample draw repeats on each worker holding a part.
+    """
+    groups: dict[object, list[int]] = {}
+    for position in positions:
+        key = units[position].sample_key
+        groups.setdefault(position if key is None else key,
+                          []).append(position)
+    cost = {position: UnitCostModel.predict(units[position])
+            for position in positions}
+    share = sum(cost.values()) / max(1, workers)
+    placed: list[list[int]] = []
+    for group in groups.values():
+        parts: dict[tuple, list[int]] = {}
+        if sum(cost[position] for position in group) > share:
+            for position in group:
+                request = units[position].request
+                parts.setdefault((request.columns, request.kind),
+                                 _Part()).append(position)
+        placed.extend(parts.values() if len(parts) > 1 else [group])
+    return placed
+
+
+# ----------------------------------------------------------------------
+# Shipping
+# ----------------------------------------------------------------------
+class _SourcePickler(pickle.Pickler):
+    """Pickles units with each source replaced by its batch index."""
+
+    def __init__(self, file: io.BytesIO, index: dict[int, int]) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.index = index
+
+    def persistent_id(self, obj: object) -> int | None:
+        return self.index.get(id(obj))
+
+
+class _SourceUnpickler(pickle.Unpickler):
+    """Loads a :class:`_SourcePickler` blob against installed sources."""
+
+    def __init__(self, blob: bytes, sources: dict[int, object]) -> None:
+        super().__init__(io.BytesIO(blob))
+        self.sources = sources
+
+    def persistent_load(self, pid: int) -> object:
+        return self.sources[pid]
+
+
+@dataclass
+class _Shipment:
+    """A batch pickled once for all of its workers: per group its unit
+    blob and its source's index, per source (table or histogram) its
+    whole ``source`` frame, per position its group, and the store."""
+
+    groups: list[bytes] = field(default_factory=list)
+    source_of: list[int] = field(default_factory=list)
+    sources: list[bytes] = field(default_factory=list)
+    group_of: dict[int, int] = field(default_factory=dict)
+    store: bytes | None = None
+
+
+def _pack(units: list[PlanUnit], groups: list[list[int]],
+          store: object) -> _Shipment | None:
+    """Pickle a batch for its workers, or ``None`` when a unit does not
+    pickle (a locally defined algorithm, say): it then runs here."""
+    shipment = _Shipment(store=None if store is None else pickle.dumps(
+        store, protocol=pickle.HIGHEST_PROTOCOL))
+    index: dict[int, int] = {}
+    try:
+        for number, group in enumerate(groups):
+            request = units[group[0]].request
+            source = (request.table if request.is_table
+                      else request.histogram)
+            if id(source) not in index:
+                index[id(source)] = len(shipment.sources)
+                shipment.sources.append(pickle.dumps(
+                    ("source", index[id(source)], source),
+                    protocol=pickle.HIGHEST_PROTOCOL))
+            shipment.source_of.append(index[id(source)])
+            buffer = io.BytesIO()
+            _SourcePickler(buffer, index).dump(
+                tuple((position, units[position]) for position in group))
+            shipment.groups.append(buffer.getvalue())
+            shipment.group_of.update(dict.fromkeys(group, number))
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+    return shipment
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -288,28 +404,35 @@ class WorkerState:
     #: Fault injection: abort the connection (process workers exit)
     #: after this many executed units. Tests only.
     fail_after_units: int | None = None
-    #: ``True`` in subprocess workers: injected failures hard-exit.
+    #: ``True`` in worker processes: injected failures hard-exit.
     exit_on_failure: bool = False
     executed_units: int = 0
 
     def _maybe_fail(self) -> None:
-        if self.fail_after_units is None:
-            return
-        if self.executed_units >= self.fail_after_units:
+        if self.fail_after_units is not None and \
+                self.executed_units >= self.fail_after_units:
             if self.exit_on_failure:
                 os._exit(17)
             raise _InjectedFailure(
                 f"injected failure after {self.executed_units} units")
+        # The ``pool.unit`` crash site: a simulated hard worker death.
+        # Only worker processes check it, so a crash plan can never
+        # take down an in-process worker's host (or the parent).
+        injector = self.context.injector
+        if self.exit_on_failure and injector.enabled and \
+                injector.fire("pool.unit") is not None:
+            os._exit(33)
 
 
 def handle_connection(sock: socket.socket, state: WorkerState) -> str:
     """Serve one parent connection until EOF or shutdown.
 
-    Factored out of the accept loop so tests can drive the full
-    protocol over an in-process ``socket.socketpair()``. Returns why
+    Factored out of the accept loop so tests (and the process pool)
+    drive the full protocol over a ``socket.socketpair()``. Returns why
     the connection ended (``"eof"`` or ``"shutdown"``).
     """
     units: dict[int, PlanUnit] = {}
+    sources: dict[int, object] = {}
     while True:
         message = recv_frame(sock)
         if message is None:
@@ -320,13 +443,14 @@ def handle_connection(sock: socket.socket, state: WorkerState) -> str:
                 "pid": os.getpid(),
                 "store": (str(state.context.store.root)
                           if state.context.store is not None else None)}))
+        elif kind == "source":
+            sources[message[1]] = message[2]
+            send_frame(sock, ("installed", len(sources)))
         elif kind == "install":
-            _, blob, store_blob = message
-            pairs = pickle.loads(blob)
-            units.update(pairs)
-            if store_blob is not None and state.context.store is None:
-                state.context.store = pickle.loads(store_blob)
-            send_frame(sock, ("installed", len(pairs)))
+            units.update(_SourceUnpickler(message[1], sources).load())
+            if message[2] is not None and state.context.store is None:
+                state.context.store = pickle.loads(message[2])
+            send_frame(sock, ("installed", len(units)))
         elif kind == "run":
             try:
                 reply = _run_positions(
@@ -365,7 +489,12 @@ def _run_positions(positions: Sequence[int], units: dict[int, PlanUnit],
         if state.simulate_cost_scale:
             time.sleep(state.simulate_cost_scale
                        * UnitCostModel.predict(unit))
-        estimate = run_plan_unit(unit, context)
+        try:
+            estimate = run_plan_unit(unit, context)
+        # repro-lint: ignore[RPL006] -- the unit's own error, not the
+        # worker's: the parent re-raises it, as a serial run would.
+        except Exception as exc:
+            return ("raised", exc)
         out.append((position, estimate,
                     time.perf_counter() - started))
         state.executed_units += 1
@@ -420,6 +549,31 @@ def _serve_connection(conn: socket.socket, state: WorkerState) -> None:
         pass  # the parent observes the drop and reassigns
     finally:
         conn.close()
+
+
+#: Parent-side ends of this process's live pool links. A forked worker
+#: closes all it inherited, so the parent holds each end alone: a
+#: worker's exit reads as EOF on its link, and closing the link ends
+#: the worker, however many batches fork at once.
+_POOL_ENDS: weakref.WeakSet[socket.socket] = weakref.WeakSet()
+#: Held while a worker's socketpair end is open in the parent, so no
+#: other batch's fork inherits it.
+_FORK_LOCK = threading.Lock()
+
+
+def _serve_forked(sock: socket.socket) -> None:
+    """Process-pool worker body: serve one socketpair end until EOF.
+
+    The fault injector arms from the inherited ``REPRO_FAULT_PLAN``, so
+    chaos plans count hooks per worker.
+    """
+    for end in list(_POOL_ENDS):
+        end.close()
+    state = WorkerState(
+        context=UnitContext(cache=SampleCache(), stats=EngineStats(),
+                            injector=injector_from_env()),
+        exit_on_failure=True)
+    _serve_connection(sock, state)
 
 
 def start_worker_thread(store: object = None,
@@ -551,16 +705,29 @@ def parse_worker_addresses(spec: str | Sequence | None,
 
 
 class _WorkerLink:
-    """One parent-held connection to a worker, plus its dispatch queue."""
+    """One parent-held connection to a worker, plus its dispatch queues.
 
-    def __init__(self, address: tuple[str, int], timeout: float) -> None:
+    Both hold groups (position lists). Idle peers steal unstarted
+    groups from ``queue``; ``pinned`` holds what must run here: parts
+    LPT placed here, and the unsent rest of a group this worker began.
+    """
+
+    def __init__(self, address: tuple[str, int], timeout: float,
+                 sock: socket.socket | None = None) -> None:
         self.address = address
         self.timeout = timeout
-        self.sock: socket.socket | None = None
-        self.queue: deque[int] = deque()
-        self.installed: set[int] = set()
-        self.store_sent = False
+        self.sock = sock
+        if sock is not None:
+            sock.settimeout(timeout)
+        #: The forked worker behind a process-pool link.
+        self.process: multiprocessing.process.BaseProcess | None = None
+        self.queue: deque[list[int]] = deque()
+        self.pinned: deque[list[int]] = deque()
         self.dead = False
+
+    @property
+    def name(self) -> str:
+        return f"{self.address[0]}:{self.address[1]}"
 
     def connect(self, connect_timeout: float) -> bool:
         try:
@@ -575,8 +742,13 @@ class _WorkerLink:
             return False
 
     def request(self, message: object) -> tuple:
+        return self.exchange(
+            pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def exchange(self, body: bytes) -> tuple:
+        """One round trip with an already-pickled frame body."""
         assert self.sock is not None
-        send_frame(self.sock, message)
+        _send_body(self.sock, body)
         reply = recv_frame(self.sock)
         if reply is None:
             raise ConnectionError(
@@ -600,13 +772,14 @@ class RemotePlanExecutor:
         ``"host:port,host:port"``, a sequence of addresses, or ``None``
         to read ``REPRO_REMOTE_WORKERS``. Unreachable workers are
         skipped; with none reachable the batch runs on the local
-        fallback (:class:`~repro.engine.executors.ProcessPoolPlanExecutor`).
+        fallback (:class:`ProcessPoolPlanExecutor`).
     scheduler:
-        ``"lpt"`` (default) or ``"round_robin"`` — how predicted unit
+        ``"lpt"`` (default) or ``"round_robin"`` — how predicted group
         costs map to initial shards.
     chunk_units:
-        Units per ``run`` round trip. Small chunks bound the work lost
-        to a dying worker and keep the stealing tail fine-grained.
+        Most units per ``run`` round trip. Small chunks bound the work
+        lost to a dying worker, a round trip's exposure to ``timeout``,
+        and how far a deadline can be overrun.
     steal:
         Whether idle workers steal half of the largest remaining queue.
     timeout:
@@ -663,7 +836,7 @@ class RemotePlanExecutor:
         # died and *restarted* between batches rejoin instead of
         # staying buried forever. One batch at a time per executor —
         # run() holds _batch_lock for its whole span.
-        self._batch_lock = threading.Lock()
+        self._batch_lock: ContextManager[object] = threading.Lock()
         self._links: dict[tuple[str, int], _WorkerLink] = {}
         self._breakers: dict[tuple[str, int], CircuitBreaker] = {}
 
@@ -674,59 +847,64 @@ class RemotePlanExecutor:
         for unit in units:
             if not isinstance(unit, PlanUnit):
                 raise EstimationError(
-                    "the remote executor ships PlanUnit objects to "
-                    f"workers; got {type(unit).__name__}")
+                    f"the {self.name} executor ships PlanUnit objects "
+                    f"to workers; got {type(unit).__name__}")
         if context is None:
             context = UnitContext(cache=SampleCache(8),
                                   stats=EngineStats())
         results: list = [None] * len(units)
-        shippable = [position for position, unit in enumerate(units)
-                     if not unit.request.seed_is_opaque()]
-        with self._batch_lock:
-            pending = shippable
-            if shippable:
-                links = self._connect(context)
-                if links:
-                    pending = self._dispatch(units, shippable, links,
-                                             results, context)
-                if pending:
-                    self._finish_pending(units, pending, results,
-                                         context)
+        pending = [position for position, unit in enumerate(units)
+                   if not unit.request.seed_is_opaque()]
+        if pending:
+            with self._batch_lock:
+                groups = placement_groups(units, pending, self._slots())
+                shipment = _pack(units, groups, context.store)
+                links = (self._connect(context, len(groups))
+                         if shipment else [])
+                try:
+                    if shipment and links:
+                        pending = self._dispatch(groups, _DispatchState(
+                            units, results, context, links, shipment))
+                finally:
+                    self._release(links)
+            if pending:
+                # Leftovers of a dispatch were marked degraded when their
+                # worker was buried; with no worker reachable at all,
+                # landing here is the degradation itself. Units that do
+                # not pickle just run here.
+                unreached = bool(shipment and not links and self.addresses)
+                self._finish_pending(
+                    units, pending, results, context,
+                    "remote_fallback" if unreached else None,
+                    self._run_fallback if shipment else _run_here)
         # Opaque Generator seeds cannot ship (pickling would fork the
-        # stream); they run in the parent, exactly like the process pool.
-        for position, unit in enumerate(units):
-            if unit.request.seed_is_opaque():
-                if context.deadline is not None and \
-                        context.deadline.expired:
-                    results[position] = deadline_failure(unit, context)
-                else:
-                    results[position] = run_plan_unit(unit, context)
+        # stream); they run in the parent.
+        _run_here(units, [position for position, unit in enumerate(units)
+                          if unit.request.seed_is_opaque()],
+                  results, context)
         return results
 
-    def _finish_pending(self, units: list[PlanUnit],
-                        pending: list[int], results: list,
-                        context: UnitContext) -> None:
+    @staticmethod
+    def _finish_pending(units: list[PlanUnit], pending: list[int],
+                        results: list, context: UnitContext,
+                        reason: str | None, fallback: Callable) -> None:
         """Resolve positions no worker completed.
 
         Past-deadline leftovers become typed failures; the rest run on
-        the local process pool. When workers *were* configured, landing
-        here means remote execution degraded — each unit is marked so
-        a :class:`~repro.engine.requests.PartialBatchResult` reports it
-        (values stay bit-identical either way). With no addresses at
-        all the fallback is just this executor's documented local mode,
-        not a degradation.
+        ``fallback``, each marked degraded for ``reason`` when one is
+        given so a :class:`~repro.engine.requests.PartialBatchResult`
+        reports it (values stay bit-identical either way).
         """
         if context.deadline is not None and context.deadline.expired:
             for position in pending:
                 results[position] = deadline_failure(units[position],
                                                      context)
             return
-        if self.addresses:
+        if reason is not None:
             for position in pending:
-                _note_degraded(context, units[position],
-                               "remote_fallback")
+                _note_degraded(context, units[position], reason)
         context.stats.add("remote_fallback_units", len(pending))
-        self._run_local_fallback(units, pending, results, context)
+        fallback(units, pending, results, context)
 
     def close(self) -> None:
         """Drop all warm links and breaker history (e.g. at shutdown)."""
@@ -737,7 +915,8 @@ class RemotePlanExecutor:
             self._breakers.clear()
 
     # -- connection management -----------------------------------------
-    def _connect(self, context: UnitContext) -> list[_WorkerLink]:
+    def _connect(self, context: UnitContext,
+                 groups: int) -> list[_WorkerLink]:
         """Collect this batch's usable links, reviving dead ones.
 
         Live links from the previous batch are reused as-is (socket,
@@ -762,32 +941,22 @@ class RemotePlanExecutor:
             if link is None:
                 link = _WorkerLink(address, self.timeout)
                 self._links[address] = link
-            # Unit positions are batch-local, so a warm worker's
-            # installed table from last batch is stale by numbering:
-            # forget what shipped and let _ship_missing re-send. The
-            # store handle, by contrast, is batch-independent.
-            link.installed.clear()
-            link.queue.clear()
             if link.dead or link.sock is None:
                 if not breaker.allow():
                     stats.add("breaker_open_skips")
-                    context.tracer.event(
-                        "breaker.skip",
-                        worker=f"{address[0]}:{address[1]}")
+                    context.tracer.event("breaker.skip", worker=link.name)
                     continue
                 probing = breaker.state == "half_open"
                 if probing:
                     stats.add("breaker_probes")
                 link.close()
                 link.dead = False
-                link.store_sent = False
                 if link.connect(self.connect_timeout):
                     breaker.record_success()
                     if probing:
                         stats.add("breaker_reconnects")
-                        context.tracer.event(
-                            "breaker.reconnect",
-                            worker=f"{address[0]}:{address[1]}")
+                        context.tracer.event("breaker.reconnect",
+                                             worker=link.name)
                 else:
                     link.dead = True
                     breaker.record_failure()
@@ -795,43 +964,56 @@ class RemotePlanExecutor:
             links.append(link)
         return links
 
+    def _release(self, links: list[_WorkerLink]) -> None:
+        """End a batch's use of its links (remote links stay warm)."""
+
+    def _slots(self) -> int:
+        """How many workers a batch is placed for."""
+        return len(self.addresses)
+
     # -- dispatch core -------------------------------------------------
-    def _dispatch(self, units: list[PlanUnit], positions: list[int],
-                  links: list[_WorkerLink], results: list,
-                  context: UnitContext) -> list[int]:
-        """Run ``positions`` across ``links``; returns what remains."""
-        costs = {position: self.cost_model.predict(units[position])
-                 for position in positions}
-        assignment = SCHEDULERS[self.scheduler](
-            [costs[position] for position in positions], len(links))
-        for link, shard in zip(links, assignment):
-            link.queue.extend(positions[index] for index in shard)
-        state = _DispatchState(units=units, results=results,
-                               context=context, links=links)
-        tracer = context.tracer
-        with tracer.span("shard.dispatch", workers=len(links),
-                         units=len(positions),
+    def _dispatch(self, groups: list[list[int]],
+                  state: _DispatchState) -> list[int]:
+        """Run ``groups`` on ``state.links``; returns the positions left.
+
+        Re-raises the first exception a unit raised on a worker.
+        """
+        costs = [sum(self.cost_model.predict(state.units[position])
+                     for position in group) for group in groups]
+        assignment = SCHEDULERS[self.scheduler](costs, len(state.links))
+        for link, shard in zip(state.links, assignment):
+            link.queue, link.pinned = deque(), deque()
+            for index in shard:
+                group = groups[index]
+                (link.pinned if isinstance(group, _Part)
+                 else link.queue).append(group)
+        tracer = state.context.tracer
+        with tracer.span("shard.dispatch", workers=len(state.links),
+                         units=sum(map(len, groups)),
                          scheduler=self.scheduler) as dispatch_span:
             parent_ctx = (dispatch_span.context if tracer.enabled
                           else None)
             threads = [threading.Thread(target=self._drive_worker,
                                         args=(link, state, parent_ctx),
                                         daemon=True)
-                       for link in links]
+                       for link in state.links]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-        self._publish_calibration(state, context)
+        if state.error is not None:
+            raise state.error
+        self._publish_calibration(state, state.context)
         with state.lock:
-            leftover = [position for position in positions
-                        if position not in state.done]
-        return leftover
+            return [position for group in groups for position in group
+                    if position not in state.done]
 
     def _drive_worker(self, link: _WorkerLink, state: _DispatchState,
                       parent_ctx: SpanContext | None = None) -> None:
         tracer = state.context.tracer
-        worker_name = f"{link.address[0]}:{link.address[1]}"
+        # The groups and sources this batch has shipped to the worker.
+        installed: set[int] = set()
+        sources: set[int] = set()
         try:
             # Driver threads run outside the dispatching thread's span
             # stack; re-attach under shard.dispatch so chunk spans nest.
@@ -840,8 +1022,12 @@ class RemotePlanExecutor:
                     chunk = self._next_chunk(link, state)
                     if not chunk:
                         return
-                    self._ship_missing(link, state, chunk)
-                    with tracer.span("chunk.run", worker=worker_name,
+                    for group in sorted({state.shipment.group_of[position]
+                                         for position in chunk}
+                                        - installed):
+                        self._install(link, state, group, sources)
+                        installed.add(group)
+                    with tracer.span("chunk.run", worker=link.name,
                                      units=len(chunk)) as chunk_span:
                         if tracer.enabled:
                             reply = self._injected_request(
@@ -850,6 +1036,13 @@ class RemotePlanExecutor:
                         else:
                             reply = self._injected_request(
                                 link, state, ("run", chunk))
+                        if reply[0] == "raised":
+                            # A unit's own error ends the batch (peers
+                            # stop at their next chunk); the worker is
+                            # fine, and _dispatch re-raises the error.
+                            with state.lock:
+                                state.error = state.error or reply[1]
+                            return
                         if reply[0] != "results":
                             raise ConnectionError(
                                 f"unexpected reply {reply[0]!r} from "
@@ -865,7 +1058,6 @@ class RemotePlanExecutor:
                                 if predicted is not None and seconds > 0:
                                     state.predicted_error_abs += abs(
                                         predicted - seconds) / seconds
-                                    state.predicted_seconds += predicted
                                     state.compared_units += 1
                                 state.observed_seconds += seconds
                                 state.observed_units += 1
@@ -883,6 +1075,22 @@ class RemotePlanExecutor:
             # the next batch (see _connect).
             if link.dead:
                 link.close()
+
+    @staticmethod
+    def _install(link: _WorkerLink, state: _DispatchState, group: int,
+                 sources: set[int]) -> None:
+        """Ship one group's units, after their source if it is new here
+        (its frame was encoded once, so it is sent without a copy)."""
+        shipment = state.shipment
+        source = shipment.source_of[group]
+        replies: list[tuple] = [] if source in sources else [
+            link.exchange(shipment.sources[source])]
+        replies.append(link.request(
+            ("install", shipment.groups[group], shipment.store)))
+        if any(reply[0] != "installed" for reply in replies):
+            raise ConnectionError(
+                f"unexpected reply {replies!r} from {link.address}")
+        sources.add(source)
 
     def _injected_request(self, link: _WorkerLink,
                           state: _DispatchState,
@@ -903,7 +1111,7 @@ class RemotePlanExecutor:
                 state.context.stats.add("faults_injected")
                 state.context.tracer.event(
                     "fault.inject", site="remote.send", kind=spec.kind,
-                    worker=f"{link.address[0]}:{link.address[1]}")
+                    worker=link.name)
                 if spec.kind == "drop":
                     raise ConnectionError(
                         f"injected remote.send drop to {link.address}")
@@ -915,7 +1123,7 @@ class RemotePlanExecutor:
                 state.context.stats.add("faults_injected")
                 state.context.tracer.event(
                     "fault.inject", site="remote.recv", kind=spec.kind,
-                    worker=f"{link.address[0]}:{link.address[1]}")
+                    worker=link.name)
                 raise ConnectionError(
                     f"injected remote.recv drop from {link.address}")
         return reply
@@ -954,33 +1162,46 @@ class RemotePlanExecutor:
 
     def _next_chunk(self, link: _WorkerLink,
                     state: _DispatchState) -> list[int]:
-        """Pop this worker's next chunk, stealing when its queue dries.
+        """Pop this worker's next chunk, stealing when its queues dry.
 
-        An idle worker does not exit while any peer is still busy: a
-        peer may yet die and orphan its units, and a live worker is the
-        cheapest place to retry them. It polls instead of waiting on a
-        condition because wake-ups are rare (a steal or a burial) and
-        the poll interval is far below any unit's execution time.
+        A chunk holds at most ``chunk_units`` units, pinned work first;
+        a group that does not fit leaves its rest pinned, so no group
+        spans two live workers. An idle worker does not exit while any
+        peer is still busy: a peer may yet die and orphan its groups,
+        and a live worker is the cheapest place to retry them. It polls
+        instead of waiting on a condition because wake-ups are rare (a
+        steal or a burial) and the poll interval is far below any
+        unit's time.
         """
         while True:
             with state.lock:
                 deadline = state.context.deadline
-                if deadline is not None and deadline.expired:
+                if state.error is not None or (
+                        deadline is not None and deadline.expired):
                     # Past-budget units stay queued; run() turns every
                     # leftover into a typed deadline failure.
                     return []
-                if not link.queue:
+                if not link.pinned and not link.queue:
                     self._steal_into(link, state)
-                if link.queue:
-                    chunk = []
-                    while link.queue and len(chunk) < self.chunk_units:
-                        chunk.append(link.queue.popleft())
+                if link.pinned or link.queue:
+                    chunk: list[int] = []
+                    pieces = []
+                    while len(chunk) < self.chunk_units and (
+                            link.pinned or link.queue):
+                        piece = (link.pinned or link.queue).popleft()
+                        room = self.chunk_units - len(chunk)
+                        if len(piece) > room:
+                            link.pinned.appendleft(piece[room:])
+                            piece = piece[:room]
+                        pieces.append(piece)
+                        chunk.extend(piece)
                     # Record in-flight so a mid-chunk death requeues.
-                    state.in_flight[link] = list(chunk)
+                    state.in_flight[link] = pieces
                     return chunk
                 busy = any(
                     other is not link and not other.dead
-                    and (other.queue or state.in_flight.get(other))
+                    and (other.pinned or other.queue
+                         or state.in_flight.get(other))
                     for other in state.links)
                 if not busy and not state.orphans:
                     return []
@@ -988,16 +1209,20 @@ class RemotePlanExecutor:
 
     def _steal_into(self, thief: _WorkerLink,
                     state: _DispatchState) -> None:
-        """Move work into an idle worker's queue (caller holds lock)."""
-        thief_name = f"{thief.address[0]}:{thief.address[1]}"
+        """Move whole unstarted groups into an idle worker's queue.
+
+        Orphans (a dead worker's groups) come first; otherwise the
+        thief takes the tail half of the longest live queue. The caller
+        holds the dispatch lock.
+        """
         if state.orphans:
-            take = min(len(state.orphans),
-                       max(self.chunk_units, len(state.orphans) // 2))
-            for _ in range(take):
-                thief.queue.append(state.orphans.popleft())
-            state.context.stats.add("remote_retried_units", take)
+            taken = [state.orphans.popleft()
+                     for _ in range(max(1, len(state.orphans) // 2))]
+            thief.queue.extend(taken)
+            units = sum(map(len, taken))
+            state.context.stats.add("remote_retried_units", units)
             state.context.tracer.event(
-                "steal", thief=thief_name, source="orphans", units=take,
+                "steal", thief=thief.name, source="orphans", units=units,
                 orphans_left=len(state.orphans))
             return
         if not self.steal:
@@ -1007,72 +1232,47 @@ class RemotePlanExecutor:
                      key=lambda link: len(link.queue), default=None)
         if victim is None or len(victim.queue) < 2:
             return
-        take = len(victim.queue) // 2
-        for _ in range(take):
-            thief.queue.append(victim.queue.pop())  # steal the tail
+        taken = [victim.queue.pop()  # steal the tail
+                 for _ in range(len(victim.queue) // 2)]
+        thief.queue.extend(taken)
         state.context.stats.add("remote_steals", 1)
         state.context.tracer.event(
-            "steal", thief=thief_name, source="victim",
-            victim=f"{victim.address[0]}:{victim.address[1]}",
-            units=take, victim_left=len(victim.queue))
-
-    def _ship_missing(self, link: _WorkerLink, state: _DispatchState,
-                      chunk: list[int]) -> None:
-        """Install any chunk units this worker has not seen (one blob)."""
-        missing = [position for position in chunk
-                   if position not in link.installed]
-        if not missing:
-            return
-        blob = pickle.dumps(
-            tuple((position, state.units[position])
-                  for position in missing),
-            protocol=pickle.HIGHEST_PROTOCOL)
-        store_blob = None
-        if not link.store_sent and state.context.store is not None:
-            store_blob = pickle.dumps(state.context.store,
-                                      protocol=pickle.HIGHEST_PROTOCOL)
-        reply = link.request(("install", blob, store_blob))
-        if reply[0] != "installed":
-            raise ConnectionError(
-                f"unexpected reply {reply[0]!r} from {link.address}")
-        link.installed.update(missing)
-        link.store_sent = True
+            "steal", thief=thief.name, source="victim",
+            victim=victim.name, units=sum(map(len, taken)),
+            victim_left=sum(map(len, victim.queue)))
 
     def _bury_worker(self, link: _WorkerLink,
                      state: _DispatchState) -> None:
-        """Return a dead worker's unfinished units to the shared pool."""
+        """Requeue a dead worker's unfinished groups; mark them degraded."""
         with state.lock:
             link.dead = True
-            requeue = [position
-                       for position in state.in_flight.pop(link, [])
-                       if position not in state.done]
-            requeue.extend(link.queue)
+            requeue = (state.in_flight.pop(link, []) + list(link.pinned)
+                       + list(link.queue))
+            link.pinned.clear()
             link.queue.clear()
             state.orphans.extend(requeue)
+            fresh = [position for group in requeue for position in group
+                     if position not in state.degraded]
+            state.degraded.update(fresh)
+        for position in fresh:
+            _note_degraded(state.context, state.units[position],
+                           "worker_death")
         breaker = self._breakers.get(link.address)
         if breaker is not None:
             breaker.record_failure()
         state.context.stats.add("remote_worker_failures", 1)
         state.context.tracer.event(
-            "worker.failed",
-            worker=f"{link.address[0]}:{link.address[1]}",
-            requeued=len(requeue))
+            "worker.failed", worker=link.name,
+            requeued=sum(map(len, requeue)))
 
-    # -- local fallback ------------------------------------------------
-    def _run_local_fallback(self, units: list[PlanUnit],
-                            positions: list[int], results: list,
-                            context: UnitContext) -> None:
-        from repro.engine.executors import ProcessPoolPlanExecutor
-
+    # -- fallback ------------------------------------------------------
+    def _run_fallback(self, units: list[PlanUnit], positions: list[int],
+                      results: list, context: UnitContext) -> None:
+        """No remote worker is left: run ``positions`` on the local pool."""
         subset = [units[position] for position in positions]
         with context.tracer.span("remote.fallback", units=len(subset)):
-            try:
-                values = ProcessPoolPlanExecutor(
-                    max_workers=self.max_local_workers).run(subset,
-                                                            context)
-            except EstimationError:
-                values = [run_plan_unit(unit, context)
-                          for unit in subset]
+            values = ProcessPoolPlanExecutor(
+                max_workers=self.max_local_workers).run(subset, context)
         for position, value in zip(positions, values):
             results[position] = value
 
@@ -1080,6 +1280,98 @@ class RemotePlanExecutor:
         return (f"RemotePlanExecutor(workers={self.addresses!r}, "
                 f"scheduler={self.scheduler!r}, "
                 f"chunk_units={self.chunk_units}, steal={self.steal})")
+
+
+class ProcessPoolPlanExecutor(RemotePlanExecutor):
+    """Run units on worker processes forked per batch, in unit order.
+
+    For compress-heavy batches on multi-core machines: the byte-level
+    compression loops are pure Python, so only processes parallelize
+    them. A configuration of the remote dispatch, not a second
+    implementation: ``run`` forks up to ``max_workers`` workers (one per
+    group at most; multiprocessing's default context), and each serves
+    :func:`handle_connection` over a ``socket.socketpair()``. A batch
+    owns its workers, so concurrent ``run`` calls proceed in parallel.
+
+    * A shared table ships once per worker and keeps shared identity
+      there. Units that do not pickle, and opaque ``Generator`` seeds
+      (pickling would fork the stream), run in the parent.
+    * Units sharing a sample run on one worker against its fresh private
+      cache (and the engine's store, if any, as a shared disk tier), so
+      estimates *and* a cold batch's reuse counters equal serial's —
+      unless a sample outweighs one worker's share of the batch and
+      splits by index key (see :func:`placement_groups`).
+    * A worker death requeues its unfinished groups on the survivors
+      (``remote_worker_failures``, ``degraded`` outcomes); with no worker
+      left, the rest runs here in the parent.
+    """
+
+    name = "process"
+
+    def __init__(self, max_workers: int | None = None) -> None:
+        if max_workers is not None and max_workers <= 0:
+            raise EstimationError(
+                f"need a positive worker count, got {max_workers}")
+        super().__init__(workers=())
+        self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
+        self._batch_lock = contextlib.nullcontext()
+
+    def _slots(self) -> int:
+        return self.max_workers
+
+    def _connect(self, context: UnitContext,
+                 groups: int) -> list[_WorkerLink]:
+        mp_context = multiprocessing.get_context()
+        links: list[_WorkerLink] = []
+        try:
+            for _ in range(min(self.max_workers, groups)):
+                with _FORK_LOCK:
+                    ours, theirs = socket.socketpair()
+                    _POOL_ENDS.add(ours)
+                    link = _WorkerLink(("local", 0), self.timeout, ours)
+                    links.append(link)
+                    link.process = mp_context.Process(
+                        target=_serve_forked, args=(theirs,), daemon=True)
+                    try:
+                        link.process.start()
+                    finally:
+                        theirs.close()
+                link.address = ("local", link.process.pid or 0)
+        except BaseException:
+            self._release(links)
+            raise
+        return links
+
+    def _release(self, links: list[_WorkerLink]) -> None:
+        """Close every link (EOF ends its worker), then reap the workers."""
+        for link in links:
+            link.close()
+        for link in links:
+            if link.process is not None and link.process.pid is not None:
+                link.process.join(timeout=5)
+                if link.process.is_alive():
+                    link.process.terminate()
+                    link.process.join()
+
+    def _run_fallback(self, units: list[PlanUnit], positions: list[int],
+                      results: list, context: UnitContext) -> None:
+        """No worker is left: run ``positions`` here in the parent, which
+        never checks the ``pool.unit`` crash site."""
+        _run_here(units, positions, results, context)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ProcessPoolPlanExecutor(max_workers={self.max_workers})"
+
+
+def _run_here(units: list[PlanUnit], positions: list[int], results: list,
+              context: UnitContext) -> None:
+    """Run ``positions`` on the calling thread, honouring the deadline."""
+    for position in positions:
+        unit = units[position]
+        if context.deadline is not None and context.deadline.expired:
+            results[position] = deadline_failure(unit, context)
+        else:
+            results[position] = run_plan_unit(unit, context)
 
 
 @dataclass
@@ -1090,20 +1382,25 @@ class _DispatchState:
     results: list
     context: UnitContext
     links: list[_WorkerLink]
-    # repro-lint: ignore[RPL003] -- parent-side dispatch bookkeeping:
-    # this state lives only in the coordinating process for the span
-    # of one dispatch round and is shared across dispatcher threads,
-    # never pickled or shipped (workers receive PlanUnit lists, not
-    # _DispatchState); RPL003's audit confirmed no pickle path exists.
+    shipment: _Shipment
+    #: The first exception a unit raised on a worker; it stops the
+    #: batch, and ``_dispatch`` re-raises it.
+    error: BaseException | None = None
+    # repro-lint: ignore[RPL003] -- parent-side dispatch bookkeeping,
+    # shared across dispatcher threads and never pickled or shipped
+    # (workers receive unit blobs, not _DispatchState).
     lock: threading.Lock = field(default_factory=threading.Lock)
     done: set[int] = field(default_factory=set)
-    orphans: deque[int] = field(default_factory=deque)
-    in_flight: dict[_WorkerLink, list[int]] = field(default_factory=dict)
+    orphans: deque[list[int]] = field(default_factory=deque)
+    in_flight: dict[_WorkerLink, list[list[int]]] = field(
+        default_factory=dict)
+    #: Positions already marked degraded by a burial (marked once even
+    #: if a retry's worker dies too).
+    degraded: set[int] = field(default_factory=set)
     #: Cost-model calibration accumulators (guarded by ``lock``):
     #: summed |predicted - observed| / observed over units that had a
     #: pre-observation prediction, plus raw observed totals.
     predicted_error_abs: float = 0.0
-    predicted_seconds: float = 0.0
     observed_seconds: float = 0.0
     observed_units: int = 0
     compared_units: int = 0

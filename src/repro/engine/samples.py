@@ -11,8 +11,9 @@ per column set — every algorithm then only re-compresses shared leaves.
 
 :class:`SampleCache` is a thread-safe LRU with single-flight semantics:
 when several plan nodes race for the same key, exactly one thread
-materializes and the rest wait, which is what keeps the thread-pool
-executor from duplicating work.
+materializes and the rest wait, which is what keeps concurrent batches
+on one engine (the HTTP service's handler threads) and concurrent
+connections on one worker from duplicating work.
 """
 
 from __future__ import annotations
@@ -351,13 +352,15 @@ class EngineStats:
     advisor run over ``K`` compressed candidates at budget ``T``,
     ``trials == K * T - whatif_trials_saved`` reconciles exactly.
 
-    The ``remote_*`` fields are the remote executor's movement:
-    ``remote_units`` counts units completed on workers,
-    ``remote_steals`` counts queue-stealing events,
+    The ``remote_*`` fields are the parallel dispatcher's movement and
+    cover every worker it drives, local (the process pool's forked
+    workers) or remote: ``remote_units`` counts units completed on
+    workers, ``remote_steals`` counts queue-stealing events,
     ``remote_retried_units`` counts units rerun after their original
     worker died, ``remote_worker_failures`` counts worker deaths
     observed mid-batch, and ``remote_fallback_units`` counts units the
-    local fallback executed because no worker could.
+    fallback executed because no worker could (the local pool for the
+    remote executor, the parent process for the pool).
 
     Counters are not the only series: :meth:`set_gauge` stores named
     point-in-time values (cost-model calibration rates, queue depths)
@@ -387,8 +390,7 @@ class EngineStats:
               "remote_fallback_units", "faults_injected",
               "retry_attempts", "retry_giveups", "store_degraded_reads",
               "store_degraded_writes", "degraded_units",
-              "deadline_skipped_units", "pool_worker_deaths",
-              "pool_degraded_units", "breaker_open_skips",
+              "deadline_skipped_units", "breaker_open_skips",
               "breaker_probes", "breaker_reconnects")
 
     def __init__(self, cache: "SampleCache | None" = None) -> None:
@@ -438,7 +440,7 @@ class EngineStats:
         """Fold another counter set (or snapshot dict) into this one.
 
         This is how batch-local counters reach an engine's global stats
-        and how process-pool worker deltas reach a batch's counters —
+        and how worker deltas reach a batch's counters —
         one atomic merge instead of racy before/after snapshots.
         """
         if isinstance(other, EngineStats):

@@ -257,7 +257,7 @@ def engine_sweep(parameters: Iterable[Any],
     sample per trial, which is what makes algorithm sweeps and advisor
     grids O(samples + points) instead of O(points × trials) full
     passes. ``executor`` (instance or name: ``"serial"``,
-    ``"threads"``, ``"process"``) picks how that batch runs without
+    ``"process"``, ``"remote"``) picks how that batch runs without
     changing any estimate. ``store`` (a
     :class:`~repro.store.store.SampleStore` or directory path) lets
     whole artefact regenerations warm-start from samples and estimates

@@ -71,7 +71,7 @@ class ServiceConfig:
     window: float = 0.02
     #: Persistent sample/estimate store directory (optional).
     store_dir: str | None = None
-    #: Engine executor name (serial/thread/process) and worker count.
+    #: Engine executor name (serial/process/remote) and worker count.
     executor: str | None = None
     workers: int | None = None
     #: Guardrails.

@@ -266,7 +266,7 @@ class SampleStore:
         that batch. ``None`` is a no-op so call sites don't branch.
         Scopes nest (the previous sink is restored on exit); sink
         updates share :attr:`_counter_lock`, so one sink dict may be
-        fed by many pool threads of the same batch.
+        fed by several threads of the same batch.
         """
         if sink is None:
             yield

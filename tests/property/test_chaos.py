@@ -192,8 +192,8 @@ class TestChaosProcessPool:
         # The crash either hit (worker died, units re-ran degraded) or
         # the index was past the worker's share — both are legal; what
         # is not legal is a crash that fired without being accounted.
-        if batch.stats["pool_worker_deaths"]:
-            assert batch.stats["pool_degraded_units"] >= 1
+        if batch.stats["remote_worker_failures"]:
+            assert batch.stats["degraded_units"] >= 1
             assert batch.counts()["degraded"] >= 1
 
 

@@ -3,9 +3,9 @@
 The engine's contract: with an integer master seed, the same batch
 *content* yields byte-identical results regardless of
 
-* executor choice (serial vs. thread pool vs. process pool vs. remote
-  worker sockets — process and remote additionally round-trip every
-  unit through pickle),
+* executor choice (serial vs. process pool vs. remote worker sockets —
+  process and remote additionally round-trip every unit through
+  pickle),
 * remote faults (a worker dying mid-shard, every worker unreachable),
 * request submission order,
 * cache state (cold vs. warm, shared vs. private engines),
@@ -23,7 +23,7 @@ import pytest
 from repro.workloads.generators import make_histogram, make_table
 from repro.engine import (EstimationEngine, EstimationRequest,
                           ProcessPoolPlanExecutor, RemotePlanExecutor,
-                          SerialExecutor, ThreadPoolPlanExecutor)
+                          SerialExecutor)
 from repro.engine.remote import start_worker_thread
 
 MASTER_SEED = 20100301
@@ -102,17 +102,9 @@ class TestEngineDeterminism:
     def test_serial_rerun_identical(self, reference):
         assert run(SerialExecutor(), order_seed=None) == reference
 
-    @pytest.mark.parametrize("workers", [2, 5])
-    def test_thread_pool_matches_serial(self, reference, workers):
-        assert run(ThreadPoolPlanExecutor(workers),
-                   order_seed=None) == reference
-
     @pytest.mark.parametrize("order_seed", [1, 2, 3])
     def test_submission_order_irrelevant(self, reference, order_seed):
         assert run(SerialExecutor(), order_seed=order_seed) == reference
-
-    def test_shuffled_threaded_matches_serial(self, reference):
-        assert run(ThreadPoolPlanExecutor(4), order_seed=9) == reference
 
     def test_process_pool_matches_serial(self, reference):
         """Units survive pickling to workers and replay bit-identically."""
@@ -138,6 +130,56 @@ class TestEngineDeterminism:
         one = EstimationEngine(seed=1).execute(build_requests())
         two = EstimationEngine(seed=2).execute(build_requests())
         assert fingerprint(one) != fingerprint(two)
+
+
+#: Reuse counters a batch must report from its plan alone, never from
+#: how its units happened to land on workers.
+REUSE_COUNTERS = ("samples_materialized", "sample_cache_hits",
+                  "indexes_built", "index_reuse_hits")
+STORE_COUNTERS = ("sample_store_hits", "estimate_store_hits")
+
+
+def counters(batch, names) -> dict[str, int]:
+    return {name: batch.stats[name] for name in names}
+
+
+class TestPlacementDeterminism:
+    """Units sharing a sample run on one worker, whatever the pool size.
+
+    So each sample is drawn and indexed once per batch, and a pooled
+    batch's reuse counters equal a cold serial engine's exactly.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_reuse_counters_match_cold_serial(self, workers):
+        serial = EstimationEngine(seed=MASTER_SEED).execute(
+            build_requests())
+        pooled = EstimationEngine(
+            seed=MASTER_SEED, executor=ProcessPoolPlanExecutor(workers),
+        ).execute(build_requests())
+        assert counters(pooled, REUSE_COUNTERS) == \
+            counters(serial, REUSE_COUNTERS)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pool_store_counters_match_serial(self, workers, tmp_path):
+        """Over a half-warm store: estimate hits for the warmed half,
+        one sample-tier read per held-out sample, on any pool size."""
+        def half_warm(name):
+            root = str(tmp_path / name)
+            EstimationEngine(seed=MASTER_SEED, store=root).execute(
+                build_requests()[::2])
+            return root
+
+        serial = EstimationEngine(
+            seed=MASTER_SEED, store=half_warm("serial"),
+        ).execute(build_requests())
+        pooled = EstimationEngine(
+            seed=MASTER_SEED, store=half_warm("pool"),
+            executor=ProcessPoolPlanExecutor(workers),
+        ).execute(build_requests())
+        names = STORE_COUNTERS + REUSE_COUNTERS
+        assert all(counters(serial, STORE_COUNTERS).values())
+        assert counters(pooled, names) == counters(serial, names)
 
 
 class TestRemoteDeterminism:
@@ -208,7 +250,8 @@ class TestRemoteDeterminism:
         ).execute(build_requests())
         assert fingerprint(batch) == fingerprint(serial)
         assert batch.stats["remote_fallback_units"] > 0
-        assert batch.stats["remote_units"] == 0
+        assert batch.stats["remote_fallback_units"] == \
+            batch.stats["trials"]
 
 
 class TestTracedDeterminism:

@@ -7,8 +7,8 @@ workloads with fixed seeds:
 
 1. **Selection parity** — the lazy advisor selects the *bit-identical*
    design (candidates, sizes, steps, costs) as the eager
-   :func:`advise_from_data`, on the serial, thread, and process
-   executors alike.
+   :func:`advise_from_data`, on the serial and process executors
+   alike.
 2. **Pruning soundness** — every candidate the lazy advisor committed
    ran the full trial budget; every candidate it skipped or stopped
    early is absent from the eager design (so no pruned candidate would
@@ -167,20 +167,6 @@ class TestWhatIfSoundness:
         assert all(event.deterministic
                    for event in lazy.report.prune_events)
 
-    @settings(max_examples=4, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.data_too_large])
-    @given(problem=workloads())
-    def test_thread_executor_parity(self, problem):
-        tables, queries, algorithms, trials, fraction, bound, seed = \
-            problem
-        eager = eager_design(tables, queries, algorithms, trials,
-                             fraction, bound, seed)
-        advisor = lazy_advisor(tables, queries, algorithms, trials,
-                               fraction, seed, executor="threads")
-        lazy = advisor.advise(bound)
-        check_soundness(eager, lazy, advisor, trials)
-
 
 def report_units(lazy):
     return lazy.report.units_executed
@@ -225,8 +211,7 @@ class TestExecutorParity:
         result = advisor.advise(self.BOUND)
         return result, advisor
 
-    @pytest.mark.parametrize("executor", ["serial", "threads",
-                                          "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_matches_eager_on_every_executor(self, fixed_problem,
                                              executor):
         tables, queries = fixed_problem
@@ -237,12 +222,10 @@ class TestExecutorParity:
 
     def test_executors_agree_with_each_other(self, fixed_problem):
         serial, _ = self.run(fixed_problem, "serial")
-        threads, _ = self.run(fixed_problem, "threads")
         process, _ = self.run(fixed_problem, "process")
-        for other in (threads, process):
-            assert other.chosen == serial.chosen
-            assert other.steps == serial.steps
-            assert other.report.units_executed == \
-                serial.report.units_executed
-            assert other.report.trials_by_candidate == \
-                serial.report.trials_by_candidate
+        assert process.chosen == serial.chosen
+        assert process.steps == serial.steps
+        assert process.report.units_executed == \
+            serial.report.units_executed
+        assert process.report.trials_by_candidate == \
+            serial.report.trials_by_candidate

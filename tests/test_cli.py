@@ -172,12 +172,12 @@ class TestEstimateBatch:
     def test_executor_does_not_change_results(self, capsys, spec_path):
         _, serial_out, _ = run_cli(capsys, "estimate-batch", spec_path,
                                    "--executor", "serial")
-        _, threads_out, _ = run_cli(capsys, "estimate-batch", spec_path,
-                                    "--executor", "threads",
+        _, process_out, _ = run_cli(capsys, "estimate-batch", spec_path,
+                                    "--executor", "process",
                                     "--workers", "3")
         serial = json.loads(serial_out)
-        threads = json.loads(threads_out)
-        assert serial["results"] == threads["results"]
+        process = json.loads(process_out)
+        assert serial["results"] == process["results"]
 
     def test_process_executor_matches_serial(self, capsys, spec_path):
         _, serial_out, _ = run_cli(capsys, "estimate-batch", spec_path,
@@ -218,7 +218,7 @@ class TestEstimateBatch:
     def test_remote_worker_count_is_rejected(self, capsys, spec_path):
         """--workers must be host:port for remote, a count otherwise."""
         code, _, err = run_cli(capsys, "estimate-batch", spec_path,
-                               "--executor", "threads",
+                               "--executor", "process",
                                "--workers", "hostA:7071")
         assert code == 1
         assert "host:port" in err

@@ -19,9 +19,8 @@ from repro.experiments.runner import (engine_sweep, run_request_trials,
 from repro.workloads.generators import make_histogram
 from repro.engine import (EstimationEngine, EstimationRequest,
                           ProcessPoolPlanExecutor, SampleCache,
-                          SerialExecutor, ThreadPoolPlanExecutor,
-                          make_executor, plan_batch, plan_units,
-                          run_plan_unit)
+                          SerialExecutor, make_executor, plan_batch,
+                          plan_units, run_plan_unit)
 
 PAGE = 512
 
@@ -423,44 +422,30 @@ class TestFacade:
 class TestExecutors:
     def test_make_executor_names(self):
         assert make_executor("serial").name == "serial"
-        assert make_executor("threads", max_workers=2).name == "threads"
         assert make_executor("process", max_workers=2).name == "process"
 
     def test_make_executor_aliases(self):
-        assert make_executor("thread").name == "threads"
         assert make_executor("processes").name == "process"
 
     def test_make_executor_unknown(self):
         with pytest.raises(EstimationError):
             make_executor("gpu")
 
-    def test_thread_pool_validates_workers(self):
-        with pytest.raises(EstimationError):
-            ThreadPoolPlanExecutor(max_workers=0)
-
     def test_process_pool_validates_workers(self):
         with pytest.raises(EstimationError):
             ProcessPoolPlanExecutor(max_workers=0)
 
-    def test_process_pool_validates_start_method(self):
-        with pytest.raises(EstimationError):
-            ProcessPoolPlanExecutor(start_method="telepathy")
-
     def test_serial_preserves_order(self):
         tasks = [lambda context, i=i: i for i in range(10)]
         assert SerialExecutor().run(tasks) == list(range(10))
-
-    def test_threads_preserve_order(self):
-        tasks = [lambda context, i=i: i for i in range(10)]
-        assert ThreadPoolPlanExecutor(4).run(tasks) == list(range(10))
 
     def test_process_pool_rejects_non_units(self):
         with pytest.raises(EstimationError):
             ProcessPoolPlanExecutor(2).run([lambda context: 1])
 
     def test_engine_accepts_executor_name(self, histogram):
-        engine = EstimationEngine(seed=2, executor="threads")
-        assert engine.executor.name == "threads"
+        engine = EstimationEngine(seed=2, executor="process")
+        assert engine.executor.name == "process"
         request = EstimationRequest(histogram=histogram, fraction=0.05)
         by_name = engine.execute([request], executor="serial")
         assert by_name.results[0].estimates[0].estimate > 0

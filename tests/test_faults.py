@@ -403,8 +403,8 @@ class TestPoolWorkerCrash:
                                   injector=NULL_INJECTOR)
         batch = engine.execute(_requests(), deadline=300.0)
         assert _values(batch) == clean_values
-        assert batch.stats["pool_worker_deaths"] >= 1
-        assert batch.stats["pool_degraded_units"] >= 1
+        assert batch.stats["remote_worker_failures"] >= 1
+        assert batch.stats["degraded_units"] >= 1
         assert batch.counts()["degraded"] >= 1
         assert batch.counts()["deadline_exceeded"] == 0
 

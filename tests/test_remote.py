@@ -3,8 +3,9 @@
 The determinism property suite proves the end-to-end contract (remote
 results == serial results, faults included); this file pins the pieces
 in isolation: the length-prefixed frame protocol, the per-unit cost
-model, LPT vs round-robin shard quality, worker-address parsing, and
-the executor registry / environment wiring.
+model, LPT vs round-robin shard quality, worker-address parsing, the
+executor registry / environment wiring, and the dispatcher's
+placement, chunking, shipping and error paths on the process pool.
 """
 
 from __future__ import annotations
@@ -16,16 +17,21 @@ import threading
 import numpy as np
 import pytest
 
+from repro.compression.null_suppression import NullSuppression
 from repro.engine import remote
 from repro.engine.engine import EstimationEngine
 from repro.engine.executors import make_executor
-from repro.engine.remote import (ALGORITHM_WEIGHTS, RemotePlanExecutor,
-                                 UnitCostModel, lpt_assign, makespan,
+from repro.engine.remote import (ALGORITHM_WEIGHTS,
+                                 ProcessPoolPlanExecutor,
+                                 RemotePlanExecutor, UnitCostModel,
+                                 lpt_assign, makespan,
                                  parse_worker_addresses,
                                  round_robin_assign, start_worker_thread)
 from repro.engine.requests import EstimationRequest
-from repro.engine.units import plan_units
+from repro.engine.samples import EngineStats, SampleCache
+from repro.engine.units import UnitContext, plan_units
 from repro.errors import EstimationError
+from repro.storage.index import IndexKind
 from repro.workloads.generators import make_histogram, make_table
 
 
@@ -43,17 +49,27 @@ def planned_units(trials=3, fraction=0.05, algorithm="null_suppression"):
 # ----------------------------------------------------------------------
 class TestFrames:
     def roundtrip(self, message):
+        # The sender runs on its own thread: a frame larger than the
+        # socket buffer only drains while the receiver reads it.
         left, right = socket.socketpair()
+        sender = threading.Thread(target=remote.send_frame,
+                                  args=(left, message))
         try:
-            remote.send_frame(left, message)
+            sender.start()
             return remote.recv_frame(right)
         finally:
+            sender.join(timeout=10)
             left.close()
             right.close()
 
     def test_roundtrip_objects(self):
+        # The last message is a multi-MB install-sized payload, many
+        # times the socketpair buffer, so it arrives over several
+        # partial reads into the growing frame buffer.
+        big = np.random.default_rng(1).bytes(6 << 20)
         for message in (("ping",), ("run", [0, 1, 2]),
-                        {"nested": (b"\x00" * 100, None)}):
+                        {"nested": (b"\x00" * 100, None)},
+                        ("install", big, None)):
             assert self.roundtrip(message) == message
 
     def test_clean_eof_returns_none(self):
@@ -272,6 +288,181 @@ class TestRemoteExecutorSmall:
             shutdown()
 
 
+# ----------------------------------------------------------------------
+# Placement, chunking and shipping, on the forked process pool
+# ----------------------------------------------------------------------
+class ExplodingModel(NullSuppression):
+    """A histogram model that fails, as a buggy plug-in algorithm would."""
+
+    def cf_from_histogram(self, histogram, **layout) -> float:
+        raise ValueError("model exploded")
+
+
+def grid(trials, kinds=(IndexKind.CLUSTERED,),
+         algorithms=("null_suppression", "rle", "prefix", "dictionary",
+                     "delta", "page")):
+    table = make_table(n=900, d=30, k=12, seed=8, page_size=1024)
+    return [EstimationRequest(table=table, columns=("a",), algorithm=name,
+                              fraction=0.05, trials=trials, kind=kind,
+                              page_size=512)
+            for kind in kinds for name in algorithms]
+
+
+def values(batch):
+    return [result.values.tolist() for result in batch.results]
+
+
+def sent_frames(monkeypatch) -> list:
+    """Record every frame the parent sends, as ``(worker, message)``."""
+    import pickle
+
+    frames: list = []
+    exchange = remote._WorkerLink.exchange
+
+    def recording(link, body):
+        frames.append((link.name, pickle.loads(body)))
+        return exchange(link, body)
+
+    monkeypatch.setattr(remote._WorkerLink, "exchange", recording)
+    return frames
+
+
+class TestPoolDispatch:
+    def test_group_runs_on_one_worker_in_bounded_chunks(self,
+                                                        monkeypatch):
+        """A group larger than a chunk goes out in chunk-sized run
+        frames, every one to the worker that started it."""
+        frames = sent_frames(monkeypatch)
+        requests = grid(trials=3)
+        pool = ProcessPoolPlanExecutor(2)
+        pool.chunk_units = 4
+        batch = EstimationEngine(seed=4, executor=pool).execute(requests)
+        assert values(batch) == values(
+            EstimationEngine(seed=4).execute(requests))
+        units = plan_units(EstimationEngine(seed=4).plan(requests))
+        runs = [(worker, message[1]) for worker, message in frames
+                if message[0] == "run"]
+        assert all(len(chunk) <= 4 for _, chunk in runs)
+        workers: dict = {}
+        for worker, chunk in runs:
+            for position in chunk:
+                workers.setdefault(units[position].sample_key,
+                                   set()).add(worker)
+        assert len(workers) == 3
+        assert all(len(ran_on) == 1 for ran_on in workers.values())
+
+    def test_groups_ship_once_and_sources_once_per_worker(self,
+                                                          monkeypatch):
+        frames = sent_frames(monkeypatch)
+        histogram = make_histogram(5000, 40, 12, seed=6)
+        requests = grid(trials=3) + [
+            EstimationRequest(histogram=histogram, algorithm=name,
+                              fraction=0.05, trials=3)
+            for name in ("null_suppression", "rle")]
+        units = plan_units(EstimationEngine(seed=4).plan(requests))
+        groups = remote.placement_groups(units, range(len(units)), 2)
+        EstimationEngine(seed=4, executor=ProcessPoolPlanExecutor(2)) \
+            .execute(requests)
+        installs = [worker for worker, message in frames
+                    if message[0] == "install"]
+        sources = [(worker, message[1]) for worker, message in frames
+                   if message[0] == "source"]
+        # Each group reaches only the worker that runs it...
+        assert len(installs) == len(groups) == 6
+        # ...and each source (the table, the histogram) at most once.
+        assert len(sources) == len(set(sources)) <= 2 * len(set(installs))
+
+    def test_dominant_sample_splits_by_index_key(self, monkeypatch):
+        """A sample outweighing one worker's share (a single-table,
+        single-trial advisor batch) spreads across workers by index
+        key: each index is still built once, and the sample is drawn
+        once per worker."""
+        frames = sent_frames(monkeypatch)
+        requests = grid(trials=1, kinds=tuple(IndexKind),
+                        algorithms=("null_suppression", "rle", "prefix"))
+        units = plan_units(EstimationEngine(seed=4).plan(requests))
+        assert len(remote.placement_groups(units, range(6), 1)) == 1
+        assert len(remote.placement_groups(units, range(6), 2)) == 2
+        serial = EstimationEngine(seed=4).execute(requests)
+        pooled = EstimationEngine(
+            seed=4, executor=ProcessPoolPlanExecutor(2)).execute(requests)
+        assert values(pooled) == values(serial)
+        assert pooled.stats["indexes_built"] == \
+            serial.stats["indexes_built"] == 2
+        assert pooled.stats["samples_materialized"] == 2
+        assert len({worker for worker, message in frames
+                    if message[0] == "run"}) == 2
+
+    def test_concurrent_batches_run_in_parallel(self, monkeypatch):
+        """One pool serves concurrent run() calls at once (the service
+        shares one executor across its handler threads)."""
+        pool = ProcessPoolPlanExecutor(2)
+        units = planned_units()
+        first_in, second_out = threading.Event(), threading.Event()
+        overlapped: list = []
+        dispatch = ProcessPoolPlanExecutor._dispatch
+
+        def held_first(self, groups, state):
+            if not first_in.is_set():
+                first_in.set()
+                # Serialized batches would leave this waiting out.
+                overlapped.append(second_out.wait(timeout=20))
+            return dispatch(self, groups, state)
+
+        monkeypatch.setattr(ProcessPoolPlanExecutor, "_dispatch",
+                            held_first)
+        results: dict = {}
+        first = threading.Thread(
+            target=lambda: results.update(first=pool.run(units)))
+        first.start()
+        assert first_in.wait(timeout=20)
+        results["second"] = pool.run(units)
+        second_out.set()
+        first.join(timeout=60)
+        assert not first.is_alive()
+        assert overlapped == [True]
+        assert results["first"] == results["second"] == [
+            unit(None) for unit in units]
+
+    @pytest.mark.parametrize("kind", ["process", "remote"])
+    def test_unit_error_reraises_without_burying_workers(self, kind):
+        histogram = make_histogram(5000, 40, 12, seed=6)
+        requests = [EstimationRequest(histogram=histogram,
+                                      algorithm=ExplodingModel(),
+                                      fraction=0.05, trials=2)]
+        units = plan_units(EstimationEngine(seed=4).plan(requests))
+        context = UnitContext(cache=SampleCache(), stats=EngineStats())
+        address, shutdown = start_worker_thread()
+        executor = (ProcessPoolPlanExecutor(2) if kind == "process"
+                    else RemotePlanExecutor(workers=[address]))
+        try:
+            with pytest.raises(ValueError, match="model exploded"):
+                executor.run(units, context)
+        finally:
+            shutdown()
+        counters = context.stats.snapshot()
+        assert counters["remote_worker_failures"] == 0
+        assert counters["degraded_units"] == 0
+
+    def test_units_that_do_not_pickle_run_in_the_parent(self):
+        class LocalModel(NullSuppression):
+            """Defined in a function, so pickle cannot find it."""
+
+        table = make_table(n=600, d=25, k=10, seed=8, page_size=1024)
+        requests = [EstimationRequest(
+            table=table, columns=("a",), algorithm=LocalModel(),
+            fraction=0.05, trials=2, page_size=512)]
+        want = values(EstimationEngine(seed=4).execute(requests))
+        for executor in (ProcessPoolPlanExecutor(2),
+                         RemotePlanExecutor(workers=[])):
+            batch = EstimationEngine(seed=4, executor=executor) \
+                .execute(requests)
+            assert values(batch) == want
+            assert batch.stats["remote_fallback_units"] == 2
+            assert batch.stats["remote_units"] == 0
+            assert batch.stats["degraded_units"] == 0
+
+
 class TestCircuitBreaker:
     """Cross-batch worker lifecycle: bury, skip, probe, rejoin.
 
@@ -340,7 +531,7 @@ class TestCircuitBreaker:
 
             two = engine.execute(self._requests())  # worker dies here
             assert two.stats["remote_worker_failures"] == 1
-            assert two.stats["remote_units"] == 0
+            assert two.stats["remote_fallback_units"] == 4
             assert [r.values.tolist() for r in two.results] == reference
         finally:
             shutdown()
@@ -377,7 +568,7 @@ class TestCircuitBreaker:
         try:
             skip = engine.execute(self._requests())     # cooldown skip
             assert skip.stats["breaker_open_skips"] == 1
-            assert skip.stats["remote_units"] == 0
+            assert skip.stats["remote_fallback_units"] == 4
             assert [r.values.tolist()
                     for r in skip.results] == reference
             probe = engine.execute(self._requests())    # the probe
