@@ -85,7 +85,7 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
             lambda: index.compress(algorithm), repeats)
 
         def cold():
-            index._size_view_cache.clear()
+            index._leaf_image = None
             return index.estimate_compression(algorithm)
 
         cold_s, kernel = best_of(cold, repeats)

@@ -39,7 +39,7 @@ the fallback everywhere, which CI uses to keep the scalar path tested.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -290,6 +290,35 @@ def varchar_slice_lengths(unique_rows: np.ndarray) -> np.ndarray:
             + VarCharType.LENGTH_PREFIX_BYTES)
 
 
+def kernels_cover(schema: Schema) -> bool:
+    """Whether every column's dtype has size kernels."""
+    return all(isinstance(col.dtype,
+                          (CharType, VarCharType, IntegerType, BigIntType))
+               for col in schema.columns)
+
+
+def fixed_column_views(schema: Schema, matrix: np.ndarray,
+                       raw_slices: Sequence[bytes] | None = None,
+                       ) -> tuple[ColumnView, ...]:
+    """Per-column views of a fixed-width schema's ``(count, width)`` rows.
+
+    Each view is a contiguous column slice of ``matrix`` (the matrix
+    itself for a single-column schema, so no copy). ``raw_slices``
+    attaches the original records to a single column's view.
+    """
+    offsets = fixed_column_offsets(schema)
+    if offsets is None:
+        raise KernelUnavailable(f"{schema} is not fixed-width")
+    count = matrix.shape[0]
+    raw = raw_slices if len(schema) == 1 else None
+    return tuple(
+        ColumnView(col.dtype, count,
+                   matrix=np.ascontiguousarray(
+                       matrix[:, offsets[i]:offsets[i + 1]]),
+                   raw_slices=raw)
+        for i, col in enumerate(schema.columns))
+
+
 def build_column_views(schema: Schema, records: Sequence[bytes],
                        trusted_lengths: bool = False,
                        ) -> tuple[ColumnView, ...] | None:
@@ -308,12 +337,8 @@ def build_column_views(schema: Schema, records: Sequence[bytes],
     from repro.errors import EncodingError
 
     count = len(records)
-    if count == 0:
+    if count == 0 or not kernels_cover(schema):
         return None
-    for col in schema.columns:
-        if not isinstance(col.dtype,
-                          (CharType, VarCharType, IntegerType, BigIntType)):
-            return None
     offsets = fixed_column_offsets(schema)
     if offsets is not None:
         width = offsets[-1]
@@ -326,14 +351,8 @@ def build_column_views(schema: Schema, records: Sequence[bytes],
         flat = np.frombuffer(buffer, dtype=np.uint8)
         if flat.size != count * width:
             return None
-        matrix = flat.reshape(count, width)
-        raw = records if len(schema) == 1 else None
-        return tuple(
-            ColumnView(col.dtype, count,
-                       matrix=np.ascontiguousarray(
-                           matrix[:, offsets[i]:offsets[i + 1]]),
-                       raw_slices=raw)
-            for i, col in enumerate(schema.columns))
+        return fixed_column_views(schema, flat.reshape(count, width),
+                                  raw_slices=records)
     try:
         columns = split_records(schema, records)
     except EncodingError:
@@ -387,16 +406,23 @@ def build_leaf_views(schema: Schema,
         parents = build_column_views(schema, flat, trusted_lengths=True)
     if parents is None or parents[0].count != sum(counts):
         return None
-    single = len(parents) == 1
+    out = slice_leaf_views(parents, counts)
+    if len(parents) == 1:
+        for children, leaf in zip(out, leaves):
+            children[0].raw_slices = leaf
+    return out
+
+
+def slice_leaf_views(parents: tuple[ColumnView, ...],
+                     counts: Iterable[int],
+                     ) -> list[tuple[ColumnView, ...]]:
+    """Consecutive row slices of ``parents``, ``counts[i]`` rows each."""
     out: list[tuple[ColumnView, ...]] = []
     start = 0
-    for leaf, count in zip(leaves, counts):
-        children = tuple(parent.slice_rows(start, count)
-                         for parent in parents)
-        if single:
-            children[0].raw_slices = leaf
-        out.append(children)
-        start += count
+    for count in counts:
+        out.append(tuple(parent.slice_rows(start, int(count))
+                         for parent in parents))
+        start += int(count)
     return out
 
 

@@ -158,7 +158,7 @@ ALGORITHM_WEIGHTS = {
 }
 
 #: Histograms estimate in closed form over ``d`` buckets, not ``r``
-#: decoded rows — orders of magnitude cheaper per sampled row.
+#: sampled records — orders of magnitude cheaper per sampled row.
 _HISTOGRAM_DISCOUNT = 0.05
 
 

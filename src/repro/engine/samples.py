@@ -2,12 +2,15 @@
 
 The expensive part of SampleCF on the storage path is not compression —
 samples are small — but *getting the sample*: drawing positions,
-fetching and decoding rows, and building the index on them. A
-:class:`MaterializedSample` captures the first two once per distinct
-(source, sampler, fraction, seed) and carries a per-column-set cache of
-built sample indexes, so a batch of (column-set × algorithm) candidates
-over one table pays the draw/decode cost once and the index build once
-per column set — every algorithm then only re-compresses shared leaves.
+gathering the sampled records' bytes, and building the index on them.
+A :class:`MaterializedSample` captures the draw once per distinct
+(source, sampler, fraction, seed) as one record buffer, and carries a
+per-layout cache of sample indexes, each a
+:class:`~repro.storage.leaf_image.LeafImage` sorted and packed straight
+from those bytes. A batch of (column-set × algorithm) candidates over
+one table therefore pays the draw once and the index build once per
+layout — every algorithm then only re-sizes shared leaves. No record
+is decoded on this path.
 
 :class:`SampleCache` is a thread-safe LRU with single-flight semantics:
 when several plan nodes race for the same key, exactly one thread
@@ -22,36 +25,44 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import EstimationError
+from repro.obs import NULL_TRACER
 from repro.sampling.base import RowSampler, rows_for_fraction
 from repro.sampling.block import BlockSampler
 from repro.sampling.rng import make_rng
 from repro.storage.index import Index, IndexKind
-from repro.storage.record import decode_record
-from repro.storage.rid import RID
+from repro.storage.leaf_image import LeafImage, RecordColumns, record_offsets
 from repro.storage.table import Table
 from repro.core.cf_models import ColumnHistogram
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import NullTracer, Tracer
 
 
 @dataclass
 class SampleIndexEntry:
     """One built sample index, shared across algorithms."""
 
-    index: Index
+    image: LeafImage
     #: Distinct key values observed in the sample (``d'``).
     distinct: int
 
 
 @dataclass
 class MaterializedSample:
-    """A drawn-and-decoded sample, reusable across candidates.
+    """A drawn sample, reusable across candidates.
 
-    Table-path samples hold decoded ``rows`` + ``rids``; histogram-path
-    samples hold the sampled :class:`ColumnHistogram`. ``indexes`` maps
-    ``(columns, kind, page_size, fill_factor)`` to the index built on
-    this sample for that layout — built lazily, exactly once.
+    Table-path samples hold the sampled records' bytes: ``buffer``
+    (every record back to back, in draw order), ``offsets`` (``n + 1``
+    int64 fence posts) and ``rids`` (int64 ``(page_id << 32) | slot``
+    per record). Histogram-path samples hold the sampled
+    :class:`ColumnHistogram`. ``indexes`` maps ``(columns, kind,
+    page_size, fill_factor)`` to the sample index built for that
+    layout — built lazily, exactly once.
 
     The index-build lock is a plain attribute, not a dataclass field:
     samples must pickle (process-pool execution, snapshotting), and
@@ -63,14 +74,18 @@ class MaterializedSample:
     fraction: float
     seed: object
     path: str
-    rows: tuple = ()
-    rids: tuple[RID, ...] = ()
+    buffer: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.uint8))
+    offsets: np.ndarray = field(
+        default_factory=lambda: np.zeros(1, dtype=np.int64))
+    rids: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
     histogram: ColumnHistogram | None = None
     extra: dict = field(default_factory=dict)
     indexes: dict[tuple, SampleIndexEntry] = field(default_factory=dict)
-    #: Approximate payload bytes this sample pins in memory (decoded
-    #: rows at their encoded widths, or the sampled histogram's bytes).
-    #: Set at materialization; the byte-aware LRU evicts against it.
+    #: Payload bytes this sample pins in memory (the record buffer's
+    #: length, or the sampled histogram's bytes). Set at
+    #: materialization; the byte-aware LRU evicts against it.
     nbytes: int = 0
 
     def __post_init__(self) -> None:
@@ -89,14 +104,19 @@ class MaterializedSample:
     def sample_rows(self) -> int:
         if self.histogram is not None:
             return int(self.histogram.n)
-        return len(self.rows)
+        return int(self.offsets.size) - 1
 
     def index_for(self, table: Table, columns: tuple[str, ...],
                   kind: IndexKind, page_size: int, fill_factor: float,
                   on_build: Callable[[], None] | None = None,
                   on_reuse: Callable[[], None] | None = None,
+                  tracer: "Tracer | NullTracer" = NULL_TRACER,
                   ) -> SampleIndexEntry:
-        """The sample index for one layout, built on first use."""
+        """The sample index for one layout, built on first use.
+
+        A build (never a reuse) is traced as an ``index.build`` span
+        carrying the image's ``rows``, ``leaves`` and ``bytes``.
+        """
         key = (columns, kind.value, page_size, float(fill_factor))
         with self._lock:
             entry = self.indexes.get(key)
@@ -104,73 +124,64 @@ class MaterializedSample:
                 if on_reuse is not None:
                     on_reuse()
                 return entry
-            sample_index = Index(
-                "samplecf_sample", table.schema, columns, kind=kind,
-                page_size=page_size, fill_factor=fill_factor)
-            sample_index.build(list(zip(self.rows, self.rids)))
-            distinct = len({sample_index.key_of(row) for row in self.rows})
-            entry = SampleIndexEntry(index=sample_index, distinct=distinct)
+            with tracer.span("index.build", columns=list(columns),
+                             kind=kind.value) as span:
+                layout = Index(
+                    "samplecf_sample", table.schema, columns, kind=kind,
+                    page_size=page_size, fill_factor=fill_factor)
+                image, distinct = LeafImage.build(
+                    layout, self.buffer, self.offsets, self.rids)
+                span.annotate(rows=image.num_entries,
+                              leaves=image.num_leaf_pages,
+                              bytes=image.payload_bytes)
+            entry = SampleIndexEntry(image=image, distinct=distinct)
             self.indexes[key] = entry
             if on_build is not None:
                 on_build()
             return entry
 
 
-def rows_payload_bytes(schema, rows) -> int:
-    """Approximate encoded bytes of decoded ``rows`` under ``schema``.
-
-    Fixed-width columns cost their width; variable-width values are
-    priced through :meth:`~repro.storage.types.DataType.encoded_size`.
-    This is a gauge for cache accounting, not an exact heap measure —
-    it deliberately ignores Python object overhead, which is roughly
-    proportional anyway.
-    """
-    fixed = 0
-    variable_columns = []
-    for position, column in enumerate(schema.columns):
-        size = column.dtype.fixed_size
-        if size is None:
-            variable_columns.append((position, column.dtype))
-        else:
-            fixed += size
-    total = fixed * len(rows)
-    for position, dtype in variable_columns:
-        total += sum(dtype.encoded_size(row[position]) for row in rows)
-    return total
-
-
 def materialize_table_sample(table: Table,
                              sampler: RowSampler | BlockSampler,
                              fraction: float,
                              seed: object) -> MaterializedSample:
-    """Draw one reusable sample from a table (Figure 2, steps 1-2a).
+    """Draw one reusable sample from a table (Figure 2, step 1).
 
     Reproduces :class:`SampleCF`'s historical draw exactly: the same
-    ``make_rng(seed)`` stream, the same position/row/rid sequence — so
-    the facade's single-call results are bit-identical to pre-engine
-    releases for a fixed seed.
+    ``make_rng(seed)`` stream and the same positions, so the facade's
+    single-call results are bit-identical to pre-engine releases for a
+    fixed seed. The sampled records' heap bytes are gathered into one
+    buffer and checked against the schema without decoding them
+    (:class:`~repro.storage.leaf_image.RecordColumns` raises
+    :class:`~repro.errors.EncodingError` for a malformed record).
     """
     if table.num_rows == 0:
         raise EstimationError("cannot estimate over an empty table")
     rng = make_rng(seed)
     r = rows_for_fraction(table.num_rows, fraction)
+    extra: dict = {}
+    records: Sequence[bytes]
     if isinstance(sampler, BlockSampler):
         block = sampler.sample_records(table.heap.page_view(), r, rng)
-        rows = tuple(decode_record(table.schema, record)
-                     for record in block.records)
-        return MaterializedSample(
-            fraction=fraction, seed=seed, path="block", rows=rows,
-            rids=tuple(block.rids),
-            extra={"pages_sampled": len(block.page_ids),
-                   "pages_available": block.pages_available},
-            nbytes=sum(len(record) for record in block.records))
-    positions = sampler.sample_positions(table.num_rows, r, rng)
-    rows = tuple(table.rows_at([int(p) for p in positions]))
-    rids = tuple(table.rid_at(int(p)) for p in positions)
-    return MaterializedSample(fraction=fraction, seed=seed,
-                              path="storage", rows=rows, rids=rids,
-                              nbytes=rows_payload_bytes(table.schema,
-                                                        rows))
+        records, path = block.records, "block"
+        rids = np.fromiter(((page_id << 32) | slot
+                            for page_id, slot in block.rids),
+                           dtype=np.int64, count=len(block.rids))
+        extra = {"pages_sampled": len(block.page_ids),
+                 "pages_available": block.pages_available}
+    else:
+        positions = sampler.sample_positions(table.num_rows, r, rng)
+        records, rids = table.heap.records_at(positions)
+        path = "storage"
+    buffer = np.frombuffer(b"".join(records), dtype=np.uint8)
+    offsets = record_offsets(np.fromiter(map(len, records),
+                                         dtype=np.int64,
+                                         count=len(records)))
+    # Validates as a decode would; raises EncodingError if malformed.
+    RecordColumns(table.schema, buffer, offsets)
+    return MaterializedSample(
+        fraction=fraction, seed=seed, path=path, buffer=buffer,
+        offsets=offsets, rids=rids, extra=extra, nbytes=int(buffer.size))
 
 
 def materialize_histogram_sample(histogram: ColumnHistogram,

@@ -22,7 +22,7 @@ With a store attached, a unit resolves in tier order:
 
 1. finished estimate on disk — returns without touching any sample;
 2. sample in the memory LRU — shared across this process's batches;
-3. sample on disk — decoded rows land in the memory LRU;
+3. sample on disk — its record buffer lands in the memory LRU;
 4. materialize — drawn from the source, then written through to both
    tiers so every later run (in any process) hits.
 """
@@ -254,7 +254,7 @@ def _sample_for(unit: PlanUnit,
     def materialize() -> MaterializedSample:
         with tracer.span("sample.materialize", unit=unit.index) as span:
             sample = _draw()
-            span.annotate(rows=sample.sample_rows)
+            span.annotate(rows=sample.sample_rows, bytes=sample.nbytes)
             return sample
     if unit.sample_key is None:
         sample = materialize()
@@ -392,13 +392,14 @@ def run_table_unit(unit: PlanUnit,
         request.table, request.columns, request.kind,
         request.page_size, request.fill_factor,
         on_build=lambda: context.stats.add("indexes_built"),
-        on_reuse=lambda: context.stats.add("index_reuse_hits"))
+        on_reuse=lambda: context.stats.add("index_reuse_hits"),
+        tracer=context.tracer)
     # Size-only path: the estimator consumes sizes, not blobs, so the
     # vectorized kernels compute payloads directly (bit-identical to
     # compress(); the parity suite and the store contract rely on it).
     with context.tracer.span("kernel.size", unit=unit.index,
                              algorithm=request.algorithm.name):
-        result = entry.index.estimate_compression(
+        result = entry.image.estimate_compression(
             request.algorithm, accounting=request.accounting,
             repack_pages=request.repack,
             on_kernel=lambda: context.stats.add("size_kernel_hits"),
@@ -406,7 +407,7 @@ def run_table_unit(unit: PlanUnit,
     context.stats.add("estimates_computed")
     estimate = SampleCFEstimate(
         estimate=result.compression_fraction,
-        sample_rows=len(sample.rows),
+        sample_rows=sample.sample_rows,
         sampling_fraction=request.fraction,
         algorithm=request.algorithm.name,
         accounting=request.accounting,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 from typing import Iterator
 
+import numpy as np
+
 from repro.constants import DEFAULT_PAGE_SIZE
 from repro.errors import PageFullError, RecordNotFoundError
 from repro.storage.page import Page, PageType
@@ -67,6 +69,32 @@ class HeapFile:
         """Iterate record payloads in physical order."""
         for page in self._pages:
             yield from page.records()
+
+    def records_at(self, ordinals: np.ndarray,
+                   ) -> tuple[list[bytes], np.ndarray]:
+        """Records at insertion ordinals, with their locators.
+
+        The row-sampling access path: ``ordinals`` (int64, may repeat
+        or arrive unsorted) count records in insertion order, which is
+        page order because the heap is append-only. Returns the
+        records and an int64 ``(page_id << 32) | slot`` per record,
+        locating every ordinal's page with one ``searchsorted``.
+        """
+        counts = np.fromiter((page.slot_count for page in self._pages),
+                             dtype=np.int64, count=len(self._pages))
+        starts = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        ordinals = np.asarray(ordinals, dtype=np.int64)
+        if ordinals.size and not (
+                0 <= ordinals.min() and ordinals.max() < starts[-1]):
+            raise RecordNotFoundError(
+                f"record ordinals outside [0, {int(starts[-1])})")
+        page_ids = np.searchsorted(starts, ordinals, side="right") - 1
+        slots = ordinals - starts[page_ids]
+        pages = self._pages
+        records = [pages[page_id].get(slot) for page_id, slot
+                   in zip(page_ids.tolist(), slots.tolist())]
+        return records, (page_ids << 32) | slots
 
     def pages(self) -> Iterator[Page]:
         """Iterate the underlying pages (for block sampling)."""

@@ -25,15 +25,16 @@ from enum import Enum
 from typing import Any, Iterator, Literal, Sequence
 
 from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE)
-from repro.errors import CompressionError, IndexError_, KernelUnavailable
+from repro.errors import CompressionError, IndexError_
 from repro.storage.btree import DEFAULT_FANOUT, BPlusTree
+from repro.storage.leaf_image import LeafImage, repacked_result
 from repro.storage.page import Page
 from repro.storage.record import (decode_record, encode_record, record_key)
 from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema
 from repro.storage.types import BigIntType
 from repro.compression.base import (CompressionAlgorithm, CompressionResult)
-from repro.compression.repack import compressed_page_capacity, repack
+from repro.compression.repack import compressed_page_capacity
 
 Accounting = Literal["payload", "physical"]
 
@@ -93,29 +94,15 @@ class Index:
             projected.append(Column(RID_COLUMN, BigIntType()))
             self.leaf_schema = Schema(projected)
         self._tree = BPlusTree(page_size=page_size, max_fanout=max_fanout)
-        # Columnar leaf views for the size-only estimation path, built
-        # lazily and shared by every algorithm sizing this index. The
-        # views (plus their derived arrays) cost a small multiple of
-        # the leaf payload in memory for as long as the index lives —
-        # sample indexes are small and their count is bounded by the
-        # engine's sample cache capacity (REPRO_SAMPLE_CACHE_SIZE).
-        self._size_view_cache: dict[str, list] = {}
+        # The size-only estimation path's leaf image, built lazily and
+        # shared by every algorithm sizing this index.
+        self._leaf_image: LeafImage | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle without the kernel view cache (numpy arrays, bulky).
-
-        Sample indexes travel inside pickled
-        :class:`~repro.engine.samples.MaterializedSample` objects (to
-        process-pool workers and the persistent store); the views are
-        cheap to rebuild and must not inflate those payloads.
-        """
+        """Pickle without the leaf image (a copy of the leaves, bulky)."""
         state = dict(self.__dict__)
-        state.pop("_size_view_cache", None)
+        state["_leaf_image"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._size_view_cache = {}
 
     # ------------------------------------------------------------------
     # Building
@@ -148,7 +135,7 @@ class Index:
         self._tree = BPlusTree.bulk_load(
             entries, page_size=self.page_size, max_fanout=self.max_fanout,
             fill_factor=self.fill_factor)
-        self._size_view_cache.clear()
+        self._leaf_image = None
         return self
 
     def build_from_rows(self, rows: Sequence[Sequence[Any]]) -> "Index":
@@ -162,7 +149,7 @@ class Index:
         """Insert one row (with its RID for non-clustered indexes)."""
         self.table_schema.validate_row(row)
         self._tree.insert(self.key_of(row), self._leaf_record(row, rid))
-        self._size_view_cache.clear()
+        self._leaf_image = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -344,24 +331,26 @@ class Index:
     def _compress_repacked(self, algorithm: CompressionAlgorithm,
                            accounting: Accounting, uncompressed: int,
                            pages_before: int) -> CompressionResult:
-        records = list(self.leaf_records())
-        result = repack(records, self.leaf_schema, algorithm,
-                        self.page_size)
-        if accounting == "payload":
-            compressed = result.payload_size
-        else:
-            compressed = result.physical_bytes
-        return CompressionResult(
-            algorithm=algorithm.name, accounting=accounting,
-            uncompressed_bytes=uncompressed, compressed_bytes=compressed,
-            row_count=self.num_entries, pages_before=pages_before,
-            pages_after=result.num_pages,
-            details={"compressed_payload": result.payload_size,
-                     "repacked": True})
+        return repacked_result(list(self.leaf_records()), self.leaf_schema,
+                               algorithm, self.page_size, accounting,
+                               uncompressed, pages_before)
 
     # ------------------------------------------------------------------
-    # Size-only estimation (vectorized kernels with scalar fallback)
+    # Size-only estimation
     # ------------------------------------------------------------------
+    def leaf_image(self) -> LeafImage:
+        """The leaf level as a :class:`LeafImage` (cached until rebuilt).
+
+        The image costs about the leaf payload again, plus the column
+        views its kernels cache, for as long as the index lives.
+        """
+        if self._leaf_image is None:
+            self._leaf_image = LeafImage.from_leaves(
+                self.name, self.leaf_schema,
+                [leaf.records for leaf in self._tree.leaves()],
+                self.page_size)
+        return self._leaf_image
+
     def estimate_compression(self, algorithm: CompressionAlgorithm,
                              accounting: Accounting = "payload",
                              repack_pages: bool = False,
@@ -369,132 +358,12 @@ class Index:
                              on_fallback=None) -> CompressionResult:
         """Size-only :meth:`compress`: same result, no blobs built.
 
-        The estimator only consumes sizes, so this path computes each
-        unit's exact ``payload_size`` with the vectorized kernels
-        (:mod:`repro.compression.kernels`) where they apply, and falls
-        back to :meth:`compress`'s scalar arithmetic per block where
-        they don't — results are bit-identical either way, which is
-        what keeps kernel-produced estimates interchangeable with
-        persisted scalar ones. Columnar leaf views are cached on the
-        index, so a batch of algorithms over one (sample) index splits
-        the leaves once.
-
-        ``on_kernel`` / ``on_fallback`` are per-block accounting hooks
-        (one block per leaf page, or one for an index-scoped
-        algorithm); the engine charges them to its
-        ``size_kernel_hits`` / ``size_scalar_fallbacks`` stats.
-        Repacked page-scope compression stays entirely on the scalar
-        path: bin-packing compressed records into fresh pages needs
-        the incremental trackers, not just totals.
+        Delegates to :meth:`LeafImage.estimate_compression` on
+        :meth:`leaf_image`, the one implementation that sizes leaves.
         """
-        if self.num_entries == 0:
-            raise CompressionError(
-                f"index {self.name!r} is empty; nothing to compress")
-        if accounting not in ("payload", "physical"):
-            raise CompressionError(f"unknown accounting {accounting!r}")
-        if algorithm.scope != "index" and repack_pages:
-            if on_fallback is not None:
-                on_fallback()
-            return self.compress(algorithm, accounting=accounting,
-                                 repack_pages=True)
-        pages_before = self._tree.num_leaf_pages
-        uncompressed = self.uncompressed_size(accounting)
-        if algorithm.scope == "index":
-            # Records stay a thunk: with warm views the kernel path
-            # never materializes the full leaf-record list.
-            payload = self._block_payload(
-                algorithm, lambda: list(self.leaf_records()),
-                self._index_views(), on_kernel, on_fallback)
-            capacity = compressed_page_capacity(self.page_size)
-            pages_after = max(1, -(-payload // capacity))
-            compressed = payload if accounting == "payload" \
-                else pages_after * self.page_size
-            return CompressionResult(
-                algorithm=algorithm.name, accounting=accounting,
-                uncompressed_bytes=uncompressed,
-                compressed_bytes=compressed,
-                row_count=self.num_entries, pages_before=pages_before,
-                pages_after=pages_after,
-                details={"compressed_payload": payload, "repacked": False})
-        payload = 0
-        leaf_views = self._leaf_views()
-        for position, leaf in enumerate(self._tree.leaves()):
-            views = leaf_views[position] if leaf_views is not None \
-                else None
-            payload += self._block_payload(algorithm, leaf.records,
-                                           views, on_kernel, on_fallback)
-        if accounting == "payload":
-            compressed = payload
-        else:
-            compressed = pages_before * self.page_size
-        return CompressionResult(
-            algorithm=algorithm.name, accounting=accounting,
-            uncompressed_bytes=uncompressed, compressed_bytes=compressed,
-            row_count=self.num_entries, pages_before=pages_before,
-            pages_after=pages_before,
-            details={"compressed_payload": payload, "repacked": False})
-
-    def _block_payload(self, algorithm: CompressionAlgorithm,
-                       records, views, on_kernel, on_fallback) -> int:
-        """One block's payload: kernel when covered, scalar otherwise.
-
-        ``records`` may be a thunk; it is only invoked on the scalar
-        fallback, so kernel-served blocks never pay for materializing
-        a record list.
-        """
-        if views is not None:
-            try:
-                size = algorithm.size_of(views, self.leaf_schema)
-            except KernelUnavailable:
-                size = None
-            if size is not None:
-                if on_kernel is not None:
-                    on_kernel()
-                return size
-        if on_fallback is not None:
-            on_fallback()
-        if callable(records):
-            records = records()
-        return algorithm.compress(records, self.leaf_schema).payload_size
-
-    def _leaf_views(self) -> list | None:
-        """Cached per-leaf columnar views (``None`` when disabled).
-
-        Built as row slices of the whole-index parent views from
-        :meth:`_index_views`, so leaf-scope and index-scope sizing —
-        and every algorithm and leaf within them — share one record
-        split and one set of derived arrays.
-        """
-        from repro.compression.kernels import (build_leaf_views,
-                                               kernels_enabled)
-
-        if not kernels_enabled():
-            return None
-        cached = self._size_view_cache.get("leaves")
-        if cached is None:
-            cached = build_leaf_views(
-                self.leaf_schema,
-                [leaf.records for leaf in self._tree.leaves()],
-                parents=self._index_views())
-            self._size_view_cache["leaves"] = [cached]
-        else:
-            cached = cached[0]
-        return cached
-
-    def _index_views(self):
-        """Cached whole-index columnar views (shared parent views)."""
-        from repro.compression.kernels import (build_column_views,
-                                               kernels_enabled)
-
-        if not kernels_enabled():
-            return None
-        cached = self._size_view_cache.get("index")
-        if cached is None:
-            cached = [build_column_views(self.leaf_schema,
-                                         list(self.leaf_records()),
-                                         trusted_lengths=True)]
-            self._size_view_cache["index"] = cached
-        return cached[0]
+        return self.leaf_image().estimate_compression(
+            algorithm, accounting=accounting, repack_pages=repack_pages,
+            on_kernel=on_kernel, on_fallback=on_fallback)
 
     def _compress_index_scope(self, algorithm: CompressionAlgorithm,
                               accounting: Accounting, uncompressed: int,

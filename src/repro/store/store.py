@@ -66,7 +66,9 @@ from repro.faults import FaultInjector, NULL_INJECTOR, NullInjector, \
 from repro.store.locks import FileLock
 
 #: On-disk format version; bumped on incompatible envelope changes.
-STORE_FORMAT = 1
+#: Format 2 stores table samples as record bytes (buffer, offsets and
+#: RID array) where format 1 stored decoded row tuples.
+STORE_FORMAT = 2
 
 _MAGIC = b"RPROSTORE1\n"
 _CHECKSUM_BYTES = 32
@@ -140,8 +142,9 @@ def _sample_for_disk(sample: MaterializedSample) -> MaterializedSample:
     """A copy of ``sample`` without its built indexes.
 
     Sample indexes are derived data (rebuilt lazily, deterministically,
-    from rows + rids) and can dwarf the rows themselves; persisting them
-    would bloat the store without changing any estimate.
+    from the record buffer, offsets and RIDs) and can outweigh the
+    records themselves; persisting them would bloat the store without
+    changing any estimate.
     """
     state = dict(sample.__getstate__())
     state["indexes"] = {}

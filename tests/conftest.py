@@ -38,6 +38,12 @@ def all_algorithms() -> list:
     ]
 
 
+def draw_bytes(sample) -> tuple[bytes, bytes, bytes]:
+    """A table sample's record buffer, offsets and RIDs, as bytes."""
+    return (sample.buffer.tobytes(), sample.offsets.tobytes(),
+            sample.rids.tobytes())
+
+
 def modelable_algorithms() -> list:
     """Algorithms with a closed-form histogram model."""
     return [

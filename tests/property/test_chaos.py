@@ -40,6 +40,7 @@ from repro.faults import (FAULT_PLAN_ENV, FaultInjector, FaultPlan,
 from repro.sampling.row_samplers import WithReplacementSampler
 from repro.store import SampleStore, digest_parts
 from repro.workloads.generators import make_table
+from tests.conftest import draw_bytes
 
 MASTER_SEED = 20260808
 
@@ -313,7 +314,7 @@ class TestCrashConsistency:
             survivor = SampleStore(root).get_sample(KEY)
             assert survivor is not None, (
                 f"overwrite tear at {offset} destroyed the old entry")
-            assert survivor.rows == sample.rows
+            assert draw_bytes(survivor) == draw_bytes(sample)
 
     @pytest.mark.parametrize("where", ["start", "middle", "end"])
     def test_real_process_kill_mid_put(self, tmp_path, where):
@@ -337,4 +338,4 @@ class TestCrashConsistency:
         SampleStore(root).put_sample(KEY, sample)
         recovered = SampleStore(root).get_sample(KEY)
         assert recovered is not None
-        assert recovered.rows == sample.rows
+        assert draw_bytes(recovered) == draw_bytes(sample)

@@ -1,0 +1,320 @@
+"""Layout-parity property suite: sample leaf images == B+-tree leaves.
+
+The sample path builds each sample index as a
+:class:`~repro.storage.leaf_image.LeafImage` straight from the drawn
+record bytes: byte sort keys, a stable argsort and greedy packing, with
+no row decoded. ``Index.build`` (validated rows, Python tuple sort,
+``BPlusTree.bulk_load``) is the oracle. Over derandomized schemas —
+CHAR values with bytes below ``0x20``, interior blanks and ``\\xff``;
+VARCHAR values with trailing blanks and NULs; INTEGER/BIGINT extremes;
+multi-column keys in an order other than the schema's; heavy duplicate
+keys whose other columns differ — under every sampler, both index kinds
+and fill factors 0.5–1.0, the image must hold the oracle's leaf pages
+byte for byte, count the same distinct keys, and size to exactly
+``Index.compress`` for every registered algorithm, with the size
+kernels on and off. An empty sample fails as an empty index does.
+Guard tests prove the sample path never decodes or builds through the
+B+-tree, and that the draw still rejects a malformed heap record.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.compression.kernels import DISABLE_KERNELS_ENV
+from repro.compression.registry import get_algorithm, list_algorithms
+from repro.constants import PAGE_HEADER_SIZE, SLOT_SIZE
+from repro.engine import (EstimationEngine, EstimationRequest,
+                          MaterializedSample, materialize_table_sample)
+from repro.errors import CompressionError, EncodingError, IndexError_
+from repro.sampling.block import BlockSampler
+from repro.sampling.row_samplers import (BernoulliSampler,
+                                         WithReplacementSampler,
+                                         WithoutReplacementSampler)
+from repro.storage.btree import BPlusTree
+from repro.storage.index import Index, IndexKind
+from repro.storage.record import decode_record
+from repro.storage.rid import RID
+from repro.storage.schema import Column, Schema
+from repro.storage.table import Table
+
+ALGORITHMS = [get_algorithm(name) for name in list_algorithms()]
+
+SAMPLERS = ("with_replacement", "without_replacement", "bernoulli",
+            "block")
+
+
+def make_sampler(name: str, fraction: float):
+    return {"with_replacement": WithReplacementSampler,
+            "without_replacement": WithoutReplacementSampler,
+            "bernoulli": lambda: BernoulliSampler(fraction),
+            "block": BlockSampler}[name]()
+
+
+@contextlib.contextmanager
+def kernels(enabled: bool):
+    """Force the size kernels on or off for the enclosed block."""
+    saved = os.environ.get(DISABLE_KERNELS_ENV)
+    os.environ[DISABLE_KERNELS_ENV] = "" if enabled else "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ[DISABLE_KERNELS_ENV]
+        else:
+            os.environ[DISABLE_KERNELS_ENV] = saved
+
+
+def sample_records(sample) -> list[bytes]:
+    data = sample.buffer.tobytes()
+    cuts = sample.offsets.tolist()
+    return [data[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def oracle_index(table, sample, columns, kind, page_size, fill_factor):
+    """``Index.build`` over the sample's decoded rows, and those rows."""
+    rows = [decode_record(table.schema, record)
+            for record in sample_records(sample)]
+    rids = [RID(value >> 32, value & 0xFFFFFFFF)
+            for value in sample.rids.tolist()]
+    index = Index("samplecf_sample", table.schema, columns, kind=kind,
+                  page_size=page_size, fill_factor=fill_factor)
+    index.build(list(zip(rows, rids)))
+    return index, rows
+
+
+def check_layout(table, sampler, fraction, seed, columns, kind,
+                 page_size, fill_factor):
+    """Assert image == oracle leaves; return the (entry, oracle) pair.
+
+    Returns ``None`` when the oracle rejects the layout (a record that
+    cannot fit a leaf page), after checking the image rejects it too.
+    """
+    sample = materialize_table_sample(table, sampler, fraction, seed)
+    try:
+        oracle, rows = oracle_index(table, sample, columns, kind,
+                                    page_size, fill_factor)
+    except IndexError_:
+        with pytest.raises(IndexError_):
+            sample.index_for(table, columns, kind, page_size, fill_factor)
+        return None
+    entry = sample.index_for(table, columns, kind, page_size, fill_factor)
+    bounds = entry.image.bounds.tolist()
+    assert [entry.image.records(a, b)
+            for a, b in zip(bounds, bounds[1:])] == \
+        [list(page.records()) for page in oracle.leaf_pages()]
+    assert entry.distinct == len({oracle.key_of(row) for row in rows})
+    return entry, oracle
+
+
+# ----------------------------------------------------------------------
+# Strategies
+# ----------------------------------------------------------------------
+CHAR_ALPHABET = "ab \x00\x01\x1f\xff0"
+VARCHAR_ALPHABET = "ab \x00\x01\xff"
+
+dtypes = st.one_of(
+    st.integers(1, 10).map(lambda k: f"char({k})"),
+    st.integers(1, 10).map(lambda m: f"varchar({m})"),
+    st.just("integer"), st.just("bigint"))
+
+
+def values_for(spec: str):
+    if spec.startswith("char("):
+        k = int(spec[5:-1])
+        return st.text(alphabet=CHAR_ALPHABET, max_size=k)
+    if spec.startswith("varchar("):
+        m = int(spec[8:-1])
+        return st.text(alphabet=VARCHAR_ALPHABET, max_size=m)
+    bits = 31 if spec == "integer" else 63
+    return st.one_of(st.sampled_from([-2 ** bits, 2 ** bits - 1, -1, 0, 1]),
+                     st.integers(-2 ** bits, 2 ** bits - 1))
+
+
+@st.composite
+def cases(draw):
+    """A table, a key, and a sample-index layout over it."""
+    specs = draw(st.lists(dtypes, min_size=1, max_size=4))
+    schema = Schema([Column.of(f"c{i}", spec)
+                     for i, spec in enumerate(specs)])
+    # Few distinct values per column make heavy duplicate keys whose
+    # other columns still differ.
+    pools = [draw(st.lists(values_for(spec), min_size=1,
+                           max_size=draw(st.sampled_from([2, 4, 30]))))
+             for spec in specs]
+    n = draw(st.integers(1, 120))
+    rows = [tuple(draw(st.sampled_from(pool)) for pool in pools)
+            for _ in range(n)]
+    columns = tuple(draw(st.permutations(schema.names))[
+        :draw(st.integers(1, len(specs)))])
+    return {
+        "table": Table.from_rows("t", schema, rows, page_size=512),
+        "sampler": draw(st.sampled_from(SAMPLERS)),
+        "fraction": draw(st.floats(0.05, 1.0)),
+        "seed": draw(st.integers(0, 2 ** 16)),
+        "columns": columns,
+        "kind": draw(st.sampled_from(list(IndexKind))),
+        "page_size": draw(st.sampled_from([96, 128, 256, 1024])),
+        "fill_factor": draw(st.floats(0.5, 1.0)),
+    }
+
+
+def run_case(case):
+    return check_layout(
+        case["table"], make_sampler(case["sampler"], case["fraction"]),
+        case["fraction"], case["seed"], case["columns"], case["kind"],
+        case["page_size"], case["fill_factor"])
+
+
+# ----------------------------------------------------------------------
+# Properties
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=cases())
+def test_leaf_images_match_btree_leaves(case):
+    run_case(case)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=cases())
+def test_image_sizes_match_compress(case):
+    """Every registered algorithm, kernels on and off, == compress()."""
+    outcome = run_case(case)
+    if outcome is None:
+        return
+    entry, oracle = outcome
+    for algorithm in ALGORITHMS:
+        for accounting, repack in (("payload", False),
+                                   ("physical", False),
+                                   ("physical", True)):
+            want = oracle.compress(algorithm, accounting=accounting,
+                                   repack_pages=repack)
+            for enabled in (True, False):
+                with kernels(enabled):
+                    got = entry.image.estimate_compression(
+                        algorithm, accounting=accounting,
+                        repack_pages=repack)
+                assert got == want, (algorithm.name, accounting, repack,
+                                     enabled)
+
+
+# ----------------------------------------------------------------------
+# The two orderings the byte sort key must get right
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", list(IndexKind))
+def test_char_keys_order_shorter_prefix_first(kind):
+    """``"ab"`` < ``"ab\\x00"`` < ``"ab\\x01"``: zero-fill needs the length."""
+    schema = Schema([Column.of("a", "char(6)"), Column.of("n", "integer")])
+    values = ["ab\x01", "ab \x00", "ab\x00", "ab", "ab\x00\x00", "a",
+              "ab \x01", "\xff", "", "ab b"]
+    rows = [(values[i % len(values)], i) for i in range(200)]
+    table = Table.from_rows("t", schema, rows, page_size=512)
+    for sampler in (WithoutReplacementSampler(), BlockSampler()):
+        check_layout(table, sampler, 1.0, 3, ("a",), kind, 256, 1.0)
+
+
+@pytest.mark.parametrize("kind", list(IndexKind))
+def test_duplicate_keys_keep_draw_order(kind):
+    """Equal keys stay in draw order (stable sort), as ``list.sort`` does."""
+    schema = Schema([Column.of("k", "char(4)"), Column.of("v", "bigint"),
+                     Column.of("w", "varchar(8)")])
+    rows = [(["x", "y", "z"][i % 3], i * 7919 - 10 ** 6, f"w{i % 11}")
+            for i in range(600)]
+    table = Table.from_rows("t", schema, rows, page_size=1024)
+    for seed in (1, 2):
+        check_layout(table, WithoutReplacementSampler(), 1.0, seed,
+                     ("k",), kind, 512, 0.9)
+
+
+def test_wide_record_barely_fits():
+    """A record exactly filling a leaf page packs one per leaf."""
+    page_size = 128
+    width = page_size - PAGE_HEADER_SIZE - SLOT_SIZE
+    for k, fits in ((width, True), (width + 1, False)):
+        schema = Schema([Column.of("a", f"char({k})")])
+        table = Table.from_rows(
+            "t", schema, [(f"v{i % 5}",) for i in range(40)],
+            page_size=1024)
+        outcome = check_layout(table, WithReplacementSampler(), 0.5, 9,
+                               ("a",), IndexKind.CLUSTERED, page_size, 1.0)
+        assert (outcome is not None) == fits
+        if fits:
+            entry, _ = outcome
+            assert entry.image.num_leaf_pages == entry.image.num_entries
+
+
+@pytest.mark.parametrize("kind", list(IndexKind))
+def test_empty_sample_fails_like_an_empty_index(kind):
+    schema = Schema([Column.of("a", "char(4)"), Column.of("v", "varchar(3)")])
+    table = Table.from_rows("t", schema, [("x", "y")], page_size=256)
+    entry = MaterializedSample(fraction=0.5, seed=1, path="storage") \
+        .index_for(table, ("a",), kind, 256, 1.0)
+    oracle = Index("samplecf_sample", schema, ("a",), kind=kind,
+                   page_size=256).build([])
+    messages = []
+    for index in (entry.image, oracle):
+        with pytest.raises(CompressionError) as raised:
+            index.estimate_compression(ALGORITHMS[0])
+        messages.append(str(raised.value))
+    assert entry.distinct == 0
+    assert messages[0] == messages[1]
+
+
+# ----------------------------------------------------------------------
+# Guards: one path, and the draw still validates
+# ----------------------------------------------------------------------
+def _forbidden(name):
+    def raiser(*args, **kwargs):
+        raise AssertionError(f"the sample path called {name}")
+    return raiser
+
+
+def test_sample_path_never_decodes_or_uses_the_btree(monkeypatch):
+    schema = Schema([Column.of("a", "char(12)"), Column.of("n", "integer"),
+                     Column.of("v", "varchar(10)")])
+    rows = [(f"name{i % 23}", i % 7 - 3, "x" * (i % 9)) for i in range(800)]
+    table = Table.from_rows("t", schema, rows, page_size=1024)
+    requests = [EstimationRequest(table=table, columns=columns,
+                                  algorithm=algorithm, fraction=0.2,
+                                  trials=2, kind=kind, page_size=1024)
+                for columns in (("a",), ("v", "n"))
+                for algorithm in ("null_suppression", "dictionary", "page")
+                for kind in IndexKind]
+    expected = EstimationEngine(seed=4).execute(requests)
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("repro") and m is not None]:
+        if hasattr(module, "decode_record"):
+            monkeypatch.setattr(module, "decode_record",
+                                _forbidden("decode_record"))
+    monkeypatch.setattr(Schema, "validate_row",
+                        _forbidden("Schema.validate_row"))
+    monkeypatch.setattr(Index, "build", _forbidden("Index.build"))
+    monkeypatch.setattr(BPlusTree, "bulk_load",
+                        _forbidden("BPlusTree.bulk_load"))
+    batch = EstimationEngine(seed=4).execute(requests)
+    assert batch.stats["indexes_built"] == \
+        expected.stats["indexes_built"] > 0
+    assert [result.estimates for result in batch.results] == \
+        [result.estimates for result in expected.results]
+
+
+@pytest.mark.parametrize("sampler", [WithoutReplacementSampler(),
+                                     BlockSampler()])
+@pytest.mark.parametrize("spec, record", [
+    ("char(6)", b"short"),                   # narrower than the schema
+    ("char(6)", b"too long"),                # wider than the schema
+    ("varchar(4)", b"\x00\x05hello"),        # prefix past max_len
+    ("varchar(4)", b"\x00\x03ab"),           # prefix past the record
+    ("varchar(4)", b"\x00\x01ab"),           # trailing bytes
+])
+def test_malformed_heap_record_fails_the_draw(sampler, spec, record):
+    schema = Schema([Column.of("a", spec)])
+    table = Table.from_rows("t", schema, [("ab",)] * 30, page_size=256)
+    table.heap.insert(record)
+    with pytest.raises(EncodingError):
+        materialize_table_sample(table, sampler, 1.0, 5)

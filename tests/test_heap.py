@@ -1,5 +1,6 @@
 """Unit tests for repro.storage.heap."""
 
+import numpy as np
 import pytest
 
 from repro.errors import RecordNotFoundError
@@ -33,6 +34,20 @@ class TestHeapFile:
         scanned = list(heap.scan())
         assert [record for _, record in scanned] == records
         assert [rid for rid, _ in scanned] == inserted
+
+    def test_records_at_ordinals(self):
+        """Insertion ordinals map to records and packed RID locators."""
+        heap = HeapFile(page_size=128)
+        inserted = heap.insert_many([f"rec-{i:03d}".encode()
+                                     for i in range(30)])
+        ordinals = np.array([29, 0, 7, 7, 15])
+        records, locators = heap.records_at(ordinals)
+        rids = [inserted[i] for i in ordinals.tolist()]
+        assert records == [heap.get(rid) for rid in rids]
+        assert locators.tolist() == [(rid.page_id << 32) | rid.slot
+                                     for rid in rids]
+        with pytest.raises(RecordNotFoundError):
+            heap.records_at(np.array([30]))
 
     def test_records_iterator(self):
         heap = HeapFile(page_size=128)

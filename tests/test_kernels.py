@@ -325,9 +325,9 @@ class TestEstimateCompression:
     def test_view_cache_survives_reuse_but_not_pickle(self, char_index,
                                                       kernels_on):
         char_index.estimate_compression(get_algorithm("null_suppression"))
-        assert char_index._size_view_cache
+        assert char_index._leaf_image._views is not None
         clone = pickle.loads(pickle.dumps(char_index))
-        assert clone._size_view_cache == {}
+        assert clone._leaf_image is None
         assert clone.estimate_compression(get_algorithm("dictionary")) \
             == char_index.compress(get_algorithm("dictionary"))
 
@@ -337,9 +337,9 @@ class TestEstimateCompression:
         rows = list(table.rows())
         index.build_from_rows(rows[:-1])
         before = index.estimate_compression(get_algorithm("dictionary"))
-        assert index._size_view_cache
+        assert index._leaf_image is not None
         index.insert(rows[-1])
-        assert not index._size_view_cache
+        assert index._leaf_image is None
         after = index.estimate_compression(get_algorithm("dictionary"))
         assert after == index.compress(get_algorithm("dictionary"))
         assert after != before

@@ -29,7 +29,8 @@ from repro.engine.remote import start_worker_thread
 from repro.obs import (NULL_TRACER, MetricsRegistry, SpanContext,
                        Tracer, absorb_engine_stats, one_line,
                        read_trace, render, summarize)
-from repro.workloads.generators import make_histogram
+from repro.storage.index import IndexKind
+from repro.workloads.generators import make_histogram, make_table
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -224,6 +225,28 @@ class TestSummarize:
         # Self-times partition each root span: their sum cannot exceed
         # the wall envelope.
         assert summary["self_seconds"] <= summary["wall_seconds"] * 1.001
+
+    def test_one_index_build_span_per_build(self, tmp_path):
+        """Builds, never reuses, are traced as ``index.build`` phases."""
+        table = make_table(3000, 40, 12, page_size=1024, seed=4)
+        requests = [EstimationRequest(table=table, columns=("a",),
+                                      algorithm=algorithm, fraction=0.05,
+                                      trials=2, kind=kind, page_size=1024)
+                    for algorithm in ("null_suppression", "dictionary")
+                    for kind in IndexKind]
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer.to_path(path)
+        batch = EstimationEngine(seed=5, tracer=tracer).execute(requests)
+        tracer.close()
+        records = read_trace(path)
+        builds = [span for span in spans_of(records)
+                  if span["name"] == "index.build"]
+        assert batch.stats["index_reuse_hits"] > 0
+        assert len(builds) == batch.stats["indexes_built"] == 4
+        for span in builds:
+            assert min(span["attrs"][name]
+                       for name in ("rows", "leaves", "bytes")) > 0
+        assert "index.build" in summarize(records)["phases"]
 
     def test_units_keyed_per_batch_across_a_multi_batch_trace(
             self, tmp_path):

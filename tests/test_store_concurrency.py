@@ -20,6 +20,7 @@ from repro.sampling.row_samplers import WithReplacementSampler
 from repro.workloads.generators import make_table
 from repro.engine.samples import materialize_table_sample
 from repro.store import HAVE_FLOCK, FileLock, SampleStore, digest_parts
+from tests.conftest import draw_bytes
 
 pytestmark = pytest.mark.skipif(
     not HAVE_FLOCK, reason="no fcntl flock on this platform")
@@ -47,8 +48,8 @@ def _contending_worker(store_dir, log_path, result_path, barrier):
 
     barrier.wait(timeout=30)
     sample, hit = store.get_or_create_sample(KEY, factory)
-    payload = {"hit": hit, "rows": len(sample.rows),
-               "first_row": repr(sample.rows[0])}
+    payload = {"hit": hit, "rows": sample.sample_rows,
+               "draw": [part.hex() for part in draw_bytes(sample)]}
     with open(result_path, "w", encoding="utf-8") as out:
         json.dump(payload, out)
 
@@ -87,7 +88,7 @@ class TestCrossProcess:
         outcomes = [json.loads(result.read_text()) for result in results]
         assert sorted(o["hit"] for o in outcomes) == [False, True]
         assert outcomes[0]["rows"] == outcomes[1]["rows"] > 0
-        assert outcomes[0]["first_row"] == outcomes[1]["first_row"]
+        assert outcomes[0]["draw"] == outcomes[1]["draw"]
 
     def test_no_torn_writes_after_contention(self, tmp_path):
         """The winning entry validates end to end (checksum intact)."""
@@ -108,7 +109,7 @@ class TestCrossProcess:
         fresh = SampleStore(store_dir)
         loaded = fresh.get_sample(KEY)
         assert loaded is not None  # envelope parsed + checksum passed
-        assert loaded.rows == _draw_sample().rows
+        assert draw_bytes(loaded) == draw_bytes(_draw_sample())
         assert fresh.counters["quarantined"] == 0
         # No stray tmp files left behind by either writer.
         assert not list(store_dir.rglob(".tmp-*"))
@@ -180,11 +181,11 @@ class TestCrossProcess:
         assert log_path.read_text().splitlines() == ["materialized"]
         outcomes = [json.loads(result.read_text()) for result in results]
         assert sorted(o["hit"] for o in outcomes) == [False, True]
-        assert outcomes[0]["first_row"] == outcomes[1]["first_row"]
+        assert outcomes[0]["draw"] == outcomes[1]["draw"]
         # The corrupt envelope was moved aside, and the rewritten
         # entry reads clean from a fresh handle.
         fresh = SampleStore(store_dir)
         recovered = fresh.get_sample(KEY)
         assert recovered is not None
-        assert recovered.rows == _draw_sample().rows
+        assert draw_bytes(recovered) == draw_bytes(_draw_sample())
         assert fresh.counters["quarantined"] == 0
