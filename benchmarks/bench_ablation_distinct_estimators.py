@@ -17,6 +17,7 @@ from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.core.cf_models import global_dictionary_cf
 from repro.core.estimator import DistinctPlugInEstimator
 from repro.core.samplecf import SampleCF
+from repro.engine.requests import derive_seed
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_trials
 from repro.workloads.generators import make_histogram
@@ -55,10 +56,12 @@ def grid() -> dict:
         results[(regime, "truth")] = truth
         for name in ESTIMATOR_NAMES:
             plug_in = DistinctPlugInEstimator(name, pointer_bytes=P)
+            # derive_seed, not hash(): PYTHONHASHSEED randomises str
+            # hashes per process, so the payload would not replay.
             results[(regime, name)] = _mean_ratio_error(
                 lambda rng: plug_in.estimate_histogram(histogram, F,
                                                        seed=rng),
-                truth, seed=hash((regime, name)) % 2**31)
+                truth, seed=derive_seed("abl-distinct", regime, name))
     return results
 
 

@@ -22,6 +22,7 @@ from repro.compression.null_suppression import NullSuppression
 from repro.core.cf_models import global_dictionary_cf, ns_cf
 from repro.core.metrics import ErrorSummary
 from repro.core.samplecf import SampleCF
+from repro.engine.requests import derive_seed
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_trials
 from repro.workloads.generators import make_histogram
@@ -61,11 +62,14 @@ def grid() -> dict:
         for design_name, sampler in _designs(fraction).items():
             for algo_name, algorithm in algorithms.items():
                 estimator = SampleCF(algorithm, sampler=sampler)
+                # derive_seed, not hash(): PYTHONHASHSEED randomises str
+                # hashes per process, so the payload would not replay.
                 estimates = run_trials(
                     lambda rng: estimator.estimate_histogram(
                         histogram, fraction, seed=rng).estimate,
                     trials=TRIALS,
-                    seed=hash((design_name, algo_name, fraction)) % 2**31)
+                    seed=derive_seed("abl-replacement", design_name,
+                                     algo_name, fraction))
                 results[(fraction, design_name, algo_name)] = \
                     ErrorSummary.from_estimates(truths[algo_name],
                                                 estimates)

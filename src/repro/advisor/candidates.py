@@ -11,9 +11,12 @@ the cost of estimation error in final decisions.
 Two estimation paths exist:
 
 * :func:`enumerate_candidates` — the historical per-candidate loop
-  (one fresh sample per compressed candidate);
-* :func:`enumerate_candidates_batch` — the engine-backed path: all
-  (column-set × algorithm) candidates go into one
+  (one fresh sample per compressed candidate), kept for its ``exact``
+  oracle and as the baseline batching is measured against;
+* :func:`enumerate_candidates_batch` — the engine-backed path, which is
+  :meth:`WhatIfAdvisor.candidates
+  <repro.advisor.whatif.WhatIfAdvisor.candidates>`: all (column-set ×
+  algorithm) candidates go into one
   :class:`~repro.engine.engine.EstimationEngine` batch, so every
   candidate on a table shares one materialized sample per trial and
   every algorithm probing a column set shares one built sample index —
@@ -24,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Sequence
-
-import numpy as np
 
 from repro.errors import AdvisorError
 from repro.sampling.rng import SeedLike, make_rng
@@ -163,11 +164,9 @@ def candidate_request(table: Table, table_name: str,
                       trials: int) -> "EstimationRequest":
     """The engine request that sizes one compressed candidate.
 
-    Single source of truth for the advisor's request shape: the eager
-    batch path and the lazy what-if path both build candidates through
-    here, so the two can never drift apart in sampler, index kind,
-    accounting, or page layout — which is what makes their estimates
-    (and therefore their selected designs) comparable trial for trial.
+    Single source of truth for the advisor's request shape: sampler,
+    index kind, accounting and page layout, which the what-if priors
+    (:func:`~repro.advisor.whatif.prior_cf_interval`) read back.
     """
     from repro.engine.requests import EstimationRequest  # lazy: cycle
 
@@ -199,7 +198,10 @@ def enumerate_candidates_batch(
     still share table samples).
 
     Unlike :func:`enumerate_candidates`, callers never supply CF
-    numbers — the estimates come straight from the tables.
+    numbers — the estimates come straight from the tables. This is
+    :meth:`WhatIfAdvisor.candidates
+    <repro.advisor.whatif.WhatIfAdvisor.candidates>` at a budget of
+    ``trials``.
 
     ``executor`` overrides how the batch runs (an executor instance or
     a name: ``"serial"``, ``"process"``, ``"remote"``). The advisor
@@ -213,46 +215,9 @@ def enumerate_candidates_batch(
     re-sampling — the paper's "design tools call the estimator many
     times over the same data" scenario.
     """
-    from repro.engine.engine import EstimationEngine  # lazy: cycle guard
+    from repro.advisor.whatif import WhatIfAdvisor  # lazy: cycle guard
 
-    resolved = resolve_algorithms(algorithms)
-    if engine is None:
-        engine = EstimationEngine(seed=seed if seed is not None else 0,
-                                  store=store)
-    else:
-        if seed is not None:
-            raise AdvisorError(
-                "pass either engine= or seed=, not both: a supplied "
-                "engine's master seed governs the randomness")
-        if store is not None:
-            raise AdvisorError(
-                "pass either engine= or store=, not both: a supplied "
-                "engine already decided its persistence tier")
-    key_sets = workload_key_sets(tables, queries)
-    requests = []
-    for table_name, key_columns in key_sets:
-        table = tables[table_name]
-        for algorithm in resolved:
-            requests.append(candidate_request(
-                table, table_name, key_columns, algorithm, fraction,
-                trials))
-    batch = engine.execute(requests, executor=executor)
-    candidates: list[CandidateIndex] = []
-    cursor = 0
-    for table_name, key_columns in key_sets:
-        table = tables[table_name]
-        plain_bytes = uncompressed_index_bytes(table, key_columns)
-        candidates.append(CandidateIndex(
-            table=table_name, key_columns=key_columns, compressed=False,
-            algorithm=None, size_bytes=float(plain_bytes),
-            size_source="schema"))
-        for algorithm in resolved:
-            result = batch.results[cursor]
-            cursor += 1
-            cf = float(np.mean(result.values))
-            candidates.append(CandidateIndex(
-                table=table_name, key_columns=key_columns,
-                compressed=True, algorithm=algorithm.name,
-                size_bytes=plain_bytes * cf, size_source="engine",
-                estimated_cf=cf))
-    return candidates
+    return WhatIfAdvisor(
+        tables, queries, algorithms=algorithms, fraction=fraction,
+        max_trials=trials, engine=engine, seed=seed, executor=executor,
+        store=store).candidates()

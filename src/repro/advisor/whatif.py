@@ -1,11 +1,13 @@
 """What-if advisor: lazy engine-backed selection with bound pruning.
 
-:func:`~repro.advisor.selection.advise_from_data` is eager — it sizes
-every (key set × algorithm) candidate at the full trial budget before
-the greedy loop ever looks at one. Kimura et al.'s compression-aware
-design work (PAPERS.md) points out that a what-if interface should
-only pay for estimates the search can actually use. This module is
-that interface:
+Eager advising sizes every (key set × algorithm) candidate at the full
+trial budget before the greedy loop ever looks at one: that is
+:meth:`WhatIfAdvisor.candidates` (one shared-sample engine batch),
+which :func:`~repro.advisor.selection.advise_from_data` hands to the
+greedy scan. Kimura et al.'s compression-aware design work (PAPERS.md)
+points out that a what-if interface should only pay for estimates the
+search can actually use. :meth:`WhatIfAdvisor.advise` is that
+interface:
 
 * the greedy selection loop runs first and *requests* estimates
   lazily, one engine batch per refinement step, so candidates on the
@@ -59,6 +61,7 @@ from repro.core.bounds import (TRIVIAL_CF_INTERVAL, CFInterval,
                                dict_prior_cf_interval, mix_trials_interval,
                                ns_prior_cf_interval)
 from repro.core.confidence import (empirical_trial_mean_interval,
+                                   next_trial_stage,
                                    ns_trial_mean_interval)
 from repro.advisor.candidates import (CandidateIndex, candidate_request,
                                       resolve_algorithms,
@@ -79,6 +82,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: are orders of magnitude larger, so the floor only guards the
 #: ``cf_low == 0`` trivial-prior corner from dividing by zero.
 _SIZE_FLOOR = 1e-9
+
+#: Confidence level of the probabilistic trial-mean intervals.
+CONFIDENCE = 0.999
+
+#: Widening applied to the empirical (non-NS) trial-mean interval,
+#: whose spread is itself estimated from the trials run so far.
+EMPIRICAL_INFLATION = 4.0
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +135,7 @@ class CandidateState:
         """Trial mean so far — eager-identical arithmetic at full T."""
         return float(np.mean(np.asarray(self.values, dtype=np.float64)))
 
-    def cf_interval(self, use_probabilistic: bool, confidence: float,
-                    empirical_inflation: float) -> CFInterval:
+    def cf_interval(self, use_probabilistic: bool) -> CFInterval:
         """Tightest current interval for the final trial-mean CF."""
         if not self.compressed:
             return CFInterval(1.0, 1.0)
@@ -140,11 +149,11 @@ class CandidateState:
         if self.ns_range is not None:
             probabilistic = ns_trial_mean_interval(
                 self.values, self.max_trials, self.sample_rows,
-                self.ns_range, confidence)
+                self.ns_range, CONFIDENCE)
             return interval.intersect(probabilistic)
         empirical = empirical_trial_mean_interval(
             self.values, self.max_trials,
-            inflation=empirical_inflation, confidence=confidence)
+            inflation=EMPIRICAL_INFLATION, confidence=CONFIDENCE)
         if empirical is not None:
             return interval.intersect(empirical)
         return interval
@@ -299,6 +308,8 @@ class WhatIfAdvisor:
     estimated at the full budget (the engine batches still share
     samples); with ``adaptive=False`` refinement jumps straight to
     ``max_trials`` instead of staging through 1, 2, 4, ... trials.
+    :meth:`candidates` is the eager advisor: every candidate at the
+    full budget, on the same engine and trials.
     """
 
     def __init__(self, tables: dict[str, "Table"],
@@ -314,20 +325,13 @@ class WhatIfAdvisor:
                  store: "SampleStore | str | None" = None,
                  prune: bool = True,
                  adaptive: bool = True,
-                 initial_trials: int = 1,
-                 confidence: float = 0.999,
                  use_probabilistic: bool = True,
-                 empirical_inflation: float = 4.0,
                  tracer: object = None) -> None:
         from repro.engine.engine import EstimationEngine  # lazy: cycle
 
         if max_trials <= 0:
             raise AdvisorError(
                 f"need a positive trial budget, got {max_trials}")
-        if initial_trials <= 0:
-            raise AdvisorError(
-                f"need a positive initial allocation, got "
-                f"{initial_trials}")
         if engine is None:
             engine = EstimationEngine(
                 seed=seed if seed is not None else 0, store=store,
@@ -356,10 +360,7 @@ class WhatIfAdvisor:
         self.executor = executor
         self.prune = prune
         self.adaptive = adaptive
-        self.initial_trials = min(int(initial_trials), self.max_trials)
-        self.confidence = confidence
         self.use_probabilistic = use_probabilistic
-        self.empirical_inflation = empirical_inflation
         self.states = self._build_states()
         self.last_report: WhatIfReport | None = None
 
@@ -400,6 +401,19 @@ class WhatIfAdvisor:
                     sample_rows=rows_for_fraction(table.num_rows,
                                                   self.fraction)))
         return states
+
+    def candidates(self) -> list[CandidateIndex]:
+        """Every candidate sized at the full trial budget.
+
+        The eager advisor: one shared-sample engine batch runs the
+        trials earlier calls have not, and greedy selection over the
+        result (:func:`~repro.advisor.selection.select_indexes`) picks
+        the design :meth:`advise` reaches lazily under valid bounds.
+        """
+        pending = [state for state in self.states if not state.resolved]
+        if pending:
+            self._refine(pending, force_full=True)
+        return [state.as_candidate() for state in self.states]
 
     # ------------------------------------------------------------------
     # The lazy greedy loop
@@ -524,9 +538,7 @@ class WhatIfAdvisor:
                 if cached is not None:
                     evaluations.append((state, *cached))
                     continue
-                interval = state.cf_interval(self.use_probabilistic,
-                                             self.confidence,
-                                             self.empirical_inflation)
+                interval = state.cf_interval(self.use_probabilistic)
                 density_lo, density_hi = self._density_bounds(
                     state, interval, chosen, budget, current, stats)
                 if state.resolved:
@@ -605,12 +617,6 @@ class WhatIfAdvisor:
                 density_lo = reduction_lo / probe_hi
         return density_lo, density_hi
 
-    def _next_stage(self, trials_run: int) -> int:
-        """Adaptive allocation schedule: 1, 2, 4, ... up to the budget."""
-        if trials_run == 0:
-            return self.initial_trials
-        return min(self.max_trials, max(trials_run + 1, 2 * trials_run))
-
     def _refine(self, undecided: list[CandidateState],
                 force_full: bool = False) -> None:
         """One shared-sample engine batch over the missing trials.
@@ -628,7 +634,8 @@ class WhatIfAdvisor:
             if not self.adaptive or force_full:
                 target = self.max_trials
             else:
-                target = self._next_stage(state.trials_run)
+                target = next_trial_stage(state.trials_run,
+                                          self.max_trials)
             fresh = state.trial_requests[state.trials_run:target]
             allocations.append((state, len(fresh)))
             requests.extend(fresh)

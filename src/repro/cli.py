@@ -51,10 +51,11 @@ The ``advise`` spec describes a physical-design problem: named
 ``tables`` (workload shorthands, or ``"columns": [[name, k, d], ...]``
 with ``"n"`` for a multi-column table), a ``queries`` list
 (``table`` / ``columns`` / ``selectivity`` / ``weight``), and a
-``storage_bound_bytes``. The default path is the eager engine-backed
-advisor; ``--what-if`` switches to the lazy
-:class:`~repro.advisor.whatif.WhatIfAdvisor`, which prunes candidates
-via Theorem 1/2 CF bounds and allocates trials adaptively — the JSON
+``storage_bound_bytes``. Both modes run one
+:class:`~repro.advisor.whatif.WhatIfAdvisor`. The default is eager: it
+sizes every candidate at the full trial budget, then runs the greedy
+scan. ``--what-if`` selects lazily instead, pruning candidates via
+Theorem 1/2 CF bounds and allocating trials adaptively — the JSON
 output then includes the pruning/early-stop report alongside the
 selected design (identical to the eager one for the same seed).
 """
@@ -87,14 +88,12 @@ from repro.sampling.rng import make_rng
 from repro.store import SampleStore
 from repro.workloads.generators import make_histogram
 from repro.workloads.scenarios import SCENARIOS, get_scenario
-from repro.advisor import WhatIfAdvisor, advise_from_data
+from repro.advisor import WhatIfAdvisor, select_indexes, stats_for_tables
 from repro.obs import Tracer, one_line, read_trace, render, summarize
 # The JSON spec language is shared with the HTTP service; the builders
 # live in repro.service.schemas and the CLI imports them back.
-from repro.service.schemas import (build_advise_query,
-                                   build_advise_table,
-                                   build_batch, candidate_entry,
-                                   parse_spec_text,
+from repro.service.schemas import (build_advise, build_batch,
+                                   candidate_entry, parse_spec_text,
                                    request_result_entry)
 
 
@@ -598,50 +597,33 @@ def _cmd_estimate_batch(args: argparse.Namespace) -> str:
 
 def _cmd_advise(args: argparse.Namespace) -> str:
     spec = _load_batch_spec(args.spec)
-    table_specs = spec.get("tables")
-    query_specs = spec.get("queries")
-    if not isinstance(table_specs, dict) or not table_specs:
-        raise ReproError("advise spec needs a non-empty 'tables' object")
-    if not isinstance(query_specs, list) or not query_specs:
-        raise ReproError("advise spec needs a non-empty 'queries' list")
-    bound = (args.storage_bound if args.storage_bound is not None
-             else spec.get("storage_bound_bytes"))
-    if bound is None:
-        raise ReproError("advise spec needs 'storage_bound_bytes' "
-                         "(or pass --storage-bound)")
-    tables = {name: build_advise_table(name, tspec)
-              for name, tspec in table_specs.items()}
-    queries = [build_advise_query(position, item, tables)
-               for position, item in enumerate(query_specs)]
-    algorithms = spec.get("algorithms", ["page"])
-    fraction = (args.fraction if args.fraction is not None
-                else float(spec.get("fraction", 0.01)))
-    trials = (args.max_trials if args.max_trials is not None
-              else int(spec.get("trials", 1)))
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    executor_name = args.executor or spec.get("executor")
-    executor = _cli_executor(executor_name, args.workers)
+    overrides = {"storage_bound_bytes": args.storage_bound,
+                 "fraction": args.fraction, "trials": args.max_trials,
+                 "seed": args.seed}
+    parsed = build_advise({**spec, **{key: value for key, value
+                                      in overrides.items()
+                                      if value is not None}})
+    executor = _cli_executor(args.executor or spec.get("executor"),
+                             args.workers)
     store_dir = args.store_dir or spec.get("store_dir")
     payload: dict[str, Any] = {
         "mode": "what-if" if args.what_if else "eager",
-        "seed": seed,
-        "fraction": fraction,
-        "max_trials": trials,
-        "algorithms": list(algorithms),
-        "storage_bound_bytes": float(bound),
+        "seed": parsed.seed,
+        "fraction": parsed.fraction,
+        "max_trials": parsed.trials,
+        "algorithms": parsed.algorithms,
+        "storage_bound_bytes": parsed.storage_bound_bytes,
         "store_dir": store_dir,
     }
     tracer = (Tracer.to_path(args.trace) if args.trace is not None
               else None)
+    advisor = WhatIfAdvisor(
+        parsed.tables, parsed.queries, algorithms=parsed.algorithms,
+        fraction=parsed.fraction, max_trials=parsed.trials,
+        seed=parsed.seed, executor=executor, store=store_dir,
+        prune=args.prune, adaptive=args.adaptive, tracer=tracer)
     if args.what_if:
-        advisor = WhatIfAdvisor(
-            tables, queries, algorithms=algorithms, fraction=fraction,
-            max_trials=trials, seed=seed, executor=executor,
-            store=store_dir, prune=args.prune, adaptive=args.adaptive,
-            tracer=tracer)
-        result = advisor.advise(float(bound))
-        if tracer is not None:
-            _close_and_summarize(tracer, args.trace)
+        result = advisor.advise(parsed.storage_bound_bytes)
         payload["prune"] = args.prune
         payload["adaptive"] = args.adaptive
         payload["what_if"] = result.report.as_dict()
@@ -652,20 +634,13 @@ def _cmd_advise(args: argparse.Namespace) -> str:
                          "sample_cache_hits", "whatif_rounds",
                          "whatif_pruned", "whatif_early_stops",
                          "whatif_trials_saved")}
-    elif tracer is not None:
-        # A traced eager run builds the engine here so the tracer rides
-        # along; engine= then carries seed/executor/store itself.
-        engine = EstimationEngine(seed=seed, executor=executor,
-                                  store=store_dir, tracer=tracer)
-        result = advise_from_data(
-            tables, queries, float(bound), algorithms=algorithms,
-            fraction=fraction, trials=trials, engine=engine)
-        _close_and_summarize(tracer, args.trace)
     else:
-        result = advise_from_data(
-            tables, queries, float(bound), algorithms=algorithms,
-            fraction=fraction, trials=trials, seed=seed,
-            executor=executor, store=store_dir)
+        result = select_indexes(
+            advisor.candidates(), parsed.queries,
+            stats_for_tables(parsed.tables),
+            parsed.storage_bound_bytes)
+    if tracer is not None:
+        _close_and_summarize(tracer, args.trace)
     payload.update({
         "cost_before": result.cost_before,
         "cost_after": result.cost_after,

@@ -199,6 +199,16 @@ def empirical_trial_mean_interval(values, total_trials: int,
                       deterministic=False)
 
 
+def next_trial_stage(trials_run: int, budget: int) -> int:
+    """Trials run after the next stage of a staged allocation.
+
+    The schedule doubles: 1, 2, 4, ... trials, clipped to ``budget``.
+    Each stage is checked against the trial-mean intervals above
+    before the next one is paid for.
+    """
+    return min(budget, max(1, 2 * trials_run))
+
+
 def ns_sample_size_for_width(target_halfwidth: float,
                              confidence: float = 0.95,
                              stored_fraction_range: tuple[float, float] =

@@ -9,26 +9,27 @@
       3. Compress index I' using C
       4. Return CF for index I'
 
-Three execution paths share the same estimator object:
+Two execution paths share the same estimator object:
 
 * :meth:`SampleCF.estimate_table` — the literal algorithm against the
-  storage engine: draw rows, bulk-load a real index on them, compress
-  its leaf pages, report the sample's CF. Supports every sampler,
+  storage engine: draw rows, build the sample's index leaves, size them
+  compressed, report the sample's CF. Supports every sampler,
   including block sampling, and every registered algorithm.
-* :meth:`SampleCF.estimate_index` — sample the leaves of an *existing*
-  index instead of the base table (Section II-C notes this cheaper
-  variant).
+  :meth:`SampleCF.estimate_index` is this path run over an *existing*
+  index's leaf pages instead of the base table (Section II-C notes
+  this cheaper variant), via :meth:`~repro.storage.index.Index.leaf_table`.
 * :meth:`SampleCF.estimate_histogram` — the closed-form fast path over a
   :class:`~repro.core.cf_models.ColumnHistogram`; distributionally
   identical to the storage path for model-able algorithms and fast
   enough for the paper's 100M-row Example 1.
 
-``SampleCF`` is a thin single-request facade: the table and histogram
-paths build an :class:`~repro.engine.requests.EstimationRequest` and run
-it on the shared :class:`~repro.engine.engine.EstimationEngine`, so
-repeated calls over the same table reuse materialized samples and built
-sample indexes. Results are bit-identical to running the algorithm
-inline for a fixed seed.
+``SampleCF`` is a thin single-request facade: every call builds an
+:class:`~repro.engine.requests.EstimationRequest` and runs it on the
+shared :class:`~repro.engine.engine.EstimationEngine`, so repeated
+calls over the same table or index reuse materialized samples and
+built sample indexes (and, with a store attached, persisted ones).
+Results are bit-identical to running the algorithm inline for a fixed
+seed.
 
 Ground truth comes from :func:`true_cf_table` / :func:`true_cf_histogram`
 (compress everything, no sampling).
@@ -36,7 +37,7 @@ Ground truth comes from :func:`true_cf_table` / :func:`true_cf_histogram`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from repro.constants import DEFAULT_PAGE_SIZE
 from repro.errors import EstimationError, SamplingError
 from repro.sampling.base import RowSampler, rows_for_fraction
 from repro.sampling.block import BlockSampler
-from repro.sampling.rng import SeedLike, make_rng
+from repro.sampling.rng import SeedLike
 from repro.sampling.row_samplers import WithReplacementSampler
 from repro.storage.index import Accounting, Index, IndexKind
 from repro.storage.table import Table
@@ -102,14 +103,16 @@ class SampleCF:
     sampler:
         Sampling design; defaults to the paper's uniform-with-replacement
         tuple sampler. :class:`BlockSampler` is accepted on the table
-        path only (block sampling has no layout-free histogram model).
+        and index paths only (block sampling has no layout-free
+        histogram model).
     accounting:
         ``payload`` (paper model, default) or ``physical``.
     repack:
         Whether compressed pages are repacked to capacity (``physical``
         realism knob; see :meth:`Index.compress`).
     page_size / fill_factor:
-        Layout of the index built on the sample.
+        Layout of the index built on the sample;
+        :meth:`estimate_index` uses the sampled index's own instead.
     engine:
         The :class:`~repro.engine.engine.EstimationEngine` to run on;
         defaults to the shared process-wide engine, whose sample cache
@@ -186,60 +189,26 @@ class SampleCF:
 
     def estimate_index(self, index: Index, fraction: float,
                        seed: SeedLike = None) -> SampleCFEstimate:
-        """Run SampleCF by sampling an existing index's leaf entries."""
+        """Run SampleCF by sampling an existing index's leaf entries.
+
+        This is :meth:`estimate_table` over :meth:`Index.leaf_table`,
+        with the sample index clustered on the index key and laid out
+        with the index's own page size and fill factor. The path reads
+        ``"index"`` (``"index_block"`` under block sampling).
+        """
         if index.num_entries == 0:
             raise EstimationError("cannot estimate over an empty index")
-        if isinstance(self.sampler, BlockSampler):
-            return self._estimate_index_blocks(index, fraction, seed)
-        rng = make_rng(seed)
-        r = rows_for_fraction(index.num_entries, fraction)
-        positions = self.sampler.sample_positions(index.num_entries, r,
-                                                  rng)
-        # One streaming pass over the leaves; never materializes the
-        # full leaf-record list the way the pre-engine code did.
-        sampled = index.leaf_records_at([int(p) for p in positions])
-        return self._finish_index_sample(index, sampled, fraction,
-                                         path="index")
-
-    def _estimate_index_blocks(self, index: Index, fraction: float,
-                               seed: SeedLike) -> SampleCFEstimate:
-        rng = make_rng(seed)
-        pages = list(index.leaf_pages())
-        r = rows_for_fraction(index.num_entries, fraction)
-        block = self.sampler.sample_records(pages, r, rng)
-        # Block-sampling diagnostics go in through the constructor:
-        # SampleCFEstimate is frozen, and mutating details after
-        # construction would bypass its __post_init__-time invariants.
-        return self._finish_index_sample(
-            index, list(block.records), fraction, path="index_block",
-            extra_details={"pages_sampled": len(block.page_ids),
-                           "pages_available": block.pages_available})
-
-    def _finish_index_sample(self, index: Index, sampled: list[bytes],
-                             fraction: float, path: str,
-                             extra_details: dict | None = None,
-                             ) -> SampleCFEstimate:
-        sample_index = index.clone_with_records(sampled)
-        result = sample_index.estimate_compression(
-            self.algorithm, accounting=self.accounting,
-            repack_pages=self.repack)
-        distinct = len({index.leaf_record_key(record)
-                        for record in sampled})
-        details = {"pages_before": result.pages_before,
-                   "pages_after": result.pages_after}
-        if extra_details:
-            details.update(extra_details)
-        return SampleCFEstimate(
-            estimate=result.compression_fraction,
-            sample_rows=len(sampled),
-            sampling_fraction=fraction,
-            algorithm=self.algorithm.name,
-            accounting=self.accounting,
-            path=path,
-            uncompressed_sample_bytes=result.uncompressed_bytes,
-            compressed_sample_bytes=result.compressed_bytes,
-            sample_distinct=distinct,
-            details=details)
+        estimator = SampleCF(self.algorithm, sampler=self.sampler,
+                             accounting=self.accounting,
+                             repack=self.repack,
+                             page_size=index.page_size,
+                             fill_factor=index.fill_factor,
+                             engine=self._engine)
+        estimate = estimator.estimate_table(
+            index.leaf_table(), fraction, index.key_columns,
+            kind=IndexKind.CLUSTERED, seed=seed)
+        return replace(estimate, path="index_block"
+                       if estimate.path == "block" else "index")
 
     # ------------------------------------------------------------------
     # Histogram fast path

@@ -7,8 +7,7 @@ from repro.experiments.report import (banner, fmt_bytes, fmt_float,
 from repro.experiments.runner import (AdaptiveTrials, SweepPoint, Timed,
                                       engine_sweep, run_request_trials,
                                       run_request_trials_adaptive,
-                                      run_trials, summarize_request,
-                                      summarize_trials, sweep, timed)
+                                      run_trials, timed)
 
 __all__ = [
     "AdaptiveTrials",
@@ -27,8 +26,5 @@ __all__ = [
     "run_request_trials",
     "run_request_trials_adaptive",
     "run_trials",
-    "summarize_request",
-    "summarize_trials",
-    "sweep",
     "timed",
 ]

@@ -8,8 +8,8 @@ for the report formatter.
 
 Two execution styles coexist:
 
-* **callable trials** (:func:`run_trials` / :func:`sweep`) — the
-  historical API: the experiment supplies a function of a Generator;
+* **callable trials** (:func:`run_trials`) — the historical API: the
+  experiment supplies a function of a Generator;
 * **engine batches** (:func:`run_request_trials` /
   :func:`engine_sweep`) — the experiment supplies
   :class:`~repro.engine.requests.EstimationRequest` descriptions and
@@ -40,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: A trial function: receives a dedicated Generator, returns an estimate.
 TrialFn = Callable[[np.random.Generator], float]
 
+#: Confidence level of :func:`run_request_trials_adaptive`'s stopping
+#: interval.
+ADAPTIVE_CONFIDENCE = 0.99
+
 
 def run_trials(trial: TrialFn, trials: int,
                seed: SeedLike = None) -> np.ndarray:
@@ -51,13 +55,6 @@ def run_trials(trial: TrialFn, trials: int,
                       dtype=np.float64)
 
 
-def summarize_trials(true_value: float, trial: TrialFn, trials: int,
-                     seed: SeedLike = None) -> ErrorSummary:
-    """Run trials and fold them into an :class:`ErrorSummary`."""
-    estimates = run_trials(trial, trials, seed)
-    return ErrorSummary.from_estimates(true_value, estimates)
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One point of a parameter sweep."""
@@ -65,26 +62,6 @@ class SweepPoint:
     parameter: Any
     summary: ErrorSummary
     extra: dict
-
-
-def sweep(parameters: Iterable[Any],
-          make_truth_and_trial: Callable[[Any], tuple[float, TrialFn, dict]],
-          trials: int, seed: SeedLike = None) -> list[SweepPoint]:
-    """Evaluate an estimator across a parameter grid.
-
-    ``make_truth_and_trial(parameter)`` returns ``(truth, trial_fn,
-    extra)``; each grid point runs ``trials`` independent trials. Used
-    by the theorem benches (sweep over ``f``, ``n``, or ``alpha``).
-    """
-    points: list[SweepPoint] = []
-    parameters = list(parameters)
-    generators = spawn_rngs(seed, len(parameters))
-    for parameter, rng in zip(parameters, generators):
-        truth, trial, extra = make_truth_and_trial(parameter)
-        summary = summarize_trials(truth, trial, trials, rng)
-        points.append(SweepPoint(parameter=parameter, summary=summary,
-                                 extra=dict(extra)))
-    return points
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +155,6 @@ def run_request_trials_adaptive(request: "EstimationRequest",
                                 = None,
                                 store: "SampleStore | str | None" = None,
                                 tolerance: float = 0.005,
-                                confidence: float = 0.99,
                                 ) -> AdaptiveTrials:
     """Staged trial allocation for a plain request, outside the advisor.
 
@@ -192,7 +168,8 @@ def run_request_trials_adaptive(request: "EstimationRequest",
     beyond the tolerance. Requires a non-opaque seed (staged replay
     needs reproducible per-trial identities).
     """
-    from repro.core.confidence import empirical_trial_mean_interval
+    from repro.core.confidence import (empirical_trial_mean_interval,
+                                       next_trial_stage)
 
     budget = trials if trials is not None else request.trials
     if budget <= 0:
@@ -208,18 +185,15 @@ def run_request_trials_adaptive(request: "EstimationRequest",
     halfwidth: float | None = None
     converged = False
     while len(values) < budget:
-        # Doubling schedule: 1, then as many as already ran (1, 2, 4,
-        # ...), clipped to the budget.
-        count = min(max(1, len(values)), budget - len(values))
-        batch = resolved.execute(
-            list(per_trial[len(values):len(values) + count]),
-            executor=executor)
+        stage = per_trial[len(values):next_trial_stage(len(values),
+                                                       budget)]
+        batch = resolved.execute(list(stage), executor=executor)
         values.extend(float(result.values[0])
                       for result in batch.results)
-        stages.append(count)
+        stages.append(len(stage))
         interval = empirical_trial_mean_interval(
             np.asarray(values, dtype=np.float64), budget,
-            confidence=confidence)
+            confidence=ADAPTIVE_CONFIDENCE)
         if interval is not None:
             halfwidth = float(interval.width) / 2.0
             if halfwidth <= tolerance:
@@ -228,16 +202,6 @@ def run_request_trials_adaptive(request: "EstimationRequest",
     return AdaptiveTrials(values=np.asarray(values, dtype=np.float64),
                           trials_budget=budget, stages=tuple(stages),
                           halfwidth=halfwidth, converged=converged)
-
-
-def summarize_request(true_value: float, request: "EstimationRequest",
-                      trials: int | None = None,
-                      engine: "EstimationEngine | None" = None,
-                      seed: SeedLike = None) -> ErrorSummary:
-    """Engine-backed analogue of :func:`summarize_trials`."""
-    estimates = run_request_trials(request, trials=trials, engine=engine,
-                                   seed=seed)
-    return ErrorSummary.from_estimates(true_value, estimates)
 
 
 def engine_sweep(parameters: Iterable[Any],

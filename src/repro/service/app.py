@@ -51,7 +51,7 @@ from repro.obs import (MetricsRegistry, absorb_engine_stats,
 from repro.service.batching import MicroBatcher
 from repro.service.errors import (BadRequest, DeadlineExceeded,
                                   PayloadTooLarge, ServiceError)
-from repro.service.schemas import (WorkloadCache, build_advise_query,
+from repro.service.schemas import (WorkloadCache, build_advise,
                                    build_advise_table, build_batch,
                                    build_batch_workload, candidate_entry,
                                    parse_spec_text, request_result_entry)
@@ -240,38 +240,21 @@ class EstimationService:
         """
         from repro.advisor import WhatIfAdvisor
 
-        table_specs = spec.get("tables")
-        query_specs = spec.get("queries")
-        if not isinstance(table_specs, dict) or not table_specs:
-            raise BadRequest("advise spec needs a non-empty 'tables' "
-                             "object")
-        if not isinstance(query_specs, list) or not query_specs:
-            raise BadRequest("advise spec needs a non-empty 'queries' "
-                             "list")
-        bound = spec.get("storage_bound_bytes")
-        if bound is None:
-            raise BadRequest("advise spec needs 'storage_bound_bytes'")
-        tables = {name: self.advise_tables(name, tspec)
-                  for name, tspec in table_specs.items()}
-        queries = [build_advise_query(position, item, tables)
-                   for position, item in enumerate(query_specs)]
-        seed = int(spec.get("seed", 0))
+        parsed = build_advise(spec, self.advise_tables)
         advisor = WhatIfAdvisor(
-            tables, queries,
-            algorithms=spec.get("algorithms", ["page"]),
-            fraction=float(spec.get("fraction", 0.01)),
-            max_trials=int(spec.get("trials", 1)),
-            seed=seed,
-            store=self.engine.store,
+            parsed.tables, parsed.queries, algorithms=parsed.algorithms,
+            fraction=parsed.fraction, max_trials=parsed.trials,
+            seed=parsed.seed, store=self.engine.store,
             prune=bool(spec.get("prune", True)),
             adaptive=bool(spec.get("adaptive", True)))
         with self.batcher.try_execute_slot():
-            result = advisor.advise(float(bound), on_round=on_round)
+            result = advisor.advise(parsed.storage_bound_bytes,
+                                    on_round=on_round)
         assert result.report is not None
         return {
             "mode": "what-if",
-            "seed": seed,
-            "storage_bound_bytes": float(bound),
+            "seed": parsed.seed,
+            "storage_bound_bytes": parsed.storage_bound_bytes,
             "cost_before": result.cost_before,
             "cost_after": result.cost_after,
             "improvement": result.improvement,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ReproError
@@ -213,6 +214,51 @@ def build_advise_query(position: int, item: Any,
         columns=tuple(str(column) for column in columns),
         selectivity=float(item.get("selectivity", 1.0)),
         weight=float(item.get("weight", 1.0)))
+
+
+@dataclass(frozen=True)
+class AdviseSpec:
+    """One validated advise spec: the advisor's inputs and the bound."""
+
+    tables: dict[str, Any]
+    queries: list[Query]
+    storage_bound_bytes: float
+    algorithms: list[str]
+    fraction: float
+    trials: int
+    seed: int
+
+
+def build_advise(spec: dict,
+                 table_builder: "Callable[[str, Any], Any] | None" = None,
+                 ) -> AdviseSpec:
+    """Validate one advise spec, filling the shared defaults.
+
+    ``table_builder`` lets the service route table construction
+    through its :class:`WorkloadCache`; the CLI passes nothing and
+    builds fresh tables per invocation.
+    """
+    builder = (build_advise_table if table_builder is None
+               else table_builder)
+    table_specs = spec.get("tables")
+    query_specs = spec.get("queries")
+    if not isinstance(table_specs, dict) or not table_specs:
+        raise ReproError("advise spec needs a non-empty 'tables' object")
+    if not isinstance(query_specs, list) or not query_specs:
+        raise ReproError("advise spec needs a non-empty 'queries' list")
+    bound = spec.get("storage_bound_bytes")
+    if bound is None:
+        raise ReproError("advise spec needs 'storage_bound_bytes'")
+    tables = {name: builder(name, tspec)
+              for name, tspec in table_specs.items()}
+    queries = [build_advise_query(position, item, tables)
+               for position, item in enumerate(query_specs)]
+    return AdviseSpec(
+        tables=tables, queries=queries, storage_bound_bytes=float(bound),
+        algorithms=list(spec.get("algorithms", ["page"])),
+        fraction=float(spec.get("fraction", 0.01)),
+        trials=int(spec.get("trials", 1)),
+        seed=int(spec.get("seed", 0)))
 
 
 def candidate_entry(candidate) -> dict[str, Any]:

@@ -9,7 +9,7 @@ sampling) as well as record-level scans.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,18 @@ class HeapFile:
         self._pages: list[Page] = []
         self._record_count = 0
         self._fingerprint: tuple[int, str] | None = None
+
+    @classmethod
+    def from_pages(cls, pages: Sequence[Page], page_size: int,
+                   ) -> "HeapFile":
+        """A heap over existing slotted pages, kept as they are.
+
+        Page ``i`` must carry ``page_id == i``: RIDs are positional.
+        """
+        heap = cls(page_size=page_size)
+        heap._pages = list(pages)
+        heap._record_count = sum(page.slot_count for page in heap._pages)
+        return heap
 
     # ------------------------------------------------------------------
     # Mutation

@@ -22,19 +22,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Literal, Sequence
 
 from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE)
 from repro.errors import CompressionError, IndexError_
 from repro.storage.btree import DEFAULT_FANOUT, BPlusTree
+from repro.storage.heap import HeapFile
 from repro.storage.leaf_image import LeafImage, repacked_result
 from repro.storage.page import Page
-from repro.storage.record import (decode_record, encode_record, record_key)
+from repro.storage.record import decode_record, encode_record
 from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema
 from repro.storage.types import BigIntType
 from repro.compression.base import (CompressionAlgorithm, CompressionResult)
 from repro.compression.repack import compressed_page_capacity
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.table import Table
 
 Accounting = Literal["payload", "physical"]
 
@@ -94,14 +98,16 @@ class Index:
             projected.append(Column(RID_COLUMN, BigIntType()))
             self.leaf_schema = Schema(projected)
         self._tree = BPlusTree(page_size=page_size, max_fanout=max_fanout)
-        # The size-only estimation path's leaf image, built lazily and
-        # shared by every algorithm sizing this index.
+        # The size-only estimation path's leaf image and the sampling
+        # path's leaf table, each built lazily and shared by every call.
         self._leaf_image: LeafImage | None = None
+        self._leaf_table: "Table | None" = None
 
     def __getstate__(self) -> dict:
-        """Pickle without the leaf image (a copy of the leaves, bulky)."""
+        """Pickle without the leaf image or table (copies of the leaves)."""
         state = dict(self.__dict__)
         state["_leaf_image"] = None
+        state["_leaf_table"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -136,6 +142,7 @@ class Index:
             entries, page_size=self.page_size, max_fanout=self.max_fanout,
             fill_factor=self.fill_factor)
         self._leaf_image = None
+        self._leaf_table = None
         return self
 
     def build_from_rows(self, rows: Sequence[Sequence[Any]]) -> "Index":
@@ -150,6 +157,7 @@ class Index:
         self.table_schema.validate_row(row)
         self._tree.insert(self.key_of(row), self._leaf_record(row, rid))
         self._leaf_image = None
+        self._leaf_table = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -192,72 +200,24 @@ class Index:
         for leaf in self._tree.leaves():
             yield from leaf.records
 
-    def leaf_records_at(self, positions: Sequence[int]) -> list[bytes]:
-        """Leaf records at the given entry positions, in request order.
+    def leaf_table(self) -> "Table":
+        """The leaf level as a :class:`Table` (cached until rebuilt).
 
-        Positions are 0-based offsets into the key-ordered leaf-record
-        sequence and may repeat (with-replacement samples) or arrive
-        unsorted. One streaming pass over the leaves suffices, stopping
-        at the last needed leaf — the estimator's sampling access path,
-        which must not materialize all ``num_entries`` records.
+        Its schema is :attr:`leaf_schema` and its heap is the index's
+        own leaf pages, not repacked, so a block sampler sees the
+        index's leaf boundaries. SampleCF samples an existing index
+        through it; one object per build keeps every such estimate on
+        one engine source key. Read-only: inserting into it would not
+        reach the index.
         """
-        wanted: dict[int, list[int]] = {}
-        for slot, position in enumerate(positions):
-            position = int(position)
-            if not 0 <= position < self.num_entries:
-                raise IndexError_(
-                    f"leaf position {position} out of range "
-                    f"[0, {self.num_entries})")
-            wanted.setdefault(position, []).append(slot)
-        out: list[bytes | None] = [None] * len(positions)
-        pending = sorted(wanted)
-        cursor = 0
-        base = 0
-        for leaf in self._tree.leaves():
-            records = leaf.records
-            end = base + len(records)
-            while cursor < len(pending) and pending[cursor] < end:
-                position = pending[cursor]
-                record = records[position - base]
-                for slot in wanted[position]:
-                    out[slot] = record
-                cursor += 1
-            if cursor == len(pending):
-                break
-            base = end
-        return out
+        if self._leaf_table is None:
+            from repro.storage.table import Table  # cycle: table -> index
 
-    def leaf_record_key(self, record: bytes) -> tuple[Any, ...]:
-        """Extract the index key from a leaf record's bytes.
-
-        Decodes only the key columns: a clustered leaf skips the
-        non-key payload, a non-clustered leaf skips its RID locator —
-        this runs once per sampled record on the estimation path.
-        """
-        if self.kind is IndexKind.CLUSTERED:
-            return record_key(self.table_schema, record,
-                              self._key_positions)
-        return record_key(self.leaf_schema, record,
-                          range(len(self.key_columns)))
-
-    def clone_with_records(self, records: Sequence[bytes]) -> "Index":
-        """A new index with identical configuration over ``records``.
-
-        This is the "build an index on the sample" step when the sample
-        was drawn from an *existing* index's leaves (Section II-C notes
-        that sampling the index directly is more efficient than sampling
-        the base table).
-        """
-        clone = Index(self.name, self.table_schema, self.key_columns,
-                      kind=self.kind, page_size=self.page_size,
-                      fill_factor=self.fill_factor,
-                      max_fanout=self.max_fanout)
-        entries = [(self.leaf_record_key(record), bytes(record))
-                   for record in records]
-        clone._tree = BPlusTree.bulk_load(
-            entries, page_size=self.page_size, max_fanout=self.max_fanout,
-            fill_factor=self.fill_factor)
-        return clone
+            self._leaf_table = Table.from_heap(
+                self.name, self.leaf_schema,
+                HeapFile.from_pages(list(self.leaf_pages()),
+                                    self.page_size))
+        return self._leaf_table
 
     def validate(self) -> None:
         """Structural self-check (delegates to the B+-tree)."""

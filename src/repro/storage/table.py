@@ -74,6 +74,15 @@ class Table:
         table.insert_many(rows)
         return table
 
+    @classmethod
+    def from_heap(cls, name: str, schema: Schema,
+                  heap: HeapFile) -> "Table":
+        """A table over an existing heap, its records kept as stored."""
+        table = cls(name, schema, page_size=heap.page_size)
+        table.heap = heap
+        table._rids = [rid for rid, _ in heap.scan()]
+        return table
+
     def insert(self, row: Sequence[Any]) -> RID:
         """Insert one row; updates all existing indexes."""
         record = encode_record(self.schema, row)

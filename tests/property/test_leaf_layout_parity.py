@@ -13,6 +13,9 @@ and fill factors 0.5–1.0, the image must hold the oracle's leaf pages
 byte for byte, count the same distinct keys, and size to exactly
 ``Index.compress`` for every registered algorithm, with the size
 kernels on and off. An empty sample fails as an empty index does.
+Existing indexes are one more source: ``SampleCF.estimate_index``
+(the table path over the index's leaf pages) must equal the same draw
+taken by hand over the leaves, decoded and rebuilt with ``Index.build``.
 Guard tests prove the sample path never decodes or builds through the
 B+-tree, and that the draw still rejects a malformed heap record.
 """
@@ -29,10 +32,13 @@ from hypothesis import given, settings, strategies as st
 from repro.compression.kernels import DISABLE_KERNELS_ENV
 from repro.compression.registry import get_algorithm, list_algorithms
 from repro.constants import PAGE_HEADER_SIZE, SLOT_SIZE
+from repro.core.samplecf import SampleCF
 from repro.engine import (EstimationEngine, EstimationRequest,
                           MaterializedSample, materialize_table_sample)
 from repro.errors import CompressionError, EncodingError, IndexError_
+from repro.sampling.base import rows_for_fraction
 from repro.sampling.block import BlockSampler
+from repro.sampling.rng import make_rng
 from repro.sampling.row_samplers import (BernoulliSampler,
                                          WithReplacementSampler,
                                          WithoutReplacementSampler)
@@ -110,6 +116,33 @@ def check_layout(table, sampler, fraction, seed, columns, kind,
         [list(page.records()) for page in oracle.leaf_pages()]
     assert entry.distinct == len({oracle.key_of(row) for row in rows})
     return entry, oracle
+
+
+def index_oracle(index, sampler, fraction, seed):
+    """Figure 2 by hand over an index's leaves, and the draw's extras.
+
+    The draw ``estimate_index`` makes, taken over ``leaf_records()``
+    (``leaf_pages()`` for the block sampler) and decoded, then a
+    clustered ``Index.build`` on the index key in the index's layout.
+    """
+    rng = make_rng(seed)
+    r = rows_for_fraction(index.num_entries, fraction)
+    extra = {}
+    if isinstance(sampler, BlockSampler):
+        block = sampler.sample_records(list(index.leaf_pages()), r, rng)
+        records = block.records
+        extra = {"pages_sampled": len(block.page_ids),
+                 "pages_available": block.pages_available}
+    else:
+        leaves = list(index.leaf_records())
+        records = [leaves[position] for position in
+                   sampler.sample_positions(index.num_entries, r, rng)]
+    rows = [decode_record(index.leaf_schema, record)
+            for record in records]
+    oracle = Index("oracle", index.leaf_schema, index.key_columns,
+                   page_size=index.page_size,
+                   fill_factor=index.fill_factor).build_from_rows(rows)
+    return oracle, rows, extra
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +236,46 @@ def test_image_sizes_match_compress(case):
                                      enabled)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=cases())
+def test_index_estimates_match_an_oracle_over_the_leaves(case):
+    """``estimate_index`` == the oracle, every algorithm and accounting."""
+    index = case["table"].create_index(
+        "ix", case["columns"], kind=case["kind"],
+        fill_factor=case["fill_factor"])
+    sampler = make_sampler(case["sampler"], case["fraction"])
+    oracle, rows, extra = index_oracle(index, sampler, case["fraction"],
+                                       case["seed"])
+    engine = EstimationEngine(seed=0)
+    for algorithm in ALGORITHMS:
+        for accounting, repack in (("payload", False),
+                                   ("physical", False),
+                                   ("physical", True)):
+            estimator = SampleCF(algorithm, sampler=sampler,
+                                 accounting=accounting, repack=repack,
+                                 engine=engine)
+            if not rows:
+                with pytest.raises(CompressionError):
+                    estimator.estimate_index(index, case["fraction"],
+                                             seed=case["seed"])
+                continue
+            got = estimator.estimate_index(index, case["fraction"],
+                                           seed=case["seed"])
+            want = oracle.compress(algorithm, accounting=accounting,
+                                   repack_pages=repack)
+            assert (got.estimate, got.sample_rows,
+                    got.uncompressed_sample_bytes,
+                    got.compressed_sample_bytes, got.sample_distinct,
+                    got.details, got.path) == (
+                want.compression_fraction, len(rows),
+                want.uncompressed_bytes, want.compressed_bytes,
+                len({oracle.key_of(row) for row in rows}),
+                {"pages_before": want.pages_before,
+                 "pages_after": want.pages_after, **extra},
+                "index_block" if extra else "index"), (
+                algorithm.name, accounting, repack)
+
+
 # ----------------------------------------------------------------------
 # The two orderings the byte sort key must get right
 # ----------------------------------------------------------------------
@@ -286,6 +359,16 @@ def test_sample_path_never_decodes_or_uses_the_btree(monkeypatch):
                 for algorithm in ("null_suppression", "dictionary", "page")
                 for kind in IndexKind]
     expected = EstimationEngine(seed=4).execute(requests)
+    # Two identical indexes: one answers before the patches, the other
+    # builds its leaf table and sample index under them.
+    indexes = [table.create_index(f"ix{copy}", ("v", "n"))
+               for copy in range(2)]
+
+    def estimate_index(index):
+        return SampleCF("dictionary", engine=EstimationEngine(seed=4)) \
+            .estimate_index(index, 0.2, seed=3)
+
+    expected_index = estimate_index(indexes[0])
     for module in [m for name, m in sys.modules.items()
                    if name.startswith("repro") and m is not None]:
         if hasattr(module, "decode_record"):
@@ -301,6 +384,7 @@ def test_sample_path_never_decodes_or_uses_the_btree(monkeypatch):
         expected.stats["indexes_built"] > 0
     assert [result.estimates for result in batch.results] == \
         [result.estimates for result in expected.results]
+    assert estimate_index(indexes[1]) == expected_index
 
 
 @pytest.mark.parametrize("sampler", [WithoutReplacementSampler(),

@@ -13,9 +13,8 @@ from repro.sampling.row_samplers import (BernoulliSampler,
                                          WithReplacementSampler)
 from repro.storage.index import IndexKind
 from repro.compression.null_suppression import NullSuppression
-from repro.core.samplecf import SampleCF, true_cf_histogram
-from repro.experiments.runner import (engine_sweep, run_request_trials,
-                                      summarize_request)
+from repro.core.samplecf import SampleCF
+from repro.experiments.runner import engine_sweep, run_request_trials
 from repro.workloads.generators import make_histogram
 from repro.engine import (EstimationEngine, EstimationRequest,
                           ProcessPoolPlanExecutor, SampleCache,
@@ -617,14 +616,6 @@ class TestRunnerIntegration:
             trials=6, seed=3)
         assert values.shape == (6,)
         assert len(set(values.tolist())) > 1
-
-    def test_summarize_request(self, histogram):
-        truth = true_cf_histogram(histogram, "null_suppression")
-        summary = summarize_request(
-            truth, EstimationRequest(histogram=histogram, fraction=0.05),
-            trials=6, seed=3)
-        assert summary.trials == 6
-        assert summary.mean_ratio_error >= 1.0
 
     def test_engine_sweep_shares_samples(self, table):
         engine = EstimationEngine(seed=4)

@@ -8,8 +8,7 @@ from repro.experiments.registry import (EXPERIMENTS, get_experiment,
                                         list_experiments)
 from repro.experiments.report import (banner, fmt_bytes, fmt_float,
                                       format_markdown_table, format_table)
-from repro.experiments.runner import (run_trials, summarize_trials, sweep,
-                                      timed)
+from repro.experiments.runner import run_trials, timed
 
 
 class TestRunner:
@@ -23,24 +22,6 @@ class TestRunner:
     def test_run_trials_validation(self):
         with pytest.raises(ExperimentError):
             run_trials(lambda rng: 1.0, 0)
-
-    def test_summarize_trials(self):
-        trial = lambda rng: 0.5 + 0.01 * float(rng.standard_normal())  # noqa: E731
-        summary = summarize_trials(0.5, trial, 100, seed=1)
-        assert abs(summary.bias) < 0.01
-        assert summary.trials == 100
-
-    def test_sweep_structure(self):
-        def make(parameter):
-            truth = float(parameter)
-            return truth, lambda rng: truth + 0.0 * rng.random(), \
-                {"p": parameter}
-
-        points = sweep([1, 2, 3], make, trials=5, seed=2)
-        assert [point.parameter for point in points] == [1, 2, 3]
-        assert all(point.summary.mean == point.parameter
-                   for point in points)
-        assert points[0].extra == {"p": 1}
 
     def test_timed(self):
         result = timed(lambda: sum(range(1000)))

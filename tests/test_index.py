@@ -89,14 +89,6 @@ class TestLookup:
         assert [row[0] for row in index.range_scan()] == list("abc")
         index.validate()
 
-    def test_leaf_record_key(self):
-        clustered = build_clustered(["x"])
-        record = next(clustered.leaf_records())
-        assert clustered.leaf_record_key(record) == ("x",)
-        nonclustered = build_nonclustered(["x"])
-        record = next(nonclustered.leaf_records())
-        assert nonclustered.leaf_record_key(record) == ("x",)
-
 
 class TestSizes:
     def test_clustered_payload_is_rows_times_k(self):

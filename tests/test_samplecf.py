@@ -117,6 +117,30 @@ class TestEstimateIndex:
         assert result.path == "index_block"
         assert result.details["pages_sampled"] >= 1
 
+    def test_runs_on_the_engine_cache_and_store(self, table, tmp_path):
+        """Repeated calls share one sample; a rebuilt index hits disk."""
+        from repro.engine import EstimationEngine
+        from repro.store import SampleStore
+
+        def estimate(engine, index):
+            return SampleCF(NullSuppression(), engine=engine) \
+                .estimate_index(index, 0.1, seed=5)
+
+        index = table.create_index("ix", ["a"], kind=IndexKind.CLUSTERED)
+        engine = EstimationEngine(seed=0)
+        first = estimate(engine, index)
+        assert estimate(engine, index) == first
+        assert engine.stats["samples_materialized"] == 1
+        assert engine.stats["sample_cache_hits"] == 1
+        assert estimate(EstimationEngine(seed=0, store=SampleStore(
+            tmp_path)), index) == first
+        rebuilt = table.create_index("ix_again", ["a"],
+                                     kind=IndexKind.CLUSTERED)
+        fresh = EstimationEngine(seed=0, store=SampleStore(tmp_path))
+        assert estimate(fresh, rebuilt) == first
+        assert fresh.stats["samples_materialized"] == 0
+        assert fresh.stats["estimate_store_hits"] == 1
+
     def test_empty_index_rejected(self):
         from repro.storage.index import Index
 

@@ -201,6 +201,21 @@ class TestCounters:
         assert all(0 <= t <= TRIALS
                    for t in report.trials_by_candidate.values())
 
+    def test_candidates_after_advise_runs_only_the_saved_units(
+            self, tables, queries):
+        """Eager sizing resumes a lazy run: it pays exactly the units
+        ``advise`` saved, and a second call pays none."""
+        advisor = make_advisor(tables, queries)
+        report = advisor.advise(BOUNDS[0]).report
+        assert report.units_saved > 0
+        before = advisor.engine.stats["trials"]
+        candidates = advisor.candidates()
+        ran = advisor.engine.stats["trials"] - before
+        assert ran == report.units_eager - report.units_executed
+        assert advisor.candidates() == candidates
+        assert advisor.engine.stats["trials"] - before == ran
+        assert candidates == make_advisor(tables, queries).candidates()
+
     def test_budget_prune_skips_estimation_entirely(self, queries,
                                                     tables):
         """A bound below every index size prunes without any units.
