@@ -174,24 +174,32 @@ class ColumnHistogram:
             self._sorted_cache = histogram
         return self._sorted_cache
 
+    def expand_codes(self, order: Order = "sorted",
+                     seed: SeedLike = None) -> np.ndarray:
+        """The multiset's rows as int64 codes into the sorted values.
+
+        Row ``i`` holds ``sorted_by_value().values[codes[i]]``.
+        ``sorted`` gives the clustered layout; ``shuffled`` a random heap
+        layout (used by the block-sampling ablation), one
+        ``make_rng(seed).permutation`` of the sorted rows.
+        """
+        codes = np.repeat(np.arange(self.d, dtype=np.int64),
+                          self.sorted_by_value().counts)
+        if order == "sorted":
+            return codes
+        if order == "shuffled":
+            return codes[make_rng(seed).permutation(codes.size)]
+        raise EstimationError(f"unknown expansion order {order!r}")
+
     def expand(self, order: Order = "sorted",
                seed: SeedLike = None) -> list[Any]:
         """Materialise the multiset as a list of values.
 
-        ``sorted`` gives the clustered layout; ``shuffled`` a random heap
-        layout (used by the block-sampling ablation).
+        Rows come in :meth:`expand_codes` order.
         """
-        source = self.sorted_by_value()
-        expanded: list[Any] = []
-        for value, count in zip(source.values, source.counts):
-            expanded.extend([value] * int(count))
-        if order == "sorted":
-            return expanded
-        if order == "shuffled":
-            rng = make_rng(seed)
-            permutation = rng.permutation(len(expanded))
-            return [expanded[int(i)] for i in permutation]
-        raise EstimationError(f"unknown expansion order {order!r}")
+        values = self.sorted_by_value().values
+        return [values[code]
+                for code in self.expand_codes(order, seed).tolist()]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ColumnHistogram(dtype={self.dtype.name}, n={self.n}, "

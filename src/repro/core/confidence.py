@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.errors import EstimationError
 from repro.sampling.rng import SeedLike, make_rng
@@ -58,6 +57,8 @@ def _z_value(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise EstimationError(
             f"confidence must be in (0, 1), got {confidence}")
+    from scipy.special import ndtri  # local: importing scipy is slow
+
     return float(ndtri(0.5 + confidence / 2.0))
 
 

@@ -273,9 +273,7 @@ def true_cf_table(table: Table, key_columns: Sequence[str],
         algorithm = get_algorithm(algorithm)
     index = Index("truth", table.schema, key_columns, kind=kind,
                   page_size=page_size, fill_factor=fill_factor)
-    pairs = [(row, table.rid_at(position))
-             for position, row in enumerate(table.rows())]
-    index.build(pairs)
+    index.build(table.rows_with_rids())
     result = index.estimate_compression(algorithm, accounting=accounting,
                                         repack_pages=repack)
     return result.compression_fraction

@@ -25,7 +25,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.sampling.base import RowSampler, rows_for_fraction
 from repro.sampling.block import BlockSampler
 from repro.sampling.rng import make_rng
 from repro.storage.index import Index, IndexKind
-from repro.storage.leaf_image import LeafImage, RecordColumns, record_offsets
+from repro.storage.leaf_image import LeafImage, RecordColumns
 from repro.storage.table import Table
 from repro.core.cf_models import ColumnHistogram
 
@@ -150,33 +150,30 @@ def materialize_table_sample(table: Table,
     Reproduces :class:`SampleCF`'s historical draw exactly: the same
     ``make_rng(seed)`` stream and the same positions, so the facade's
     single-call results are bit-identical to pre-engine releases for a
-    fixed seed. The sampled records' heap bytes are gathered into one
-    buffer and checked against the schema without decoding them
+    fixed seed. The sampled records are gathered from the heap's page
+    images into one buffer, in one gather, and checked against the
+    schema without decoding them
     (:class:`~repro.storage.leaf_image.RecordColumns` raises
-    :class:`~repro.errors.EncodingError` for a malformed record).
+    :class:`~repro.errors.EncodingError` for a malformed record). A
+    block draw gathers every record of the pages
+    :meth:`~repro.sampling.block.BlockSampler.choose_pages` picks.
     """
     if table.num_rows == 0:
         raise EstimationError("cannot estimate over an empty table")
     rng = make_rng(seed)
     r = rows_for_fraction(table.num_rows, fraction)
+    heap = table.heap
     extra: dict = {}
-    records: Sequence[bytes]
     if isinstance(sampler, BlockSampler):
-        block = sampler.sample_records(table.heap.page_view(), r, rng)
-        records, path = block.records, "block"
-        rids = np.fromiter(((page_id << 32) | slot
-                            for page_id, slot in block.rids),
-                           dtype=np.int64, count=len(block.rids))
-        extra = {"pages_sampled": len(block.page_ids),
-                 "pages_available": block.pages_available}
+        pages = sampler.choose_pages(heap.slot_counts(), r, rng)
+        ordinals = heap.page_ordinals(pages)
+        path = "block"
+        extra = {"pages_sampled": int(pages.size),
+                 "pages_available": heap.num_pages}
     else:
-        positions = sampler.sample_positions(table.num_rows, r, rng)
-        records, rids = table.heap.records_at(positions)
+        ordinals = sampler.sample_positions(table.num_rows, r, rng)
         path = "storage"
-    buffer = np.frombuffer(b"".join(records), dtype=np.uint8)
-    offsets = record_offsets(np.fromiter(map(len, records),
-                                         dtype=np.int64,
-                                         count=len(records)))
+    buffer, offsets, rids = heap.gather(ordinals)
     # Validates as a decode would; raises EncodingError if malformed.
     RecordColumns(table.schema, buffer, offsets)
     return MaterializedSample(

@@ -47,6 +47,26 @@ class BlockSampler:
     name = "block"
     with_replacement = False
 
+    def choose_pages(self, counts: np.ndarray, target_rows: int,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Positions of the pages a draw keeps, in draw order.
+
+        ``counts`` holds each page's record count. Pages are taken in
+        one ``rng.permutation`` order until at least ``target_rows``
+        records are collected; if the pages run out first, every page
+        is taken.
+        """
+        if counts.size == 0:
+            raise SamplingError("cannot block-sample zero pages")
+        if target_rows <= 0:
+            raise SamplingError(
+                f"target rows must be positive, got {target_rows}")
+        order = rng.permutation(counts.size)
+        collected = np.cumsum(counts[order])
+        if collected[-1] == 0:
+            raise SamplingError("sampled pages contain no records")
+        return order[:int(np.searchsorted(collected, target_rows)) + 1]
+
     def sample_records(self, pages: Sequence[Page], target_rows: int,
                        rng: np.random.Generator) -> BlockSample:
         """Draw pages until at least ``target_rows`` rows are collected.
@@ -54,30 +74,26 @@ class BlockSampler:
         Pages are drawn uniformly without replacement; every record on a
         drawn page enters the sample (the block-sampling contract). If
         the table runs out of pages first, the whole table is returned.
+        The pages are those :meth:`choose_pages` picks, so this draws
+        what a draw over a heap with the same pages draws.
         """
         if not isinstance(pages, abc.Sequence):
             pages = list(pages)
-        if not pages:
-            raise SamplingError("cannot block-sample zero pages")
-        if target_rows <= 0:
-            raise SamplingError(
-                f"target rows must be positive, got {target_rows}")
-        order = rng.permutation(len(pages))
+        chosen = self.choose_pages(
+            np.fromiter((page.slot_count for page in pages),
+                        dtype=np.int64, count=len(pages)),
+            target_rows, rng)
         records: list[bytes] = []
         rids: list[RID] = []
-        chosen: list[int] = []
-        for position in order:
-            page = pages[int(position)]
-            chosen.append(page.page_id)
+        page_ids: list[int] = []
+        for position in chosen.tolist():
+            page = pages[position]
+            page_ids.append(page.page_id)
             for slot, record in enumerate(page.records()):
                 records.append(record)
                 rids.append(RID(page.page_id, slot))
-            if len(records) >= target_rows:
-                break
-        if not records:
-            raise SamplingError("sampled pages contain no records")
         return BlockSample(records=tuple(records), rids=tuple(rids),
-                           page_ids=tuple(chosen),
+                           page_ids=tuple(page_ids),
                            pages_available=len(pages))
 
     def sample_fraction(self, pages: Sequence[Page], fraction: float,

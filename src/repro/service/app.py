@@ -347,6 +347,9 @@ class _ServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     # Keep-alive + chunked responses both require 1.1.
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
     server: _ServiceServer
 
     @property

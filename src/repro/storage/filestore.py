@@ -28,10 +28,10 @@ import pathlib
 import struct
 from typing import BinaryIO
 
+import numpy as np
+
 from repro.errors import PageFormatError, SchemaError
 from repro.storage.heap import HeapFile
-from repro.storage.page import Page
-from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from repro.storage.types import parse_type
@@ -43,11 +43,9 @@ _HEAP_HEADER = struct.Struct(">8sIIQ")
 
 def save_heap(heap: HeapFile, target: BinaryIO) -> None:
     """Write a heap file's pages to a binary stream."""
-    pages = list(heap.pages())
     target.write(_HEAP_HEADER.pack(_HEAP_MAGIC, heap.page_size,
-                                   len(pages), heap.num_records))
-    for page in pages:
-        target.write(page.to_bytes())
+                                   heap.num_pages, heap.num_records))
+    target.write(heap.images.data)
 
 
 def load_heap(source: BinaryIO) -> HeapFile:
@@ -59,14 +57,14 @@ def load_heap(source: BinaryIO) -> HeapFile:
         header)
     if magic != _HEAP_MAGIC:
         raise PageFormatError(f"bad heap magic {magic!r}")
-    heap = HeapFile(page_size=page_size)
-    for _ in range(page_count):
+    images = []
+    for _ in range(page_count):  # a page at a time: the count is unchecked
         image = source.read(page_size)
         if len(image) != page_size:
             raise PageFormatError("truncated page image")
-        page = Page.from_bytes(image)
-        heap._pages.append(page)
-        heap._record_count += page.slot_count
+        images.append(image)
+    heap = HeapFile.from_images(np.frombuffer(
+        b"".join(images), dtype=np.uint8).reshape(page_count, page_size))
     if heap.num_records != record_count:
         raise PageFormatError(
             f"header claims {record_count} records, pages hold "
@@ -112,10 +110,4 @@ def load_table(path: str | pathlib.Path) -> Table:
         if not type_spec:
             raise SchemaError(f"malformed column spec {spec!r}")
         columns.append(Column(column_name, parse_type(type_spec)))
-    heap = load_heap(source)
-    table = Table(name, Schema(columns), page_size=heap.page_size)
-    table.heap = heap
-    table._rids = [RID(page.page_id, slot)
-                   for page in heap.pages()
-                   for slot in range(page.slot_count)]
-    return table
+    return Table.from_heap(name, Schema(columns), load_heap(source))

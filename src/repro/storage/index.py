@@ -29,7 +29,7 @@ from repro.errors import CompressionError, IndexError_
 from repro.storage.btree import DEFAULT_FANOUT, BPlusTree
 from repro.storage.heap import HeapFile
 from repro.storage.leaf_image import LeafImage, repacked_result
-from repro.storage.page import Page
+from repro.storage.page import Page, PageType
 from repro.storage.record import decode_record, encode_record
 from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema
@@ -213,10 +213,11 @@ class Index:
         if self._leaf_table is None:
             from repro.storage.table import Table  # cycle: table -> index
 
+            image = self.leaf_image()
             self._leaf_table = Table.from_heap(
-                self.name, self.leaf_schema,
-                HeapFile.from_pages(list(self.leaf_pages()),
-                                    self.page_size))
+                self.name, self.leaf_schema, HeapFile.from_records(
+                    image.buffer, image.offsets, self.page_size,
+                    page_type=PageType.INDEX_LEAF, bounds=image.bounds))
         return self._leaf_table
 
     def validate(self) -> None:

@@ -42,7 +42,9 @@ import numpy as np
 from repro.constants import PAGE_HEADER_SIZE, SLOT_SIZE
 from repro.errors import (CompressionError, EncodingError, IndexError_,
                           KernelUnavailable)
-from repro.storage.record import fixed_column_offsets
+from repro.storage.page import pack_bounds
+from repro.storage.record import (fixed_column_offsets, gather_spans,
+                                  record_offsets)
 from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, CharType, IntegerType,
                                  VarCharType)
@@ -58,22 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _PREFIX = VarCharType.LENGTH_PREFIX_BYTES
 _SIGN_FLIP_64 = np.uint64(1 << 63)
-
-
-def record_offsets(lengths: np.ndarray) -> np.ndarray:
-    """Fence-post offsets (``n + 1`` int64 entries) of records."""
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return offsets
-
-
-def _gather(source: np.ndarray, starts: np.ndarray,
-           lengths: np.ndarray) -> np.ndarray:
-    """``source[starts[i]:starts[i] + lengths[i]]`` for all ``i``, joined."""
-    ends = np.cumsum(lengths)
-    index = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
-    index += np.repeat(starts - (ends - lengths), lengths)
-    return source[index]
 
 
 def _be16(values: np.ndarray) -> np.ndarray:
@@ -251,16 +237,9 @@ class LeafImage:
             raise IndexError_(
                 f"record of {int(lengths.max())} bytes cannot fit a "
                 f"{page_size}-byte leaf page")
-        budget = int(fill_factor * page_size) - PAGE_HEADER_SIZE
-        used = record_offsets(lengths + SLOT_SIZE)
-        bounds = [0]
-        while bounds[-1] < lengths.size:
-            start = bounds[-1]
-            stop = int(np.searchsorted(used, used[start] + budget,
-                                       side="right")) - 1
-            bounds.append(max(stop, start + 1))
         return cls(name, schema, buffer, offsets,
-                   np.array(bounds, dtype=np.int64), page_size)
+                   pack_bounds(lengths, int(fill_factor * page_size)
+                               - PAGE_HEADER_SIZE), page_size)
 
     @classmethod
     def build(cls, layout: "Index", buffer: np.ndarray,
@@ -312,7 +291,8 @@ class LeafImage:
                 spans = np.hstack([
                     columns.lengths[order][:, positions],
                     np.full((columns.count, 1), 8, dtype=np.int64)])
-            leaf_buffer = _gather(source, starts.ravel(), spans.ravel())
+            leaf_buffer = gather_spans(source, starts.ravel(),
+                                       spans.ravel())
             lengths = spans.sum(axis=1)
         image = cls.pack(layout.name, layout.leaf_schema, leaf_buffer,
                          record_offsets(lengths), layout.page_size,

@@ -13,6 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.errors import EncodingError
 from repro.storage.schema import Schema
 from repro.storage.types import VarCharType
@@ -35,6 +37,32 @@ def fixed_column_offsets(schema: Schema) -> tuple[int, ...] | None:
             return None
         offsets.append(offsets[-1] + size)
     return tuple(offsets)
+
+
+def record_offsets(lengths: np.ndarray) -> np.ndarray:
+    """Fence-post offsets (``n + 1`` int64 entries) of records."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def gather_spans(source: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """``source[starts[i]:starts[i] + lengths[i]]`` for all ``i``, joined.
+
+    Spans of one width are copied as rows of a sliding-window view of
+    ``source``, indexed once per span. Otherwise the index has one
+    entry per gathered byte, so callers gather samples or single pages
+    that way, never a whole table.
+    """
+    if lengths.size and lengths[0] > 0 and (lengths == lengths[0]).all():
+        windows = np.lib.stride_tricks.sliding_window_view(
+            source, int(lengths[0]))
+        return windows[starts].reshape(-1)
+    ends = np.cumsum(lengths)
+    index = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    index += np.repeat(starts - (ends - lengths), lengths)
+    return source[index]
 
 
 def encode_record(schema: Schema, row: Sequence[Any]) -> bytes:

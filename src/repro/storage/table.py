@@ -5,6 +5,11 @@ indexes. It also provides the two access paths the estimator needs:
 
 * positional row access (uniform row sampling draws row positions),
 * page iteration (block-level sampling draws whole pages).
+
+Bulk constructors encode every row first and hand the records to the
+heap's one packer: :meth:`Table.from_rows` encodes row by row, and
+:meth:`Table.from_columns` encodes each distinct value of a
+dictionary-coded column once.
 """
 
 from __future__ import annotations
@@ -12,12 +17,14 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+
 from repro.constants import DEFAULT_PAGE_SIZE
 from repro.errors import SchemaError
 from repro.storage.heap import HeapFile
 from repro.storage.index import Index, IndexKind
 from repro.storage.page import Page
-from repro.storage.record import decode_record, encode_record
+from repro.storage.record import decode_record, encode_record, record_offsets
 from repro.storage.rid import RID
 from repro.storage.schema import Schema
 
@@ -35,7 +42,6 @@ class Table:
         self.heap = HeapFile(page_size=page_size)
         self._indexes: dict[str, Index] = {}
         self._pending_index_specs: list[tuple] = []
-        self._rids: list[RID] = []
 
     @property
     def indexes(self) -> dict[str, Index]:
@@ -52,8 +58,7 @@ class Table:
 
     def _rebuild_indexes(self) -> None:
         specs, self._pending_index_specs = self._pending_index_specs, []
-        pairs = [(decode_record(self.schema, record), rid)
-                 for rid, record in self.heap.scan()]
+        pairs = self.rows_with_rids()
         for name, key_columns, kind, page_size, fill_factor, \
                 max_fanout in specs:
             index = Index(name, self.schema, key_columns,
@@ -69,10 +74,55 @@ class Table:
     def from_rows(cls, name: str, schema: Schema,
                   rows: Sequence[Sequence[Any]],
                   page_size: int = DEFAULT_PAGE_SIZE) -> "Table":
-        """Create a table and load ``rows`` into it."""
-        table = cls(name, schema, page_size=page_size)
-        table.insert_many(rows)
-        return table
+        """A table holding ``rows``, each validated and encoded."""
+        records = [encode_record(schema, row) for row in rows]
+        buffer = np.frombuffer(b"".join(records), dtype=np.uint8)
+        offsets = record_offsets(np.fromiter(map(len, records),
+                                             dtype=np.int64,
+                                             count=len(records)))
+        return cls.from_heap(name, schema, HeapFile.from_records(
+            buffer, offsets, page_size=page_size))
+
+    @classmethod
+    def from_columns(cls, name: str, schema: Schema,
+                     columns: Sequence[tuple[Sequence[Any], np.ndarray]],
+                     page_size: int = DEFAULT_PAGE_SIZE) -> "Table":
+        """A table from dictionary-coded columns of a fixed-width schema.
+
+        ``columns`` gives, per schema column, its distinct ``values``
+        and integer ``codes`` into them, one per row: row ``i`` holds
+        ``values[codes[i]]`` of every column. Each distinct value is
+        validated and encoded once with its column's type, and row
+        ``i`` comes out exactly as :meth:`from_rows` would store it.
+        VARCHAR tables go through :meth:`from_rows`.
+        """
+        if len(columns) != len(schema):
+            raise SchemaError(f"{len(columns)} columns for a schema of "
+                              f"{len(schema)}")
+        parts = []
+        for column, (values, codes) in zip(schema.columns, columns):
+            width = column.dtype.fixed_size
+            if width is None:
+                raise SchemaError(
+                    f"from_columns needs fixed-width columns; "
+                    f"{column.name!r} is {column.dtype.name}")
+            encoded = np.frombuffer(
+                b"".join([column.dtype.encode(value) for value in values]),
+                dtype=np.uint8).reshape(len(values), width)
+            codes = np.asarray(codes, dtype=np.int64)
+            if codes.size and not (
+                    0 <= codes.min() and codes.max() < len(values)):
+                raise SchemaError(
+                    f"codes of column {column.name!r} outside "
+                    f"[0, {len(values)})")
+            parts.append(encoded[codes])
+        if len({part.shape[0] for part in parts}) != 1:
+            raise SchemaError("columns hold different numbers of rows")
+        rows = np.hstack(parts)
+        return cls.from_heap(name, schema, HeapFile.from_records(
+            rows.reshape(-1),
+            np.arange(rows.shape[0] + 1, dtype=np.int64) * rows.shape[1],
+            page_size=page_size))
 
     @classmethod
     def from_heap(cls, name: str, schema: Schema,
@@ -80,14 +130,12 @@ class Table:
         """A table over an existing heap, its records kept as stored."""
         table = cls(name, schema, page_size=heap.page_size)
         table.heap = heap
-        table._rids = [rid for rid, _ in heap.scan()]
         return table
 
     def insert(self, row: Sequence[Any]) -> RID:
         """Insert one row; updates all existing indexes."""
         record = encode_record(self.schema, row)
         rid = self.heap.insert(record)
-        self._rids.append(rid)
         for index in self.indexes.values():
             index.insert(row, rid)
         return rid
@@ -111,18 +159,25 @@ class Table:
         for record in self.heap.records():
             yield decode_record(self.schema, record)
 
+    def rows_with_rids(self) -> list[tuple[tuple[Any, ...], RID]]:
+        """Every decoded row with its RID, in physical order (the input
+        :meth:`Index.build` takes)."""
+        return [(decode_record(self.schema, record), rid)
+                for rid, record in self.heap.scan()]
+
     def row_at(self, position: int) -> tuple[Any, ...]:
         """The ``position``-th row ever inserted (0-based)."""
-        rid = self._rids[position]
-        return decode_record(self.schema, self.heap.get(rid))
+        return self.rows_at([position])[0]
 
     def rows_at(self, positions: Sequence[int]) -> list[tuple[Any, ...]]:
         """Rows at the given positions (the row-sampling access path)."""
-        return [self.row_at(position) for position in positions]
+        records, _ = self.heap.records_at(np.asarray(positions,
+                                                     dtype=np.int64))
+        return [decode_record(self.schema, record) for record in records]
 
     def rid_at(self, position: int) -> RID:
         """RID of the ``position``-th row."""
-        return self._rids[position]
+        return self.heap.rid_at(position)
 
     def column_values(self, column: str) -> list[Any]:
         """All values of one column, in physical row order."""
@@ -164,9 +219,7 @@ class Table:
                               f"table {self.name!r}")
         index = Index(name, self.schema, key_columns, kind=kind,
                       page_size=self.page_size, fill_factor=fill_factor)
-        pairs = [(decode_record(self.schema, record), rid)
-                 for rid, record in self.heap.scan()]
-        index.build(pairs)
+        index.build(self.rows_with_rids())
         self.indexes[name] = index
         return index
 
@@ -182,11 +235,10 @@ class Table:
     def __getstate__(self) -> dict:
         """Pickle via the heap: pages are the table's source of truth.
 
-        The RID list replays from a heap scan (inserts are append-only)
-        and indexes are recorded as configuration specs, rebuilt lazily
-        on first access — so neither is serialized, which keeps pickles
-        compact and lets plan units ship tables to process-pool workers
-        without paying for index rebuilds the estimator never uses.
+        Indexes are recorded as configuration specs, rebuilt lazily on
+        first access, which keeps pickles compact and lets plan units
+        ship tables to process-pool workers without paying for index
+        rebuilds the estimator never uses.
         """
         if self._pending_index_specs:
             index_specs = list(self._pending_index_specs)
@@ -208,7 +260,6 @@ class Table:
         self.schema = state["schema"]
         self.page_size = state["page_size"]
         self.heap = state["heap"]
-        self._rids = [rid for rid, _ in self.heap.scan()]
         self._indexes = {}
         self._pending_index_specs = list(state["index_specs"])
 

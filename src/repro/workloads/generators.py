@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.constants import DEFAULT_PAGE_SIZE
 from repro.errors import ExperimentError
@@ -48,8 +48,10 @@ def histogram_to_table(histogram: ColumnHistogram, name: str = "t",
         raise ExperimentError(
             "histogram_to_table currently materialises CHAR columns")
     schema = single_char_schema(dtype.k, column)
-    rows = [(value,) for value in histogram.expand(order, seed=seed)]
-    return Table.from_rows(name, schema, rows, page_size=page_size)
+    return Table.from_columns(
+        name, schema, [(histogram.sorted_by_value().values,
+                        histogram.expand_codes(order, seed=seed))],
+        page_size=page_size)
 
 
 def make_table(n: int, d: int, k: int, distribution: str = "zipf",
@@ -78,12 +80,13 @@ def make_multicolumn_table(name: str, n: int,
     rng = make_rng(seed)
     columns = [Column(cname, CharType(k)) for cname, k, _ in column_specs]
     schema = Schema(columns)
-    per_column: list[list[Any]] = []
+    per_column = []
     for cname, k, d in column_specs:
         histogram = make_histogram(
             n, d, k, distribution="zipf",
             seed=int(rng.integers(0, 2**63 - 1)))
-        per_column.append(histogram.expand(
-            "shuffled", seed=int(rng.integers(0, 2**63 - 1))))
-    rows = list(zip(*per_column))
-    return Table.from_rows(name, schema, rows, page_size=page_size)
+        per_column.append((histogram.sorted_by_value().values,
+                           histogram.expand_codes(
+                               "shuffled",
+                               seed=int(rng.integers(0, 2**63 - 1)))))
+    return Table.from_columns(name, schema, per_column, page_size=page_size)

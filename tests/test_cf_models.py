@@ -106,6 +106,23 @@ class TestColumnHistogram:
         histogram = ColumnHistogram(char8, ["a"], [1])
         with pytest.raises(EstimationError):
             histogram.expand("sideways")
+        with pytest.raises(EstimationError):
+            histogram.expand_codes("sideways")
+
+    def test_expand_codes_index_the_sorted_values(self, char8):
+        """Codes reproduce the permutation a value-by-value expansion
+        with the same seed's ``permutation`` gives."""
+        histogram = ColumnHistogram(char8, ["b", "a", "c"], [2, 3, 1])
+        values = histogram.sorted_by_value().values
+        sorted_rows = ["a", "a", "a", "b", "b", "c"]
+        assert [values[code] for code in histogram.expand_codes()] == \
+            sorted_rows
+        permutation = np.random.default_rng(4).permutation(6)
+        assert [values[code] for code in
+                histogram.expand_codes("shuffled", seed=4)] == \
+            [sorted_rows[i] for i in permutation]
+        assert histogram.expand("shuffled", seed=4) == \
+            [sorted_rows[i] for i in permutation]
 
     def test_integer_histogram(self):
         histogram = ColumnHistogram(IntegerType(), [5, -1, 300], [1, 2, 3])

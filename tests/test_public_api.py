@@ -2,10 +2,16 @@
 advertised quickstart works as written in the package docstring."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 SUBPACKAGES = ("storage", "compression", "sampling", "core", "workloads",
                "advisor", "experiments", "engine", "store")
@@ -71,3 +77,16 @@ class TestQuickstartContract:
             repro.get_scenario("no_such_scenario")
         with pytest.raises(repro.ReproError):
             repro.CharType(0)
+
+
+class TestImports:
+    def test_package_and_cli_import_without_scipy(self):
+        """scipy loads only when a confidence z-value or a distinct-value
+        expectation is computed, never on import."""
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "import repro, repro.cli")
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        completed = subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   timeout=120)
+        assert completed.returncode == 0, completed.stderr

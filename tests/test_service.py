@@ -14,6 +14,7 @@ service preserves it across transports and concurrency:
 """
 
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -28,7 +29,7 @@ from repro.cli import main
 from repro.engine.engine import EstimationEngine
 from repro.service import (MicroBatcher, ServiceConfig, TooManyRequests,
                            make_server)
-from repro.service.app import EstimationService
+from repro.service.app import EstimationService, _Handler
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -204,6 +205,25 @@ class TestEndpoints:
                                      "max_bytes": 10})
         assert status == 400
         assert payload["error"]["code"] == "bad_request"
+
+    def test_accepted_connections_disable_nagle(self, monkeypatch):
+        """Responses go out as two writes; with Nagle's algorithm on,
+        the second waits on the client's delayed ACK."""
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        base, _, stop = start_server(ServiceConfig(window=0.01))
+        try:
+            assert http_get(base, "/health")[0] == 200
+        finally:
+            stop()
+        assert nodelay and all(nodelay)
 
     def test_unknown_endpoint_is_404(self, served):
         base, _ = served
