@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates one paper artefact (DESIGN.md section 5): it
-prints the paper-style rows, persists them under ``benchmarks/results/``
-so the harness output survives pytest's capture, and asserts the *shape*
-claims (who wins, what's bounded, what converges). Timings come from
-pytest-benchmark.
+Every bench regenerates one paper artefact (``repro.experiments.registry``
+lists them): it prints the paper-style rows, persists them under
+``benchmarks/results/`` so the harness output survives pytest's capture,
+and asserts the *shape* claims (who wins, what's bounded, what
+converges). Timings come from pytest-benchmark.
 
 Result files all flow through :func:`emit_result`, which stamps one
 schema envelope (``schema_version`` / ``experiment`` / ``version`` /

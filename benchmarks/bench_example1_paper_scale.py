@@ -7,7 +7,9 @@ standard deviation of CF'_NS is at most 0.0005."
 The histogram fast path makes the literal scale tractable: uniform row
 sampling over 100M rows is a multinomial draw over the value histogram,
 so each trial costs milliseconds instead of a 100M-row table scan. The
-substitution is exact in distribution (DESIGN.md, substitutions table).
+substitution is exact in distribution, which
+``tests/integration/test_model_vs_storage.py`` checks against the
+storage path.
 """
 
 from __future__ import annotations

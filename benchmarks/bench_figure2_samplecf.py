@@ -1,9 +1,10 @@
 """Experiment `fig2` — Figure 2: the SampleCF algorithm, end to end.
 
 Runs the published pseudocode stage by stage against the storage
-engine — (1) uniform sample with replacement, (2) bulk-load an index on
-the sample, (3) compress it, (4) return the sample's CF — timing each
-stage and checking the estimate against the full-index truth.
+engine — (1) uniform sample with replacement, gathered as record bytes,
+(2) build an index on the sample, (3) compress it, (4) return the
+sample's CF — timing each stage and checking the estimate against the
+full-index truth.
 
 The accuracy comparison runs through :func:`engine_sweep` (the
 engine-aware experiment registry path): both algorithms execute as one
@@ -51,17 +52,17 @@ def _staged_samplecf(table: Table, fraction: float, seed: int) -> dict:
     sampler = WithReplacementSampler()
     r = max(1, round(fraction * table.num_rows))
     positions = sampler.sample_positions(table.num_rows, r, rng)
-    rows = table.rows_at([int(p) for p in positions])
+    records = table.heap.gather(positions)
     timings["1. sample"] = time.perf_counter() - start
 
     start = time.perf_counter()
     sample_index = Index("fig2", table.schema, ["a"],
                          kind=IndexKind.CLUSTERED, page_size=PAGE)
-    sample_index.build([(row, None) for row in rows])
+    sample_index.build(*records)
     timings["2. build index"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    result = sample_index.compress(NullSuppression())
+    result = sample_index.estimate_compression(NullSuppression())
     timings["3. compress"] = time.perf_counter() - start
 
     timings["4. return CF"] = 0.0
@@ -132,7 +133,7 @@ def test_fig2_accuracy_both_algorithms(benchmark, table, fraction):
 
 def test_fig2_index_sampling_variant(benchmark, table):
     """Section II-C: sampling an existing index is cheaper; same answer."""
-    index = table.create_index("fig2_ix", ["a"], kind=IndexKind.CLUSTERED)
+    index = Index.over(table, ["a"], kind=IndexKind.CLUSTERED)
     estimator = SampleCF(NullSuppression(), page_size=PAGE)
     estimate = benchmark.pedantic(
         estimator.estimate_index, args=(index, 0.01),

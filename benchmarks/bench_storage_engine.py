@@ -2,19 +2,20 @@
 fidelity checks.
 
 Times the primitives everything else is built on (page fill, heap
-insert, B+-tree bulk load and search, per-algorithm compression
-throughput) and re-asserts the load-bearing fidelity property: payload
-accounting equals the closed-form models exactly.
+insert, index build, per-algorithm compression throughput) and
+re-asserts the load-bearing fidelity property: payload accounting
+equals the closed-form models exactly.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.storage.btree import BPlusTree
 from repro.storage.heap import HeapFile
+from repro.storage.index import Index
 from repro.storage.page import Page
-from repro.storage.record import encode_record
+from repro.storage.record import encode_record, record_offsets
 from repro.storage.schema import single_char_schema
 from repro.compression.registry import get_algorithm, list_algorithms
 from repro.core.samplecf import true_cf_table
@@ -60,24 +61,19 @@ def test_heap_bulk_insert(benchmark, records):
     assert heap.num_records == 10_000
 
 
-def test_btree_bulk_load(benchmark, records):
-    entries = [((record,), record) for record in records[:20_000]]
+def test_index_build(benchmark, records):
+    batch = records[:20_000][::-1]
+    buffer = np.frombuffer(b"".join(batch), dtype=np.uint8)
+    offsets = record_offsets(np.full(len(batch), K, dtype=np.int64))
+    rids = np.arange(len(batch), dtype=np.int64)
 
-    def load() -> BPlusTree:
-        return BPlusTree.bulk_load(entries, page_size=PAGE,
-                                   presorted=True)
+    def build() -> Index:
+        return Index("bench", SCHEMA, ["a"], page_size=PAGE).build(
+            buffer, offsets, rids)
 
-    tree = benchmark(load)
-    assert tree.num_entries == 20_000
-
-
-def test_btree_point_search(benchmark, records):
-    entries = [((record,), record) for record in records[:20_000]]
-    tree = BPlusTree.bulk_load(entries, page_size=PAGE, presorted=True)
-    probe = entries[12_345][0]
-
-    found = benchmark(tree.search, probe)
-    assert found
+    index = benchmark(build)
+    assert index.num_entries == 20_000
+    assert index.leaf_records() == sorted(batch)
 
 
 @pytest.mark.parametrize("name", sorted(list_algorithms()))

@@ -5,7 +5,8 @@ The package ships the paper's estimator (:class:`SampleCF`) together with
 everything it runs on, built from scratch:
 
 * a relational **storage engine** (:mod:`repro.storage`) — types, slotted
-  pages, heap files, B+-tree clustered/non-clustered indexes;
+  pages, heap files, clustered/non-clustered indexes held as their
+  key-ordered leaf pages;
 * the **compression algorithms** the paper analyses and several
   extensions (:mod:`repro.compression`);
 * **sampling designs** (:mod:`repro.sampling`) — with/without
@@ -39,9 +40,8 @@ from repro.errors import (AdvisorError, CompressionError, EncodingError,
                           EstimationError, ExperimentError, PageError,
                           PageFormatError, PageFullError, ReproError,
                           SamplingError, SchemaError, StoreError)
-from repro.storage import (BPlusTree, CharType, Column, HeapFile, Index,
-                           IndexKind, Page, RID, Schema, Table,
-                           single_char_schema)
+from repro.storage import (CharType, Column, HeapFile, Index, IndexKind,
+                           Page, RID, Schema, Table, single_char_schema)
 from repro.compression import (CompressionAlgorithm, DictionaryCompression,
                                GlobalDictionaryCompression, NullSuppression,
                                PageCompression, PrefixCompression,
@@ -74,8 +74,8 @@ __all__ = [
     "ExperimentError", "PageError", "PageFormatError", "PageFullError",
     "ReproError", "SamplingError", "SchemaError", "StoreError",
     # storage
-    "BPlusTree", "CharType", "Column", "HeapFile", "Index", "IndexKind",
-    "Page", "RID", "Schema", "Table", "single_char_schema",
+    "CharType", "Column", "HeapFile", "Index", "IndexKind", "Page", "RID",
+    "Schema", "Table", "single_char_schema",
     # compression
     "CompressionAlgorithm", "DictionaryCompression",
     "GlobalDictionaryCompression", "NullSuppression", "PageCompression",

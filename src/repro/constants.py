@@ -28,7 +28,7 @@ DEFAULT_POINTER_BYTES: int = 2
 #: Byte used to pad CHAR(k) values (an ASCII blank, as in the paper).
 PAD_BYTE: bytes = b" "
 
-#: Default leaf fill factor used when bulk loading B+-trees.
+#: Default leaf fill factor used when packing index leaves.
 DEFAULT_FILL_FACTOR: float = 1.0
 
 #: Minimum page size accepted by the engine. Small, but large enough for a

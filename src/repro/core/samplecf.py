@@ -32,7 +32,7 @@ Results are bit-identical to running the algorithm inline for a fixed
 seed.
 
 Ground truth comes from :func:`true_cf_table` / :func:`true_cf_histogram`
-(compress everything, no sampling).
+(the same sizing over every row, no sampling).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class SampleCF:
         ``payload`` (paper model, default) or ``physical``.
     repack:
         Whether compressed pages are repacked to capacity (``physical``
-        realism knob; see :meth:`Index.compress`).
+        realism knob; see :meth:`Index.estimate_compression`).
     page_size / fill_factor:
         Layout of the index built on the sample;
         :meth:`estimate_index` uses the sampled index's own instead.
@@ -262,18 +262,17 @@ def true_cf_table(table: Table, key_columns: Sequence[str],
                   repack: bool = False,
                   page_size: int = DEFAULT_PAGE_SIZE,
                   fill_factor: float = 1.0) -> float:
-    """Exact CF: build the full index and size-compress all of it.
+    """Exact CF: SampleCF's own index build and sizing over every row.
 
-    Uses :meth:`~repro.storage.index.Index.estimate_compression` —
-    bit-identical to :meth:`~repro.storage.index.Index.compress` but
-    on the vectorized size kernels, so no compressed blobs are built
-    just to be thrown away.
+    :meth:`~repro.storage.index.Index.over` gathers all of the table's
+    records and sorts and packs them as a sample's are, and
+    :meth:`~repro.storage.index.Index.estimate_compression` sizes the
+    whole index; no row is decoded.
     """
     if isinstance(algorithm, str):
         algorithm = get_algorithm(algorithm)
-    index = Index("truth", table.schema, key_columns, kind=kind,
-                  page_size=page_size, fill_factor=fill_factor)
-    index.build(table.rows_with_rids())
+    index = Index.over(table, key_columns, kind=kind, page_size=page_size,
+                       fill_factor=fill_factor)
     result = index.estimate_compression(algorithm, accounting=accounting,
                                         repack_pages=repack)
     return result.compression_fraction

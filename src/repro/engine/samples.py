@@ -5,9 +5,9 @@ samples are small — but *getting the sample*: drawing positions,
 gathering the sampled records' bytes, and building the index on them.
 A :class:`MaterializedSample` captures the draw once per distinct
 (source, sampler, fraction, seed) as one record buffer, and carries a
-per-layout cache of sample indexes, each a
-:class:`~repro.storage.leaf_image.LeafImage` sorted and packed straight
-from those bytes. A batch of (column-set × algorithm) candidates over
+per-layout cache of sample indexes, each an
+:class:`~repro.storage.index.Index` sorted and packed straight from
+those bytes. A batch of (column-set × algorithm) candidates over
 one table therefore pays the draw once and the index build once per
 layout — every algorithm then only re-sizes shared leaves. No record
 is decoded on this path.
@@ -34,22 +34,12 @@ from repro.obs import NULL_TRACER
 from repro.sampling.base import RowSampler, rows_for_fraction
 from repro.sampling.block import BlockSampler
 from repro.sampling.rng import make_rng
-from repro.storage.index import Index, IndexKind
-from repro.storage.leaf_image import LeafImage, RecordColumns
+from repro.storage.index import Index, IndexKind, RecordColumns
 from repro.storage.table import Table
 from repro.core.cf_models import ColumnHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import NullTracer, Tracer
-
-
-@dataclass
-class SampleIndexEntry:
-    """One built sample index, shared across algorithms."""
-
-    image: LeafImage
-    #: Distinct key values observed in the sample (``d'``).
-    distinct: int
 
 
 @dataclass
@@ -82,7 +72,7 @@ class MaterializedSample:
         default_factory=lambda: np.zeros(0, dtype=np.int64))
     histogram: ColumnHistogram | None = None
     extra: dict = field(default_factory=dict)
-    indexes: dict[tuple, SampleIndexEntry] = field(default_factory=dict)
+    indexes: dict[tuple, Index] = field(default_factory=dict)
     #: Payload bytes this sample pins in memory (the record buffer's
     #: length, or the sampled histogram's bytes). Set at
     #: materialization; the byte-aware LRU evicts against it.
@@ -111,34 +101,32 @@ class MaterializedSample:
                   on_build: Callable[[], None] | None = None,
                   on_reuse: Callable[[], None] | None = None,
                   tracer: "Tracer | NullTracer" = NULL_TRACER,
-                  ) -> SampleIndexEntry:
+                  ) -> Index:
         """The sample index for one layout, built on first use.
 
         A build (never a reuse) is traced as an ``index.build`` span
-        carrying the image's ``rows``, ``leaves`` and ``bytes``.
+        carrying the index's ``rows``, ``leaves`` and ``bytes``.
         """
         key = (columns, kind.value, page_size, float(fill_factor))
         with self._lock:
-            entry = self.indexes.get(key)
-            if entry is not None:
+            index = self.indexes.get(key)
+            if index is not None:
                 if on_reuse is not None:
                     on_reuse()
-                return entry
+                return index
             with tracer.span("index.build", columns=list(columns),
                              kind=kind.value) as span:
-                layout = Index(
+                index = Index(
                     "samplecf_sample", table.schema, columns, kind=kind,
-                    page_size=page_size, fill_factor=fill_factor)
-                image, distinct = LeafImage.build(
-                    layout, self.buffer, self.offsets, self.rids)
-                span.annotate(rows=image.num_entries,
-                              leaves=image.num_leaf_pages,
-                              bytes=image.payload_bytes)
-            entry = SampleIndexEntry(image=image, distinct=distinct)
-            self.indexes[key] = entry
+                    page_size=page_size, fill_factor=fill_factor,
+                ).build(self.buffer, self.offsets, self.rids)
+                span.annotate(rows=index.num_entries,
+                              leaves=index.num_leaf_pages,
+                              bytes=index.uncompressed_size())
+            self.indexes[key] = index
             if on_build is not None:
                 on_build()
-            return entry
+            return index
 
 
 def materialize_table_sample(table: Table,
@@ -153,7 +141,7 @@ def materialize_table_sample(table: Table,
     fixed seed. The sampled records are gathered from the heap's page
     images into one buffer, in one gather, and checked against the
     schema without decoding them
-    (:class:`~repro.storage.leaf_image.RecordColumns` raises
+    (:class:`~repro.storage.index.RecordColumns` raises
     :class:`~repro.errors.EncodingError` for a malformed record). A
     block draw gathers every record of the pages
     :meth:`~repro.sampling.block.BlockSampler.choose_pages` picks.

@@ -388,7 +388,7 @@ def run_table_unit(unit: PlanUnit,
         context.stats.add("estimate_store_hits")
         return cached
     sample = _sample_for(unit, context)
-    entry = sample.index_for(
+    index = sample.index_for(
         request.table, request.columns, request.kind,
         request.page_size, request.fill_factor,
         on_build=lambda: context.stats.add("indexes_built"),
@@ -399,7 +399,7 @@ def run_table_unit(unit: PlanUnit,
     # compress(); the parity suite and the store contract rely on it).
     with context.tracer.span("kernel.size", unit=unit.index,
                              algorithm=request.algorithm.name):
-        result = entry.image.estimate_compression(
+        result = index.estimate_compression(
             request.algorithm, accounting=request.accounting,
             repack_pages=request.repack,
             on_kernel=lambda: context.stats.add("size_kernel_hits"),
@@ -414,7 +414,7 @@ def run_table_unit(unit: PlanUnit,
         path=sample.path,
         uncompressed_sample_bytes=result.uncompressed_bytes,
         compressed_sample_bytes=result.compressed_bytes,
-        sample_distinct=entry.distinct,
+        sample_distinct=index.distinct,
         details={"pages_before": result.pages_before,
                  "pages_after": result.pages_after, **sample.extra})
     _persist_estimate(unit, context, store, estimate_key, estimate)

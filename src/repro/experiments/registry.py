@@ -2,7 +2,8 @@
 
 One entry per table, figure, theorem, worked example and declared
 future-work item of the paper, plus the engine-fidelity and application
-experiments — the machine-readable version of DESIGN.md section 5.
+experiments, each naming the bench under ``benchmarks/`` that
+regenerates it.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ _SPECS = (
         id="micro-storage",
         paper_ref="(engine fidelity)",
         title="Storage engine microbenchmarks",
-        description="Page fill, bulk load, compression throughput; "
+        description="Page fill, index build, compression throughput; "
                     "payload-mode CF equality with the closed forms.",
         bench_module="benchmarks/bench_storage_engine.py",
         modules=("repro.storage", "repro.compression")),

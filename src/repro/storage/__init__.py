@@ -1,11 +1,11 @@
 """From-scratch relational storage engine.
 
-Types, schemas, records, slotted pages, heap files, B+-trees, indexes and
-tables — the substrate the paper's estimator runs against. See DESIGN.md
-section 2 for why each piece exists.
+Types, schemas, records, slotted pages, heap files, tables and indexes
+(each index held as its key-ordered leaf pages) — the substrate the
+paper's estimator runs against. The README's "How an estimate is
+computed" section walks through them.
 """
 
-from repro.storage.btree import BPlusTree
 from repro.storage.catalog import CompressionSavingsReport, Database
 from repro.storage.filestore import (load_heap, load_table, save_heap,
                                      save_table)
@@ -24,7 +24,6 @@ from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
 
 __all__ = [
     "Accounting",
-    "BPlusTree",
     "BigIntType",
     "CharType",
     "Column",

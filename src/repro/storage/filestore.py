@@ -91,9 +91,8 @@ def save_table(table: Table, path: str | pathlib.Path) -> None:
 def load_table(path: str | pathlib.Path) -> Table:
     """Load a table written by :func:`save_table`.
 
-    Indexes are not persisted (they are derived data); rebuild them with
-    :meth:`Table.create_index` after loading, exactly as a database
-    restores secondary structures.
+    Indexes are not persisted (they are derived data); build one over
+    the loaded table with :meth:`~repro.storage.index.Index.over`.
     """
     source = io.BytesIO(pathlib.Path(path).read_bytes())
     magic = source.read(len(_TABLE_MAGIC))

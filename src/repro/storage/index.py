@@ -1,49 +1,82 @@
-"""Clustered and non-clustered indexes.
+"""Clustered and non-clustered indexes, each held as its leaf level.
 
-An :class:`Index` wraps a B+-tree built over a table's rows:
+Step 3 of the paper's Figure 2 reads nothing of an index but its leaf
+records, in key order, cut into pages, so that is all an :class:`Index`
+holds: its layout (key columns, kind, page size, fill factor, leaf
+schema) and its leaf records back to back in one ``uint8`` buffer, with
+their offsets, the record positions where each leaf page starts and the
+number of distinct keys.
 
 * a **clustered** index stores the full row in its leaves (the table *is*
   the index), so compressing it compresses the data;
 * a **non-clustered** index stores the key columns plus an 8-byte RID
   locator per entry.
 
-Compression is applied to the index's leaf pages. The
-:meth:`Index.compress` method implements the three accounting modes the
-experiments need:
+:meth:`Index.build` fills an index from record bytes (a sample's drawn
+records, or every record of a table through :meth:`Index.over`) with one
+sort-and-pack and without decoding a record. Entries are ordered by
+``memcmp`` on one byte sort key per record, the concatenation, in
+key-column order, of:
+
+* CHAR: the value without its trailing blanks, zero-filled to the
+  column width, then that length as 2 big-endian bytes (the padded
+  bytes alone would put ``"ab"`` after ``"ab\\x01"``);
+* VARCHAR: the payload zero-filled to the batch's widest value, then
+  its length as 2 big-endian bytes (trailing blanks count);
+* INTEGER/BIGINT: the stored sign-flipped big-endian bytes.
+
+That is Python's tuple order on the decoded keys. A stable argsort keeps
+equal keys in input order, and leaves are packed greedily, as a B+-tree
+bulk load packs them.
+
+:meth:`Index.estimate_compression` sizes the leaves under three
+accountings:
 
 * ``payload`` — record bytes only; reproduces the paper's model exactly;
 * ``physical`` without repack — in-place page compression keeps the page
-  count, so allocated bytes barely change (returned faithfully);
-* ``physical`` with ``repack=True`` — pages are refilled to capacity with
-  compressed data, the way an index rebuild with compression works.
+  count, so allocated bytes do not change;
+* ``physical`` with ``repack_pages=True`` — pages are refilled to
+  capacity with compressed data, the way an index rebuild with
+  compression works.
+
+The layout-parity property suite holds leaves, distinct counts and sizes
+equal to a row-built B+-tree oracle's, scalar ``compress`` included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
-from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE)
-from repro.errors import CompressionError, IndexError_
-from repro.storage.btree import DEFAULT_FANOUT, BPlusTree
+import numpy as np
+
+from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE,
+                             PAGE_HEADER_SIZE, SLOT_SIZE)
+from repro.errors import (CompressionError, EncodingError, IndexError_,
+                          KernelUnavailable)
 from repro.storage.heap import HeapFile
-from repro.storage.leaf_image import LeafImage, repacked_result
-from repro.storage.page import Page, PageType
-from repro.storage.record import decode_record, encode_record
-from repro.storage.rid import RID
+from repro.storage.page import Page, PageType, pack_bounds
+from repro.storage.record import (fixed_column_offsets, gather_spans,
+                                  record_offsets)
 from repro.storage.schema import Column, Schema
-from repro.storage.types import BigIntType
-from repro.compression.base import (CompressionAlgorithm, CompressionResult)
-from repro.compression.repack import compressed_page_capacity
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.table import Table
+from repro.storage.table import Table
+from repro.storage.types import (BigIntType, CharType, IntegerType,
+                                 VarCharType)
+from repro.compression.base import CompressionAlgorithm, CompressionResult
+from repro.compression.kernels import (ColumnView, build_column_views,
+                                       fixed_column_views, kernels_cover,
+                                       kernels_enabled, slice_leaf_views,
+                                       stripped_lengths)
+from repro.compression.repack import compressed_page_capacity, repack
 
 Accounting = Literal["payload", "physical"]
 
 #: Name of the synthetic locator column in non-clustered leaf schemas.
 RID_COLUMN = "_rid"
+
+_PREFIX = VarCharType.LENGTH_PREFIX_BYTES
+_SIGN_FLIP_64 = np.uint64(1 << 63)
 
 
 class IndexKind(Enum):
@@ -51,14 +84,6 @@ class IndexKind(Enum):
 
     CLUSTERED = "clustered"
     NONCLUSTERED = "nonclustered"
-
-
-def _rid_to_int(rid: RID) -> int:
-    return (rid.page_id << 32) | rid.slot
-
-
-def _int_to_rid(value: int) -> RID:
-    return RID(value >> 32, value & 0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -71,15 +96,122 @@ class IndexSize:
     entries: int
 
 
+def _be16(values: np.ndarray) -> np.ndarray:
+    """Each value as 2 big-endian bytes, one row per value."""
+    return values.astype(">u2").view(np.uint8).reshape(-1, 2)
+
+
+class RecordColumns:
+    """Where each column of each record sits in a record buffer.
+
+    Construction is the vectorized form of the checks ``decode_record``
+    plus ``Schema.validate_row`` make per row: a fixed-width schema
+    needs every record to be exactly the schema width; otherwise the
+    columns are walked once for all records, each VARCHAR length prefix
+    must fit its record and stay within ``max_len``, and no bytes may
+    trail the last column. Any failure raises :class:`EncodingError`.
+    """
+
+    def __init__(self, schema: Schema, buffer: np.ndarray,
+                 offsets: np.ndarray) -> None:
+        self.schema = schema
+        self.buffer = buffer
+        self.count = offsets.size - 1
+        lengths = np.diff(offsets)
+        fixed = fixed_column_offsets(schema)
+        #: ``(count, width)`` rows of a fixed-width schema, else None.
+        self.matrix: np.ndarray | None = None
+        if fixed is not None:
+            if (lengths != fixed[-1]).any():
+                bad = int(lengths[np.argmax(lengths != fixed[-1])])
+                raise EncodingError(
+                    f"record of {bad} bytes does not match fixed schema "
+                    f"width {fixed[-1]}")
+            self.matrix = buffer.reshape(self.count, fixed[-1])
+            return
+        ends = offsets[1:]
+        cursor = offsets[:-1].copy()
+        self.starts = np.empty((self.count, len(schema)), dtype=np.int64)
+        self.lengths = np.empty_like(self.starts)
+        for position, col in enumerate(schema.columns):
+            dtype = col.dtype
+            if dtype.fixed_size is not None:
+                width = np.full(self.count, dtype.fixed_size,
+                                dtype=np.int64)
+            elif isinstance(dtype, VarCharType):
+                if (cursor + _PREFIX > ends).any():
+                    raise EncodingError(
+                        f"record truncated in column {col.name!r}")
+                width = self.buffer[cursor].astype(np.int64) * 256 \
+                    + self.buffer[cursor + 1]
+                if (width > dtype.max_len).any():
+                    raise EncodingError(
+                        f"value of length {int(width.max())} exceeds "
+                        f"{dtype.name}")
+                width += _PREFIX
+            else:
+                raise EncodingError(
+                    f"cannot decode variable-width type {dtype.name}")
+            self.starts[:, position] = cursor
+            self.lengths[:, position] = width
+            cursor = cursor + width
+            if (cursor > ends).any():
+                raise EncodingError(
+                    f"record truncated in column {col.name!r}")
+        if (cursor != ends).any():
+            raise EncodingError("trailing bytes after decoding record")
+
+    def column(self, position: int) -> np.ndarray:
+        """``(count, width)`` stored bytes of a fixed-width column."""
+        matrix, fixed = self.matrix, fixed_column_offsets(self.schema)
+        if matrix is not None and fixed is not None:
+            return matrix[:, fixed[position]:fixed[position + 1]]
+        width = self.schema.columns[position].dtype.fixed_size
+        if width is None:
+            raise EncodingError(f"column {position} is variable-width")
+        return self.buffer[self.starts[:, position, None]
+                           + np.arange(width)]
+
+    def sort_key(self, position: int) -> np.ndarray:
+        """``(count, width)`` bytes whose memcmp order is value order."""
+        dtype = self.schema.columns[position].dtype
+        if isinstance(dtype, CharType):
+            stored = self.column(position)
+            kept = stripped_lengths(stored)
+            filled = np.where(np.arange(dtype.k) < kept[:, None], stored,
+                              0).astype(np.uint8)
+            return np.hstack([filled, _be16(kept)])
+        if isinstance(dtype, VarCharType):
+            starts = self.starts[:, position]
+            lengths = self.lengths[:, position] - _PREFIX
+            widest = int(lengths.max()) if self.count else 0
+            filled = np.zeros((self.count, widest), dtype=np.uint8)
+            rows = np.repeat(np.arange(self.count), lengths)
+            cols = np.arange(rows.size) \
+                - np.repeat(record_offsets(lengths)[:-1], lengths)
+            filled[rows, cols] = self.buffer[
+                np.repeat(starts + _PREFIX, lengths) + cols]
+            return np.hstack([filled, _be16(lengths)])
+        if isinstance(dtype, (IntegerType, BigIntType)):
+            return self.column(position)
+        raise IndexError_(f"no byte order for {dtype.name} keys")
+
+
 class Index:
-    """A (possibly compressed-in-analysis) B+-tree index over rows."""
+    """An index's layout and its leaf records in key order.
+
+    ``buffer`` holds every leaf record back to back, ``offsets`` their
+    ``n + 1`` fence posts, and ``bounds`` the record positions where
+    each leaf page starts (plus ``n``), so leaf ``i`` holds records
+    ``bounds[i]`` to ``bounds[i + 1]``. ``distinct`` counts distinct
+    keys. An index is empty until :meth:`build` fills it.
+    """
 
     def __init__(self, name: str, table_schema: Schema,
                  key_columns: Sequence[str],
                  kind: IndexKind = IndexKind.CLUSTERED,
                  page_size: int = DEFAULT_PAGE_SIZE,
-                 fill_factor: float = DEFAULT_FILL_FACTOR,
-                 max_fanout: int = DEFAULT_FANOUT) -> None:
+                 fill_factor: float = DEFAULT_FILL_FACTOR) -> None:
         if not key_columns:
             raise IndexError_("an index needs at least one key column")
         self.name = name
@@ -88,119 +220,153 @@ class Index:
         self.kind = kind
         self.page_size = page_size
         self.fill_factor = fill_factor
-        self.max_fanout = max_fanout
-        self._key_positions = tuple(
-            table_schema.index_of(column) for column in key_columns)
+        self._key_positions = [table_schema.index_of(column)
+                               for column in key_columns]
         if kind is IndexKind.CLUSTERED:
             self.leaf_schema = table_schema
         else:
             projected = list(table_schema.project(key_columns).columns)
             projected.append(Column(RID_COLUMN, BigIntType()))
             self.leaf_schema = Schema(projected)
-        self._tree = BPlusTree(page_size=page_size, max_fanout=max_fanout)
-        # The size-only estimation path's leaf image and the sampling
-        # path's leaf table, each built lazily and shared by every call.
-        self._leaf_image: LeafImage | None = None
-        self._leaf_table: "Table | None" = None
+        self._adopt(np.zeros(0, dtype=np.uint8),
+                    np.zeros(1, dtype=np.int64),
+                    np.zeros(1, dtype=np.int64), 0)
+
+    def _adopt(self, buffer: np.ndarray, offsets: np.ndarray,
+               bounds: np.ndarray, distinct: int) -> None:
+        self.buffer = buffer
+        self.offsets = offsets
+        self.bounds = bounds
+        self.distinct = distinct
+        # Column views for the size kernels and the leaf table, each
+        # built lazily and shared by every call until the next build.
+        self._views: tuple | None = None
+        self._leaf_table: Table | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle without the leaf image or table (copies of the leaves)."""
+        """Pickle without the view cache or leaf table (both rebuilt)."""
         state = dict(self.__dict__)
-        state["_leaf_image"] = None
+        state["_views"] = None
         state["_leaf_table"] = None
         return state
 
     # ------------------------------------------------------------------
     # Building
     # ------------------------------------------------------------------
-    def key_of(self, row: Sequence[Any]) -> tuple[Any, ...]:
-        """Extract this index's key tuple from a full table row."""
-        return tuple(row[position] for position in self._key_positions)
+    @classmethod
+    def over(cls, table: Table, key_columns: Sequence[str],
+             kind: IndexKind = IndexKind.CLUSTERED,
+             page_size: int | None = None,
+             fill_factor: float = DEFAULT_FILL_FACTOR) -> "Index":
+        """An index over every record of ``table``: one gather, one build.
 
-    def _leaf_record(self, row: Sequence[Any], rid: RID | None) -> bytes:
-        if self.kind is IndexKind.CLUSTERED:
-            return encode_record(self.table_schema, row)
-        if rid is None:
-            raise IndexError_(
-                "non-clustered index entries need a RID locator")
-        key_values = list(self.key_of(row))
-        key_values.append(_rid_to_int(rid))
-        return encode_record(self.leaf_schema, key_values)
-
-    def build(self, rows_with_rids: Sequence[tuple[Sequence[Any], RID | None]],
-              ) -> "Index":
-        """Bulk-load the index from ``(row, rid)`` pairs.
-
-        This is how both real index creation and SampleCF's
-        index-on-the-sample step run: sort once, pack leaves.
+        The index takes the table's name, and its leaves the table's
+        page size unless ``page_size`` says otherwise.
         """
-        entries = []
-        for row, rid in rows_with_rids:
-            self.table_schema.validate_row(row)
-            entries.append((self.key_of(row), self._leaf_record(row, rid)))
-        self._tree = BPlusTree.bulk_load(
-            entries, page_size=self.page_size, max_fanout=self.max_fanout,
-            fill_factor=self.fill_factor)
-        self._leaf_image = None
-        self._leaf_table = None
-        return self
+        index = cls(table.name, table.schema, key_columns, kind=kind,
+                    page_size=table.page_size if page_size is None
+                    else page_size, fill_factor=fill_factor)
+        return index.build(*table.heap.gather(
+            np.arange(table.num_rows, dtype=np.int64)))
 
-    def build_from_rows(self, rows: Sequence[Sequence[Any]]) -> "Index":
-        """Bulk-load a clustered index directly from rows."""
-        if self.kind is not IndexKind.CLUSTERED:
+    def build(self, buffer: np.ndarray, offsets: np.ndarray,
+              rids: np.ndarray) -> "Index":
+        """Sort and pack records of :attr:`table_schema` into the leaves.
+
+        ``buffer`` holds the records back to back, ``offsets`` their
+        ``n + 1`` fence posts and ``rids`` their ``(page_id << 32) |
+        slot`` locators. A clustered leaf record is the table record; a
+        non-clustered one is the key columns' stored bytes followed by
+        the BIGINT encoding of the RID. A malformed record raises
+        :class:`EncodingError`. Returns the index.
+        """
+        if not 0.0 < self.fill_factor <= 1.0:
             raise IndexError_(
-                "non-clustered indexes need RIDs; use build()")
-        return self.build([(row, None) for row in rows])
-
-    def insert(self, row: Sequence[Any], rid: RID | None = None) -> None:
-        """Insert one row (with its RID for non-clustered indexes)."""
-        self.table_schema.validate_row(row)
-        self._tree.insert(self.key_of(row), self._leaf_record(row, rid))
-        self._leaf_image = None
-        self._leaf_table = None
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def search(self, key: tuple[Any, ...]) -> list[tuple[Any, ...]]:
-        """Decoded leaf entries stored under ``key``."""
-        return [decode_record(self.leaf_schema, record)
-                for record in self._tree.search(tuple(key))]
-
-    def search_rids(self, key: tuple[Any, ...]) -> list[RID]:
-        """RIDs stored under ``key`` (non-clustered only)."""
-        if self.kind is not IndexKind.CLUSTERED:
-            return [_int_to_rid(entry[-1]) for entry in self.search(key)]
-        raise IndexError_("clustered indexes store rows, not RIDs")
-
-    def range_scan(self, lo: tuple[Any, ...] | None = None,
-                   hi: tuple[Any, ...] | None = None,
-                   ) -> Iterator[tuple[Any, ...]]:
-        """Decoded leaf entries with ``lo <= key <= hi``."""
-        for _key, record in self._tree.range_scan(lo, hi):
-            yield decode_record(self.leaf_schema, record)
+                f"fill factor must be in (0, 1], got {self.fill_factor}")
+        columns = RecordColumns(self.table_schema, buffer, offsets)
+        if rids.size != columns.count:
+            raise IndexError_(f"{rids.size} RID locators for "
+                              f"{columns.count} records")
+        positions = self._key_positions
+        key = np.ascontiguousarray(
+            np.hstack([columns.sort_key(p) for p in positions]))
+        order = np.argsort(key.view(np.dtype((np.void, key.shape[1])))
+                           .ravel(), kind="stable")
+        ordered = key[order]
+        distinct = int(np.count_nonzero(
+            (ordered[1:] != ordered[:-1]).any(axis=1))) + 1 \
+            if columns.count else 0
+        clustered = self.kind is IndexKind.CLUSTERED
+        locators = (rids[order].astype(np.uint64) ^ _SIGN_FLIP_64) \
+            .astype(">u8").view(np.uint8).reshape(-1, 8)
+        if columns.matrix is not None:
+            # Fixed widths: whole rows and columns, no per-byte index.
+            leaf = columns.matrix[order] if clustered else np.hstack(
+                [columns.column(p)[order] for p in positions]
+                + [locators])
+            leaf_buffer = leaf.reshape(-1)
+            lengths = np.full(columns.count, leaf.shape[1], dtype=np.int64)
+        else:
+            if clustered:
+                source = buffer
+                starts = offsets[:-1][order, None]
+                spans = np.diff(offsets)[order, None]
+            else:
+                source = np.concatenate([buffer, locators.reshape(-1)])
+                starts = np.hstack([
+                    columns.starts[order][:, positions],
+                    buffer.size + 8 * np.arange(columns.count)[:, None]])
+                spans = np.hstack([
+                    columns.lengths[order][:, positions],
+                    np.full((columns.count, 1), 8, dtype=np.int64)])
+            leaf_buffer = gather_spans(source, starts.ravel(),
+                                       spans.ravel())
+            lengths = spans.sum(axis=1)
+        # A leaf takes records while its header plus every record and
+        # slot entry stay within int(fill_factor * page_size) bytes,
+        # and always at least one record.
+        if lengths.size and \
+                PAGE_HEADER_SIZE + SLOT_SIZE + int(lengths.max()) \
+                > self.page_size:
+            raise IndexError_(
+                f"record of {int(lengths.max())} bytes cannot fit a "
+                f"{self.page_size}-byte leaf page")
+        self._adopt(leaf_buffer, record_offsets(lengths), pack_bounds(
+            lengths, int(self.fill_factor * self.page_size)
+            - PAGE_HEADER_SIZE), distinct)
+        return self
 
     # ------------------------------------------------------------------
     # Physical views
     # ------------------------------------------------------------------
     @property
     def num_entries(self) -> int:
-        return self._tree.num_entries
+        return self.offsets.size - 1
 
     @property
-    def height(self) -> int:
-        return self._tree.height
+    def num_leaf_pages(self) -> int:
+        return self.bounds.size - 1
+
+    def leaf_records(self, start: int = 0, stop: int | None = None,
+                     ) -> list[bytes]:
+        """Leaf records ``start`` to ``stop``, in key order."""
+        stop = self.num_entries if stop is None else stop
+        base = int(self.offsets[start])
+        raw = self.buffer[base:int(self.offsets[stop])].tobytes()
+        cuts = (self.offsets[start:stop + 1] - base).tolist()
+        return [raw[a:b] for a, b in zip(cuts, cuts[1:])]
 
     def leaf_pages(self) -> Iterator[Page]:
-        """The slotted leaf pages (compression input)."""
-        return self._tree.leaf_pages()
+        """Each leaf as a slotted :class:`Page`, filled record by record."""
+        bounds = self.bounds.tolist()
+        for page_id, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            page = Page(self.page_size, page_id=page_id,
+                        page_type=PageType.INDEX_LEAF)
+            for record in self.leaf_records(start, stop):
+                page.insert(record)
+            yield page
 
-    def leaf_records(self) -> Iterator[bytes]:
-        """All leaf record byte strings in key order."""
-        for leaf in self._tree.leaves():
-            yield from leaf.records
-
-    def leaf_table(self) -> "Table":
+    def leaf_table(self) -> Table:
         """The leaf level as a :class:`Table` (cached until rebuilt).
 
         Its schema is :attr:`leaf_schema` and its heap is the index's
@@ -211,77 +377,102 @@ class Index:
         reach the index.
         """
         if self._leaf_table is None:
-            from repro.storage.table import Table  # cycle: table -> index
-
-            image = self.leaf_image()
             self._leaf_table = Table.from_heap(
                 self.name, self.leaf_schema, HeapFile.from_records(
-                    image.buffer, image.offsets, self.page_size,
-                    page_type=PageType.INDEX_LEAF, bounds=image.bounds))
+                    self.buffer, self.offsets, self.page_size,
+                    page_type=PageType.INDEX_LEAF, bounds=self.bounds))
         return self._leaf_table
-
-    def validate(self) -> None:
-        """Structural self-check (delegates to the B+-tree)."""
-        self._tree.validate()
 
     def uncompressed_size(self, accounting: Accounting = "payload") -> int:
         """Uncompressed leaf size under the chosen accounting."""
         if accounting == "payload":
-            return self._tree.leaf_payload_bytes
+            return int(self.offsets[-1])
         if accounting == "physical":
-            return self._tree.leaf_physical_bytes
+            return self.num_leaf_pages * self.page_size
         raise CompressionError(f"unknown accounting {accounting!r}")
 
     def size(self) -> IndexSize:
         """Full uncompressed size summary."""
         return IndexSize(
-            payload_bytes=self._tree.leaf_payload_bytes,
-            physical_bytes=self._tree.leaf_physical_bytes,
-            leaf_pages=self._tree.num_leaf_pages,
-            entries=self._tree.num_entries)
+            payload_bytes=self.uncompressed_size("payload"),
+            physical_bytes=self.uncompressed_size("physical"),
+            leaf_pages=self.num_leaf_pages, entries=self.num_entries)
 
     # ------------------------------------------------------------------
-    # Compression
+    # Size-only compression (vectorized kernels with scalar fallback)
     # ------------------------------------------------------------------
-    def compress(self, algorithm: CompressionAlgorithm,
-                 accounting: Accounting = "payload",
-                 repack_pages: bool = False) -> CompressionResult:
-        """Compress the index's leaf level and report sizes.
+    def estimate_compression(self, algorithm: CompressionAlgorithm,
+                             accounting: Accounting = "payload",
+                             repack_pages: bool = False,
+                             on_kernel: Callable[[], None] | None = None,
+                             on_fallback: Callable[[], None] | None = None,
+                             ) -> CompressionResult:
+        """Compress the leaf level in analysis and report sizes.
 
-        This is step 3 of the paper's Figure 2 when run on a sampled
-        index, and the ground-truth computation when run on the full one.
+        This is step 3 of the paper's Figure 2 when run on a sample's
+        index, and the ground truth when run on a whole table's. The
+        estimator only consumes sizes, so each block's exact
+        ``payload_size`` comes from the vectorized kernels
+        (:mod:`repro.compression.kernels`) where they apply, and from
+        the codec's scalar ``compress`` where they don't; results are
+        bit-identical either way, which is what keeps kernel-produced
+        estimates interchangeable with persisted scalar ones. Column
+        views are cached on the index, so a batch of algorithms over
+        one index splits its records once.
+
+        ``on_kernel`` / ``on_fallback`` are per-block accounting hooks
+        (one block per leaf page, or one for an index-scoped
+        algorithm); the engine charges them to its
+        ``size_kernel_hits`` / ``size_scalar_fallbacks`` stats.
+        Repacked page-scope compression stays entirely on the scalar
+        path: bin-packing compressed records into fresh pages needs
+        the incremental trackers, not just totals.
         """
         if self.num_entries == 0:
             raise CompressionError(
                 f"index {self.name!r} is empty; nothing to compress")
         if accounting not in ("payload", "physical"):
             raise CompressionError(f"unknown accounting {accounting!r}")
-        pages_before = self._tree.num_leaf_pages
+        pages_before = self.num_leaf_pages
         uncompressed = self.uncompressed_size(accounting)
+        if algorithm.scope != "index" and repack_pages:
+            if on_fallback is not None:
+                on_fallback()
+            packed = repack(self.leaf_records(), self.leaf_schema,
+                            algorithm, self.page_size)
+            return CompressionResult(
+                algorithm=algorithm.name, accounting=accounting,
+                uncompressed_bytes=uncompressed,
+                compressed_bytes=packed.payload_size
+                if accounting == "payload" else packed.physical_bytes,
+                row_count=self.num_entries, pages_before=pages_before,
+                pages_after=packed.num_pages,
+                details={"compressed_payload": packed.payload_size,
+                         "repacked": True})
+        views = self._views_or_none()
         if algorithm.scope == "index":
-            return self._compress_index_scope(
-                algorithm, accounting, uncompressed, pages_before)
-        if repack_pages:
-            return self._compress_repacked(
-                algorithm, accounting, uncompressed, pages_before)
-        return self._compress_in_place(
-            algorithm, accounting, uncompressed, pages_before)
-
-    def _compress_in_place(self, algorithm: CompressionAlgorithm,
-                           accounting: Accounting, uncompressed: int,
-                           pages_before: int) -> CompressionResult:
-        payload = 0
-        for leaf in self._tree.leaves():
-            block = algorithm.compress(leaf.records, self.leaf_schema)
-            payload += block.payload_size
-        if accounting == "payload":
-            compressed = payload
-            pages_after = pages_before
+            payload = self._block_payload(
+                algorithm, 0, self.num_entries,
+                views[0] if views is not None else None,
+                on_kernel, on_fallback)
+            capacity = compressed_page_capacity(self.page_size)
+            pages_after = max(1, -(-payload // capacity))
+            compressed = payload if accounting == "payload" \
+                else pages_after * self.page_size
         else:
             # In-place compression frees space inside pages but releases
             # none of them: allocated bytes stay the same.
-            compressed = pages_before * self.page_size
+            bounds = self.bounds.tolist()
+            payload = 0
+            for position, (start, stop) in enumerate(zip(bounds,
+                                                          bounds[1:])):
+                payload += self._block_payload(
+                    algorithm, start, stop,
+                    views[1][position] if views is not None else None,
+                    on_kernel, on_fallback)
             pages_after = pages_before
+            compressed = payload if accounting == "payload" \
+                else pages_before * self.page_size
         return CompressionResult(
             algorithm=algorithm.name, accounting=accounting,
             uncompressed_bytes=uncompressed, compressed_bytes=compressed,
@@ -289,58 +480,54 @@ class Index:
             pages_after=pages_after,
             details={"compressed_payload": payload, "repacked": False})
 
-    def _compress_repacked(self, algorithm: CompressionAlgorithm,
-                           accounting: Accounting, uncompressed: int,
-                           pages_before: int) -> CompressionResult:
-        return repacked_result(list(self.leaf_records()), self.leaf_schema,
-                               algorithm, self.page_size, accounting,
-                               uncompressed, pages_before)
+    def _block_payload(self, algorithm: CompressionAlgorithm, start: int,
+                       stop: int, views: tuple[ColumnView, ...] | None,
+                       on_kernel: Callable[[], None] | None,
+                       on_fallback: Callable[[], None] | None) -> int:
+        """Records ``start``-``stop`` sized by kernel, else by scalar.
 
-    # ------------------------------------------------------------------
-    # Size-only estimation
-    # ------------------------------------------------------------------
-    def leaf_image(self) -> LeafImage:
-        """The leaf level as a :class:`LeafImage` (cached until rebuilt).
-
-        The image costs about the leaf payload again, plus the column
-        views its kernels cache, for as long as the index lives.
+        The records are only sliced out of the buffer on the scalar
+        fallback, so kernel-served blocks never materialize them.
         """
-        if self._leaf_image is None:
-            self._leaf_image = LeafImage.from_leaves(
-                self.name, self.leaf_schema,
-                [leaf.records for leaf in self._tree.leaves()],
-                self.page_size)
-        return self._leaf_image
+        if views is not None:
+            try:
+                size = algorithm.size_of(views, self.leaf_schema)
+            except KernelUnavailable:
+                size = None
+            if size is not None:
+                if on_kernel is not None:
+                    on_kernel()
+                return size
+        if on_fallback is not None:
+            on_fallback()
+        return algorithm.compress(self.leaf_records(start, stop),
+                                  self.leaf_schema).payload_size
 
-    def estimate_compression(self, algorithm: CompressionAlgorithm,
-                             accounting: Accounting = "payload",
-                             repack_pages: bool = False,
-                             on_kernel=None,
-                             on_fallback=None) -> CompressionResult:
-        """Size-only :meth:`compress`: same result, no blobs built.
+    def _views_or_none(self) -> tuple | None:
+        """Cached ``(whole-index views, per-leaf views)``, or ``None``.
 
-        Delegates to :meth:`LeafImage.estimate_compression` on
-        :meth:`leaf_image`, the one implementation that sizes leaves.
+        ``None`` (the scalar path) when kernels are disabled or a
+        column's dtype has none. Fixed-width schemas take the parent
+        views as column slices of the record matrix; VARCHAR schemas
+        split each record once. Leaf views are row slices of the
+        parents, so every leaf, scope and algorithm shares one split
+        and one set of derived arrays.
         """
-        return self.leaf_image().estimate_compression(
-            algorithm, accounting=accounting, repack_pages=repack_pages,
-            on_kernel=on_kernel, on_fallback=on_fallback)
-
-    def _compress_index_scope(self, algorithm: CompressionAlgorithm,
-                              accounting: Accounting, uncompressed: int,
-                              pages_before: int) -> CompressionResult:
-        records = list(self.leaf_records())
-        block = algorithm.compress(records, self.leaf_schema)
-        capacity = compressed_page_capacity(self.page_size)
-        pages_after = max(1, -(-block.payload_size // capacity))
-        if accounting == "payload":
-            compressed = block.payload_size
-        else:
-            compressed = pages_after * self.page_size
-        return CompressionResult(
-            algorithm=algorithm.name, accounting=accounting,
-            uncompressed_bytes=uncompressed, compressed_bytes=compressed,
-            row_count=self.num_entries, pages_before=pages_before,
-            pages_after=pages_after,
-            details={"compressed_payload": block.payload_size,
-                     "repacked": False})
+        if not kernels_enabled() or not kernels_cover(self.leaf_schema):
+            return None
+        if self._views is None:
+            fixed = fixed_column_offsets(self.leaf_schema)
+            parents: tuple[ColumnView, ...] | None
+            if fixed is not None:
+                parents = fixed_column_views(
+                    self.leaf_schema,
+                    self.buffer.reshape(self.num_entries, fixed[-1]))
+            else:
+                parents = build_column_views(
+                    self.leaf_schema, self.leaf_records(),
+                    trusted_lengths=True)
+            if parents is None:
+                return None
+            self._views = (parents,
+                           slice_leaf_views(parents, np.diff(self.bounds)))
+        return self._views

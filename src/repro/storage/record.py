@@ -52,8 +52,8 @@ def gather_spans(source: np.ndarray, starts: np.ndarray,
 
     Spans of one width are copied as rows of a sliding-window view of
     ``source``, indexed once per span. Otherwise the index has one
-    entry per gathered byte, so callers gather samples or single pages
-    that way, never a whole table.
+    int64 entry per gathered byte, eight bytes of index for each byte
+    gathered (a whole-table gather for ground truth included).
     """
     if lengths.size and lengths[0] > 0 and (lengths == lengths[0]).all():
         windows = np.lib.stride_tricks.sliding_window_view(

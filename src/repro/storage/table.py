@@ -1,7 +1,7 @@
-"""Tables: schema + heap storage + indexes.
+"""Tables: a schema over heap storage.
 
-A :class:`Table` owns a heap file of encoded rows and any number of
-indexes. It also provides the two access paths the estimator needs:
+A :class:`Table` owns a heap file of encoded rows and provides the two
+access paths the estimator needs:
 
 * positional row access (uniform row sampling draws row positions),
 * page iteration (block-level sampling draws whole pages).
@@ -22,7 +22,6 @@ import numpy as np
 from repro.constants import DEFAULT_PAGE_SIZE
 from repro.errors import SchemaError
 from repro.storage.heap import HeapFile
-from repro.storage.index import Index, IndexKind
 from repro.storage.page import Page
 from repro.storage.record import decode_record, encode_record, record_offsets
 from repro.storage.rid import RID
@@ -40,32 +39,6 @@ class Table:
         self.schema = schema
         self.page_size = page_size
         self.heap = HeapFile(page_size=page_size)
-        self._indexes: dict[str, Index] = {}
-        self._pending_index_specs: list[tuple] = []
-
-    @property
-    def indexes(self) -> dict[str, Index]:
-        """Registered indexes; rebuilt lazily after unpickling.
-
-        Estimation plan units ship tables to process-pool workers but
-        never read their indexes (they build their own sample indexes),
-        so a restored table defers the full rebuild until something
-        actually looks.
-        """
-        if self._pending_index_specs:
-            self._rebuild_indexes()
-        return self._indexes
-
-    def _rebuild_indexes(self) -> None:
-        specs, self._pending_index_specs = self._pending_index_specs, []
-        pairs = self.rows_with_rids()
-        for name, key_columns, kind, page_size, fill_factor, \
-                max_fanout in specs:
-            index = Index(name, self.schema, key_columns,
-                          kind=IndexKind(kind), page_size=page_size,
-                          fill_factor=fill_factor, max_fanout=max_fanout)
-            index.build(pairs)
-            self._indexes[name] = index
 
     # ------------------------------------------------------------------
     # Construction
@@ -133,12 +106,8 @@ class Table:
         return table
 
     def insert(self, row: Sequence[Any]) -> RID:
-        """Insert one row; updates all existing indexes."""
-        record = encode_record(self.schema, row)
-        rid = self.heap.insert(record)
-        for index in self.indexes.values():
-            index.insert(row, rid)
-        return rid
+        """Insert one row, validated and encoded."""
+        return self.heap.insert(encode_record(self.schema, row))
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> list[RID]:
         """Insert many rows; returns their RIDs in order."""
@@ -158,12 +127,6 @@ class Table:
         """Decode and iterate all rows in physical order."""
         for record in self.heap.records():
             yield decode_record(self.schema, record)
-
-    def rows_with_rids(self) -> list[tuple[tuple[Any, ...], RID]]:
-        """Every decoded row with its RID, in physical order (the input
-        :meth:`Index.build` takes)."""
-        return [(decode_record(self.schema, record), rid)
-                for rid, record in self.heap.scan()]
 
     def row_at(self, position: int) -> tuple[Any, ...]:
         """The ``position``-th row ever inserted (0-based)."""
@@ -207,62 +170,5 @@ class Table:
         digest.update(self.heap.content_fingerprint().encode("ascii"))
         return digest.hexdigest()
 
-    # ------------------------------------------------------------------
-    # Indexing
-    # ------------------------------------------------------------------
-    def create_index(self, name: str, key_columns: Sequence[str],
-                     kind: IndexKind = IndexKind.NONCLUSTERED,
-                     fill_factor: float = 1.0) -> Index:
-        """Build an index over the current rows and register it."""
-        if name in self.indexes:
-            raise SchemaError(f"index {name!r} already exists on "
-                              f"table {self.name!r}")
-        index = Index(name, self.schema, key_columns, kind=kind,
-                      page_size=self.page_size, fill_factor=fill_factor)
-        index.build(self.rows_with_rids())
-        self.indexes[name] = index
-        return index
-
-    def drop_index(self, name: str) -> None:
-        """Remove a registered index."""
-        if name not in self.indexes:
-            raise SchemaError(f"no index {name!r} on table {self.name!r}")
-        del self.indexes[name]
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle via the heap: pages are the table's source of truth.
-
-        Indexes are recorded as configuration specs, rebuilt lazily on
-        first access, which keeps pickles compact and lets plan units
-        ship tables to process-pool workers without paying for index
-        rebuilds the estimator never uses.
-        """
-        if self._pending_index_specs:
-            index_specs = list(self._pending_index_specs)
-        else:
-            index_specs = [
-                (index.name, index.key_columns, index.kind.value,
-                 index.page_size, index.fill_factor, index.max_fanout)
-                for index in self._indexes.values()]
-        return {
-            "name": self.name,
-            "schema": self.schema,
-            "page_size": self.page_size,
-            "heap": self.heap,
-            "index_specs": index_specs,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.schema = state["schema"]
-        self.page_size = state["page_size"]
-        self.heap = state["heap"]
-        self._indexes = {}
-        self._pending_index_specs = list(state["index_specs"])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Table({self.name!r}, rows={self.num_rows}, "
-                f"indexes={sorted(self.indexes)})")
+        return f"Table({self.name!r}, rows={self.num_rows})"

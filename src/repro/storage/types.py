@@ -224,7 +224,7 @@ class _FixedIntType(DataType):
 
     The encoding is big-endian with the sign bit flipped, which makes the
     lexicographic order of the encoded bytes equal to the numeric order of
-    the values — a property the B+-tree relies on for key comparison.
+    the values — a property the index's byte sort key relies on.
     Null suppression treats leading zero bytes of the encoding as
     suppressible (the integer analogue of the paper's zero suppression).
     """

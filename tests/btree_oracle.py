@@ -1,31 +1,42 @@
-"""A B+-tree with byte-accurate leaf pages.
+"""The layout-parity oracle: a B+-tree and the row-built index over it.
+
+``repro.storage.index.Index`` sorts and packs record bytes into leaf
+pages without decoding them. The suites check it against an index built
+one row at a time: :class:`RowIndex` validates and encodes each decoded
+row, orders the entries by Python's tuple order on their keys in
+:meth:`BPlusTree.bulk_load`, and sizes the leaves with each codec's
+scalar ``compress`` (``repack`` for repacked pages).
 
 The tree maps comparable keys (tuples of column values) to opaque record
 bytes. Leaves hold the records and enforce *page capacity in bytes*: a
 leaf may hold as many records as fit a slotted page of the configured
-size, exactly mirroring :class:`repro.storage.page.Page` accounting. This
-is what gives the reproduction its index-page fidelity — compressing "the
-index" means compressing the byte images of these leaf pages.
+size, exactly mirroring :class:`repro.storage.page.Page` accounting.
 
 Features:
 
 * duplicate keys (non-unique indexes),
-* bulk loading from sorted input with a fill factor (how real systems
-  build indexes, including the index-on-a-sample step of SampleCF),
+* bulk loading from sorted input with a fill factor,
 * point inserts with leaf/internal splits,
 * ordered iteration, point and range lookups via the leaf chain,
-* structural validation used heavily by the test suite.
+* structural validation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
+from repro.compression.base import CompressionAlgorithm, CompressionResult
+from repro.compression.repack import compressed_page_capacity, repack
 from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE,
                              PAGE_HEADER_SIZE, SLOT_SIZE)
-from repro.errors import IndexError_
+from repro.errors import CompressionError, IndexError_
+from repro.storage.index import RID_COLUMN, IndexKind
 from repro.storage.page import Page, PageType
+from repro.storage.record import encode_record
+from repro.storage.rid import RID
+from repro.storage.schema import Column, Schema
+from repro.storage.types import BigIntType
 
 Key = tuple[Any, ...]
 
@@ -386,3 +397,112 @@ def _chunk_children(nodes: list, fanout: int) -> list[list]:
     if len(groups) > 1 and len(groups[-1]) == 1:
         groups[-1].insert(0, groups[-2].pop())
     return groups
+
+
+class RowIndex:
+    """An index built row by row into a :class:`BPlusTree`, sized by
+    scalar ``compress``: the oracle for ``repro.storage.index.Index``."""
+
+    def __init__(self, name: str, table_schema: Schema,
+                 key_columns: Sequence[str],
+                 kind: IndexKind = IndexKind.CLUSTERED,
+                 page_size: int = DEFAULT_PAGE_SIZE,
+                 fill_factor: float = DEFAULT_FILL_FACTOR) -> None:
+        self.name = name
+        self.table_schema = table_schema
+        self.key_columns = tuple(key_columns)
+        self.kind = kind
+        self.page_size = page_size
+        self.fill_factor = fill_factor
+        self._key_positions = tuple(
+            table_schema.index_of(column) for column in key_columns)
+        if kind is IndexKind.CLUSTERED:
+            self.leaf_schema = table_schema
+        else:
+            projected = list(table_schema.project(key_columns).columns)
+            projected.append(Column(RID_COLUMN, BigIntType()))
+            self.leaf_schema = Schema(projected)
+        self._tree = BPlusTree(page_size=page_size)
+
+    def key_of(self, row: Sequence[Any]) -> Key:
+        """This index's key tuple of a full table row."""
+        return tuple(row[position] for position in self._key_positions)
+
+    def _leaf_record(self, row: Sequence[Any], rid: RID | None) -> bytes:
+        if self.kind is IndexKind.CLUSTERED:
+            return encode_record(self.table_schema, row)
+        if rid is None:
+            raise IndexError_(
+                "non-clustered index entries need a RID locator")
+        return encode_record(self.leaf_schema, list(self.key_of(row))
+                             + [(rid.page_id << 32) | rid.slot])
+
+    def build(self, rows_with_rids: Iterable[tuple[Sequence[Any],
+                                                   RID | None]],
+              ) -> "RowIndex":
+        """Bulk-load the tree from validated ``(row, rid)`` pairs."""
+        entries = []
+        for row, rid in rows_with_rids:
+            self.table_schema.validate_row(row)
+            entries.append((self.key_of(row), self._leaf_record(row, rid)))
+        self._tree = BPlusTree.bulk_load(
+            entries, page_size=self.page_size,
+            fill_factor=self.fill_factor)
+        return self
+
+    def build_from_rows(self, rows: Iterable[Sequence[Any]]) -> "RowIndex":
+        """Bulk-load a clustered index from rows alone."""
+        return self.build((row, None) for row in rows)
+
+    @property
+    def num_entries(self) -> int:
+        return self._tree.num_entries
+
+    def leaf_pages(self) -> Iterator[Page]:
+        return self._tree.leaf_pages()
+
+    def leaf_records(self) -> Iterator[bytes]:
+        for leaf in self._tree.leaves():
+            yield from leaf.records
+
+    def compress(self, algorithm: CompressionAlgorithm,
+                 accounting: str = "payload",
+                 repack_pages: bool = False) -> CompressionResult:
+        """Compress every leaf with the codec and report sizes."""
+        if self.num_entries == 0:
+            raise CompressionError(
+                f"index {self.name!r} is empty; nothing to compress")
+        if accounting not in ("payload", "physical"):
+            raise CompressionError(f"unknown accounting {accounting!r}")
+        pages_before = self._tree.num_leaf_pages
+        uncompressed = self._tree.leaf_payload_bytes \
+            if accounting == "payload" else self._tree.leaf_physical_bytes
+        repacked = False
+        if algorithm.scope == "index":
+            payload = algorithm.compress(list(self.leaf_records()),
+                                         self.leaf_schema).payload_size
+            pages_after = max(1, -(-payload // compressed_page_capacity(
+                self.page_size)))
+            physical = pages_after * self.page_size
+        elif repack_pages:
+            packed = repack(list(self.leaf_records()), self.leaf_schema,
+                            algorithm, self.page_size)
+            payload, pages_after = packed.payload_size, packed.num_pages
+            physical, repacked = packed.physical_bytes, True
+        else:
+            payload = sum(algorithm.compress(leaf.records,
+                                             self.leaf_schema).payload_size
+                          for leaf in self._tree.leaves())
+            pages_after = pages_before
+            physical = pages_before * self.page_size
+        return CompressionResult(
+            algorithm=algorithm.name, accounting=accounting,
+            uncompressed_bytes=uncompressed,
+            compressed_bytes=payload if accounting == "payload"
+            else physical,
+            row_count=self.num_entries, pages_before=pages_before,
+            pages_after=pages_after,
+            details={"compressed_payload": payload, "repacked": repacked})
+
+    #: The oracle has one sizing path: it compresses.
+    estimate_compression = compress

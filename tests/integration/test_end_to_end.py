@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import (BlockSampler, IndexKind, NullSuppression, Query,
+from repro import (BlockSampler, Index, IndexKind, NullSuppression, Query,
                    SampleCF, TableStats, get_algorithm, list_algorithms,
                    make_table, ratio_error, sample_cf, true_cf_table)
 from repro.advisor import (CostModel, enumerate_candidates, plan_capacity,
@@ -44,7 +44,7 @@ class TestFigure2Workflow:
 
     def test_index_sampling_shortcut(self):
         table = make_table(n=3000, d=80, k=20, page_size=PAGE, seed=47)
-        index = table.create_index("ix", ["a"], kind=IndexKind.CLUSTERED)
+        index = Index.over(table, ["a"], kind=IndexKind.CLUSTERED)
         estimator = SampleCF(NullSuppression(), page_size=PAGE)
         from_index = estimator.estimate_index(index, 0.1, seed=3)
         truth = true_cf_table(table, ["a"], NullSuppression(),

@@ -9,7 +9,6 @@ those verifications to the real engine.
 import pytest
 
 from repro.storage.index import Index, IndexKind
-from repro.storage.schema import single_char_schema
 from repro.compression.dictionary import DictionaryCompression
 from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.compression.null_suppression import NullSuppression
@@ -94,9 +93,8 @@ def test_paged_dictionary_model_tracks_leaf_boundaries():
     """Pg(i) in the model equals distinct-per-leaf in the real index."""
     histogram = make_histogram(2000, 12, 20, seed=31)
     table = histogram_to_table(histogram, page_size=PAGE, seed=32)
-    index = Index("ix", single_char_schema(20), ["a"],
-                  kind=IndexKind.CLUSTERED, page_size=PAGE)
-    index.build([(row, None) for row in table.rows()])
+    index = Index.over(table, ["a"], kind=IndexKind.CLUSTERED,
+                       page_size=PAGE)
     total_entries = 0
     for page in index.leaf_pages():
         distinct_on_page = len({bytes(record)

@@ -8,7 +8,7 @@ VARCHAR columns exercise the variable-width record paths end to end.
 
 import pytest
 
-from repro.storage.index import IndexKind
+from repro.storage.index import Index, IndexKind
 from repro.storage.record import encode_record
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -79,10 +79,8 @@ class TestVarCharEndToEnd:
         assert rows[5] == ("note 5: xxxxx",)
 
     def test_index_and_compress(self, table):
-        index = table.create_index("ix", ["note"],
-                                   kind=IndexKind.CLUSTERED)
-        index.validate()
-        result = index.compress(NullSuppression())
+        index = Index.over(table, ["note"], kind=IndexKind.CLUSTERED)
+        result = index.estimate_compression(NullSuppression())
         # VARCHAR is already minimal: NS is the identity, CF == 1.
         assert result.compression_fraction == pytest.approx(1.0)
 

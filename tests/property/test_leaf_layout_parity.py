@@ -1,23 +1,24 @@
-"""Layout-parity property suite: sample leaf images == B+-tree leaves.
+"""Layout-parity property suite: index leaves == B+-tree leaves.
 
-The sample path builds each sample index as a
-:class:`~repro.storage.leaf_image.LeafImage` straight from the drawn
-record bytes: byte sort keys, a stable argsort and greedy packing, with
-no row decoded. ``Index.build`` (validated rows, Python tuple sort,
+``Index.build`` builds every index straight from record bytes: byte
+sort keys, a stable argsort and greedy packing, with no row decoded.
+``RowIndex.build`` (validated rows, Python tuple sort,
 ``BPlusTree.bulk_load``) is the oracle. Over derandomized schemas —
 CHAR values with bytes below ``0x20``, interior blanks and ``\\xff``;
 VARCHAR values with trailing blanks and NULs; INTEGER/BIGINT extremes;
 multi-column keys in an order other than the schema's; heavy duplicate
 keys whose other columns differ — under every sampler, both index kinds
-and fill factors 0.5–1.0, the image must hold the oracle's leaf pages
-byte for byte, count the same distinct keys, and size to exactly
-``Index.compress`` for every registered algorithm, with the size
-kernels on and off. An empty sample fails as an empty index does.
+and fill factors 0.5–1.0, the sample index must hold the oracle's
+leaf pages byte for byte, count the same distinct keys, and size to
+exactly ``RowIndex.compress`` for every registered algorithm, with the
+size kernels on and off. An empty sample fails as an empty index does.
 Existing indexes are one more source: ``SampleCF.estimate_index``
 (the table path over the index's leaf pages) must equal the same draw
-taken by hand over the leaves, decoded and rebuilt with ``Index.build``.
-Guard tests prove the sample path never decodes or builds through the
-B+-tree, and that the draw still rejects a malformed heap record.
+taken by hand over the leaves, decoded and rebuilt with the oracle.
+Ground truth is another: ``true_cf_table`` must equal the oracle built
+over every decoded row. Guard tests prove the sample path and truth
+never decode, encode or build through the B+-tree, and that the draw
+still rejects a malformed heap record.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.compression.kernels import DISABLE_KERNELS_ENV
 from repro.compression.registry import get_algorithm, list_algorithms
 from repro.constants import PAGE_HEADER_SIZE, SLOT_SIZE
-from repro.core.samplecf import SampleCF
+from repro.core.samplecf import SampleCF, true_cf_table
 from repro.engine import (EstimationEngine, EstimationRequest,
                           MaterializedSample, materialize_table_sample)
 from repro.errors import CompressionError, EncodingError, IndexError_
@@ -42,12 +43,12 @@ from repro.sampling.rng import make_rng
 from repro.sampling.row_samplers import (BernoulliSampler,
                                          WithReplacementSampler,
                                          WithoutReplacementSampler)
-from repro.storage.btree import BPlusTree
 from repro.storage.index import Index, IndexKind
 from repro.storage.record import decode_record
 from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
+from tests.btree_oracle import BPlusTree, RowIndex
 
 ALGORITHMS = [get_algorithm(name) for name in list_algorithms()]
 
@@ -83,23 +84,23 @@ def sample_records(sample) -> list[bytes]:
 
 
 def oracle_index(table, sample, columns, kind, page_size, fill_factor):
-    """``Index.build`` over the sample's decoded rows, and those rows."""
+    """``RowIndex.build`` over the sample's decoded rows, and those rows."""
     rows = [decode_record(table.schema, record)
             for record in sample_records(sample)]
     rids = [RID(value >> 32, value & 0xFFFFFFFF)
             for value in sample.rids.tolist()]
-    index = Index("samplecf_sample", table.schema, columns, kind=kind,
-                  page_size=page_size, fill_factor=fill_factor)
+    index = RowIndex("samplecf_sample", table.schema, columns, kind=kind,
+                     page_size=page_size, fill_factor=fill_factor)
     index.build(list(zip(rows, rids)))
     return index, rows
 
 
 def check_layout(table, sampler, fraction, seed, columns, kind,
                  page_size, fill_factor):
-    """Assert image == oracle leaves; return the (entry, oracle) pair.
+    """Assert index == oracle leaves; return the (index, oracle) pair.
 
     Returns ``None`` when the oracle rejects the layout (a record that
-    cannot fit a leaf page), after checking the image rejects it too.
+    cannot fit a leaf page), after checking the index rejects it too.
     """
     sample = materialize_table_sample(table, sampler, fraction, seed)
     try:
@@ -110,8 +111,8 @@ def check_layout(table, sampler, fraction, seed, columns, kind,
             sample.index_for(table, columns, kind, page_size, fill_factor)
         return None
     entry = sample.index_for(table, columns, kind, page_size, fill_factor)
-    bounds = entry.image.bounds.tolist()
-    assert [entry.image.records(a, b)
+    bounds = entry.bounds.tolist()
+    assert [entry.leaf_records(a, b)
             for a, b in zip(bounds, bounds[1:])] == \
         [list(page.records()) for page in oracle.leaf_pages()]
     assert entry.distinct == len({oracle.key_of(row) for row in rows})
@@ -123,7 +124,7 @@ def index_oracle(index, sampler, fraction, seed):
 
     The draw ``estimate_index`` makes, taken over ``leaf_records()``
     (``leaf_pages()`` for the block sampler) and decoded, then a
-    clustered ``Index.build`` on the index key in the index's layout.
+    clustered ``RowIndex.build`` on the index key in the index's layout.
     """
     rng = make_rng(seed)
     r = rows_for_fraction(index.num_entries, fraction)
@@ -139,9 +140,9 @@ def index_oracle(index, sampler, fraction, seed):
                    sampler.sample_positions(index.num_entries, r, rng)]
     rows = [decode_record(index.leaf_schema, record)
             for record in records]
-    oracle = Index("oracle", index.leaf_schema, index.key_columns,
-                   page_size=index.page_size,
-                   fill_factor=index.fill_factor).build_from_rows(rows)
+    oracle = RowIndex("oracle", index.leaf_schema, index.key_columns,
+                      page_size=index.page_size,
+                      fill_factor=index.fill_factor).build_from_rows(rows)
     return oracle, rows, extra
 
 
@@ -229,7 +230,7 @@ def test_image_sizes_match_compress(case):
                                    repack_pages=repack)
             for enabled in (True, False):
                 with kernels(enabled):
-                    got = entry.image.estimate_compression(
+                    got = entry.estimate_compression(
                         algorithm, accounting=accounting,
                         repack_pages=repack)
                 assert got == want, (algorithm.name, accounting, repack,
@@ -240,9 +241,8 @@ def test_image_sizes_match_compress(case):
 @given(case=cases())
 def test_index_estimates_match_an_oracle_over_the_leaves(case):
     """``estimate_index`` == the oracle, every algorithm and accounting."""
-    index = case["table"].create_index(
-        "ix", case["columns"], kind=case["kind"],
-        fill_factor=case["fill_factor"])
+    index = Index.over(case["table"], case["columns"], kind=case["kind"],
+                       fill_factor=case["fill_factor"])
     sampler = make_sampler(case["sampler"], case["fraction"])
     oracle, rows, extra = index_oracle(index, sampler, case["fraction"],
                                        case["seed"])
@@ -274,6 +274,43 @@ def test_index_estimates_match_an_oracle_over_the_leaves(case):
                  "pages_after": want.pages_after, **extra},
                 "index_block" if extra else "index"), (
                 algorithm.name, accounting, repack)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=cases())
+def test_truth_matches_an_oracle_over_every_row(case):
+    """``true_cf_table`` == the oracle's truth, both kinds, every codec.
+
+    The oracle's truth decodes every row, bulk-loads the B+-tree and
+    compresses each leaf with the codec's scalar ``compress`` (``repack``
+    for repacked physical accounting).
+    """
+    table, columns = case["table"], case["columns"]
+    layout = {"page_size": case["page_size"],
+              "fill_factor": case["fill_factor"]}
+    rows = [(decode_record(table.schema, record), rid)
+            for rid, record in table.heap.scan()]
+    for kind in IndexKind:
+        oracle = RowIndex("truth", table.schema, columns, kind=kind,
+                          **layout)
+        try:
+            oracle.build(rows)
+        except IndexError_:
+            with pytest.raises(IndexError_):
+                true_cf_table(table, columns, ALGORITHMS[0], kind=kind,
+                              **layout)
+            continue
+        for algorithm in ALGORITHMS:
+            for accounting, repack in (("payload", False),
+                                       ("physical", False),
+                                       ("physical", True)):
+                want = oracle.compress(algorithm, accounting=accounting,
+                                       repack_pages=repack)
+                assert true_cf_table(
+                    table, columns, algorithm, kind=kind,
+                    accounting=accounting, repack=repack, **layout) == \
+                    want.compression_fraction, (kind, algorithm.name,
+                                                accounting, repack)
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +355,7 @@ def test_wide_record_barely_fits():
         assert (outcome is not None) == fits
         if fits:
             entry, _ = outcome
-            assert entry.image.num_leaf_pages == entry.image.num_entries
+            assert entry.num_leaf_pages == entry.num_entries
 
 
 @pytest.mark.parametrize("kind", list(IndexKind))
@@ -327,10 +364,10 @@ def test_empty_sample_fails_like_an_empty_index(kind):
     table = Table.from_rows("t", schema, [("x", "y")], page_size=256)
     entry = MaterializedSample(fraction=0.5, seed=1, path="storage") \
         .index_for(table, ("a",), kind, 256, 1.0)
-    oracle = Index("samplecf_sample", schema, ("a",), kind=kind,
-                   page_size=256).build([])
+    oracle = RowIndex("samplecf_sample", schema, ("a",), kind=kind,
+                      page_size=256).build([])
     messages = []
-    for index in (entry.image, oracle):
+    for index in (entry, oracle):
         with pytest.raises(CompressionError) as raised:
             index.estimate_compression(ALGORITHMS[0])
         messages.append(str(raised.value))
@@ -359,24 +396,31 @@ def test_sample_path_never_decodes_or_uses_the_btree(monkeypatch):
                 for algorithm in ("null_suppression", "dictionary", "page")
                 for kind in IndexKind]
     expected = EstimationEngine(seed=4).execute(requests)
-    # Two identical indexes: one answers before the patches, the other
-    # builds its leaf table and sample index under them.
-    indexes = [table.create_index(f"ix{copy}", ("v", "n"))
-               for copy in range(2)]
+    # Two identical indexes over the table: one is built and answers
+    # before the patches, the other is built, with its leaf table and
+    # sample index, under them. Truth runs on both sides too.
+    def index_over_table():
+        return Index.over(table, ("v", "n"), kind=IndexKind.NONCLUSTERED)
 
     def estimate_index(index):
         return SampleCF("dictionary", engine=EstimationEngine(seed=4)) \
             .estimate_index(index, 0.2, seed=3)
 
-    expected_index = estimate_index(indexes[0])
+    def truths():
+        return [true_cf_table(table, request.columns, request.algorithm,
+                              kind=request.kind, page_size=1024)
+                for request in requests]
+
+    expected_index = estimate_index(index_over_table())
+    expected_truths = truths()
     for module in [m for name, m in sys.modules.items()
                    if name.startswith("repro") and m is not None]:
-        if hasattr(module, "decode_record"):
-            monkeypatch.setattr(module, "decode_record",
-                                _forbidden("decode_record"))
+        for name in ("decode_record", "encode_record"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _forbidden(name))
     monkeypatch.setattr(Schema, "validate_row",
                         _forbidden("Schema.validate_row"))
-    monkeypatch.setattr(Index, "build", _forbidden("Index.build"))
+    monkeypatch.setattr(RowIndex, "build", _forbidden("RowIndex.build"))
     monkeypatch.setattr(BPlusTree, "bulk_load",
                         _forbidden("BPlusTree.bulk_load"))
     batch = EstimationEngine(seed=4).execute(requests)
@@ -384,7 +428,8 @@ def test_sample_path_never_decodes_or_uses_the_btree(monkeypatch):
         expected.stats["indexes_built"] > 0
     assert [result.estimates for result in batch.results] == \
         [result.estimates for result in expected.results]
-    assert estimate_index(indexes[1]) == expected_index
+    assert estimate_index(index_over_table()) == expected_index
+    assert truths() == expected_truths
 
 
 @pytest.mark.parametrize("sampler", [WithoutReplacementSampler(),

@@ -1,10 +1,10 @@
-"""Unit tests for repro.storage.btree."""
+"""Unit tests for the B+-tree oracle (tests/btree_oracle.py)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import IndexError_
-from repro.storage.btree import BPlusTree
+from tests.btree_oracle import BPlusTree
 
 
 def entries_for(keys: list) -> list:

@@ -8,7 +8,7 @@ from repro.errors import PageFormatError, SchemaError
 from repro.storage.filestore import (load_heap, load_table, save_heap,
                                      save_table)
 from repro.storage.heap import HeapFile
-from repro.storage.index import IndexKind
+from repro.storage.index import Index, IndexKind
 from repro.workloads.generators import make_multicolumn_table, make_table
 
 
@@ -92,9 +92,9 @@ class TestTablePersistence:
         path = tmp_path / "t.rpr"
         save_table(table, path)
         loaded = load_table(path)
-        index = loaded.create_index("ix", ["a"],
-                                    kind=IndexKind.CLUSTERED)
-        index.validate()
+        index = Index.over(loaded, ["a"], kind=IndexKind.CLUSTERED)
+        assert index.leaf_records() == Index.over(
+            table, ["a"], kind=IndexKind.CLUSTERED).leaf_records()
         assert index.num_entries == 400
 
     def test_estimator_runs_on_loaded_table(self, tmp_path):

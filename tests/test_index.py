@@ -1,11 +1,14 @@
 """Unit tests for repro.storage.index."""
 
+import numpy as np
 import pytest
 
+from repro.constants import PAGE_HEADER_SIZE, SLOT_SIZE
 from repro.errors import CompressionError, IndexError_
 from repro.storage.index import Index, IndexKind, RID_COLUMN
-from repro.storage.rid import RID
+from repro.storage.record import decode_record
 from repro.storage.schema import Column, Schema, single_char_schema
+from repro.storage.table import Table
 from repro.compression.null_suppression import NullSuppression
 from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.compression.dictionary import DictionaryCompression
@@ -13,20 +16,18 @@ from repro.compression.dictionary import DictionaryCompression
 PAGE = 256
 
 
-def rows_with_rids(values: list[str]) -> list:
-    return [((value,), RID(0, slot)) for slot, value in enumerate(values)]
+def table_of(values: list[str], k: int = 20) -> Table:
+    return Table.from_rows("t", single_char_schema(k),
+                           [(value,) for value in values], page_size=PAGE)
 
 
 def build_clustered(values: list[str], k: int = 20) -> Index:
-    index = Index("ix", single_char_schema(k), ["a"],
-                  kind=IndexKind.CLUSTERED, page_size=PAGE)
-    return index.build(rows_with_rids(values))
+    return Index.over(table_of(values, k), ["a"], kind=IndexKind.CLUSTERED)
 
 
 def build_nonclustered(values: list[str], k: int = 20) -> Index:
-    index = Index("ix", single_char_schema(k), ["a"],
-                  kind=IndexKind.NONCLUSTERED, page_size=PAGE)
-    return index.build(rows_with_rids(values))
+    return Index.over(table_of(values, k), ["a"],
+                      kind=IndexKind.NONCLUSTERED)
 
 
 class TestIndexConstruction:
@@ -46,48 +47,19 @@ class TestIndexConstruction:
     def test_multi_column_key(self):
         schema = Schema([Column.of("a", "char(6)"),
                          Column.of("b", "integer")])
-        index = Index("ix", schema, ["b", "a"], page_size=PAGE)
-        index.build([(("x", 2), None), (("y", 1), None)])
-        assert [entry for entry in index.range_scan()] == [
-            ("y", 1), ("x", 2)]
-
-    def test_build_from_rows_clustered_only(self):
-        index = Index("ix", single_char_schema(8), ["a"],
-                      kind=IndexKind.NONCLUSTERED)
-        with pytest.raises(IndexError_):
-            index.build_from_rows([("x",)])
+        table = Table.from_rows("t", schema, [("x", 2), ("y", 1)],
+                                page_size=PAGE)
+        index = Index.over(table, ["b", "a"])
+        assert [decode_record(index.leaf_schema, record)
+                for record in index.leaf_records()] == [("y", 1), ("x", 2)]
 
     def test_nonclustered_requires_rids(self):
         index = Index("ix", single_char_schema(8), ["a"],
                       kind=IndexKind.NONCLUSTERED)
+        buffer, offsets, rids = table_of(["x"], k=8).heap.gather(
+            np.arange(1))
         with pytest.raises(IndexError_):
-            index.build([(("x",), None)])
-
-
-class TestLookup:
-    def test_clustered_search_returns_rows(self):
-        index = build_clustered(["b", "a", "c", "a"])
-        assert index.search(("a",)) == [("a",), ("a",)]
-
-    def test_nonclustered_search_rids(self):
-        index = build_nonclustered(["b", "a", "c", "a"])
-        rids = index.search_rids(("a",))
-        assert sorted(rids) == [RID(0, 1), RID(0, 3)]
-
-    def test_clustered_search_rids_rejected(self):
-        index = build_clustered(["a"])
-        with pytest.raises(IndexError_):
-            index.search_rids(("a",))
-
-    def test_range_scan_sorted(self):
-        index = build_clustered(["d", "b", "a", "c"])
-        assert [row[0] for row in index.range_scan()] == list("abcd")
-
-    def test_insert_after_build(self):
-        index = build_clustered(["a", "c"])
-        index.insert(("b",))
-        assert [row[0] for row in index.range_scan()] == list("abc")
-        index.validate()
+            index.build(buffer, offsets, rids[:0])
 
 
 class TestSizes:
@@ -115,38 +87,38 @@ class TestCompress:
     def test_empty_index_rejected(self):
         index = Index("ix", single_char_schema(8), ["a"], page_size=PAGE)
         with pytest.raises(CompressionError):
-            index.compress(NullSuppression())
+            index.estimate_compression(NullSuppression())
 
     def test_payload_cf_below_one_for_padded_values(self):
         index = build_clustered(["ab"] * 50 + ["cdef"] * 50)
-        result = index.compress(NullSuppression())
+        result = index.estimate_compression(NullSuppression())
         assert 0 < result.compression_fraction < 0.5
         assert result.row_count == 100
         assert result.accounting == "payload"
 
     def test_physical_in_place_keeps_pages(self):
         index = build_clustered(["ab"] * 200)
-        result = index.compress(NullSuppression(), accounting="physical")
+        result = index.estimate_compression(NullSuppression(), accounting="physical")
         assert result.pages_before == result.pages_after
         assert result.compression_fraction == 1.0
 
     def test_physical_repack_frees_pages(self):
         index = build_clustered(["ab"] * 200)
-        result = index.compress(NullSuppression(), accounting="physical",
+        result = index.estimate_compression(NullSuppression(), accounting="physical",
                                 repack_pages=True)
         assert result.pages_after < result.pages_before
         assert result.compression_fraction < 1.0
 
     def test_index_scope_algorithm(self):
         index = build_clustered(["a", "b"] * 100)
-        result = index.compress(GlobalDictionaryCompression())
+        result = index.estimate_compression(GlobalDictionaryCompression())
         # 2 entries * 20 bytes + 200 pointers * 2 bytes over 200*20.
         assert result.compressed_bytes == 2 * 20 + 200 * 2
         assert result.uncompressed_bytes == 200 * 20
 
     def test_page_scope_payload_sums_leaf_blocks(self):
         index = build_clustered([f"v{i % 7}" for i in range(150)])
-        result = index.compress(DictionaryCompression())
+        result = index.estimate_compression(DictionaryCompression())
         manual = 0
         for page in index.leaf_pages():
             block = DictionaryCompression().compress(
@@ -156,11 +128,18 @@ class TestCompress:
 
     def test_repack_payload_matches_tracker(self):
         index = build_clustered([f"v{i % 5}" for i in range(200)])
-        inplace = index.compress(DictionaryCompression(), repack_pages=False)
-        repacked = index.compress(DictionaryCompression(), repack_pages=True)
+        inplace = index.estimate_compression(DictionaryCompression(), repack_pages=False)
+        repacked = index.estimate_compression(DictionaryCompression(), repack_pages=True)
         # Repacking merges pages, so fewer dictionary copies are stored.
         assert repacked.compressed_bytes <= inplace.compressed_bytes
 
-    def test_validate_passes(self):
-        index = build_clustered([f"w{i}" for i in range(300)])
-        index.validate()
+    def test_leaves_are_ordered_and_within_capacity(self):
+        index = build_clustered([f"w{i % 97}" for i in range(300)])
+        records = index.leaf_records()
+        assert records == sorted(records)
+        counts = np.diff(index.bounds)
+        assert (counts > 0).all() and counts.sum() == 300
+        assert index.num_leaf_pages > 1
+        for page in index.leaf_pages():
+            assert PAGE_HEADER_SIZE + SLOT_SIZE * len(page) \
+                + page.payload_bytes <= PAGE

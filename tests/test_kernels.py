@@ -20,6 +20,7 @@ from repro.storage.record import (decode_record, encode_record,
 from repro.storage.schema import Column, Schema
 from repro.storage.types import minimal_int_bytes
 from repro.workloads.generators import make_table
+from tests.btree_oracle import RowIndex
 
 
 @pytest.fixture
@@ -238,24 +239,33 @@ class TestRecordKey:
 # Index.estimate_compression
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def char_index():
-    table = make_table(1200, 60, 18, seed=77)
-    index = Index("t", table.schema, ["a"], page_size=2048)
-    index.build_from_rows(list(table.rows()))
-    return index
+def char_table():
+    return make_table(1200, 60, 18, seed=77)
+
+
+@pytest.fixture(scope="module")
+def char_index(char_table):
+    return Index.over(char_table, ["a"], page_size=2048)
+
+
+@pytest.fixture(scope="module")
+def char_oracle(char_table):
+    """The same index built row by row and sized by scalar compress."""
+    return RowIndex("t", char_table.schema, ["a"], page_size=2048) \
+        .build_from_rows(char_table.rows())
 
 
 class TestEstimateCompression:
     @pytest.mark.parametrize("name", list_algorithms())
     @pytest.mark.parametrize("accounting", ["payload", "physical"])
     @pytest.mark.parametrize("repack", [False, True])
-    def test_identical_to_compress(self, char_index, name, accounting,
-                                   repack):
+    def test_identical_to_compress(self, char_index, char_oracle, name,
+                                   accounting, repack):
         algorithm = get_algorithm(name)
         assert char_index.estimate_compression(
             algorithm, accounting=accounting, repack_pages=repack) == \
-            char_index.compress(algorithm, accounting=accounting,
-                                repack_pages=repack)
+            char_oracle.compress(algorithm, accounting=accounting,
+                                 repack_pages=repack)
 
     def test_counts_kernel_blocks(self, char_index, kernels_on):
         hits = {"kernel": 0, "fallback": 0}
@@ -323,25 +333,28 @@ class TestEstimateCompression:
         assert disabled == enabled
 
     def test_view_cache_survives_reuse_but_not_pickle(self, char_index,
+                                                      char_oracle,
                                                       kernels_on):
         char_index.estimate_compression(get_algorithm("null_suppression"))
-        assert char_index._leaf_image._views is not None
+        assert char_index._views is not None
         clone = pickle.loads(pickle.dumps(char_index))
-        assert clone._leaf_image is None
+        assert clone._views is None
         assert clone.estimate_compression(get_algorithm("dictionary")) \
-            == char_index.compress(get_algorithm("dictionary"))
+            == char_oracle.compress(get_algorithm("dictionary"))
 
-    def test_cache_invalidated_by_insert(self, kernels_on):
+    def test_cache_invalidated_by_rebuild(self, kernels_on):
         table = make_table(300, 20, 12, seed=3)
         index = Index("t", table.schema, ["a"], page_size=1024)
-        rows = list(table.rows())
-        index.build_from_rows(rows[:-1])
+        buffer, offsets, rids = table.heap.gather(np.arange(300))
+        index.build(buffer[:offsets[-2]], offsets[:-1], rids[:-1])
         before = index.estimate_compression(get_algorithm("dictionary"))
-        assert index._leaf_image is not None
-        index.insert(rows[-1])
-        assert index._leaf_image is None
+        assert index._views is not None
+        index.build(buffer, offsets, rids)
+        assert index._views is None
         after = index.estimate_compression(get_algorithm("dictionary"))
-        assert after == index.compress(get_algorithm("dictionary"))
+        oracle = RowIndex("t", table.schema, ["a"], page_size=1024) \
+            .build_from_rows(table.rows())
+        assert after == oracle.compress(get_algorithm("dictionary"))
         assert after != before
 
 

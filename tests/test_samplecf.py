@@ -6,7 +6,7 @@ import pytest
 from repro.errors import EstimationError, SamplingError
 from repro.sampling.block import BlockSampler
 from repro.sampling.row_samplers import WithoutReplacementSampler
-from repro.storage.index import IndexKind
+from repro.storage.index import Index, IndexKind
 from repro.storage.schema import single_char_schema
 from repro.storage.table import Table
 from repro.storage.types import CharType
@@ -101,7 +101,7 @@ class TestEstimateTable:
 
 class TestEstimateIndex:
     def test_matches_table_path_distribution(self, table):
-        index = table.create_index("ix", ["a"], kind=IndexKind.CLUSTERED)
+        index = Index.over(table, ["a"], kind=IndexKind.CLUSTERED)
         estimator = SampleCF(NullSuppression(), page_size=PAGE)
         result = estimator.estimate_index(index, 0.1, seed=5)
         truth = true_cf_table(table, ["a"], NullSuppression(),
@@ -110,7 +110,7 @@ class TestEstimateIndex:
         assert abs(result.estimate - truth) < 0.1
 
     def test_block_sampling_over_leaves(self, table):
-        index = table.create_index("ix2", ["a"], kind=IndexKind.CLUSTERED)
+        index = Index.over(table, ["a"], kind=IndexKind.CLUSTERED)
         estimator = SampleCF(NullSuppression(), sampler=BlockSampler(),
                              page_size=PAGE)
         result = estimator.estimate_index(index, 0.1, seed=5)
@@ -126,7 +126,7 @@ class TestEstimateIndex:
             return SampleCF(NullSuppression(), engine=engine) \
                 .estimate_index(index, 0.1, seed=5)
 
-        index = table.create_index("ix", ["a"], kind=IndexKind.CLUSTERED)
+        index = Index.over(table, ["a"], kind=IndexKind.CLUSTERED)
         engine = EstimationEngine(seed=0)
         first = estimate(engine, index)
         assert estimate(engine, index) == first
@@ -134,16 +134,13 @@ class TestEstimateIndex:
         assert engine.stats["sample_cache_hits"] == 1
         assert estimate(EstimationEngine(seed=0, store=SampleStore(
             tmp_path)), index) == first
-        rebuilt = table.create_index("ix_again", ["a"],
-                                     kind=IndexKind.CLUSTERED)
+        rebuilt = Index.over(table, ["a"], kind=IndexKind.CLUSTERED)
         fresh = EstimationEngine(seed=0, store=SampleStore(tmp_path))
         assert estimate(fresh, rebuilt) == first
         assert fresh.stats["samples_materialized"] == 0
         assert fresh.stats["estimate_store_hits"] == 1
 
     def test_empty_index_rejected(self):
-        from repro.storage.index import Index
-
         index = Index("ix", single_char_schema(8), ["a"], page_size=PAGE)
         with pytest.raises(EstimationError):
             SampleCF(NullSuppression()).estimate_index(index, 0.1)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import SchemaError
-from repro.storage.index import IndexKind
+from repro.storage.index import Index, IndexKind
+from repro.storage.record import decode_record
+from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema, single_char_schema
 from repro.storage.table import Table
 
@@ -56,46 +58,31 @@ class TestTableBasics:
             table.insert(("toolongname", "not an int"))
 
 
+def leaf_entries(index: Index) -> list[tuple]:
+    return [decode_record(index.leaf_schema, record)
+            for record in index.leaf_records()]
+
+
 class TestTableIndexes:
     def test_create_index_and_lookup(self):
         table = sample_table()
-        index = table.create_index("ix_name", ["name"])
-        assert index.kind is IndexKind.NONCLUSTERED
-        rids = index.search_rids(("apple",))
+        index = Index.over(table, ["name"], kind=IndexKind.NONCLUSTERED)
+        rids = [RID(locator >> 32, locator & 0xFFFFFFFF)
+                for name, locator in leaf_entries(index) if name == "apple"]
         assert sorted(table.heap.get(rid)[:5] for rid in rids) == \
             [b"apple", b"apple"]
 
     def test_create_clustered_index(self):
         table = sample_table()
-        index = table.create_index("ix_c", ["name"],
-                                   kind=IndexKind.CLUSTERED)
-        assert [row[0] for row in index.range_scan()] == \
+        index = Index.over(table, ["name"], kind=IndexKind.CLUSTERED)
+        assert [row[0] for row in leaf_entries(index)] == \
             ["apple", "apple", "banana", "cherry"]
-
-    def test_duplicate_index_name_rejected(self):
-        table = sample_table()
-        table.create_index("ix", ["name"])
-        with pytest.raises(SchemaError):
-            table.create_index("ix", ["qty"])
-
-    def test_insert_maintains_indexes(self):
-        table = sample_table()
-        index = table.create_index("ix", ["name"])
-        table.insert(("fig", 1))
-        assert len(index.search_rids(("fig",))) == 1
-        index.validate()
-
-    def test_drop_index(self):
-        table = sample_table()
-        table.create_index("ix", ["name"])
-        table.drop_index("ix")
-        assert "ix" not in table.indexes
-        with pytest.raises(SchemaError):
-            table.drop_index("ix")
 
     def test_index_sees_only_current_rows(self):
         table = sample_table()
-        index = table.create_index("ix", ["qty"])
+        index = Index.over(table, ["qty"], kind=IndexKind.NONCLUSTERED)
+        assert index.num_entries == 4
+        table.insert(("fig", 1))
         assert index.num_entries == 4
 
 
@@ -112,20 +99,6 @@ class TestTablePickling:
         assert [restored.rid_at(i) for i in range(4)] == \
             [table.rid_at(i) for i in range(4)]
         assert restored.row_at(2) == table.row_at(2)
-
-    def test_pickle_rebuilds_indexes(self):
-        import pickle
-
-        table = sample_table()
-        table.create_index("by_name", ["name"],
-                           kind=IndexKind.NONCLUSTERED)
-        restored = pickle.loads(pickle.dumps(table))
-        assert set(restored.indexes) == {"by_name"}
-        index = restored.indexes["by_name"]
-        assert index.kind is IndexKind.NONCLUSTERED
-        assert index.num_entries == 4
-        assert index.search_rids(("apple",)) == \
-            table.indexes["by_name"].search_rids(("apple",))
 
     def test_restored_table_accepts_inserts(self):
         import pickle
