@@ -7,8 +7,7 @@ agnostic to the compression technique (RLE, prefix, composite PAGE).
 """
 
 from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm, CompressionResult,
-                                    PageSizeTracker)
+                                    CompressionAlgorithm, CompressionResult)
 from repro.compression.delta import DeltaEncoding, delta_stored_size
 from repro.compression.dictionary import (DictionaryCompression,
                                           pointer_bytes_for)
@@ -31,7 +30,6 @@ __all__ = [
     "CompressedColumn",
     "CompressionAlgorithm",
     "CompressionResult",
-    "PageSizeTracker",
     "DeltaEncoding",
     "delta_stored_size",
     "DictionaryCompression",

@@ -28,11 +28,13 @@ keeps in its page-header compression info. Payload accounting therefore
 matches the paper's formulas exactly, while physical accounting charges
 whole pages.
 
-Incremental size tracking
--------------------------
-Repacking pages after compression needs "what would this page's
-compressed size be if I added this row?" without recompressing from
-scratch. :class:`PageSizeTracker` supports that with O(1)-ish ``add``.
+Two ways to size a unit
+-----------------------
+``compress`` is the reference. :meth:`CompressionAlgorithm.size_of` is
+the size kernel every estimate runs on: the same ``payload_size``,
+computed vectorized from column views without building a blob.
+Repacking (:mod:`repro.compression.repack`) sizes candidate pages with
+the same two.
 """
 
 from __future__ import annotations
@@ -85,28 +87,6 @@ class CompressedBlock:
         return sum(len(col.blob) for col in self.columns)
 
 
-class PageSizeTracker(ABC):
-    """Incrementally tracks the compressed payload size of one page."""
-
-    @abstractmethod
-    def add(self, column_slices: Sequence[bytes]) -> None:
-        """Account for one record (given as per-column byte slices)."""
-
-    @abstractmethod
-    def size_with(self, column_slices: Sequence[bytes]) -> int:
-        """Payload size if this record were added (without adding it)."""
-
-    @property
-    @abstractmethod
-    def size(self) -> int:
-        """Current compressed payload size of the page."""
-
-    @property
-    @abstractmethod
-    def row_count(self) -> int:
-        """Rows accounted so far."""
-
-
 class CompressionAlgorithm(ABC):
     """Base class for all compression algorithms."""
 
@@ -142,11 +122,6 @@ class CompressionAlgorithm(ABC):
         """
         raise KernelUnavailable(
             f"{self.name} has no vectorized size kernel")
-
-    def make_tracker(self, schema: Schema) -> PageSizeTracker:
-        """An incremental size tracker for repacking (if supported)."""
-        raise CompressionError(
-            f"{self.name} does not support incremental size tracking")
 
     def cf_from_histogram(self, histogram: "ColumnHistogram",  # noqa: F821
                           **layout) -> float:

@@ -23,7 +23,7 @@ from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, DataType, IntegerType,
                                  minimal_int_bytes)
 from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm, PageSizeTracker)
+                                    CompressionAlgorithm)
 from repro.compression.null_suppression import NullSuppression
 
 _MODE_NS_FALLBACK = 0
@@ -139,68 +139,3 @@ class DeltaEncoding(CompressionAlgorithm):
             raise CompressionError(
                 f"{len(body) - offset} trailing bytes in delta blob")
         return out
-
-    def make_tracker(self, schema: Schema) -> PageSizeTracker:
-        return _DeltaTracker(self, schema)
-
-
-class _DeltaTracker(PageSizeTracker):
-    """Incremental delta size: remembers the previous integer per column.
-
-    Non-integer columns are tracked by a plain NS tracker over the
-    sub-schema that contains only them.
-    """
-
-    def __init__(self, algorithm: DeltaEncoding, schema: Schema) -> None:
-        self._schema = schema
-        self._previous: list[int | None] = [None] * len(schema)
-        self._fallback_positions = [
-            position for position, col in enumerate(schema.columns)
-            if not _is_integer(col.dtype)]
-        if self._fallback_positions:
-            sub_schema = Schema([schema.columns[p]
-                                 for p in self._fallback_positions])
-            self._ns_tracker = algorithm._ns.make_tracker(sub_schema)
-        else:
-            self._ns_tracker = None
-        self._size = 0
-        self._rows = 0
-
-    def _sub_slices(self, column_slices: Sequence[bytes]) -> list[bytes]:
-        return [column_slices[p] for p in self._fallback_positions]
-
-    def _integer_cost(self, column_slices: Sequence[bytes]) -> int:
-        cost = 0
-        for position, col in enumerate(self._schema.columns):
-            if _is_integer(col.dtype):
-                value = col.dtype.decode(column_slices[position])
-                cost += delta_stored_size(self._previous[position],
-                                          value)
-        return cost
-
-    def add(self, column_slices: Sequence[bytes]) -> None:
-        self._size += self._integer_cost(column_slices)
-        for position, col in enumerate(self._schema.columns):
-            if _is_integer(col.dtype):
-                self._previous[position] = col.dtype.decode(
-                    column_slices[position])
-        if self._ns_tracker is not None:
-            self._ns_tracker.add(self._sub_slices(column_slices))
-        self._rows += 1
-
-    def size_with(self, column_slices: Sequence[bytes]) -> int:
-        total = self.size + self._integer_cost(column_slices)
-        if self._ns_tracker is not None:
-            total += self._ns_tracker.size_with(
-                self._sub_slices(column_slices)) - self._ns_tracker.size
-        return total
-
-    @property
-    def size(self) -> int:
-        if self._ns_tracker is not None:
-            return self._size + self._ns_tracker.size
-        return self._size
-
-    @property
-    def row_count(self) -> int:
-        return self._rows

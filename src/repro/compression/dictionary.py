@@ -36,7 +36,7 @@ from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
                                  VarCharType)
 from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm, PageSizeTracker)
+                                    CompressionAlgorithm)
 from repro.compression.null_suppression import ns_header_bytes
 
 EntryStorage = Literal["fixed", "null_suppressed"]
@@ -263,9 +263,6 @@ class DictionaryCompression(CompressionAlgorithm):
             for col, comp in zip(schema.columns, block.columns)]
         return self.recordize(columns)
 
-    def make_tracker(self, schema: Schema) -> PageSizeTracker:
-        return _DictionaryTracker(self._codec, schema)
-
     def cf_from_histogram(self, histogram, **layout) -> float:
         """Closed-form paged-dictionary CF on a sorted clustered layout."""
         from repro.core.cf_models import paged_dictionary_cf
@@ -273,57 +270,3 @@ class DictionaryCompression(CompressionAlgorithm):
         return paged_dictionary_cf(
             histogram, pointer_bytes=self._codec.pointer_bytes,
             entry_storage=self._codec.entry_storage, **layout)
-
-
-class _DictionaryTracker(PageSizeTracker):
-    """Incremental per-page dictionary size.
-
-    Keeps one seen-set per column; adding a record costs a pointer per
-    column plus an entry when the value is new. With a derived pointer
-    width the pointer cost of *all* rows is recomputed from the current
-    dictionary size (cheap: it is a closed form).
-    """
-
-    def __init__(self, codec: _DictionaryCodec, schema: Schema) -> None:
-        self._codec = codec
-        self._schema = schema
-        self._seen: list[dict[bytes, None]] = [{} for _ in schema.columns]
-        self._entry_bytes = 0
-        self._rows = 0
-
-    def _entry_cost(self, column: int, slice_: bytes) -> int:
-        dtype = self._schema.columns[column].dtype
-        return _entry_stored_size(dtype, slice_, self._codec.entry_storage)
-
-    def _pointer_total(self, rows: int, seen_sizes: Sequence[int]) -> int:
-        return sum(rows * self._codec.pointer_width(max(d, 1))
-                   for d in seen_sizes)
-
-    def add(self, column_slices: Sequence[bytes]) -> None:
-        for position, slice_ in enumerate(column_slices):
-            key = bytes(slice_)
-            if key not in self._seen[position]:
-                self._seen[position][key] = None
-                self._entry_bytes += self._entry_cost(position, key)
-        self._rows += 1
-
-    def size_with(self, column_slices: Sequence[bytes]) -> int:
-        extra_entries = 0
-        seen_sizes = []
-        for position, slice_ in enumerate(column_slices):
-            key = bytes(slice_)
-            present = key in self._seen[position]
-            if not present:
-                extra_entries += self._entry_cost(position, key)
-            seen_sizes.append(len(self._seen[position]) + (0 if present else 1))
-        pointer_total = self._pointer_total(self._rows + 1, seen_sizes)
-        return self._entry_bytes + extra_entries + pointer_total
-
-    @property
-    def size(self) -> int:
-        seen_sizes = [len(seen) for seen in self._seen]
-        return self._entry_bytes + self._pointer_total(self._rows, seen_sizes)
-
-    @property
-    def row_count(self) -> int:
-        return self._rows

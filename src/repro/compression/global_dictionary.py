@@ -19,8 +19,7 @@ from typing import Sequence
 from repro.constants import DEFAULT_POINTER_BYTES
 from repro.errors import CompressionError
 from repro.storage.schema import Schema
-from repro.compression.base import (CompressedBlock, CompressionAlgorithm,
-                                    PageSizeTracker)
+from repro.compression.base import CompressedBlock, CompressionAlgorithm
 from repro.compression.dictionary import EntryStorage, _DictionaryCodec
 
 
@@ -70,13 +69,6 @@ class GlobalDictionaryCompression(CompressionAlgorithm):
                                           block.row_count)
             for col, comp in zip(schema.columns, block.columns)]
         return self.recordize(columns)
-
-    def make_tracker(self, schema: Schema) -> PageSizeTracker:
-        # Index-scoped: a "page" tracker would be meaningless, but the
-        # same incremental machinery measures the whole index correctly.
-        from repro.compression.dictionary import _DictionaryTracker
-
-        return _DictionaryTracker(self._codec, schema)
 
     def cf_from_histogram(self, histogram, **layout) -> float:
         """The paper's closed form: ``d/n + p/k`` (general column form).

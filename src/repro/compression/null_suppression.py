@@ -32,7 +32,7 @@ from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
                                  VarCharType, length_header_bytes,
                                  minimal_int_bytes)
 from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm, PageSizeTracker)
+                                    CompressionAlgorithm)
 
 _ESCAPE = 0x1B  # ASCII ESC, rare in stored text
 _TOKEN_LITERAL = 0x00
@@ -269,11 +269,8 @@ class NullSuppression(CompressionAlgorithm):
         return out
 
     # ------------------------------------------------------------------
-    # Incremental tracking and the closed-form model
+    # The closed-form model
     # ------------------------------------------------------------------
-    def make_tracker(self, schema: Schema) -> PageSizeTracker:
-        return _NSTracker(self, schema)
-
     def cf_from_histogram(self, histogram, **layout) -> float:
         """Closed-form NS compression fraction on a column histogram.
 
@@ -283,45 +280,3 @@ class NullSuppression(CompressionAlgorithm):
         from repro.core.cf_models import ns_cf
 
         return ns_cf(histogram, mode=self.mode)
-
-
-class _NSTracker(PageSizeTracker):
-    """O(1) incremental NS page size: sizes are additive per record."""
-
-    def __init__(self, algorithm: NullSuppression, schema: Schema) -> None:
-        self._algorithm = algorithm
-        self._schema = schema
-        self._size = 0
-        self._rows = 0
-
-    def _record_size(self, column_slices: Sequence[bytes]) -> int:
-        total = 0
-        for col, slice_ in zip(self._schema.columns, column_slices):
-            dtype = col.dtype
-            if isinstance(dtype, CharType):
-                body = _char_body(dtype, slice_, self._algorithm.mode)
-                total += ns_header_bytes(dtype, self._algorithm.mode) \
-                    + len(body)
-            elif isinstance(dtype, VarCharType):
-                total += len(slice_)
-            elif isinstance(dtype, (IntegerType, BigIntType)):
-                total += 1 + minimal_int_bytes(dtype.decode(slice_))
-            else:
-                raise CompressionError(
-                    f"null suppression unsupported for {dtype.name}")
-        return total
-
-    def add(self, column_slices: Sequence[bytes]) -> None:
-        self._size += self._record_size(column_slices)
-        self._rows += 1
-
-    def size_with(self, column_slices: Sequence[bytes]) -> int:
-        return self._size + self._record_size(column_slices)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def row_count(self) -> int:
-        return self._rows

@@ -29,7 +29,7 @@ from repro.errors import CompressionError
 from repro.storage.schema import Schema
 from repro.storage.types import CharType, DataType
 from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm, PageSizeTracker)
+                                    CompressionAlgorithm)
 from repro.compression.dictionary import _DictionaryCodec
 from repro.compression.null_suppression import ns_header_bytes
 from repro.compression.prefix import common_prefix
@@ -194,105 +194,3 @@ class PageCompression(CompressionAlgorithm):
             raise CompressionError(
                 f"{len(body) - offset} trailing bytes in PAGE blob")
         return out
-
-    def make_tracker(self, schema: Schema) -> PageSizeTracker:
-        return _PageCompressionTracker(self, schema)
-
-
-class _PageCompressionTracker(PageSizeTracker):
-    """Incremental composite size.
-
-    Tracks, per CHAR column: the running common prefix, the set of
-    distinct *stripped values* with their length sum. The prefix/
-    dictionary interplay is recomputed in closed form: each distinct
-    stripped value contributes a dictionary entry of
-    ``c + (len(value) - |P|)`` bytes, so the column total is
-    ``(c + |P|) + sum_entries(c + len_e) - d * |P| + rows * p``.
-    """
-
-    def __init__(self, algorithm: PageCompression, schema: Schema) -> None:
-        self._algorithm = algorithm
-        self._schema = schema
-        self._codec = algorithm._codec
-        self._prefixes: list[bytes | None] = [None] * len(schema)
-        self._seen: list[dict[bytes, None]] = [{} for _ in schema.columns]
-        self._entry_length_sums = [0] * len(schema)
-        self._rows = 0
-
-    @staticmethod
-    def _merge_prefix(current: bytes | None, value: bytes) -> bytes:
-        if current is None:
-            return value
-        limit = min(len(current), len(value))
-        i = 0
-        while i < limit and current[i] == value[i]:
-            i += 1
-        return current[:i]
-
-    def _char_total(self, position: int, prefix: bytes | None,
-                    seen_count: int, length_sum: int, rows: int) -> int:
-        dtype = self._schema.columns[position].dtype
-        header = ns_header_bytes(dtype)
-        prefix_len = len(prefix) if prefix is not None else 0
-        width = self._codec.pointer_width(max(seen_count, 1))
-        return (header + prefix_len) \
-            + seen_count * header + length_sum - seen_count * prefix_len \
-            + rows * width
-
-    def _other_total(self, position: int, seen: dict[bytes, None],
-                     rows: int) -> int:
-        dtype = self._schema.columns[position].dtype
-        from repro.compression.dictionary import _entry_stored_size
-
-        entry_bytes = sum(
-            _entry_stored_size(dtype, value, "null_suppressed")
-            for value in seen)
-        width = self._codec.pointer_width(max(len(seen), 1))
-        return entry_bytes + rows * width
-
-    def _total(self, prefixes, seen_sets, length_sums, rows: int) -> int:
-        total = 0
-        for position, col in enumerate(self._schema.columns):
-            if isinstance(col.dtype, CharType):
-                total += self._char_total(
-                    position, prefixes[position], len(seen_sets[position]),
-                    length_sums[position], rows)
-            else:
-                total += self._other_total(position, seen_sets[position],
-                                           rows)
-        return total
-
-    def _absorb(self, prefixes, seen_sets, length_sums,
-                column_slices: Sequence[bytes]) -> None:
-        for position, col in enumerate(self._schema.columns):
-            slice_ = bytes(column_slices[position])
-            if isinstance(col.dtype, CharType):
-                stripped = slice_.rstrip(PAD_BYTE)
-                prefixes[position] = self._merge_prefix(
-                    prefixes[position], stripped)
-                if stripped not in seen_sets[position]:
-                    seen_sets[position][stripped] = None
-                    length_sums[position] += len(stripped)
-            else:
-                seen_sets[position].setdefault(slice_, None)
-
-    def add(self, column_slices: Sequence[bytes]) -> None:
-        self._absorb(self._prefixes, self._seen, self._entry_length_sums,
-                     column_slices)
-        self._rows += 1
-
-    def size_with(self, column_slices: Sequence[bytes]) -> int:
-        prefixes = list(self._prefixes)
-        seen_sets = [dict(seen) for seen in self._seen]
-        length_sums = list(self._entry_length_sums)
-        self._absorb(prefixes, seen_sets, length_sums, column_slices)
-        return self._total(prefixes, seen_sets, length_sums, self._rows + 1)
-
-    @property
-    def size(self) -> int:
-        return self._total(self._prefixes, self._seen,
-                           self._entry_length_sums, self._rows)
-
-    @property
-    def row_count(self) -> int:
-        return self._rows

@@ -23,10 +23,9 @@ from typing import Sequence
 from repro.constants import PAD_BYTE
 from repro.errors import CompressionError
 from repro.storage.schema import Schema
-from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
-                                 VarCharType, minimal_int_bytes)
+from repro.storage.types import CharType, DataType
 from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm, PageSizeTracker)
+                                    CompressionAlgorithm)
 from repro.compression.null_suppression import (NullSuppression,
                                                 ns_header_bytes)
 
@@ -149,99 +148,3 @@ class PrefixCompression(CompressionAlgorithm):
             raise CompressionError(
                 f"{len(body) - offset} trailing bytes in prefix blob")
         return out
-
-    def make_tracker(self, schema: Schema) -> PageSizeTracker:
-        return _PrefixTracker(schema)
-
-
-class _PrefixTracker(PageSizeTracker):
-    """Incremental prefix-compression size.
-
-    Maintains the running common prefix per CHAR column and the sum of
-    null-suppressed lengths; when a new record shortens the common
-    prefix, previously stored remainders grow, which the closed form
-    ``(c + |P|) + sum(c + l_i) - rows * |P|`` captures without rescanning.
-    """
-
-    def __init__(self, schema: Schema) -> None:
-        self._schema = schema
-        self._ns = NullSuppression()
-        self._prefixes: list[bytes | None] = [None] * len(schema)
-        self._length_sums = [0] * len(schema)
-        self._ns_size = 0  # fallback columns' running NS size
-        self._rows = 0
-
-    @staticmethod
-    def _merge_prefix(current: bytes | None, value: bytes) -> bytes:
-        if current is None:
-            return value
-        limit = min(len(current), len(value))
-        i = 0
-        while i < limit and current[i] == value[i]:
-            i += 1
-        return current[:i]
-
-    def _char_column_size(self, position: int, prefix: bytes | None,
-                          length_sum: int, rows: int) -> int:
-        dtype = self._schema.columns[position].dtype
-        header = ns_header_bytes(dtype)
-        prefix_len = len(prefix) if prefix is not None else 0
-        return (header + prefix_len) + rows * header \
-            + length_sum - rows * prefix_len
-
-    def _total(self, prefixes: list[bytes | None], length_sums: list[int],
-               ns_size: int, rows: int) -> int:
-        total = ns_size
-        for position, col in enumerate(self._schema.columns):
-            if isinstance(col.dtype, CharType):
-                total += self._char_column_size(
-                    position, prefixes[position], length_sums[position],
-                    rows)
-        return total
-
-    def _ns_record_size(self, column_slices: Sequence[bytes]) -> int:
-        total = 0
-        for position, col in enumerate(self._schema.columns):
-            dtype = col.dtype
-            if isinstance(dtype, CharType):
-                continue
-            slice_ = column_slices[position]
-            if isinstance(dtype, VarCharType):
-                total += len(slice_)
-            elif isinstance(dtype, (IntegerType, BigIntType)):
-                total += 1 + minimal_int_bytes(dtype.decode(slice_))
-            else:
-                raise CompressionError(
-                    f"prefix compression unsupported for {dtype.name}")
-        return total
-
-    def add(self, column_slices: Sequence[bytes]) -> None:
-        for position, col in enumerate(self._schema.columns):
-            if isinstance(col.dtype, CharType):
-                stripped = bytes(column_slices[position]).rstrip(PAD_BYTE)
-                self._prefixes[position] = self._merge_prefix(
-                    self._prefixes[position], stripped)
-                self._length_sums[position] += len(stripped)
-        self._ns_size += self._ns_record_size(column_slices)
-        self._rows += 1
-
-    def size_with(self, column_slices: Sequence[bytes]) -> int:
-        prefixes = list(self._prefixes)
-        length_sums = list(self._length_sums)
-        for position, col in enumerate(self._schema.columns):
-            if isinstance(col.dtype, CharType):
-                stripped = bytes(column_slices[position]).rstrip(PAD_BYTE)
-                prefixes[position] = self._merge_prefix(
-                    prefixes[position], stripped)
-                length_sums[position] += len(stripped)
-        ns_size = self._ns_size + self._ns_record_size(column_slices)
-        return self._total(prefixes, length_sums, ns_size, self._rows + 1)
-
-    @property
-    def size(self) -> int:
-        return self._total(self._prefixes, self._length_sums,
-                           self._ns_size, self._rows)
-
-    @property
-    def row_count(self) -> int:
-        return self._rows

@@ -2,10 +2,19 @@
 
 Compressing pages in place does not reduce the number of allocated pages;
 real systems rebuild the object so each page is refilled to capacity with
-compressed data. This module performs that rebuild: records are walked in
-key order and assigned to pages greedily, using each algorithm's
-incremental :class:`~repro.compression.base.PageSizeTracker` to know the
-page's compressed payload size *if* the next record were added.
+compressed data. This module performs that rebuild: records are taken in
+key order, and each page holds as many of them as its codec compresses
+within :func:`compressed_page_capacity`.
+
+Appending a record never shrinks a page's payload under any registered
+codec, so each page's end is found by search rather than by growing the
+page one record at a time: starting where the previous page ended, the
+record count doubles and then bisects. A record range is sized by the
+codec's size kernel
+(:meth:`~repro.compression.base.CompressionAlgorithm.size_of`) on row
+slices of one set of column views, or by its ``compress`` when the
+kernels are off or do not cover it. A range the codec rejects (more
+dictionary entries than its pointers can address) does not fit.
 
 The interplay matters for page-scoped dictionary compression: packing
 more rows per page lets one dictionary entry cover more occurrences,
@@ -20,9 +29,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.constants import PAGE_HEADER_SIZE
-from repro.errors import CompressionError
+from repro.errors import CompressionError, KernelUnavailable
 from repro.storage.schema import Schema
 from repro.compression.base import CompressionAlgorithm
+from repro.compression.kernels import build_column_views, kernels_enabled
 
 #: Bytes reserved in each compressed page for compression metadata
 #: (anchor/prefix info pointers, dictionary offsets) beyond the normal
@@ -71,28 +81,63 @@ def compressed_page_capacity(page_size: int) -> int:
 def repack(records: Sequence[bytes], schema: Schema,
            algorithm: CompressionAlgorithm, page_size: int,
            ) -> RepackResult:
-    """Greedily refill pages with compressed records in the given order.
+    """Refill pages with compressed records, in the given order.
 
-    Each page holds as many records as keep the algorithm's incremental
-    compressed size within :func:`compressed_page_capacity`. A record
+    Each page holds as many records as its codec compresses without
+    error into at most :func:`compressed_page_capacity` bytes. A record
     whose solo compressed size exceeds the capacity still gets its own
     page (the engine-level analogue of a jumbo record).
     """
+    return repack_with_route(records, schema, algorithm, page_size)[0]
+
+
+def repack_with_route(records: Sequence[bytes], schema: Schema,
+                      algorithm: CompressionAlgorithm, page_size: int,
+                      ) -> tuple[RepackResult, bool]:
+    """:func:`repack`, and whether the size kernels sized every range."""
     if not records:
         raise CompressionError("cannot repack an empty record set")
     capacity = compressed_page_capacity(page_size)
+    views = build_column_views(schema, records) if kernels_enabled() \
+        else None
+
+    def payload(start: int, stop: int) -> int:
+        nonlocal views
+        if views is not None:
+            try:
+                return algorithm.size_of(
+                    tuple(view.slice_rows(start, stop - start)
+                          for view in views), schema)
+            except KernelUnavailable:
+                views = None
+        return algorithm.compress(records[start:stop], schema).payload_size
+
+    def fitting_payload(start: int, stop: int) -> int | None:
+        try:
+            size = payload(start, stop)
+        except CompressionError:
+            return None
+        return size if size <= capacity else None
+
     pages: list[RepackedPage] = []
-    tracker = algorithm.make_tracker(schema)
     start = 0
-    for position, record in enumerate(records):
-        slices = algorithm.columnize([record], schema)
-        column_slices = [column[0] for column in slices]
-        if tracker.row_count > 0 \
-                and tracker.size_with(column_slices) > capacity:
-            pages.append(RepackedPage(start, tracker.row_count,
-                                      tracker.size))
-            start = position
-            tracker = algorithm.make_tracker(schema)
-        tracker.add(column_slices)
-    pages.append(RepackedPage(start, tracker.row_count, tracker.size))
-    return RepackResult(tuple(pages), page_size)
+    while start < len(records):
+        remaining = len(records) - start
+        # ``fits`` records are known to fit (the first always goes in),
+        # ``over`` are known not to; double until one does not fit,
+        # then bisect.
+        fits, over = 1, remaining + 1
+        size: int | None = None
+        while over - fits > 1:
+            probe = min(2 * fits, remaining) if over > remaining \
+                else (fits + over) // 2
+            probed = fitting_payload(start, start + probe)
+            if probed is None:
+                over = probe
+            else:
+                fits, size = probe, probed
+        if size is None:
+            size = payload(start, start + 1)
+        pages.append(RepackedPage(start, fits, size))
+        start += fits
+    return RepackResult(tuple(pages), page_size), views is not None

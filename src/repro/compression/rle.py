@@ -25,7 +25,7 @@ from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
                                  VarCharType, minimal_int_bytes)
 from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm, PageSizeTracker)
+                                    CompressionAlgorithm)
 from repro.compression.null_suppression import ns_header_bytes
 
 #: Bytes used to store one run's repetition count.
@@ -177,49 +177,8 @@ class RunLengthEncoding(CompressionAlgorithm):
                 f"{len(blob) - offset} trailing bytes in RLE blob")
         return out
 
-    def make_tracker(self, schema: Schema) -> PageSizeTracker:
-        return _RLETracker(schema)
-
     def cf_from_histogram(self, histogram, **layout) -> float:
         """Closed-form RLE CF on a sorted clustered page layout."""
         from repro.core.cf_models import paged_rle_cf
 
         return paged_rle_cf(histogram, **layout)
-
-
-class _RLETracker(PageSizeTracker):
-    """Incremental RLE size assuming records arrive in key order."""
-
-    def __init__(self, schema: Schema) -> None:
-        self._schema = schema
-        self._last: list[bytes | None] = [None] * len(schema)
-        self._size = 0
-        self._rows = 0
-
-    def _new_run_cost(self, position: int, slice_: bytes) -> int:
-        dtype = self._schema.columns[position].dtype
-        return rle_run_stored_size(dtype, slice_)
-
-    def _delta(self, column_slices: Sequence[bytes]) -> int:
-        delta = 0
-        for position, slice_ in enumerate(column_slices):
-            if self._last[position] != bytes(slice_):
-                delta += self._new_run_cost(position, bytes(slice_))
-        return delta
-
-    def add(self, column_slices: Sequence[bytes]) -> None:
-        self._size += self._delta(column_slices)
-        for position, slice_ in enumerate(column_slices):
-            self._last[position] = bytes(slice_)
-        self._rows += 1
-
-    def size_with(self, column_slices: Sequence[bytes]) -> int:
-        return self._size + self._delta(column_slices)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def row_count(self) -> int:
-        return self._rows

@@ -68,7 +68,8 @@ from repro.compression.kernels import (ColumnView, build_column_views,
                                        fixed_column_views, kernels_cover,
                                        kernels_enabled, slice_leaf_views,
                                        stripped_lengths)
-from repro.compression.repack import compressed_page_capacity, repack
+from repro.compression.repack import (compressed_page_capacity,
+                                      repack_with_route)
 
 Accounting = Literal["payload", "physical"]
 
@@ -421,12 +422,11 @@ class Index:
         one index splits its records once.
 
         ``on_kernel`` / ``on_fallback`` are per-block accounting hooks
-        (one block per leaf page, or one for an index-scoped
-        algorithm); the engine charges them to its
-        ``size_kernel_hits`` / ``size_scalar_fallbacks`` stats.
-        Repacked page-scope compression stays entirely on the scalar
-        path: bin-packing compressed records into fresh pages needs
-        the incremental trackers, not just totals.
+        (one block per leaf page, or one for an index-scoped algorithm
+        or a repacked index); the engine charges them to its
+        ``size_kernel_hits`` / ``size_scalar_fallbacks`` stats. A
+        repacked index is a kernel block when the kernels sized every
+        record range :func:`~repro.compression.repack.repack` probed.
         """
         if self.num_entries == 0:
             raise CompressionError(
@@ -436,10 +436,12 @@ class Index:
         pages_before = self.num_leaf_pages
         uncompressed = self.uncompressed_size(accounting)
         if algorithm.scope != "index" and repack_pages:
-            if on_fallback is not None:
-                on_fallback()
-            packed = repack(self.leaf_records(), self.leaf_schema,
-                            algorithm, self.page_size)
+            packed, by_kernel = repack_with_route(
+                self.leaf_records(), self.leaf_schema, algorithm,
+                self.page_size)
+            hook = on_kernel if by_kernel else on_fallback
+            if hook is not None:
+                hook()
             return CompressionResult(
                 algorithm=algorithm.name, accounting=accounting,
                 uncompressed_bytes=uncompressed,

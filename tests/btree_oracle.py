@@ -5,7 +5,7 @@ pages without decoding them. The suites check it against an index built
 one row at a time: :class:`RowIndex` validates and encodes each decoded
 row, orders the entries by Python's tuple order on their keys in
 :meth:`BPlusTree.bulk_load`, and sizes the leaves with each codec's
-scalar ``compress`` (``repack`` for repacked pages).
+scalar ``compress`` (:func:`greedy_repack` for repacked pages).
 
 The tree maps comparable keys (tuples of column values) to opaque record
 bytes. Leaves hold the records and enforce *page capacity in bytes*: a
@@ -27,7 +27,8 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.compression.base import CompressionAlgorithm, CompressionResult
-from repro.compression.repack import compressed_page_capacity, repack
+from repro.compression.repack import (RepackedPage, RepackResult,
+                                      compressed_page_capacity)
 from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE,
                              PAGE_HEADER_SIZE, SLOT_SIZE)
 from repro.errors import CompressionError, IndexError_
@@ -399,6 +400,38 @@ def _chunk_children(nodes: list, fanout: int) -> list[list]:
     return groups
 
 
+def greedy_repack(records: Sequence[bytes], schema: Schema,
+                  algorithm: CompressionAlgorithm, page_size: int,
+                  ) -> RepackResult:
+    """Repacking by its definition, one record at a time.
+
+    A page takes the next record while ``compress`` of the page plus
+    that record succeeds and its payload stays within the compressed
+    page capacity; a page always takes at least one record. Every
+    candidate page is compressed whole, so this costs a
+    ``compress`` per record over the whole page so far.
+    """
+    capacity = compressed_page_capacity(page_size)
+    pages = []
+    start = 0
+    while start < len(records):
+        stop = start + 1
+        payload = algorithm.compress(records[start:stop],
+                                     schema).payload_size
+        while stop < len(records):
+            try:
+                size = algorithm.compress(records[start:stop + 1],
+                                          schema).payload_size
+            except CompressionError:
+                break
+            if size > capacity:
+                break
+            stop, payload = stop + 1, size
+        pages.append(RepackedPage(start, stop - start, payload))
+        start = stop
+    return RepackResult(tuple(pages), page_size)
+
+
 class RowIndex:
     """An index built row by row into a :class:`BPlusTree`, sized by
     scalar ``compress``: the oracle for ``repro.storage.index.Index``."""
@@ -485,8 +518,9 @@ class RowIndex:
                 self.page_size)))
             physical = pages_after * self.page_size
         elif repack_pages:
-            packed = repack(list(self.leaf_records()), self.leaf_schema,
-                            algorithm, self.page_size)
+            packed = greedy_repack(list(self.leaf_records()),
+                                   self.leaf_schema, algorithm,
+                                   self.page_size)
             payload, pages_after = packed.payload_size, packed.num_pages
             physical, repacked = packed.physical_bytes, True
         else:

@@ -89,16 +89,25 @@ def test_dictionary_payload_formula(values):
 
 
 @settings(max_examples=40, deadline=None)
-@given(values=value_lists)
-def test_trackers_match_compress(values):
-    """Incremental size trackers agree with one-shot compression."""
-    schema, records = records_of(values)
-    for algorithm in ALGORITHMS:
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            tracker.add([record])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size, algorithm.name
+@given(values=value_lists,
+       numbers=st.lists(st.integers(-2**31, 2**31 - 1), min_size=1,
+                        max_size=40))
+def test_payload_never_shrinks_when_a_record_is_appended(values, numbers):
+    """``compress(records[:i]).payload_size`` is non-decreasing in ``i``.
+
+    In any record order, CHAR and INTEGER alike: ``repack`` searches
+    for each page's last record by doubling and bisecting, which finds
+    the greedy scan's pages only because of this.
+    """
+    int_schema = Schema([Column("n", IntegerType())])
+    pages = [records_of(values),
+             (int_schema, [encode_record(int_schema, (number,))
+                           for number in numbers])]
+    for schema, records in pages:
+        for algorithm in ALGORITHMS:
+            sizes = [algorithm.compress(records[:stop], schema).payload_size
+                     for stop in range(1, len(records) + 1)]
+            assert sizes == sorted(sizes), (algorithm.name, sizes)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,9 +5,12 @@ configurations) is sized two ways over randomized pages drawn from the
 repo's workload shapes — uniform/zipf/bimodal CHAR values, sorted and
 shuffled integers, VARCHAR with empty/blank/NUL-bearing values, and
 multi-column records — and the vectorized ``size_of`` must return the
-exact integer the scalar ``compress`` path reports. A final test locks
-the end-to-end contract: estimates computed with kernels force-disabled
-(``REPRO_DISABLE_KERNELS``) are bit-identical to kernel-computed ones.
+exact integer the scalar ``compress`` path reports. ``repack``, which
+sizes record ranges with those kernels, must find the pages its
+definition (:func:`tests.btree_oracle.greedy_repack`) finds. A final
+test locks the end-to-end contract: estimates computed with kernels
+force-disabled (``REPRO_DISABLE_KERNELS``) are bit-identical to
+kernel-computed ones.
 """
 
 import string
@@ -20,10 +23,13 @@ from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.compression.kernels import (DISABLE_KERNELS_ENV,
                                        build_column_views, build_leaf_views)
 from repro.compression.registry import get_algorithm, list_algorithms
+from repro.compression.repack import repack
 from repro.core.samplecf import SampleCF
 from repro.storage.record import encode_record
 from repro.storage.schema import Column, Schema
 from repro.workloads.generators import make_histogram, make_table
+
+from tests.btree_oracle import greedy_repack
 
 #: Registered algorithms plus configuration corners the registry's
 #: defaults do not reach (derived pointers, NS-compressed entries).
@@ -192,6 +198,33 @@ def test_random_leaf_slicing(values, cuts):
         want = sum(algorithm.compress(leaf, schema).payload_size
                    for leaf in leaves)
         assert got == want, algorithm.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(pool=st.lists(
+    st.tuples(char_values, st.integers(-2 ** 31, 2 ** 31 - 1)),
+    min_size=1, max_size=40),
+       count=st.integers(1, 160), seed=st.integers(0, 2 ** 16),
+       ordered=st.booleans(), page_size=st.integers(64, 1024))
+def test_repack_matches_its_definition(pool, count, seed, ordered,
+                                       page_size):
+    """The page search finds the pages greedy-by-``compress`` finds.
+
+    Rows repeat values from a small pool, in key order or not, so
+    pages span the dictionary, run and prefix regimes.
+    """
+    import random
+
+    rows = random.Random(seed).choices(pool, k=count)
+    if ordered:
+        rows.sort()
+    schema = Schema([Column.of("a", f"char({K})"),
+                     Column.of("n", "integer")])
+    records = [encode_record(schema, row) for row in rows]
+    for algorithm in ALGORITHMS:
+        assert repack(records, schema, algorithm, page_size) == \
+            greedy_repack(records, schema, algorithm, page_size), \
+            algorithm.name
 
 
 # ----------------------------------------------------------------------

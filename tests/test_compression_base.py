@@ -10,6 +10,7 @@ from repro.compression.base import (CompressedBlock, CompressedColumn,
                                     CompressionAlgorithm, CompressionResult)
 from repro.compression.null_suppression import NullSuppression
 from repro.compression.dictionary import DictionaryCompression
+from repro.compression.page_compression import PageCompression
 from repro.compression.registry import (get_algorithm, list_algorithms,
                                         register_algorithm)
 from repro.compression.repack import (COMPRESSION_INFO_BYTES,
@@ -142,6 +143,24 @@ class TestRepack:
                             page.record_start + page.record_count]
             manual += algorithm.compress(group, schema).payload_size
         assert result.payload_size == manual
+
+    @pytest.mark.parametrize("algorithm", [
+        DictionaryCompression(pointer_bytes=1),
+        PageCompression(pointer_bytes=1)], ids=["dictionary", "page"])
+    def test_repack_never_packs_a_page_its_codec_rejects(self, algorithm):
+        # 400 distinct values overflow a 1-byte pointer long before
+        # 8 KiB of payload does: a page may take 256 of them, no more.
+        schema = single_char_schema(3)
+        records = [encode_record(schema, (f"{i:03d}",)) for i in range(400)]
+        result = repack(records, schema, algorithm, 8192)
+        assert [page.record_count for page in result.pages] == [256, 144]
+        payloads = [
+            algorithm.compress(records[page.record_start:
+                                       page.record_start + page.record_count],
+                               schema).payload_size
+            for page in result.pages]
+        assert payloads == [page.payload_size for page in result.pages]
+        assert sum(payloads) == result.payload_size
 
     def test_repack_empty_rejected(self):
         with pytest.raises(CompressionError):

@@ -94,37 +94,3 @@ class TestDeltaEncoding:
                                       block.columns[0].payload_size),))
         with pytest.raises(CompressionError):
             algorithm.decompress(broken, schema)
-
-
-class TestDeltaTracker:
-    def test_matches_compress_integers(self):
-        schema, records = int_records([5, 6, 6, 100, 50])
-        algorithm = DeltaEncoding()
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            tracker.add([record])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-        assert tracker.row_count == 5
-
-    def test_matches_compress_mixed(self):
-        schema = Schema([Column.of("s", "char(8)"),
-                         Column.of("n", "integer")])
-        rows = [("aa", 100), ("bbbb", 101), ("c", 350)]
-        records = [encode_record(schema, row) for row in rows]
-        algorithm = DeltaEncoding()
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            slices = algorithm.columnize([record], schema)
-            tracker.add([column[0] for column in slices])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-
-    def test_size_with_does_not_mutate(self):
-        schema, records = int_records([1, 2])
-        tracker = DeltaEncoding().make_tracker(schema)
-        tracker.add([records[0]])
-        preview = tracker.size_with([records[1]])
-        assert tracker.size < preview
-        tracker.add([records[1]])
-        assert tracker.size == preview

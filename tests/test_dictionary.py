@@ -121,34 +121,6 @@ class TestDictionaryCompression:
         assert block.columns[0].payload_size == 2 * 4 + 3 * 2
         assert block.columns[1].payload_size == 2 * 4 + 3 * 2
 
-    def test_tracker_matches_compress(self):
-        values = ["aa", "bb", "aa", "cc", "cc", "dd"]
-        schema, records = char_records(values)
-        algorithm = DictionaryCompression()
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            tracker.add([record])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-
-    def test_tracker_with_derived_pointer(self):
-        values = [f"v{i}" for i in range(300)]
-        schema, records = char_records(values)
-        algorithm = DictionaryCompression(pointer_bytes=None)
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            tracker.add([record])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-
-    def test_tracker_size_with_preview(self):
-        schema, records = char_records(["aa", "bb"])
-        tracker = DictionaryCompression().make_tracker(schema)
-        tracker.add([records[0]])
-        preview_same = tracker.size_with([records[0]])
-        preview_new = tracker.size_with([records[1]])
-        assert preview_new - preview_same == 20  # new entry costs k
-
 
 class TestGlobalDictionary:
     def test_scope(self):

@@ -299,14 +299,38 @@ class TestEstimateCompression:
         assert hits["kernel"] == 0
         assert hits["fallback"] == char_index.size().leaf_pages
 
-    def test_repack_goes_scalar(self, char_index):
-        hits = {"fallback": 0}
+    def test_repack_is_one_kernel_block(self, char_index, kernels_on):
+        hits = {"kernel": 0, "fallback": 0}
         char_index.estimate_compression(
             get_algorithm("dictionary"), accounting="physical",
             repack_pages=True,
+            on_kernel=lambda: hits.__setitem__("kernel",
+                                               hits["kernel"] + 1),
             on_fallback=lambda: hits.__setitem__("fallback",
                                                  hits["fallback"] + 1))
-        assert hits["fallback"] == 1
+        assert hits == {"kernel": 1, "fallback": 0}
+
+    def test_repack_goes_scalar(self, char_index):
+        # A codec without a kernel repacks through compress: the
+        # repacked index is then one scalar block.
+        from repro.compression.dictionary import DictionaryCompression
+        from repro.errors import KernelUnavailable
+
+        class Uncovered(DictionaryCompression):
+            def size_of(self, views, schema):
+                raise KernelUnavailable("deliberately scalar-only")
+
+        hits = {"kernel": 0, "fallback": 0}
+        result = char_index.estimate_compression(
+            Uncovered(), accounting="physical", repack_pages=True,
+            on_kernel=lambda: hits.__setitem__("kernel",
+                                               hits["kernel"] + 1),
+            on_fallback=lambda: hits.__setitem__("fallback",
+                                                 hits["fallback"] + 1))
+        assert hits == {"kernel": 0, "fallback": 1}
+        assert result == char_index.estimate_compression(
+            get_algorithm("dictionary"), accounting="physical",
+            repack_pages=True)
 
     def test_index_scope_is_one_block(self, char_index, kernels_on):
         hits = {"kernel": 0}

@@ -149,22 +149,3 @@ class TestHelpers:
         assert ns_stored_size(CharType(20), "abc") == 4
         assert ns_stored_size(IntegerType(), 7) == 2
         assert ns_stored_size(VarCharType(9), "abc") == 5
-
-    def test_tracker_matches_compress(self):
-        values = ["a", "bb  ", "ccccc", "", "x" * 20]
-        schema, records = char_records(values)
-        algorithm = NullSuppression()
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            tracker.add([record])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-        assert tracker.row_count == len(records)
-
-    def test_tracker_size_with_does_not_mutate(self):
-        schema, records = char_records(["abc"])
-        tracker = NullSuppression().make_tracker(schema)
-        preview = tracker.size_with([records[0]])
-        assert tracker.size == 0
-        tracker.add([records[0]])
-        assert tracker.size == preview

@@ -63,29 +63,6 @@ class TestPageCompression:
         block = algorithm.compress(records, schema)
         assert algorithm.decompress(block, schema) == records
 
-    def test_tracker_matches_compress(self):
-        values = ["pre-a", "pre-bb", "pre-a", "zz", "pre-c"]
-        schema, records = char_records(values)
-        algorithm = PageCompression()
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            tracker.add([record])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-
-    def test_tracker_mixed_schema(self):
-        schema = Schema([Column.of("s", "char(10)"),
-                         Column.of("n", "integer")])
-        rows = [("aa-x", 5), ("aa-y", 5), ("aa-x", 900)]
-        records = [encode_record(schema, row) for row in rows]
-        algorithm = PageCompression()
-        tracker = algorithm.make_tracker(schema)
-        slices = [algorithm.columnize([record], schema) for record in records]
-        for record_slices in slices:
-            tracker.add([column[0] for column in record_slices])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-
     def test_empty_rejected(self):
         with pytest.raises(CompressionError):
             PageCompression().compress([], single_char_schema(5))

@@ -79,28 +79,6 @@ class TestPrefixCompression:
         block = algorithm.compress(records, schema)
         assert algorithm.decompress(block, schema) == records
 
-    def test_tracker_matches_compress(self):
-        values = ["pre-a", "pre-bb", "pre-", "other"]
-        schema, records = char_records(values)
-        algorithm = PrefixCompression()
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            tracker.add([record])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-
-    def test_tracker_handles_prefix_shrink(self):
-        schema, records = char_records(["aaaa-x", "aaaa-y", "ab"])
-        algorithm = PrefixCompression()
-        tracker = algorithm.make_tracker(schema)
-        tracker.add([records[0]])
-        tracker.add([records[1]])
-        size_before = tracker.size
-        tracker.add([records[2]])  # prefix shrinks from 'aaaa-' to 'a'
-        assert tracker.size > size_before
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-
     def test_empty_rejected(self):
         with pytest.raises(CompressionError):
             PrefixCompression().compress([], single_char_schema(5))

@@ -77,24 +77,6 @@ class TestRunLengthEncoding:
         assert rle_run_stored_size(vdtype, vdtype.encode("abc")) == \
             RUN_COUNT_BYTES + 2 + 3
 
-    def test_tracker_matches_compress_in_order(self):
-        values = ["a"] * 4 + ["b"] * 2 + ["a"]  # out-of-order rerun
-        schema, records = char_records(values)
-        algorithm = RunLengthEncoding()
-        tracker = algorithm.make_tracker(schema)
-        for record in records:
-            tracker.add([record])
-        block = algorithm.compress(records, schema)
-        assert tracker.size == block.payload_size
-
-    def test_tracker_preview(self):
-        schema, records = char_records(["aa", "aa"])
-        tracker = RunLengthEncoding().make_tracker(schema)
-        tracker.add([records[0]])
-        assert tracker.size_with([records[1]]) == tracker.size
-        new_record = encode_record(schema, ("zz",))
-        assert tracker.size_with([new_record]) > tracker.size
-
     def test_multi_column_runs_independent(self):
         schema = Schema([Column.of("a", "char(4)"),
                          Column.of("b", "char(4)")])
