@@ -137,8 +137,8 @@ class _DictionaryCodec:
 
         if self.entry_storage == "fixed" \
                 and not isinstance(dtype, VarCharType):
-            # Entries cost cardinality x fixed width: the count-only
-            # route avoids materialising the unique rows at all.
+            # Entries cost cardinality x fixed width: only the count
+            # is needed.
             distinct = kernels.distinct_count(view)
         else:
             uniques = kernels.unique_rows(view)

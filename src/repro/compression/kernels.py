@@ -8,11 +8,17 @@ fast path: each codec computes its exact payload size for a whole
 column of a whole leaf (or index) in vectorized NumPy, without
 constructing a blob.
 
-Two building blocks live here:
+Three building blocks live here:
 
+* :func:`build_column_views` — the one record splitter. Each column is
+  compressed independently (Section II-A), so every size starts by
+  cutting records into columns; the sample draw, ``Index.build``,
+  index sizing and repack all cut them here, vectorized and validated,
+  and :func:`build_leaf_views` row-slices one split per leaf page.
+  Callers reach both through this module, so a wrapper set on it (the
+  repository benchmark's traced run) sees every split.
 * :class:`ColumnView` — one column of a record batch in columnar form.
-  Fixed-width columns become a single ``(n, width)`` ``uint8`` matrix
-  (one ``np.frombuffer`` reshape of the concatenated records); VARCHAR
+  Fixed-width columns become a ``(n, width)`` ``uint8`` matrix; VARCHAR
   columns become an offsets + concatenated-payload pair. Derived
   arrays the codecs share (null-suppressed lengths, decoded integers,
   padded matrices) are computed lazily and cached on the view, so a
@@ -39,13 +45,14 @@ the fallback everywhere, which CI uses to keep the scalar path tested.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.constants import PAD_BYTE
-from repro.errors import KernelUnavailable
-from repro.storage.record import fixed_column_offsets, split_records
+from repro.errors import EncodingError, KernelUnavailable
+from repro.storage.record import (fixed_column_offsets, gather_spans,
+                                  record_offsets)
 from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
                                  VarCharType, length_header_bytes)
@@ -58,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DISABLE_KERNELS_ENV = "REPRO_DISABLE_KERNELS"
 
 _PAD = PAD_BYTE[0]  # the pad byte the scalar codecs strip
+_PREFIX = VarCharType.LENGTH_PREFIX_BYTES
 
 #: ``_WIDTH_THRESHOLDS[L-1]`` is the largest magnitude a signed value
 #: of ``L`` bytes can carry (``2**(8L-1) - 1``); searching a magnitude
@@ -140,7 +148,8 @@ def common_prefix_length(matrix: np.ndarray,
 class ColumnView:
     """One column of a record batch, in kernel-consumable columnar form.
 
-    Exactly one of the two representations is populated:
+    :func:`build_column_views` builds them, one per column, and exactly
+    one of the two representations is populated:
 
     * fixed-width dtypes: ``matrix`` — ``(count, width)`` uint8,
       C-contiguous;
@@ -162,20 +171,13 @@ class ColumnView:
                  offsets: np.ndarray | None = None,
                  lengths: np.ndarray | None = None,
                  parent: "ColumnView | None" = None,
-                 row_start: int = 0,
-                 raw_slices: Sequence[bytes] | None = None) -> None:
+                 row_start: int = 0) -> None:
         self.dtype = dtype
         self.count = count
         self.matrix = matrix
         self.payload = payload
         self.offsets = offsets
         self.lengths = lengths
-        #: The column's original byte slices, when they exist without a
-        #: split (single-column schemas: the records themselves). A
-        #: Python ``set`` over bytes hashes faster than any sort-based
-        #: distinct at leaf cardinalities, so count-only consumers
-        #: prefer this.
-        self.raw_slices = raw_slices
         self._parent = parent
         self._row_start = row_start
         self._derived: dict = {}
@@ -248,7 +250,7 @@ class ColumnView:
         if cached is None:
             cached = self._inherit("padded_matrix")
             if cached is None:
-                widest = int(self.lengths.max())
+                widest = int(self.lengths.max(initial=0))
                 cached = np.zeros((self.count, widest), dtype=np.uint8)
                 flat_rows = np.repeat(np.arange(self.count), self.lengths)
                 flat_cols = np.arange(self.payload.size) \
@@ -297,133 +299,89 @@ def kernels_cover(schema: Schema) -> bool:
                for col in schema.columns)
 
 
-def fixed_column_views(schema: Schema, matrix: np.ndarray,
-                       raw_slices: Sequence[bytes] | None = None,
-                       ) -> tuple[ColumnView, ...]:
-    """Per-column views of a fixed-width schema's ``(count, width)`` rows.
+def build_column_views(schema: Schema, buffer: np.ndarray,
+                       offsets: np.ndarray) -> tuple[ColumnView, ...]:
+    """Cut records into one view per column: the one record splitter.
 
-    Each view is a contiguous column slice of ``matrix`` (the matrix
-    itself for a single-column schema, so no copy). ``raw_slices``
-    attaches the original records to a single column's view.
+    ``buffer`` holds the records back to back and ``offsets`` their
+    ``n + 1`` fence posts, from 0 to ``buffer.size``. The checks are the
+    ones ``decode_record`` and ``Schema.validate_row`` make per row,
+    made once for the batch: a fixed-width schema needs every record to
+    be exactly its width; otherwise the columns are walked for all
+    records at once, each VARCHAR length prefix must fit its record and
+    stay within ``max_len``, and no bytes may trail the last column. A
+    failed check raises :class:`EncodingError`; an empty batch gives
+    0-row views.
+
+    A fixed-width column becomes a C-contiguous ``(n, width)`` matrix (a
+    column slice of the record matrix when every column is fixed); a
+    VARCHAR column becomes its slices, length prefixes included, packed
+    into ``payload`` with their ``offsets`` and ``lengths``.
     """
-    offsets = fixed_column_offsets(schema)
-    if offsets is None:
-        raise KernelUnavailable(f"{schema} is not fixed-width")
-    count = matrix.shape[0]
-    raw = raw_slices if len(schema) == 1 else None
-    return tuple(
-        ColumnView(col.dtype, count,
-                   matrix=np.ascontiguousarray(
-                       matrix[:, offsets[i]:offsets[i + 1]]),
-                   raw_slices=raw)
-        for i, col in enumerate(schema.columns))
+    count = offsets.size - 1
+    fixed = fixed_column_offsets(schema)
+    if fixed is not None:
+        sizes = np.diff(offsets)
+        if (sizes != fixed[-1]).any():
+            bad = int(sizes[np.argmax(sizes != fixed[-1])])
+            raise EncodingError(
+                f"record of {bad} bytes does not match fixed schema "
+                f"width {fixed[-1]}")
+        matrix = buffer.reshape(count, fixed[-1])
+        return tuple(
+            ColumnView(col.dtype, count, matrix=np.ascontiguousarray(
+                matrix[:, fixed[i]:fixed[i + 1]]))
+            for i, col in enumerate(schema.columns))
+    ends = offsets[1:]
+    cursor = offsets[:-1]
 
+    def fits(stops: np.ndarray, name: str) -> None:
+        if (stops > ends).any():
+            raise EncodingError(f"record truncated in column {name!r}")
 
-def build_column_views(schema: Schema, records: Sequence[bytes],
-                       trusted_lengths: bool = False,
-                       ) -> tuple[ColumnView, ...] | None:
-    """Split a record batch into per-column kernel views, once.
-
-    Returns ``None`` — meaning "use the scalar path" — for empty
-    batches, records that do not match a fixed schema's width, or
-    dtypes the kernels do not know. Fully fixed schemas reduce to one
-    buffer concatenation plus a reshape; schemas with VARCHAR columns
-    pay one Python split pass shared by every algorithm that sizes the
-    batch. ``trusted_lengths`` skips the per-record width validation
-    on fixed schemas; callers whose records provably came from the
-    schema's own encoder (index leaves) set it, since the per-record
-    ``len`` sweep would otherwise rival the sizing work itself.
-    """
-    from repro.errors import EncodingError
-
-    count = len(records)
-    if count == 0 or not kernels_cover(schema):
-        return None
-    offsets = fixed_column_offsets(schema)
-    if offsets is not None:
-        width = offsets[-1]
-        buffer = b"".join(records)
-        if not trusted_lengths:
-            sizes = np.fromiter(map(len, records), dtype=np.int64,
-                                count=count)
-            if (sizes != width).any():
-                return None
-        flat = np.frombuffer(buffer, dtype=np.uint8)
-        if flat.size != count * width:
-            return None
-        return fixed_column_views(schema, flat.reshape(count, width),
-                                  raw_slices=records)
-    try:
-        columns = split_records(schema, records)
-    except EncodingError:
-        return None  # malformed records: let the scalar path diagnose
     views = []
-    for col, slices in zip(schema.columns, columns):
+    for col in schema.columns:
         dtype = col.dtype
-        raw = records if len(schema) == 1 else slices
-        if isinstance(dtype, VarCharType):
-            lengths = np.fromiter(map(len, slices),
-                                  dtype=np.int64, count=count)
-            starts = np.zeros(count, dtype=np.int64)
-            np.cumsum(lengths[:-1], out=starts[1:])
-            payload = np.frombuffer(b"".join(slices), dtype=np.uint8)
-            views.append(ColumnView(dtype, count, payload=payload,
-                                    offsets=starts, lengths=lengths,
-                                    raw_slices=raw))
-        else:
-            flat = np.frombuffer(b"".join(slices), dtype=np.uint8)
-            views.append(ColumnView(
-                dtype, count,
-                matrix=flat.reshape(count, dtype.fixed_size),
-                raw_slices=raw))
+        width = dtype.fixed_size
+        if width is not None:
+            fits(cursor + width, col.name)
+            views.append(ColumnView(dtype, count, matrix=buffer[
+                cursor[:, None] + np.arange(width)]))
+            cursor = cursor + width
+            continue
+        if not isinstance(dtype, VarCharType):
+            raise EncodingError(
+                f"cannot split variable-width type {dtype.name}")
+        fits(cursor + _PREFIX, col.name)
+        lengths = buffer[cursor].astype(np.int64) * 256 + buffer[cursor + 1]
+        if (lengths > dtype.max_len).any():
+            raise EncodingError(f"value of length {int(lengths.max())} "
+                                f"exceeds {dtype.name}")
+        lengths += _PREFIX
+        fits(cursor + lengths, col.name)
+        views.append(ColumnView(dtype, count,
+                                payload=gather_spans(buffer, cursor, lengths),
+                                offsets=record_offsets(lengths)[:-1],
+                                lengths=lengths))
+        cursor = cursor + lengths
+    if (cursor != ends).any():
+        raise EncodingError("trailing bytes after splitting record")
     return tuple(views)
 
 
-def build_leaf_views(schema: Schema,
-                     leaves: Sequence[Sequence[bytes]],
-                     parents: tuple[ColumnView, ...] | None = None,
-                     ) -> list[tuple[ColumnView, ...]] | None:
-    """Per-leaf views for a whole index, from one whole-index split.
-
-    Concatenating every leaf's records into one parent view and
-    handing each leaf a row-sliced child amortizes the expensive parts
-    — the buffer join, the record split, and the derived arrays the
-    codecs share (pad scans, integer decodes) — across all leaves,
-    instead of paying per-leaf NumPy setup a hundred times over.
-    ``parents`` optionally supplies already-built whole-batch views
-    (index-scoped sizing builds the same ones), so one split serves
-    both scopes. Returns ``None`` (scalar path) under the same
-    conditions as :func:`build_column_views`, or when any leaf is
-    empty.
-    """
-    counts = [len(leaf) for leaf in leaves]
-    if not counts or min(counts) == 0:
-        return None
-    if parents is None:
-        flat = [record for leaf in leaves for record in leaf]
-        # Leaf records are produced by the index's own encoder, so the
-        # per-record width sweep is provably redundant here.
-        parents = build_column_views(schema, flat, trusted_lengths=True)
-    if parents is None or parents[0].count != sum(counts):
-        return None
-    out = slice_leaf_views(parents, counts)
-    if len(parents) == 1:
-        for children, leaf in zip(out, leaves):
-            children[0].raw_slices = leaf
-    return out
-
-
-def slice_leaf_views(parents: tuple[ColumnView, ...],
-                     counts: Iterable[int],
+def build_leaf_views(parents: tuple[ColumnView, ...], bounds: np.ndarray,
                      ) -> list[tuple[ColumnView, ...]]:
-    """Consecutive row slices of ``parents``, ``counts[i]`` rows each."""
-    out: list[tuple[ColumnView, ...]] = []
-    start = 0
-    for count in counts:
-        out.append(tuple(parent.slice_rows(start, int(count))
-                         for parent in parents))
-        start += int(count)
-    return out
+    """Row slices of ``parents``, one set per leaf page.
+
+    Leaf ``i`` holds rows ``bounds[i]`` to ``bounds[i + 1]``. Slicing one
+    whole-index split instead of splitting every leaf shares the split
+    and the derived arrays the codecs use (pad scans, integer decodes)
+    across all leaves.
+    """
+    edges = bounds.tolist()
+    return [tuple(parent.slice_rows(start, stop - start)
+                  for parent in parents)
+            for start, stop in zip(edges, edges[1:])]
 
 
 # ----------------------------------------------------------------------
@@ -557,21 +515,5 @@ def unique_rows(view: ColumnView) -> np.ndarray:
 
 
 def distinct_count(view: ColumnView) -> int:
-    """Number of distinct values in a column.
-
-    Count-only consumers (fixed-entry dictionaries just multiply the
-    cardinality by the entry width) take the cheapest available route:
-    a Python ``set`` over the original byte slices when the column owns
-    them, else the cached sort-based unique.
-    """
-    cached = view._derived.get("distinct")
-    if cached is None:
-        unique = view._derived.get("unique")
-        if unique is not None:
-            cached = int(unique.shape[0])
-        elif view.raw_slices is not None:
-            cached = len(set(view.raw_slices))
-        else:
-            cached = int(unique_rows(view).shape[0])
-        view._derived["distinct"] = cached
-    return cached
+    """Number of distinct values in a column (its cached unique rows)."""
+    return int(unique_rows(view).shape[0])

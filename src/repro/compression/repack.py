@@ -12,9 +12,10 @@ page one record at a time: starting where the previous page ended, the
 record count doubles and then bisects. A record range is sized by the
 codec's size kernel
 (:meth:`~repro.compression.base.CompressionAlgorithm.size_of`) on row
-slices of one set of column views, or by its ``compress`` when the
-kernels are off or do not cover it. A range the codec rejects (more
-dictionary entries than its pointers can address) does not fit.
+slices of one split of the joined records, or by its ``compress`` when
+the kernels are off, do not cover it or reject the records. A range the
+codec rejects (more dictionary entries than its pointers can address)
+does not fit.
 
 The interplay matters for page-scoped dictionary compression: packing
 more rows per page lets one dictionary entry cover more occurrences,
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.constants import PAGE_HEADER_SIZE
-from repro.errors import CompressionError, KernelUnavailable
+from repro.errors import CompressionError, EncodingError, KernelUnavailable
+from repro.storage.record import join_records
 from repro.storage.schema import Schema
+from repro.compression import kernels
 from repro.compression.base import CompressionAlgorithm
-from repro.compression.kernels import build_column_views, kernels_enabled
 
 #: Bytes reserved in each compressed page for compression metadata
 #: (anchor/prefix info pointers, dictionary offsets) beyond the normal
@@ -98,8 +100,13 @@ def repack_with_route(records: Sequence[bytes], schema: Schema,
     if not records:
         raise CompressionError("cannot repack an empty record set")
     capacity = compressed_page_capacity(page_size)
-    views = build_column_views(schema, records) if kernels_enabled() \
-        else None
+    views: tuple[kernels.ColumnView, ...] | None = None
+    if kernels.kernels_enabled():
+        try:
+            views = kernels.build_column_views(schema,
+                                               *join_records(records))
+        except EncodingError:
+            pass  # malformed records: compress diagnoses them
 
     def payload(start: int, stop: int) -> int:
         nonlocal views

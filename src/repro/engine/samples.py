@@ -29,12 +29,13 @@ from typing import Any, Callable, TYPE_CHECKING
 
 import numpy as np
 
+from repro.compression import kernels
 from repro.errors import EstimationError
 from repro.obs import NULL_TRACER
 from repro.sampling.base import RowSampler, rows_for_fraction
 from repro.sampling.block import BlockSampler
 from repro.sampling.rng import make_rng
-from repro.storage.index import Index, IndexKind, RecordColumns
+from repro.storage.index import Index, IndexKind
 from repro.storage.table import Table
 from repro.core.cf_models import ColumnHistogram
 
@@ -140,9 +141,9 @@ def materialize_table_sample(table: Table,
     single-call results are bit-identical to pre-engine releases for a
     fixed seed. The sampled records are gathered from the heap's page
     images into one buffer, in one gather, and checked against the
-    schema without decoding them
-    (:class:`~repro.storage.index.RecordColumns` raises
-    :class:`~repro.errors.EncodingError` for a malformed record). A
+    schema without decoding them: the record splitter,
+    :func:`~repro.compression.kernels.build_column_views`, raises
+    :class:`~repro.errors.EncodingError` for a malformed record. A
     block draw gathers every record of the pages
     :meth:`~repro.sampling.block.BlockSampler.choose_pages` picks.
     """
@@ -163,7 +164,7 @@ def materialize_table_sample(table: Table,
         path = "storage"
     buffer, offsets, rids = heap.gather(ordinals)
     # Validates as a decode would; raises EncodingError if malformed.
-    RecordColumns(table.schema, buffer, offsets)
+    kernels.build_column_views(table.schema, buffer, offsets)
     return MaterializedSample(
         fraction=fraction, seed=seed, path=path, buffer=buffer,
         offsets=offsets, rids=rids, extra=extra, nbytes=int(buffer.size))

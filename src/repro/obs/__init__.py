@@ -19,12 +19,12 @@ from repro.obs.metrics import (Counter, Gauge, Histogram,
                                absorb_store_counters)
 from repro.obs.trace import (NULL_TRACER, NullTracer, Span, SpanContext,
                              TRACE_SCHEMA_VERSION, Tracer, read_trace)
-from repro.obs.report import load_trace, one_line, render, summarize
+from repro.obs.report import one_line, render, summarize
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "absorb_engine_stats", "absorb_store_counters",
     "NULL_TRACER", "NullTracer", "Span", "SpanContext",
     "TRACE_SCHEMA_VERSION", "Tracer", "read_trace",
-    "load_trace", "one_line", "render", "summarize",
+    "one_line", "render", "summarize",
 ]

@@ -21,20 +21,7 @@ per-worker busy table instead.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any
-
-
-def load_trace(path: str | os.PathLike) -> list[dict]:
-    """Read a JSONL trace file into its records."""
-    records = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def _main_proc(records: list[dict]) -> str:

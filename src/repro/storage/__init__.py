@@ -13,8 +13,7 @@ from repro.storage.heap import HeapFile
 from repro.storage.index import (Accounting, Index, IndexKind, IndexSize,
                                  RID_COLUMN)
 from repro.storage.page import Page, PageType, records_per_page
-from repro.storage.record import (decode_record, encode_record, record_key,
-                                  split_record)
+from repro.storage.record import decode_record, encode_record, split_record
 from repro.storage.rid import RID, RID_BYTES
 from repro.storage.schema import Column, Schema, single_char_schema
 from repro.storage.table import Table
@@ -52,7 +51,6 @@ __all__ = [
     "save_heap",
     "save_table",
     "parse_type",
-    "record_key",
     "records_per_page",
     "single_char_schema",
     "split_record",

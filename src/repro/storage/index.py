@@ -13,10 +13,12 @@ number of distinct keys.
   locator per entry.
 
 :meth:`Index.build` fills an index from record bytes (a sample's drawn
-records, or every record of a table through :meth:`Index.over`) with one
-sort-and-pack and without decoding a record. Entries are ordered by
-``memcmp`` on one byte sort key per record, the concatenation, in
-key-column order, of:
+records, or every record of a table through :meth:`Index.over`) without
+decoding a record: one split into column views
+(:func:`~repro.compression.kernels.build_column_views`, which also
+validates the records), then one sort-and-pack. Entries are ordered by
+``memcmp`` on one byte sort key per record, taken from the views: the
+concatenation, in key-column order, of:
 
 * CHAR: the value without its trailing blanks, zero-filled to the
   column width, then that length as 2 big-endian bytes (the padded
@@ -53,8 +55,7 @@ import numpy as np
 
 from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE,
                              PAGE_HEADER_SIZE, SLOT_SIZE)
-from repro.errors import (CompressionError, EncodingError, IndexError_,
-                          KernelUnavailable)
+from repro.errors import CompressionError, IndexError_, KernelUnavailable
 from repro.storage.heap import HeapFile
 from repro.storage.page import Page, PageType, pack_bounds
 from repro.storage.record import (fixed_column_offsets, gather_spans,
@@ -64,10 +65,8 @@ from repro.storage.table import Table
 from repro.storage.types import (BigIntType, CharType, IntegerType,
                                  VarCharType)
 from repro.compression.base import CompressionAlgorithm, CompressionResult
-from repro.compression.kernels import (ColumnView, build_column_views,
-                                       fixed_column_views, kernels_cover,
-                                       kernels_enabled, slice_leaf_views,
-                                       stripped_lengths)
+from repro.compression import kernels
+from repro.compression.kernels import ColumnView
 from repro.compression.repack import (compressed_page_capacity,
                                       repack_with_route)
 
@@ -102,100 +101,49 @@ def _be16(values: np.ndarray) -> np.ndarray:
     return values.astype(">u2").view(np.uint8).reshape(-1, 2)
 
 
-class RecordColumns:
-    """Where each column of each record sits in a record buffer.
+def _sort_key(view: ColumnView) -> np.ndarray:
+    """``(count, width)`` bytes whose memcmp order is the column's order."""
+    dtype = view.dtype
+    if isinstance(dtype, CharType):
+        kept = view.char_stripped_lengths
+        filled = np.where(np.arange(dtype.k) < kept[:, None], view.matrix,
+                          0).astype(np.uint8)
+        return np.hstack([filled, _be16(kept)])
+    if isinstance(dtype, VarCharType):
+        return np.hstack([view.padded_matrix[:, _PREFIX:],
+                          _be16(view.lengths - _PREFIX)])
+    if isinstance(dtype, (IntegerType, BigIntType)):
+        return view.matrix
+    raise IndexError_(f"no byte order for {dtype.name} keys")
 
-    Construction is the vectorized form of the checks ``decode_record``
-    plus ``Schema.validate_row`` make per row: a fixed-width schema
-    needs every record to be exactly the schema width; otherwise the
-    columns are walked once for all records, each VARCHAR length prefix
-    must fit its record and stay within ``max_len``, and no bytes may
-    trail the last column. Any failure raises :class:`EncodingError`.
+
+def _interleave(views: Sequence[ColumnView], order: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The views' rows ``order`` as records, back to back, and lengths.
+
+    Record ``i`` is row ``order[i]`` of every view, in view order.
     """
-
-    def __init__(self, schema: Schema, buffer: np.ndarray,
-                 offsets: np.ndarray) -> None:
-        self.schema = schema
-        self.buffer = buffer
-        self.count = offsets.size - 1
-        lengths = np.diff(offsets)
-        fixed = fixed_column_offsets(schema)
-        #: ``(count, width)`` rows of a fixed-width schema, else None.
-        self.matrix: np.ndarray | None = None
-        if fixed is not None:
-            if (lengths != fixed[-1]).any():
-                bad = int(lengths[np.argmax(lengths != fixed[-1])])
-                raise EncodingError(
-                    f"record of {bad} bytes does not match fixed schema "
-                    f"width {fixed[-1]}")
-            self.matrix = buffer.reshape(self.count, fixed[-1])
-            return
-        ends = offsets[1:]
-        cursor = offsets[:-1].copy()
-        self.starts = np.empty((self.count, len(schema)), dtype=np.int64)
-        self.lengths = np.empty_like(self.starts)
-        for position, col in enumerate(schema.columns):
-            dtype = col.dtype
-            if dtype.fixed_size is not None:
-                width = np.full(self.count, dtype.fixed_size,
-                                dtype=np.int64)
-            elif isinstance(dtype, VarCharType):
-                if (cursor + _PREFIX > ends).any():
-                    raise EncodingError(
-                        f"record truncated in column {col.name!r}")
-                width = self.buffer[cursor].astype(np.int64) * 256 \
-                    + self.buffer[cursor + 1]
-                if (width > dtype.max_len).any():
-                    raise EncodingError(
-                        f"value of length {int(width.max())} exceeds "
-                        f"{dtype.name}")
-                width += _PREFIX
-            else:
-                raise EncodingError(
-                    f"cannot decode variable-width type {dtype.name}")
-            self.starts[:, position] = cursor
-            self.lengths[:, position] = width
-            cursor = cursor + width
-            if (cursor > ends).any():
-                raise EncodingError(
-                    f"record truncated in column {col.name!r}")
-        if (cursor != ends).any():
-            raise EncodingError("trailing bytes after decoding record")
-
-    def column(self, position: int) -> np.ndarray:
-        """``(count, width)`` stored bytes of a fixed-width column."""
-        matrix, fixed = self.matrix, fixed_column_offsets(self.schema)
-        if matrix is not None and fixed is not None:
-            return matrix[:, fixed[position]:fixed[position + 1]]
-        width = self.schema.columns[position].dtype.fixed_size
-        if width is None:
-            raise EncodingError(f"column {position} is variable-width")
-        return self.buffer[self.starts[:, position, None]
-                           + np.arange(width)]
-
-    def sort_key(self, position: int) -> np.ndarray:
-        """``(count, width)`` bytes whose memcmp order is value order."""
-        dtype = self.schema.columns[position].dtype
-        if isinstance(dtype, CharType):
-            stored = self.column(position)
-            kept = stripped_lengths(stored)
-            filled = np.where(np.arange(dtype.k) < kept[:, None], stored,
-                              0).astype(np.uint8)
-            return np.hstack([filled, _be16(kept)])
-        if isinstance(dtype, VarCharType):
-            starts = self.starts[:, position]
-            lengths = self.lengths[:, position] - _PREFIX
-            widest = int(lengths.max()) if self.count else 0
-            filled = np.zeros((self.count, widest), dtype=np.uint8)
-            rows = np.repeat(np.arange(self.count), lengths)
-            cols = np.arange(rows.size) \
-                - np.repeat(record_offsets(lengths)[:-1], lengths)
-            filled[rows, cols] = self.buffer[
-                np.repeat(starts + _PREFIX, lengths) + cols]
-            return np.hstack([filled, _be16(lengths)])
-        if isinstance(dtype, (IntegerType, BigIntType)):
-            return self.column(position)
-        raise IndexError_(f"no byte order for {dtype.name} keys")
+    if all(view.matrix is not None for view in views):
+        rows = np.hstack([view.matrix[order] for view in views])
+        return rows.reshape(-1), np.full(order.size, rows.shape[1],
+                                         dtype=np.int64)
+    sources, starts, spans, base = [], [], [], 0
+    for view in views:
+        if view.matrix is not None:
+            width = view.matrix.shape[1]
+            sources.append(view.matrix.reshape(-1))
+            start = width * np.arange(view.count, dtype=np.int64)
+            span = np.full(view.count, width, dtype=np.int64)
+        else:
+            sources.append(view.payload)
+            start, span = view.offsets, view.lengths
+        starts.append(base + start[order])
+        spans.append(span[order])
+        base += sources[-1].size
+    widths = np.column_stack(spans)
+    return gather_spans(np.concatenate(sources),
+                        np.column_stack(starts).ravel(),
+                        widths.ravel()), widths.sum(axis=1)
 
 
 class Index:
@@ -284,45 +232,33 @@ class Index:
         if not 0.0 < self.fill_factor <= 1.0:
             raise IndexError_(
                 f"fill factor must be in (0, 1], got {self.fill_factor}")
-        columns = RecordColumns(self.table_schema, buffer, offsets)
-        if rids.size != columns.count:
+        views = kernels.build_column_views(self.table_schema, buffer,
+                                           offsets)
+        count = offsets.size - 1
+        if rids.size != count:
             raise IndexError_(f"{rids.size} RID locators for "
-                              f"{columns.count} records")
+                              f"{count} records")
         positions = self._key_positions
         key = np.ascontiguousarray(
-            np.hstack([columns.sort_key(p) for p in positions]))
+            np.hstack([_sort_key(views[p]) for p in positions]))
         order = np.argsort(key.view(np.dtype((np.void, key.shape[1])))
                            .ravel(), kind="stable")
         ordered = key[order]
         distinct = int(np.count_nonzero(
-            (ordered[1:] != ordered[:-1]).any(axis=1))) + 1 \
-            if columns.count else 0
-        clustered = self.kind is IndexKind.CLUSTERED
-        locators = (rids[order].astype(np.uint64) ^ _SIGN_FLIP_64) \
-            .astype(">u8").view(np.uint8).reshape(-1, 8)
-        if columns.matrix is not None:
-            # Fixed widths: whole rows and columns, no per-byte index.
-            leaf = columns.matrix[order] if clustered else np.hstack(
-                [columns.column(p)[order] for p in positions]
-                + [locators])
-            leaf_buffer = leaf.reshape(-1)
-            lengths = np.full(columns.count, leaf.shape[1], dtype=np.int64)
+            (ordered[1:] != ordered[:-1]).any(axis=1))) + 1 if count else 0
+        if self.kind is IndexKind.CLUSTERED:
+            # The leaf record is the table record: whole rows of a
+            # fixed-width table, else one span per record.
+            lengths = np.diff(offsets)[order]
+            leaf_buffer = buffer.reshape(count, -1)[order].reshape(-1) \
+                if fixed_column_offsets(self.table_schema) is not None \
+                else gather_spans(buffer, offsets[:-1][order], lengths)
         else:
-            if clustered:
-                source = buffer
-                starts = offsets[:-1][order, None]
-                spans = np.diff(offsets)[order, None]
-            else:
-                source = np.concatenate([buffer, locators.reshape(-1)])
-                starts = np.hstack([
-                    columns.starts[order][:, positions],
-                    buffer.size + 8 * np.arange(columns.count)[:, None]])
-                spans = np.hstack([
-                    columns.lengths[order][:, positions],
-                    np.full((columns.count, 1), 8, dtype=np.int64)])
-            leaf_buffer = gather_spans(source, starts.ravel(),
-                                       spans.ravel())
-            lengths = spans.sum(axis=1)
+            locators = (rids.astype(np.uint64) ^ _SIGN_FLIP_64) \
+                .astype(">u8").view(np.uint8).reshape(-1, 8)
+            leaf_buffer, lengths = _interleave(
+                [views[p] for p in positions]
+                + [ColumnView(BigIntType(), count, matrix=locators)], order)
         # A leaf takes records while its header plus every record and
         # slot entry stay within int(fill_factor * page_size) bytes,
         # and always at least one record.
@@ -509,27 +445,17 @@ class Index:
         """Cached ``(whole-index views, per-leaf views)``, or ``None``.
 
         ``None`` (the scalar path) when kernels are disabled or a
-        column's dtype has none. Fixed-width schemas take the parent
-        views as column slices of the record matrix; VARCHAR schemas
-        split each record once. Leaf views are row slices of the
-        parents, so every leaf, scope and algorithm shares one split
-        and one set of derived arrays.
+        column's dtype has none. One split of the leaf buffer gives the
+        whole-index views, and the leaf views are row slices of them,
+        so every leaf, scope and algorithm shares one split and one set
+        of derived arrays.
         """
-        if not kernels_enabled() or not kernels_cover(self.leaf_schema):
+        if not kernels.kernels_enabled() \
+                or not kernels.kernels_cover(self.leaf_schema):
             return None
         if self._views is None:
-            fixed = fixed_column_offsets(self.leaf_schema)
-            parents: tuple[ColumnView, ...] | None
-            if fixed is not None:
-                parents = fixed_column_views(
-                    self.leaf_schema,
-                    self.buffer.reshape(self.num_entries, fixed[-1]))
-            else:
-                parents = build_column_views(
-                    self.leaf_schema, self.leaf_records(),
-                    trusted_lengths=True)
-            if parents is None:
-                return None
+            parents = kernels.build_column_views(
+                self.leaf_schema, self.buffer, self.offsets)
             self._views = (parents,
-                           slice_leaf_views(parents, np.diff(self.bounds)))
+                           kernels.build_leaf_views(parents, self.bounds))
         return self._views

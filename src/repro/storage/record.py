@@ -46,6 +46,14 @@ def record_offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
+def join_records(records: Sequence[bytes],
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``records`` back to back in one ``uint8`` buffer, and offsets."""
+    buffer = np.frombuffer(b"".join(records), dtype=np.uint8)
+    return buffer, record_offsets(np.fromiter(
+        map(len, records), dtype=np.int64, count=len(records)))
+
+
 def gather_spans(source: np.ndarray, starts: np.ndarray,
                  lengths: np.ndarray) -> np.ndarray:
     """``source[starts[i]:starts[i] + lengths[i]]`` for all ``i``, joined.
@@ -133,6 +141,9 @@ def split_record(schema: Schema, data: bytes) -> list[bytes]:
                     f"record truncated in column {col.name!r}")
             length = int.from_bytes(
                 data[offset:offset + VarCharType.LENGTH_PREFIX_BYTES], "big")
+            if length > dtype.max_len:
+                raise EncodingError(
+                    f"value of length {length} exceeds {dtype.name}")
             end = offset + VarCharType.LENGTH_PREFIX_BYTES + length
         else:  # pragma: no cover
             raise EncodingError(
@@ -175,55 +186,3 @@ def split_records(schema: Schema, records: Sequence[bytes],
         for position, chunk in enumerate(split_record(schema, record)):
             columns[position].append(chunk)
     return columns
-
-
-def record_key(schema: Schema, data: bytes, key_positions: Sequence[int],
-               ) -> tuple[Any, ...]:
-    """Extract the key tuple at ``key_positions`` from record bytes.
-
-    Only the requested columns are decoded; the rest of the record is
-    skipped over (fixed-width columns by their memoized offsets,
-    VARCHARs by their length prefix). Truncated or oversized records
-    still raise :class:`EncodingError`, exactly like a full decode.
-    """
-    wanted = set(key_positions)
-    values: dict[int, Any] = {}
-    offsets = fixed_column_offsets(schema)
-    if offsets is not None:
-        if len(data) != offsets[-1]:
-            raise EncodingError(
-                f"record of {len(data)} bytes does not match fixed "
-                f"schema width {offsets[-1]}")
-        for position in wanted:
-            col = schema.columns[position]
-            values[position] = col.dtype.decode(
-                data[offsets[position]:offsets[position + 1]])
-        return tuple(values[i] for i in key_positions)
-    offset = 0
-    for position, col in enumerate(schema.columns):
-        dtype = col.dtype
-        if dtype.fixed_size is not None:
-            end = offset + dtype.fixed_size
-            if end > len(data):
-                raise EncodingError(
-                    f"record truncated in column {col.name!r}")
-        elif isinstance(dtype, VarCharType):
-            if offset + VarCharType.LENGTH_PREFIX_BYTES > len(data):
-                raise EncodingError(
-                    f"record truncated in column {col.name!r}")
-            length = int.from_bytes(
-                data[offset:offset + VarCharType.LENGTH_PREFIX_BYTES], "big")
-            end = offset + VarCharType.LENGTH_PREFIX_BYTES + length
-            if end > len(data):
-                raise EncodingError(
-                    f"record truncated in column {col.name!r}")
-        else:  # pragma: no cover - no other variable types exist
-            raise EncodingError(
-                f"cannot decode variable-width type {dtype.name}")
-        if position in wanted:
-            values[position] = dtype.decode(data[offset:end])
-        offset = end
-    if offset != len(data):
-        raise EncodingError(
-            f"{len(data) - offset} trailing bytes after decoding record")
-    return tuple(values[i] for i in key_positions)

@@ -23,7 +23,7 @@ from repro.constants import DEFAULT_PAGE_SIZE
 from repro.errors import SchemaError
 from repro.storage.heap import HeapFile
 from repro.storage.page import Page
-from repro.storage.record import decode_record, encode_record, record_offsets
+from repro.storage.record import decode_record, encode_record, join_records
 from repro.storage.rid import RID
 from repro.storage.schema import Schema
 
@@ -48,11 +48,8 @@ class Table:
                   rows: Sequence[Sequence[Any]],
                   page_size: int = DEFAULT_PAGE_SIZE) -> "Table":
         """A table holding ``rows``, each validated and encoded."""
-        records = [encode_record(schema, row) for row in rows]
-        buffer = np.frombuffer(b"".join(records), dtype=np.uint8)
-        offsets = record_offsets(np.fromiter(map(len, records),
-                                             dtype=np.int64,
-                                             count=len(records)))
+        buffer, offsets = join_records(
+            [encode_record(schema, row) for row in rows])
         return cls.from_heap(name, schema, HeapFile.from_records(
             buffer, offsets, page_size=page_size))
 

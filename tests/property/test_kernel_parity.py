@@ -7,7 +7,11 @@ shuffled integers, VARCHAR with empty/blank/NUL-bearing values, and
 multi-column records — and the vectorized ``size_of`` must return the
 exact integer the scalar ``compress`` path reports. ``repack``, which
 sizes record ranges with those kernels, must find the pages its
-definition (:func:`tests.btree_oracle.greedy_repack`) finds. A final
+definition (:func:`tests.btree_oracle.greedy_repack`) finds. The record
+splitter (``build_column_views``) must cut random CHAR, VARCHAR,
+INTEGER and BIGINT batches, empty ones included, into the slices the
+reference ``split_records`` cuts, and reject the malformed records it
+rejects. A final
 test locks the end-to-end contract: estimates computed with kernels
 force-disabled (``REPRO_DISABLE_KERNELS``) are bit-identical to
 kernel-computed ones.
@@ -15,6 +19,7 @@ kernel-computed ones.
 
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +30,9 @@ from repro.compression.kernels import (DISABLE_KERNELS_ENV,
 from repro.compression.registry import get_algorithm, list_algorithms
 from repro.compression.repack import repack
 from repro.core.samplecf import SampleCF
-from repro.storage.record import encode_record
+from repro.errors import EncodingError
+from repro.storage.record import (encode_record, join_records,
+                                  record_offsets, split_records)
 from repro.storage.schema import Column, Schema
 from repro.workloads.generators import make_histogram, make_table
 
@@ -50,7 +57,7 @@ def assert_parity(schema, records, context=""):
     configuration in ``ALGORITHMS`` (NS ``runs`` mode included) now has
     a size kernel, so a raise here is a regression, not a skip.
     """
-    views = build_column_views(schema, records)
+    views = build_column_views(schema, *join_records(records))
     assert views is not None, context
     for algorithm in ALGORITHMS:
         want = algorithm.compress(records, schema).payload_size
@@ -190,7 +197,9 @@ def test_random_leaf_slicing(values, cuts):
         leaves.append(records[start:start + step])
         start += step
         i += 1
-    leaf_views = build_leaf_views(schema, leaves)
+    leaf_views = build_leaf_views(
+        build_column_views(schema, *join_records(records)),
+        record_offsets(np.array([len(leaf) for leaf in leaves])))
     assert leaf_views is not None
     for algorithm in ALGORITHMS:
         got = sum(algorithm.size_of(views, schema)
@@ -225,6 +234,74 @@ def test_repack_matches_its_definition(pool, count, seed, ordered,
         assert repack(records, schema, algorithm, page_size) == \
             greedy_repack(records, schema, algorithm, page_size), \
             algorithm.name
+
+
+# ----------------------------------------------------------------------
+# The record splitter equals the reference split
+# ----------------------------------------------------------------------
+column_specs = st.one_of(
+    st.integers(1, 8).map(lambda k: f"char({k})"),
+    st.integers(1, 8).map(lambda m: f"varchar({m})"),
+    st.just("integer"), st.just("bigint"))
+
+
+def spec_values(spec):
+    if spec.startswith("char("):
+        return st.text(alphabet="ab 0\x00", max_size=int(spec[5:-1])) \
+            .map(lambda s: s.rstrip(" "))
+    if spec.startswith("varchar("):
+        # empty, NUL-bearing and all-blank values included
+        return st.one_of(st.sampled_from(["", "\x00", " "]),
+                         st.text(alphabet="ab \x00",
+                                 max_size=int(spec[8:-1])))
+    bits = 31 if spec == "integer" else 63
+    return st.integers(-2 ** bits, 2 ** bits - 1)
+
+
+@st.composite
+def batches(draw):
+    """A schema over 1-4 columns and 0-30 records of it."""
+    specs = draw(st.lists(column_specs, min_size=1, max_size=4))
+    schema = Schema([Column.of(f"c{i}", spec)
+                     for i, spec in enumerate(specs)])
+    rows = draw(st.lists(st.tuples(*map(spec_values, specs)),
+                         max_size=30))
+    return schema, [encode_record(schema, row) for row in rows]
+
+
+def column_bytes(view):
+    if view.matrix is not None:
+        assert view.matrix.flags.c_contiguous
+        return [row.tobytes() for row in view.matrix]
+    return [view.payload[start:start + length].tobytes()
+            for start, length in zip(view.offsets.tolist(),
+                                     view.lengths.tolist())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=batches())
+def test_splitter_equals_split_records(batch):
+    schema, records = batch
+    views = build_column_views(schema, *join_records(records))
+    assert [view.count for view in views] == [len(records)] * len(schema)
+    assert [column_bytes(view) for view in views] == \
+        split_records(schema, records)
+
+
+@pytest.mark.parametrize("spec, record", [
+    ("char(6)", b"short"),                   # narrower than the schema
+    ("char(6)", b"too long"),                # wider than the schema
+    ("varchar(4)", b"\x00\x05hello"),        # prefix past max_len
+    ("varchar(4)", b"\x00\x03ab"),           # prefix past the record
+    ("varchar(4)", b"\x00\x01ab"),           # trailing bytes
+])
+def test_malformed_records_fail_both_splits(spec, record):
+    schema = Schema([Column.of("a", spec)])
+    records = [encode_record(schema, ("ab",))] * 3 + [record]
+    with pytest.raises(EncodingError):
+        build_column_views(schema, *join_records(records))
+    with pytest.raises(EncodingError):
+        split_records(schema, records)
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,16 @@ class TestIndexConstruction:
         assert [decode_record(index.leaf_schema, record)
                 for record in index.leaf_records()] == [("y", 1), ("x", 2)]
 
+    @pytest.mark.parametrize("kind", list(IndexKind))
+    def test_empty_table_gives_an_empty_index(self, kind):
+        schema = Schema([Column.of("v", "varchar(8)"),
+                         Column.of("a", "char(6)"),
+                         Column.of("b", "integer")])
+        table = Table.from_rows("t", schema, [], page_size=PAGE)
+        for key in (["v"], ["a"], ["b", "v"]):
+            index = Index.over(table, key, kind=kind)
+            assert (index.num_entries, index.distinct) == (0, 0)
+
     def test_nonclustered_requires_rids(self):
         index = Index("ix", single_char_schema(8), ["a"],
                       kind=IndexKind.NONCLUSTERED)

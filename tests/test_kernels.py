@@ -1,23 +1,26 @@
 """Unit tests for the size-only vectorized compression kernels."""
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
 
+from repro.compression import kernels
 from repro.compression.kernels import (ColumnView, DISABLE_KERNELS_ENV,
                                        build_column_views, build_leaf_views,
                                        distinct_count, kernels_enabled,
                                        magnitude_widths, minimal_int_widths,
                                        stripped_lengths, unique_rows)
 from repro.compression.registry import get_algorithm, list_algorithms
+from repro.core.samplecf import SampleCF, true_cf_table
 from repro.engine import EstimationEngine, EstimationRequest
 from repro.errors import EncodingError
 from repro.storage.index import Index, IndexKind
-from repro.storage.record import (decode_record, encode_record,
-                                  fixed_column_offsets, record_key,
-                                  split_record, split_records)
+from repro.storage.record import (encode_record, fixed_column_offsets,
+                                  join_records, split_record, split_records)
 from repro.storage.schema import Column, Schema
+from repro.storage.table import Table
 from repro.storage.types import minimal_int_bytes
 from repro.workloads.generators import make_table
 from tests.btree_oracle import RowIndex
@@ -85,20 +88,21 @@ class TestPrimitives:
         assert unique_rows(view).shape == (3, 2)
         assert distinct_count(view) == 3
 
-    def test_distinct_count_prefers_raw_slices(self):
-        view = ColumnView(None, 4, raw_slices=[b"x", b"y", b"x", b"z"])
-        assert distinct_count(view) == 3
-
 
 # ----------------------------------------------------------------------
 # Columnar views
 # ----------------------------------------------------------------------
+def split(schema: Schema, records: list[bytes]) -> tuple[ColumnView, ...]:
+    """The record splitter over ``records`` joined into one buffer."""
+    return build_column_views(schema, *join_records(records))
+
+
 class TestColumnViews:
     def test_fixed_views_match_slices(self):
         schema = fixed_schema()
         rows = [("ab", 7, -1), ("zzz", -300, 2 ** 40), ("", 0, -2 ** 63)]
         records = [encode_record(schema, row) for row in rows]
-        views = build_column_views(schema, records)
+        views = split(schema, records)
         assert len(views) == 3
         for position, view in enumerate(views):
             expected = [split_record(schema, r)[position] for r in records]
@@ -109,7 +113,7 @@ class TestColumnViews:
         schema = mixed_schema()
         rows = [("a", "hello", 1), ("b", "", 2), ("c", "a longer note", 3)]
         records = [encode_record(schema, row) for row in rows]
-        views = build_column_views(schema, records)
+        views = split(schema, records)
         note = views[1]
         slices = [split_record(schema, r)[1] for r in records]
         assert note.lengths.tolist() == [len(s) for s in slices]
@@ -121,7 +125,7 @@ class TestColumnViews:
         schema = Schema([Column.of("v", "varchar(8)")])
         rows = [("a",), ("a\x00",), ("a",), ("",)]
         records = [encode_record(schema, r) for r in rows]
-        (view,) = build_column_views(schema, records)
+        (view,) = split(schema, records)
         padded = view.padded_matrix
         assert (padded[0] == padded[2]).all()
         assert not (padded[0] == padded[1]).all()
@@ -130,28 +134,25 @@ class TestColumnViews:
     def test_rejects_empty_and_misfit_batches(self):
         schema = fixed_schema()
         record = encode_record(schema, ("a", 1, 2))
-        assert build_column_views(schema, []) is None
-        assert build_column_views(schema, [record[:-1]]) is None
-        assert build_column_views(schema, [record, record + b"x"]) is None
+        assert [view.count for view in split(schema, [])] == [0, 0, 0]
+        with pytest.raises(EncodingError):
+            split(schema, [record[:-1]])
+        with pytest.raises(EncodingError):
+            split(schema, [record, record + b"x"])
 
     def test_leaf_views_slice_one_parent(self):
         schema = fixed_schema()
         records = [encode_record(schema, (f"r{i}", i, -i))
                    for i in range(10)]
-        leaves = [records[:4], records[4:9], records[9:]]
-        leaf_views = build_leaf_views(schema, leaves)
+        parents = split(schema, records)
+        leaf_views = build_leaf_views(parents, np.array([0, 4, 9, 10]))
         assert [v[0].count for v in leaf_views] == [4, 5, 1]
         # derived arrays come from the shared parent, sliced
         parent = leaf_views[0][1]._parent
-        assert parent is leaf_views[2][1]._parent
+        assert parent is leaf_views[2][1]._parent is parents[1]
         ints = np.concatenate([v[1].int_values for v in leaf_views])
         assert ints.tolist() == list(range(10))
         assert "ints" in parent._derived
-
-    def test_leaf_views_reject_empty_leaf(self):
-        schema = fixed_schema()
-        record = encode_record(schema, ("a", 1, 2))
-        assert build_leaf_views(schema, [[record], []]) is None
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +163,7 @@ class TestSizeOf:
         schema = Schema([Column.of("a", "char(8)")])
         records = [encode_record(schema, (v,))
                    for v in ("ab", "ab", "x", "", "long one", "a  b0000")]
-        views = build_column_views(schema, records)
+        views = split(schema, records)
         for name in list_algorithms():
             algorithm = get_algorithm(name)
             assert algorithm.size_of(views, schema) == \
@@ -196,43 +197,6 @@ class TestRecordHelpers:
         schema = fixed_schema()
         with pytest.raises(EncodingError):
             split_records(schema, [b"short"])
-
-
-# ----------------------------------------------------------------------
-# Satellite: record_key decodes only the requested positions
-# ----------------------------------------------------------------------
-class TestRecordKey:
-    def test_matches_full_decode(self):
-        for schema, row in ((fixed_schema(), ("widget", 42, -7)),
-                            (mixed_schema(), ("ab", "some note", 9))):
-            record = encode_record(schema, row)
-            full = decode_record(schema, record)
-            for positions in ([0], [1], [2], [2, 0], [1, 1], [0, 1, 2]):
-                assert record_key(schema, record, positions) == \
-                    tuple(full[i] for i in positions)
-
-    def test_rejects_truncated_and_oversized(self):
-        for schema, row in ((fixed_schema(), ("w", 1, 2)),
-                            (mixed_schema(), ("ab", "note", 9))):
-            record = encode_record(schema, row)
-            with pytest.raises(EncodingError):
-                record_key(schema, record[:-1], [0])
-            with pytest.raises(EncodingError):
-                record_key(schema, record + b"x", [0])
-
-    def test_skips_decoding_unrequested_columns(self, monkeypatch):
-        schema = mixed_schema()
-        record = encode_record(schema, ("ab", "note", 9))
-        calls = []
-        original = type(schema[1].dtype).decode
-
-        def spy(self, data):
-            calls.append(data)
-            return original(self, data)
-
-        monkeypatch.setattr(type(schema[1].dtype), "decode", spy)
-        assert record_key(schema, record, [2]) == (9,)
-        assert calls == []  # the varchar column was skipped, not decoded
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +344,65 @@ class TestEstimateCompression:
             .build_from_rows(table.rows())
         assert after == oracle.compress(get_algorithm("dictionary"))
         assert after != before
+
+
+# ----------------------------------------------------------------------
+# One record splitter on the estimate path
+# ----------------------------------------------------------------------
+def varchar_table() -> Table:
+    schema = Schema([Column.of("v", "varchar(12)"),
+                     Column.of("n", "integer"),
+                     Column.of("c", "char(4)")])
+    rows = [("x" * (i % 11) + str(i % 7), i % 13 - 6, f"c{i % 5}")
+            for i in range(600)]
+    return Table.from_rows("mixed", schema, rows, page_size=1024)
+
+
+class TestOneSplitter:
+    @pytest.mark.parametrize("make", [
+        varchar_table, lambda: make_table(600, 30, 12, seed=9)],
+        ids=["varchar", "char"])
+    def test_estimate_path_splits_through_build_column_views(
+            self, make, kernels_on, monkeypatch):
+        table = make()
+        key = (table.schema.names[0],)
+        seen, forbidden = [], []
+        original = kernels.build_column_views
+
+        def spy(schema, *args, **kwargs):
+            seen.append(schema)
+            return original(schema, *args, **kwargs)
+
+        def raiser(*args, **kwargs):
+            forbidden.append(args)
+            raise AssertionError("the estimate path called split_records")
+
+        monkeypatch.setattr(kernels, "build_column_views", spy)
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("repro") and m is not None]:
+            if hasattr(module, "split_records"):
+                monkeypatch.setattr(module, "split_records", raiser)
+        requests = [EstimationRequest(table=table, columns=key,
+                                      algorithm=name, fraction=0.3,
+                                      trials=2, kind=kind, repack=repack,
+                                      page_size=1024)
+                    for name in ("null_suppression", "dictionary", "page")
+                    for kind in IndexKind for repack in (False, True)]
+        batch = EstimationEngine(seed=3).execute(requests)
+        assert batch.stats["degraded_units"] == 0
+        for repack in (False, True):
+            true_cf_table(table, key, "dictionary",
+                          kind=IndexKind.NONCLUSTERED, repack=repack,
+                          page_size=1024)
+            SampleCF("dictionary", repack=repack,
+                     engine=EstimationEngine(seed=3)).estimate_index(
+                Index.over(table, key, kind=IndexKind.NONCLUSTERED,
+                           page_size=1024), 0.3, seed=3)
+        leaf_schema = Index("t", table.schema, key,
+                            kind=IndexKind.NONCLUSTERED).leaf_schema
+        assert table.schema in seen  # the draw and Index.build
+        assert leaf_schema in seen   # sizing the leaves
+        assert forbidden == []
 
 
 # ----------------------------------------------------------------------

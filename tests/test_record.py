@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import EncodingError
-from repro.storage.record import (decode_record, encode_record, record_key,
-                                  split_record)
+from repro.storage.record import decode_record, encode_record, split_record
 from repro.storage.schema import Column, Schema
 
 
@@ -81,10 +80,3 @@ class TestMixedRecords:
         with pytest.raises(EncodingError):
             split_record(schema, record + b"zz")
 
-
-class TestRecordKey:
-    def test_extracts_positions(self):
-        schema = fixed_schema()
-        record = encode_record(schema, ("widget", 42, -7))
-        assert record_key(schema, record, [1]) == (42,)
-        assert record_key(schema, record, [2, 0]) == (-7, "widget")
