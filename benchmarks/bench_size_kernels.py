@@ -11,8 +11,9 @@ and the persistent store rely on).
 
 Two kernel timings are reported:
 
-* ``cold`` — the columnar leaf views are rebuilt inside the timed
-  region (a single-estimate worst case);
+* ``cold`` — the index's column views, and with them every array
+  derived on them (value codes included), are rebuilt inside the
+  timed region (a single-estimate worst case);
 * ``shared`` — views already built, as in an engine batch, where every
   algorithm and trial over one sample index reuses them.
 
@@ -99,7 +100,7 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
             lambda: scalar(index, algorithm), repeats)
 
         def cold():
-            index._views = None
+            index._views = None  # every derived array lives on the views
             return index.estimate_compression(algorithm)
 
         cold_s, kernel = best_of(cold, repeats)

@@ -32,9 +32,10 @@ Two ways to size a unit
 -----------------------
 ``compress`` is the reference. :meth:`CompressionAlgorithm.size_of` is
 the size kernel every estimate runs on: the same ``payload_size``,
-computed vectorized from column views without building a blob.
-Repacking (:mod:`repro.compression.repack`) sizes candidate pages with
-the same two.
+summed over every leaf page of an index in one call, computed
+vectorized from column views without building a blob. Repacking
+(:mod:`repro.compression.repack`) sizes candidate pages with the same
+two.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from repro.storage.record import split_records
 from repro.storage.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.compression.kernels import ColumnView
 
 Scope = Literal["page", "index"]
@@ -109,14 +112,24 @@ class CompressionAlgorithm(ABC):
 
     # -- optional capabilities -----------------------------------------
     def size_of(self, views: Sequence["ColumnView"], schema: Schema,
-                ) -> int:
-        """Exact ``compress(...).payload_size`` without building blobs.
+                bounds: "np.ndarray") -> int:
+        """Exact summed ``compress(...).payload_size`` without blobs.
 
-        ``views`` is the columnar form of one unit's records (see
+        ``views`` is one split of a whole index or record batch (see
         :func:`repro.compression.kernels.build_column_views`), one view
-        per schema column. Implementations must be **bit-identical** to
-        the scalar path — the estimator treats the two routes as
-        interchangeable, including for persisted estimates. Raise
+        per schema column. ``bounds`` are int64 fence posts of
+        non-empty segments: segment ``i`` is rows ``bounds[i]`` to
+        ``bounds[i + 1]``, and rows outside ``bounds[0]:bounds[-1]`` are
+        not read. The result is the sum over segments of ``compress(
+        segment).payload_size``, computed in one vectorized pass per
+        column: an index passes its leaf bounds (or ``[0, n]`` for an
+        index-scoped codec), repack one ``[start, stop]`` range.
+
+        Implementations must be **bit-identical** to the scalar path —
+        the estimator treats the two routes as interchangeable,
+        including for persisted estimates. A segment ``compress``
+        rejects (more dictionary entries than its pointer addresses)
+        raises :class:`CompressionError` here too. Raise
         :class:`~repro.errors.KernelUnavailable` for any input the
         kernel does not cover; callers fall back to :meth:`compress`.
         """

@@ -80,21 +80,27 @@ class DeltaEncoding(CompressionAlgorithm):
             previous = value
         return CompressedColumn(b"".join(parts), payload)
 
-    def size_of(self, views, schema: Schema) -> int:
-        """Vectorized delta payload: first value + widths of diffs.
+    def size_of(self, views, schema: Schema, bounds) -> int:
+        """Vectorized delta payload: first values + widths of diffs.
 
-        Integer columns go through the delta sizing block (BIGINT
-        deltas are carried as uint64 magnitudes, since a difference of
-        two int64 values can need 9 bytes); other columns reuse the NS
-        sizing block, matching the scalar fallback.
+        Each segment's first integer pays its NS size; every later row
+        pays a 1-byte header plus the width of its difference from the
+        row before, so the differences across segment boundaries drop
+        out. Other columns pay their NS sizes, matching the scalar
+        fallback.
         """
-        from repro.compression.kernels import (delta_column_size,
-                                               ns_column_size)
-
-        return sum(
-            delta_column_size(view) if _is_integer(col.dtype)
-            else ns_column_size(view)
-            for col, view in zip(schema.columns, views))
+        low, high = int(bounds[0]), int(bounds[-1])
+        firsts = bounds[:-1]
+        total = 0
+        for col, view in zip(schema.columns, views):
+            if not _is_integer(col.dtype):
+                total += int(view.ns_sizes[low:high].sum())
+                continue
+            widths = view.delta_widths
+            total += (high - low - firsts.size) \
+                + int(widths[low:high].sum()) - int(widths[firsts].sum()) \
+                + int(view.ns_sizes[firsts].sum())
+        return total
 
     def decompress(self, block: CompressedBlock, schema: Schema,
                    ) -> list[bytes]:

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from typing import Literal, Sequence
 
+import numpy as np
+
 from repro.constants import DEFAULT_POINTER_BYTES, PAD_BYTE
 from repro.errors import CompressionError
 from repro.storage.schema import Schema
@@ -40,6 +42,11 @@ from repro.compression.base import (CompressedBlock, CompressedColumn,
 from repro.compression.null_suppression import ns_header_bytes
 
 EntryStorage = Literal["fixed", "null_suppressed"]
+
+#: ``2**(8w)`` for pointer widths ``w`` of 1 to 7 bytes: the most
+#: dictionary entries a ``w``-byte pointer addresses.
+_POINTER_LIMITS = np.array([1 << (8 * width) for width in range(1, 8)],
+                           dtype=np.int64)
 
 
 def pointer_bytes_for(distinct: int) -> int:
@@ -125,47 +132,45 @@ class _DictionaryCodec:
         payload = entries_payload + len(pointers) * width
         return CompressedColumn(b"".join(parts), payload)
 
-    def size_of_column(self, dtype: DataType, view) -> int:
-        """Vectorized payload of :meth:`compress_column`.
+    def pointer_widths(self, distinct: np.ndarray) -> np.ndarray:
+        """:meth:`pointer_width` of each dictionary size in ``distinct``.
 
-        Distinct values come from one ``np.unique`` over the column's
-        comparison matrix; entry storage costs are then sized on the
-        unique rows only. Bit-identical to the scalar loop, including
+        Raises :class:`CompressionError` as :meth:`compress_column` does
+        when a dictionary has more entries than its pointer addresses
+        (only possible with a fixed ``pointer_bytes``).
+        """
+        if self.pointer_bytes is None:
+            # The least w >= 1 with distinct <= 2**(8w): ceil(log2 d)
+            # bits rounded up to bytes.
+            return np.searchsorted(_POINTER_LIMITS, distinct) + 1
+        limit = 1 << (8 * self.pointer_bytes)
+        if int(distinct.max()) > limit:
+            raise CompressionError(
+                f"{int(distinct[distinct > limit][0])} dictionary entries "
+                f"exceed a {self.pointer_bytes}-byte pointer")
+        return np.full(distinct.size, self.pointer_bytes, dtype=np.int64)
+
+    def size_of_column(self, dtype: DataType, view, bounds) -> int:
+        """Vectorized payload of :meth:`compress_column`, per segment.
+
+        One sort of value codes gives every segment's distinct count
+        and, for null-suppressed or VARCHAR entries, their stored
+        bytes; fixed entries cost the column width each. Pointers are
+        sized per segment. Bit-identical to the scalar loop, including
         the pointer-overflow failure mode.
         """
-        from repro.compression import kernels
+        from repro.compression.kernels import segment_entries
 
+        distinct, entry_bytes = segment_entries(view, bounds)
+        widths = self.pointer_widths(distinct)
         if self.entry_storage == "fixed" \
                 and not isinstance(dtype, VarCharType):
-            # Entries cost cardinality x fixed width: only the count
-            # is needed.
-            distinct = kernels.distinct_count(view)
+            entries = int(distinct.sum()) * dtype.fixed_size
         else:
-            uniques = kernels.unique_rows(view)
-            distinct = int(uniques.shape[0])
-        width = self.pointer_width(distinct)
-        if distinct > (1 << (8 * width)):
-            raise CompressionError(
-                f"{distinct} dictionary entries exceed a "
-                f"{width}-byte pointer")
-        if isinstance(dtype, VarCharType):
-            entries_payload = int(
-                kernels.varchar_slice_lengths(uniques).sum())
-        elif self.entry_storage == "fixed":
-            entries_payload = distinct * dtype.fixed_size
-        elif isinstance(dtype, CharType):
-            entries_payload = distinct * ns_header_bytes(dtype) \
-                + int(kernels.stripped_lengths(uniques).sum())
-        elif isinstance(dtype, (IntegerType, BigIntType)):
-            entry_view = kernels.ColumnView(dtype, distinct, matrix=uniques)
-            entries_payload = distinct + int(
-                kernels.minimal_int_widths(entry_view.int_values).sum())
-        else:
-            from repro.errors import KernelUnavailable
-
-            raise KernelUnavailable(
-                f"no dictionary size kernel for {dtype.name}")
-        return entries_payload + view.count * width
+            # Both a VARCHAR slice and an NS entry cost the value's NS
+            # size.
+            entries = int(entry_bytes.sum())
+        return entries + int((np.diff(bounds) * widths).sum())
 
     def _encode_entry(self, dtype: DataType, slice_: bytes) -> bytes:
         """Blob representation of one entry (always self-describing)."""
@@ -246,9 +251,9 @@ class DictionaryCompression(CompressionAlgorithm):
         return CompressedBlock(algorithm=self.name, row_count=len(records),
                                columns=compressed)
 
-    def size_of(self, views, schema: Schema) -> int:
-        """Vectorized per-page dictionary payload (``np.unique`` based)."""
-        return sum(self._codec.size_of_column(col.dtype, view)
+    def size_of(self, views, schema: Schema, bounds) -> int:
+        """Vectorized dictionary payload, one dictionary per segment."""
+        return sum(self._codec.size_of_column(col.dtype, view, bounds)
                    for col, view in zip(schema.columns, views))
 
     def decompress(self, block: CompressedBlock, schema: Schema,

@@ -53,9 +53,12 @@ class GlobalDictionaryCompression(CompressionAlgorithm):
         return CompressedBlock(algorithm=self.name, row_count=len(records),
                                columns=compressed)
 
-    def size_of(self, views, schema: Schema) -> int:
-        """Vectorized global-dictionary payload over the whole index."""
-        return sum(self._codec.size_of_column(col.dtype, view)
+    def size_of(self, views, schema: Schema, bounds) -> int:
+        """Vectorized global-dictionary payload, one per segment.
+
+        An index passes one segment, ``[0, n]``: one dictionary.
+        """
+        return sum(self._codec.size_of_column(col.dtype, view, bounds)
                    for col, view in zip(schema.columns, views))
 
     def decompress(self, block: CompressedBlock, schema: Schema,

@@ -4,35 +4,40 @@ The paper's estimator is agnostic to codec internals: it consumes only
 "bytes before" and "bytes after". The scalar path nevertheless pays for
 fully self-describing compressed blobs — per-value pure-Python loops —
 and then keeps nothing but ``payload_size``. This module provides the
-fast path: each codec computes its exact payload size for a whole
-column of a whole leaf (or index) in vectorized NumPy, without
-constructing a blob.
+fast path: each codec computes the exact payload of every leaf of an
+index (or of one record range) in one vectorized pass per column,
+without constructing a blob.
 
 Three building blocks live here:
 
 * :func:`build_column_views` — the one record splitter. Each column is
   compressed independently (Section II-A), so every size starts by
   cutting records into columns; the sample draw, ``Index.build``,
-  index sizing and repack all cut them here, vectorized and validated,
-  and :func:`build_leaf_views` row-slices one split per leaf page.
-  Callers reach both through this module, so a wrapper set on it (the
+  index sizing and repack all cut them here, vectorized and validated.
+  Callers reach it through this module, so a wrapper set on it (the
   repository benchmark's traced run) sees every split.
+  :func:`build_leaf_views` row-slices one split per leaf page; nothing
+  in the package calls it, but the benchmark's traced run wraps it by
+  name.
 * :class:`ColumnView` — one column of a record batch in columnar form.
   Fixed-width columns become a ``(n, width)`` ``uint8`` matrix; VARCHAR
   columns become an offsets + concatenated-payload pair. Derived
-  arrays the codecs share (null-suppressed lengths, decoded integers,
-  padded matrices) are computed lazily and cached on the view, so a
-  batch of algorithms over one leaf pays for each derivation once.
-* vector primitives — ``stripped_lengths`` (trailing-pad scan),
-  ``minimal_int_widths`` (two's-complement width arithmetic),
-  ``run_starts`` (RLE boundaries), ``common_prefix_length``.
+  per-row arrays the codecs share (null-suppressed sizes, integer
+  widths, run changes, value codes, ...) are computed lazily, once per
+  view, and serve every codec and every segment sized on it.
+* segmented blocks — :func:`segment_run_starts`,
+  :func:`segment_prefixes` and :func:`segment_entries` take a view and
+  the ``bounds`` of its segments (leaf pages, or one record range) and
+  return the per-segment quantities the codecs' size formulas need:
+  run starts, common prefixes, and distinct values with their stored
+  bytes.
 
 Every kernel is **bit-exact** against its codec's scalar
-``compress(...).payload_size`` — the parity property suite asserts
-this for every registered algorithm — so estimates computed through
-kernels are interchangeable with (and cache-compatible with) scalar
-ones, including entries already persisted in a
-:class:`~repro.store.store.SampleStore`.
+``compress(...).payload_size`` summed over the segments — the parity
+property suite asserts this for every registered algorithm — so
+estimates computed through kernels are interchangeable with (and
+cache-compatible with) scalar ones, including entries already
+persisted in a :class:`~repro.store.store.SampleStore`.
 
 Codecs opt in by implementing
 :meth:`~repro.compression.base.CompressionAlgorithm.size_of`; anything
@@ -45,7 +50,7 @@ the fallback everywhere, which CI uses to keep the scalar path tested.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
@@ -56,9 +61,6 @@ from repro.storage.record import (fixed_column_offsets, gather_spans,
 from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
                                  VarCharType, length_header_bytes)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compression.base import CompressionAlgorithm
 
 #: Environment switch: any non-empty value other than ``0`` disables
 #: the vectorized kernels process-wide (scalar fallback everywhere).
@@ -74,6 +76,9 @@ _WIDTH_THRESHOLDS = np.array(
     [(1 << (8 * width - 1)) - 1 for width in range(1, 9)], dtype=np.uint64)
 
 _SIGN_FLIP_64 = np.uint64(1 << 63)
+
+#: Odd 64-bit multiplier of the row hash (the golden-ratio constant).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def kernels_enabled() -> bool:
@@ -119,27 +124,54 @@ def stripped_lengths(matrix: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=1), k - trailing_pads, 0).astype(np.int64)
 
 
-def run_starts(matrix: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows that begin a new run of equal rows."""
-    starts = np.empty(matrix.shape[0], dtype=bool)
-    starts[0] = True
-    if matrix.shape[0] > 1:
-        np.any(matrix[1:] != matrix[:-1], axis=1, out=starts[1:])
-    return starts
+def row_hashes(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of a ``(n, w)`` uint64 matrix.
 
-
-def common_prefix_length(matrix: np.ndarray,
-                         lengths: np.ndarray) -> int:
-    """Length of the common prefix of the rows' *stripped* values.
-
-    Positionwise agreement on the padded matrix, capped by the
-    shortest stripped length (pads beyond a value's end never extend
-    its prefix).
+    Equal rows hash equal; unequal rows may too, so a caller that
+    groups rows by hash must check the groups byte for byte.
     """
-    agree = (matrix == matrix[0:1]).all(axis=0)
-    first_diff = int(np.argmin(agree)) if not agree.all() \
-        else matrix.shape[1]
-    return min(first_diff, int(lengths.min()))
+    hashes = words[:, 0] * _HASH_MULTIPLIER
+    for column in range(1, words.shape[1]):
+        hashes ^= hashes >> np.uint64(29)
+        hashes += words[:, column]
+        hashes *= _HASH_MULTIPLIER
+    return hashes
+
+
+def value_codes(matrix: np.ndarray) -> np.ndarray:
+    """A dense int64 code per row: equal codes exactly for equal rows.
+
+    Rows are zero-filled to whole 64-bit words. A row of one word is
+    its own sort key; a wider row is keyed by :func:`row_hashes`, and
+    every row is then compared with one row of its code, so rows that
+    hash equal share a code only when they are byte-equal. On a hash
+    collision the codes come from ``np.unique`` over the rows instead.
+    Codes number the distinct keys in sorted key order.
+    """
+    count, width = matrix.shape
+    words = max(1, -(-width // 8))
+    if width == 8 * words:
+        filled = np.ascontiguousarray(matrix)
+    else:
+        filled = np.zeros((count, 8 * words), dtype=np.uint8)
+        filled[:, :width] = matrix
+    rows = filled.view(np.uint64)
+    keys = rows[:, 0] if words == 1 else row_hashes(rows)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(count, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    codes = np.empty(count, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    if words > 1:
+        holder = np.empty(count, dtype=np.int64)
+        holder[codes] = np.arange(count)
+        if not (rows == rows[holder[codes]]).all():
+            _, codes = np.unique(
+                filled.view(np.dtype((np.void, 8 * words))).ravel(),
+                return_inverse=True)
+    return codes
 
 
 # ----------------------------------------------------------------------
@@ -157,12 +189,15 @@ class ColumnView:
       ``offsets``/``lengths`` (int64, slice boundaries, length
       prefixes included).
 
-    Derived arrays are cached so every codec sizing the same leaf
-    shares one trailing-pad scan, one integer decode, and one padded
-    matrix. A view may be a row *slice* of a parent view (one leaf of
-    a whole-index view, see :func:`build_leaf_views`); sliced views
-    inherit the parent's derived arrays as zero-copy slices, so a
-    hundred leaves pay for each whole-index derivation once.
+    Derived arrays (one entry per row, or per value code) are computed
+    lazily, once per view: every codec sizing the index, and every
+    segment of it (leaf page or repack range), reads the same
+    trailing-pad scan, integer decode, run changes and value codes.
+    Row-relative arrays (first differences, delta widths) describe each
+    row against the row before it; a segment's first row ignores that
+    entry. A view may be a row *slice* of a parent view (see
+    :func:`build_leaf_views`); sliced views inherit the parent's
+    per-row arrays as zero-copy slices.
     """
 
     def __init__(self, dtype: DataType, count: int,
@@ -182,24 +217,29 @@ class ColumnView:
         self._row_start = row_start
         self._derived: dict = {}
 
-    def _inherit(self, name: str) -> np.ndarray | None:
-        """The parent's derived array, sliced to this view's rows."""
-        if self._parent is None:
-            return None
-        base = getattr(self._parent, name)
-        return base[self._row_start:self._row_start + self.count]
+    def _derive(self, name: str,
+                compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """The per-row array of property ``name``, cached on first use.
+
+        A sliced view takes the parent's array over its rows; a whole
+        view calls ``compute``.
+        """
+        cached = self._derived.get(name)
+        if cached is None:
+            if self._parent is not None:
+                cached = getattr(self._parent, name)[
+                    self._row_start:self._row_start + self.count]
+            else:
+                cached = compute()
+            self._derived[name] = cached
+        return cached
 
     # -- CHAR ----------------------------------------------------------
     @property
     def char_stripped_lengths(self) -> np.ndarray:
         """Null-suppressed lengths per row (CHAR columns)."""
-        cached = self._derived.get("stripped")
-        if cached is None:
-            cached = self._inherit("char_stripped_lengths")
-            if cached is None:
-                cached = stripped_lengths(self.matrix)
-            self._derived["stripped"] = cached
-        return cached
+        return self._derive("char_stripped_lengths",
+                            lambda: stripped_lengths(self.matrix))
 
     # -- integers ------------------------------------------------------
     @property
@@ -210,31 +250,42 @@ class ColumnView:
         flipping it back reinterprets the bits as two's complement,
         which int64 holds exactly for both widths.
         """
-        cached = self._derived.get("ints")
-        if cached is None:
-            cached = self._inherit("int_values")
-            if cached is None:
-                if isinstance(self.dtype, IntegerType):
-                    unsigned = self.matrix.view(">u4").ravel() \
-                        .astype(np.int64)
-                    cached = unsigned - np.int64(1 << 31)
-                else:
-                    cached = (self.uint_values ^ _SIGN_FLIP_64) \
-                        .view(np.int64)
-            self._derived["ints"] = cached
-        return cached
+        def decode() -> np.ndarray:
+            if isinstance(self.dtype, IntegerType):
+                unsigned = self.matrix.view(">u4").ravel().astype(np.int64)
+                return unsigned - np.int64(1 << 31)
+            return (self.uint_values ^ _SIGN_FLIP_64).view(np.int64)
+
+        return self._derive("int_values", decode)
 
     @property
     def uint_values(self) -> np.ndarray:
         """Raw unsigned (order-preserving) encodings of a BIGINT column."""
-        cached = self._derived.get("uints")
-        if cached is None:
-            cached = self._inherit("uint_values")
-            if cached is None:
-                cached = self.matrix.view(">u8").ravel() \
-                    .astype(np.uint64)
-            self._derived["uints"] = cached
-        return cached
+        return self._derive(
+            "uint_values",
+            lambda: self.matrix.view(">u8").ravel().astype(np.uint64))
+
+    @property
+    def delta_widths(self) -> np.ndarray:
+        """Minimal width of each row's difference from the row before.
+
+        BIGINT deltas can exceed int64, so they are carried as uint64
+        magnitudes: the wrapped difference of the order-preserving raw
+        encodings, bit-complemented when the true delta is negative —
+        exactly the magnitude ``minimal_int_bytes`` ranges over.
+        """
+        def widths() -> np.ndarray:
+            out = np.zeros(self.count, dtype=np.int64)
+            if isinstance(self.dtype, IntegerType):
+                out[1:] = minimal_int_widths(np.diff(self.int_values))
+            else:
+                raw = self.uint_values
+                wrapped = raw[1:] - raw[:-1]
+                out[1:] = magnitude_widths(
+                    np.where(raw[1:] >= raw[:-1], wrapped, ~wrapped))
+            return out
+
+        return self._derive("delta_widths", widths)
 
     # -- VARCHAR -------------------------------------------------------
     @property
@@ -246,24 +297,102 @@ class ColumnView:
         raw row comparison on this matrix is exact slice equality —
         which is what the dictionary/RLE kernels need from it.
         """
-        cached = self._derived.get("padded")
-        if cached is None:
-            cached = self._inherit("padded_matrix")
-            if cached is None:
-                widest = int(self.lengths.max(initial=0))
-                cached = np.zeros((self.count, widest), dtype=np.uint8)
-                flat_rows = np.repeat(np.arange(self.count), self.lengths)
-                flat_cols = np.arange(self.payload.size) \
-                    - np.repeat(self.offsets, self.lengths)
-                cached[flat_rows, flat_cols] = self.payload
-            self._derived["padded"] = cached
-        return cached
+        def pad() -> np.ndarray:
+            widest = int(self.lengths.max(initial=0))
+            padded = np.zeros((self.count, widest), dtype=np.uint8)
+            flat_rows = np.repeat(np.arange(self.count), self.lengths)
+            flat_cols = np.arange(self.payload.size) \
+                - np.repeat(self.offsets, self.lengths)
+            padded[flat_rows, flat_cols] = self.payload
+            return padded
+
+        return self._derive("padded_matrix", pad)
 
     @property
     def comparison_matrix(self) -> np.ndarray:
         """The matrix raw-row equality is exact on, for any dtype."""
         return self.matrix if self.matrix is not None \
             else self.padded_matrix
+
+    # -- shared by the codecs ------------------------------------------
+    @property
+    def ns_sizes(self) -> np.ndarray:
+        """Bytes each value takes under trailing-mode null suppression.
+
+        ``c + l_i`` for CHAR, the slice (length prefix included) for
+        VARCHAR, a 1-byte width plus the minimal width for integers.
+        This is also what RLE pays per run value and what a dictionary
+        with null-suppressed entries pays per entry.
+        """
+        def sizes() -> np.ndarray:
+            dtype = self.dtype
+            if isinstance(dtype, CharType):
+                return self.char_stripped_lengths + dtype.length_bytes
+            if isinstance(dtype, VarCharType):
+                return self.lengths
+            if isinstance(dtype, (IntegerType, BigIntType)):
+                return minimal_int_widths(self.int_values) + 1
+            raise KernelUnavailable(f"no size kernel for {dtype.name}")
+
+        return self._derive("ns_sizes", sizes)
+
+    @property
+    def ns_runs_sizes(self) -> np.ndarray:
+        """Bytes each value takes under runs-mode null suppression.
+
+        CHAR values pay the runs-mode header (sized for up to ``2k``:
+        an all-escape value doubles) plus their escape-encoded body;
+        VARCHAR and integer columns are mode-free.
+        """
+        def sizes() -> np.ndarray:
+            if isinstance(self.dtype, CharType):
+                return ns_runs_char_body_lengths(self) \
+                    + length_header_bytes(2 * self.dtype.k)
+            return self.ns_sizes
+
+        return self._derive("ns_runs_sizes", sizes)
+
+    @property
+    def first_differences(self) -> np.ndarray:
+        """Where each row first differs from the row before it.
+
+        The index of the first differing comparison byte, or the
+        matrix width where the two rows are equal.
+        """
+        def scan() -> np.ndarray:
+            matrix = self.comparison_matrix
+            count, width = matrix.shape
+            first = np.zeros(count, dtype=np.int64)
+            if count > 1:
+                differs = np.empty((count - 1, width + 1), dtype=bool)
+                np.not_equal(matrix[1:], matrix[:-1], out=differs[:, :width])
+                differs[:, width] = True
+                first[1:] = differs.argmax(axis=1)
+            return first
+
+        return self._derive("first_differences", scan)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """A dense value code per row (see :func:`value_codes`)."""
+        return self._derive("codes",
+                            lambda: value_codes(self.comparison_matrix))
+
+    @property
+    def code_ns_sizes(self) -> np.ndarray:
+        """:attr:`ns_sizes` of each code's value, indexed by code.
+
+        Not inherited: a sliced view scatters its own rows, which covers
+        every code it holds.
+        """
+        cached = self._derived.get("code_ns_sizes")
+        if cached is None:
+            codes = self.codes
+            cached = np.zeros(int(codes.max(initial=-1)) + 1,
+                              dtype=np.int64)
+            cached[codes] = self.ns_sizes
+            self._derived["code_ns_sizes"] = cached
+        return cached
 
     def slice_rows(self, start: int, count: int) -> "ColumnView":
         """A child view over rows ``[start, start + count)``.
@@ -279,17 +408,6 @@ class ColumnView:
         return ColumnView(self.dtype, count,
                           lengths=self.lengths[start:start + count],
                           parent=self, row_start=start)
-
-
-def varchar_slice_lengths(unique_rows: np.ndarray) -> np.ndarray:
-    """True slice lengths of unique padded VARCHAR rows.
-
-    ``np.unique(..., axis=0)`` hands back null-padded rows; the real
-    length is the 2-byte big-endian prefix plus the prefix itself.
-    """
-    return (unique_rows[:, 0].astype(np.int64) * 256
-            + unique_rows[:, 1].astype(np.int64)
-            + VarCharType.LENGTH_PREFIX_BYTES)
 
 
 def kernels_cover(schema: Schema) -> bool:
@@ -373,10 +491,9 @@ def build_leaf_views(parents: tuple[ColumnView, ...], bounds: np.ndarray,
                      ) -> list[tuple[ColumnView, ...]]:
     """Row slices of ``parents``, one set per leaf page.
 
-    Leaf ``i`` holds rows ``bounds[i]`` to ``bounds[i + 1]``. Slicing one
-    whole-index split instead of splitting every leaf shares the split
-    and the derived arrays the codecs use (pad scans, integer decodes)
-    across all leaves.
+    Leaf ``i`` holds rows ``bounds[i]`` to ``bounds[i + 1]``. Sizing
+    does not need it — a size kernel takes the bounds themselves — but
+    the repository benchmark's traced run wraps it by name.
     """
     edges = bounds.tolist()
     return [tuple(parent.slice_rows(start, stop - start)
@@ -385,25 +502,65 @@ def build_leaf_views(parents: tuple[ColumnView, ...], bounds: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Shared per-column sizing blocks
+# Segmented blocks: one call sizes every segment of a view
 # ----------------------------------------------------------------------
-def ns_column_size(view: ColumnView) -> int:
-    """Trailing-mode null-suppression payload of one column.
+# ``bounds`` are int64 fence posts: segment ``i`` holds rows
+# ``bounds[i]`` to ``bounds[i + 1]``, and every segment is non-empty.
+# The blocks read rows ``bounds[0]`` to ``bounds[-1]`` only, so a range
+# that does not start at row 0 (a repack probe) is one segment.
+def segment_run_starts(view: ColumnView, bounds: np.ndarray) -> np.ndarray:
+    """Rows of ``bounds[0]:bounds[-1]`` that begin a run of equal values.
 
-    The exact counterpart of ``NullSuppression._compress_column`` for
-    ``mode="trailing"``; used directly by the NS kernel and as the
-    fallback pass of the prefix/delta kernels.
+    A run begins where a value differs from the row before, and at the
+    start of every segment.
     """
-    dtype = view.dtype
-    if isinstance(dtype, CharType):
-        return view.count * dtype.length_bytes \
-            + int(view.char_stripped_lengths.sum())
-    if isinstance(dtype, VarCharType):
-        return int(view.lengths.sum())
-    if isinstance(dtype, (IntegerType, BigIntType)):
-        return view.count + int(minimal_int_widths(view.int_values).sum())
-    raise KernelUnavailable(
-        f"no NS size kernel for {dtype.name}")
+    low = int(bounds[0])
+    starts = view.first_differences[low:int(bounds[-1])] \
+        < view.comparison_matrix.shape[1]
+    starts[bounds[:-1] - low] = True
+    return starts
+
+
+def segment_prefixes(view: ColumnView, bounds: np.ndarray) -> np.ndarray:
+    """Each segment's common prefix of stripped CHAR values, in bytes.
+
+    Rows share their first ``p`` bytes exactly when every row shares
+    them with the row before it, so a segment's prefix is the least of
+    its rows' first differences (its first row's excluded) and of its
+    stripped lengths (pads beyond a value's end never extend it).
+    """
+    low = int(bounds[0])
+    lengths = view.char_stripped_lengths
+    agree = np.minimum(view.first_differences[low:int(bounds[-1])],
+                       lengths[low:int(bounds[-1])])
+    agree[bounds[:-1] - low] = lengths[bounds[:-1]]
+    return np.minimum.reduceat(agree, bounds[:-1] - low)
+
+
+def segment_entries(view: ColumnView, bounds: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment, its distinct values and their null-suppressed bytes.
+
+    One sort of ``(segment, value code)`` keys finds every segment's
+    distinct values at once; the second array sums :attr:`ColumnView.
+    ns_sizes` over one row of each distinct value.
+    """
+    low = int(bounds[0])
+    sizes = view.code_ns_sizes
+    span = sizes.size
+    counts = np.diff(bounds)
+    keys = np.repeat(np.arange(counts.size, dtype=np.int64) * span, counts)
+    keys += view.codes[low:int(bounds[-1])]
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    segments = keys // span
+    distinct = np.bincount(segments, minlength=counts.size)
+    starts = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(distinct[:-1], out=starts[1:])
+    return distinct, np.add.reduceat(sizes[keys - segments * span], starts)
 
 
 def ns_runs_char_body_lengths(view: ColumnView) -> np.ndarray:
@@ -457,63 +614,3 @@ def ns_runs_char_body_lengths(view: ColumnView) -> np.ndarray:
                                 minlength=count).astype(np.int64)
     literals = (valid & ~runnable).sum(axis=1)
     return literals + escapes.sum(axis=1) + run_costs
-
-
-def ns_runs_column_size(view: ColumnView) -> int:
-    """Runs-mode null-suppression payload of one column.
-
-    CHAR bodies pay the runs-mode header (sized for up to ``2k`` — an
-    all-escape value doubles); VARCHAR and integer columns are
-    mode-free and share the trailing-mode arithmetic.
-    """
-    dtype = view.dtype
-    if isinstance(dtype, CharType):
-        header = length_header_bytes(2 * dtype.k)
-        return view.count * header \
-            + int(ns_runs_char_body_lengths(view).sum())
-    return ns_column_size(view)
-
-
-def delta_column_size(view: ColumnView) -> int:
-    """Delta-encoding payload of one integer column.
-
-    BIGINT deltas can exceed int64, so they are carried as uint64
-    magnitudes: the wrapped difference of the order-preserving raw
-    encodings, bit-complemented when the true delta is negative —
-    exactly the magnitude ``minimal_int_bytes`` ranges over.
-    """
-    dtype = view.dtype
-    values = view.int_values
-    first_width = 1 + int(minimal_int_widths(values[:1])[0])
-    if view.count == 1:
-        return first_width
-    if isinstance(dtype, IntegerType):
-        delta_widths = minimal_int_widths(np.diff(values))
-    else:
-        raw = view.uint_values
-        wrapped = raw[1:] - raw[:-1]
-        magnitudes = np.where(raw[1:] >= raw[:-1], wrapped, ~wrapped)
-        delta_widths = magnitude_widths(magnitudes)
-    return first_width + (view.count - 1) + int(delta_widths.sum())
-
-
-def unique_rows(view: ColumnView) -> np.ndarray:
-    """Distinct values of a column, as rows of its comparison matrix.
-
-    Uses a 1-D unique over a void (memcmp) reinterpretation of the
-    rows, which is an order of magnitude cheaper than
-    ``np.unique(axis=0)`` at leaf-page cardinalities.
-    """
-    cached = view._derived.get("unique")
-    if cached is None:
-        matrix = np.ascontiguousarray(view.comparison_matrix)
-        width = matrix.shape[1]
-        flat = np.unique(matrix.view(np.dtype((np.void, width))).ravel())
-        cached = flat.view(np.uint8).reshape(flat.size, width)
-        view._derived["unique"] = cached
-    return cached
-
-
-def distinct_count(view: ColumnView) -> int:
-    """Number of distinct values in a column (its cached unique rows)."""
-    return int(unique_rows(view).shape[0])

@@ -196,20 +196,20 @@ class NullSuppression(CompressionAlgorithm):
     # ------------------------------------------------------------------
     # Size-only kernel
     # ------------------------------------------------------------------
-    def size_of(self, views, schema: Schema) -> int:
-        """Vectorized NS payload for both modes.
+    def size_of(self, views, schema: Schema, bounds) -> int:
+        """Vectorized NS payload for both modes: per-row sizes, summed.
 
-        ``trailing`` is a pad scan plus minimal-int widths; ``runs``
-        additionally prices interior pad/zero runs at the escape-token
-        rate via a flattened run-boundary scan (see
+        NS is layout-free, so segment bounds only delimit the range.
+        ``trailing`` sizes are a pad scan plus minimal-int widths;
+        ``runs`` additionally prices interior pad/zero runs at the
+        escape-token rate (see
         :func:`~repro.compression.kernels.ns_runs_char_body_lengths`).
         """
-        from repro.compression.kernels import (ns_column_size,
-                                               ns_runs_column_size)
-
+        low, high = int(bounds[0]), int(bounds[-1])
         if self.mode == "runs":
-            return sum(ns_runs_column_size(view) for view in views)
-        return sum(ns_column_size(view) for view in views)
+            return sum(int(view.ns_runs_sizes[low:high].sum())
+                       for view in views)
+        return sum(int(view.ns_sizes[low:high].sum()) for view in views)
 
     # ------------------------------------------------------------------
     # Decompression

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.constants import DEFAULT_POINTER_BYTES, PAD_BYTE
 from repro.errors import CompressionError
 from repro.storage.schema import Schema
@@ -101,38 +103,32 @@ class PageCompression(CompressionAlgorithm):
         payload += len(pointers) * width
         return CompressedColumn(b"".join(parts), payload)
 
-    def size_of(self, views, schema: Schema) -> int:
+    def size_of(self, views, schema: Schema, bounds) -> int:
         """Vectorized composite payload: prefix + dictionary + NS.
 
-        For a CHAR column the distinct *remainders* biject onto the
-        distinct stripped values (all share the page prefix), so one
-        ``np.unique`` over the padded rows yields both the dictionary
-        cardinality and, via the stripped lengths of the unique rows,
-        the total entry bytes. Non-CHAR columns reuse the
-        null-suppressed-entry dictionary kernel.
+        For a CHAR column a segment's distinct *remainders* biject onto
+        its distinct stripped values (all share the segment's prefix),
+        so the value codes give each segment's dictionary size, and the
+        entries' NS sizes less one prefix each give its entry bytes.
+        Non-CHAR columns take the null-suppressed-entry dictionary
+        kernel.
         """
-        from repro.compression import kernels
+        from repro.compression.kernels import (segment_entries,
+                                               segment_prefixes)
 
         total = 0
         for col, view in zip(schema.columns, views):
             dtype = col.dtype
             if not isinstance(dtype, CharType):
-                total += self._codec.size_of_column(dtype, view)
+                total += self._codec.size_of_column(dtype, view, bounds)
                 continue
-            header = ns_header_bytes(dtype)
-            lengths = view.char_stripped_lengths
-            prefix_len = kernels.common_prefix_length(view.matrix, lengths)
-            uniques = kernels.unique_rows(view)
-            distinct = int(uniques.shape[0])
-            width = self._codec.pointer_width(max(distinct, 1))
-            if distinct > (1 << (8 * width)):
-                raise CompressionError(
-                    f"{distinct} dictionary entries exceed a "
-                    f"{width}-byte pointer")
-            entry_lengths = int(kernels.stripped_lengths(uniques).sum())
-            total += (header + prefix_len) \
-                + distinct * header + entry_lengths \
-                - distinct * prefix_len + view.count * width
+            prefixes = segment_prefixes(view, bounds)
+            distinct, entry_bytes = segment_entries(view, bounds)
+            widths = self._codec.pointer_widths(distinct)
+            total += prefixes.size * ns_header_bytes(dtype) \
+                + int((prefixes * (1 - distinct)).sum()) \
+                + int(entry_bytes.sum()) \
+                + int((np.diff(bounds) * widths).sum())
         return total
 
     def decompress(self, block: CompressedBlock, schema: Schema,

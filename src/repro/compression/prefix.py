@@ -20,6 +20,8 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
+import numpy as np
+
 from repro.constants import PAD_BYTE
 from repro.errors import CompressionError
 from repro.storage.schema import Schema
@@ -83,27 +85,23 @@ class PrefixCompression(CompressionAlgorithm):
             payload += header + len(remainder)
         return CompressedColumn(b"".join(parts), payload)
 
-    def size_of(self, views, schema: Schema) -> int:
-        """Vectorized prefix payload: common-prefix scan + NS lengths.
+    def size_of(self, views, schema: Schema, bounds) -> int:
+        """Vectorized prefix payload: segment prefixes + NS sizes.
 
-        Per CHAR column the closed form is
-        ``(c + |P|) + n*c + sum(l_i) - n*|P|``; other dtypes reuse the
-        NS sizing block (the scalar fallback they compress with).
+        Per CHAR column and segment the closed form is
+        ``(c + |P|) + n*c + sum(l_i) - n*|P|``; other dtypes pay their
+        NS sizes (the scalar fallback they compress with).
         """
-        from repro.compression.kernels import (common_prefix_length,
-                                               ns_column_size)
+        from repro.compression.kernels import segment_prefixes
 
+        low, high = int(bounds[0]), int(bounds[-1])
         total = 0
         for col, view in zip(schema.columns, views):
-            dtype = col.dtype
-            if not isinstance(dtype, CharType):
-                total += ns_column_size(view)
-                continue
-            header = ns_header_bytes(dtype)
-            lengths = view.char_stripped_lengths
-            prefix_len = common_prefix_length(view.matrix, lengths)
-            total += (header + prefix_len) + view.count * header \
-                + int(lengths.sum()) - view.count * prefix_len
+            total += int(view.ns_sizes[low:high].sum())
+            if isinstance(col.dtype, CharType):
+                prefixes = segment_prefixes(view, bounds)
+                total += prefixes.size * ns_header_bytes(col.dtype) \
+                    + int((prefixes * (1 - np.diff(bounds))).sum())
         return total
 
     def decompress(self, block: CompressedBlock, schema: Schema,

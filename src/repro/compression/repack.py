@@ -11,9 +11,10 @@ codec, so each page's end is found by search rather than by growing the
 page one record at a time: starting where the previous page ended, the
 record count doubles and then bisects. A record range is sized by the
 codec's size kernel
-(:meth:`~repro.compression.base.CompressionAlgorithm.size_of`) on row
-slices of one split of the joined records, or by its ``compress`` when
-the kernels are off, do not cover it or reject the records. A range the
+(:meth:`~repro.compression.base.CompressionAlgorithm.size_of`) as one
+range of one split of the joined records, so every probe shares that
+split's derived arrays, or by its ``compress`` when the kernels are
+off, do not cover it or reject the records. A range the
 codec rejects (more dictionary entries than its pointers can address)
 does not fit.
 
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.constants import PAGE_HEADER_SIZE
 from repro.errors import CompressionError, EncodingError, KernelUnavailable
@@ -113,8 +116,7 @@ def repack_with_route(records: Sequence[bytes], schema: Schema,
         if views is not None:
             try:
                 return algorithm.size_of(
-                    tuple(view.slice_rows(start, stop - start)
-                          for view in views), schema)
+                    views, schema, np.array([start, stop], dtype=np.int64))
             except KernelUnavailable:
                 views = None
         return algorithm.compress(records[start:stop], schema).payload_size

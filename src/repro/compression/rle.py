@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.constants import PAD_BYTE
 from repro.errors import CompressionError
 from repro.storage.schema import Schema
@@ -106,28 +108,20 @@ class RunLengthEncoding(CompressionAlgorithm):
             payload += rle_run_stored_size(dtype, value)
         return CompressedColumn(b"".join(parts), payload)
 
-    def size_of(self, views, schema: Schema) -> int:
-        """Vectorized RLE payload: run boundaries + NS'd run values."""
-        from repro.errors import KernelUnavailable
-        from repro.compression import kernels
+    def size_of(self, views, schema: Schema, bounds) -> int:
+        """Vectorized RLE payload: run starts + NS'd run values.
 
+        A run starts where a value changes and at every segment start;
+        each run pays its count field plus its value's NS size.
+        """
+        from repro.compression.kernels import segment_run_starts
+
+        low, high = int(bounds[0]), int(bounds[-1])
         total = 0
-        for col, view in zip(schema.columns, views):
-            dtype = col.dtype
-            starts = kernels.run_starts(view.comparison_matrix)
-            runs = int(starts.sum())
-            total += runs * RUN_COUNT_BYTES
-            if isinstance(dtype, CharType):
-                total += runs * ns_header_bytes(dtype) \
-                    + int(view.char_stripped_lengths[starts].sum())
-            elif isinstance(dtype, VarCharType):
-                total += int(view.lengths[starts].sum())
-            elif isinstance(dtype, (IntegerType, BigIntType)):
-                total += runs + int(kernels.minimal_int_widths(
-                    view.int_values[starts]).sum())
-            else:
-                raise KernelUnavailable(
-                    f"no RLE size kernel for {dtype.name}")
+        for view in views:
+            starts = segment_run_starts(view, bounds)
+            total += int(np.count_nonzero(starts)) * RUN_COUNT_BYTES \
+                + int(view.ns_sizes[low:high][starts].sum())
         return total
 
     def decompress(self, block: CompressedBlock, schema: Schema,

@@ -335,9 +335,10 @@ class EngineStats:
     :class:`~repro.store.store.SampleStore` counts as a store hit, not
     a materialization — a fully warm run therefore reports
     ``samples_materialized == 0``. ``size_kernel_hits`` /
-    ``size_scalar_fallbacks`` count compressed *blocks* (leaf pages,
-    or one whole index for index-scoped algorithms) sized by the
-    vectorized kernels versus the scalar compress path.
+    ``size_scalar_fallbacks`` count sized indexes, one per
+    ``Index.estimate_compression`` call (all its leaf pages, the whole
+    index for an index-scoped algorithm, or a repack), by whether the
+    vectorized kernels or the scalar compress path sized it.
 
     The ``whatif_*`` fields are the lazy advisor's movement:
     ``whatif_rounds`` counts greedy selection rounds driven through the

@@ -348,21 +348,23 @@ class Index:
 
         This is step 3 of the paper's Figure 2 when run on a sample's
         index, and the ground truth when run on a whole table's. The
-        estimator only consumes sizes, so each block's exact
-        ``payload_size`` comes from the vectorized kernels
-        (:mod:`repro.compression.kernels`) where they apply, and from
-        the codec's scalar ``compress`` where they don't; results are
-        bit-identical either way, which is what keeps kernel-produced
-        estimates interchangeable with persisted scalar ones. Column
-        views are cached on the index, so a batch of algorithms over
-        one index splits its records once.
+        estimator only consumes sizes, so the exact summed
+        ``payload_size`` comes from one call of the codec's vectorized
+        size kernel (:mod:`repro.compression.kernels`) over the leaf
+        bounds (or over ``[0, n]`` for an index-scoped codec) where the
+        kernels apply, and from the codec's scalar ``compress``, leaf
+        by leaf, where they don't; results are bit-identical either
+        way, which is what keeps kernel-produced estimates
+        interchangeable with persisted scalar ones. Column views are
+        cached on the index, so a batch of algorithms over one index
+        splits its records, and derives each shared array, once.
 
-        ``on_kernel`` / ``on_fallback`` are per-block accounting hooks
-        (one block per leaf page, or one for an index-scoped algorithm
-        or a repacked index); the engine charges them to its
-        ``size_kernel_hits`` / ``size_scalar_fallbacks`` stats. A
-        repacked index is a kernel block when the kernels sized every
-        record range :func:`~repro.compression.repack.repack` probed.
+        ``on_kernel`` / ``on_fallback`` are accounting hooks called once
+        per call, whichever route sized the index (a repacked index
+        counts as a kernel block when the kernels sized every record
+        range :func:`~repro.compression.repack.repack` probed); the
+        engine charges them to its ``size_kernel_hits`` /
+        ``size_scalar_fallbacks`` stats.
         """
         if self.num_entries == 0:
             raise CompressionError(
@@ -387,30 +389,19 @@ class Index:
                 pages_after=packed.num_pages,
                 details={"compressed_payload": packed.payload_size,
                          "repacked": True})
-        views = self._views_or_none()
-        if algorithm.scope == "index":
-            payload = self._block_payload(
-                algorithm, 0, self.num_entries,
-                views[0] if views is not None else None,
-                on_kernel, on_fallback)
+        whole = algorithm.scope == "index"
+        payload = self._payload(
+            algorithm, np.array([0, self.num_entries], dtype=np.int64)
+            if whole else self.bounds, on_kernel, on_fallback)
+        if whole:
             capacity = compressed_page_capacity(self.page_size)
             pages_after = max(1, -(-payload // capacity))
-            compressed = payload if accounting == "payload" \
-                else pages_after * self.page_size
         else:
             # In-place compression frees space inside pages but releases
             # none of them: allocated bytes stay the same.
-            bounds = self.bounds.tolist()
-            payload = 0
-            for position, (start, stop) in enumerate(zip(bounds,
-                                                          bounds[1:])):
-                payload += self._block_payload(
-                    algorithm, start, stop,
-                    views[1][position] if views is not None else None,
-                    on_kernel, on_fallback)
             pages_after = pages_before
-            compressed = payload if accounting == "payload" \
-                else pages_before * self.page_size
+        compressed = payload if accounting == "payload" \
+            else pages_after * self.page_size
         return CompressionResult(
             algorithm=algorithm.name, accounting=accounting,
             uncompressed_bytes=uncompressed, compressed_bytes=compressed,
@@ -418,44 +409,42 @@ class Index:
             pages_after=pages_after,
             details={"compressed_payload": payload, "repacked": False})
 
-    def _block_payload(self, algorithm: CompressionAlgorithm, start: int,
-                       stop: int, views: tuple[ColumnView, ...] | None,
-                       on_kernel: Callable[[], None] | None,
-                       on_fallback: Callable[[], None] | None) -> int:
-        """Records ``start``-``stop`` sized by kernel, else by scalar.
+    def _payload(self, algorithm: CompressionAlgorithm, bounds: np.ndarray,
+                 on_kernel: Callable[[], None] | None,
+                 on_fallback: Callable[[], None] | None) -> int:
+        """The payload of the segments ``bounds``: kernel, else scalar.
 
         The records are only sliced out of the buffer on the scalar
-        fallback, so kernel-served blocks never materialize them.
+        fallback, which compresses each segment on its own.
         """
+        views = self._views_or_none()
         if views is not None:
             try:
-                size = algorithm.size_of(views, self.leaf_schema)
+                size = algorithm.size_of(views, self.leaf_schema, bounds)
             except KernelUnavailable:
-                size = None
-            if size is not None:
+                pass
+            else:
                 if on_kernel is not None:
                     on_kernel()
                 return size
         if on_fallback is not None:
             on_fallback()
-        return algorithm.compress(self.leaf_records(start, stop),
-                                  self.leaf_schema).payload_size
+        edges = bounds.tolist()
+        return sum(algorithm.compress(self.leaf_records(start, stop),
+                                      self.leaf_schema).payload_size
+                   for start, stop in zip(edges, edges[1:]))
 
-    def _views_or_none(self) -> tuple | None:
-        """Cached ``(whole-index views, per-leaf views)``, or ``None``.
+    def _views_or_none(self) -> tuple[ColumnView, ...] | None:
+        """Cached column views of the leaf records, or ``None``.
 
         ``None`` (the scalar path) when kernels are disabled or a
-        column's dtype has none. One split of the leaf buffer gives the
-        whole-index views, and the leaf views are row slices of them,
-        so every leaf, scope and algorithm shares one split and one set
-        of derived arrays.
+        column's dtype has none. One split of the leaf buffer serves
+        every leaf, scope and algorithm, with one set of derived arrays.
         """
         if not kernels.kernels_enabled() \
                 or not kernels.kernels_cover(self.leaf_schema):
             return None
         if self._views is None:
-            parents = kernels.build_column_views(
+            self._views = kernels.build_column_views(
                 self.leaf_schema, self.buffer, self.offsets)
-            self._views = (parents,
-                           kernels.build_leaf_views(parents, self.bounds))
         return self._views

@@ -5,7 +5,10 @@ configurations) is sized two ways over randomized pages drawn from the
 repo's workload shapes — uniform/zipf/bimodal CHAR values, sorted and
 shuffled integers, VARCHAR with empty/blank/NUL-bearing values, and
 multi-column records — and the vectorized ``size_of`` must return the
-exact integer the scalar ``compress`` path reports. ``repack``, which
+exact integer the scalar ``compress`` path reports. Given the bounds of
+several leaves, one ``size_of`` call must return the sum of the leaves'
+``compress`` payloads, and raise where ``compress`` rejects a leaf
+(a dictionary pointer overflow). ``repack``, which
 sizes record ranges with those kernels, must find the pages its
 definition (:func:`tests.btree_oracle.greedy_repack`) finds. The record
 splitter (``build_column_views``) must cut random CHAR, VARCHAR,
@@ -26,11 +29,12 @@ from hypothesis import given, settings, strategies as st
 from repro.compression.dictionary import DictionaryCompression
 from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.compression.kernels import (DISABLE_KERNELS_ENV,
-                                       build_column_views, build_leaf_views)
+                                       build_column_views)
+from repro.compression.page_compression import PageCompression
 from repro.compression.registry import get_algorithm, list_algorithms
 from repro.compression.repack import repack
 from repro.core.samplecf import SampleCF
-from repro.errors import EncodingError
+from repro.errors import CompressionError, EncodingError
 from repro.storage.record import (encode_record, join_records,
                                   record_offsets, split_records)
 from repro.storage.schema import Column, Schema
@@ -59,9 +63,10 @@ def assert_parity(schema, records, context=""):
     """
     views = build_column_views(schema, *join_records(records))
     assert views is not None, context
+    bounds = np.array([0, len(records)], dtype=np.int64)
     for algorithm in ALGORITHMS:
         want = algorithm.compress(records, schema).payload_size
-        got = algorithm.size_of(views, schema)
+        got = algorithm.size_of(views, schema, bounds)
         assert got == want, \
             f"{algorithm.name} ({context}): kernel {got} != scalar {want}"
 
@@ -185,28 +190,90 @@ def test_random_mixed_pages(rows):
     assert_parity(schema, records, "hypothesis mixed")
 
 
-@settings(max_examples=25, deadline=None)
-@given(values=st.lists(char_values, min_size=1, max_size=80),
-       cuts=st.lists(st.integers(1, 12), min_size=1, max_size=8))
-def test_random_leaf_slicing(values, cuts):
-    """Per-leaf sliced views agree with per-leaf scalar compression."""
-    schema, records = char_records(values)
-    leaves, start, i = [], 0, 0
+LEAF_SCHEMAS = {
+    "char": Schema([Column.of("a", f"char({K})")]),
+    "mixed": Schema([Column.of("a", f"char({K})"),
+                     Column.of("v", "varchar(12)"),
+                     Column.of("n", "integer"),
+                     Column.of("b", "bigint")]),
+}
+
+leaf_rows = st.tuples(
+    char_values, st.text(alphabet="ab \x00", max_size=12),
+    st.integers(-2 ** 31, 2 ** 31 - 1), st.integers(-2 ** 63, 2 ** 63 - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(layout=st.sampled_from(sorted(LEAF_SCHEMAS)),
+       pool=st.lists(leaf_rows, min_size=1, max_size=12),
+       picks=st.lists(st.integers(0, 11), min_size=1, max_size=80),
+       cuts=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+       skip=st.integers(0, 5))
+def test_random_leaf_slicing(layout, pool, picks, cuts, skip):
+    """One kernel call over leaf bounds equals per-leaf compression.
+
+    Rows repeat values from a small pool, so leaves hold runs and
+    repeated dictionary entries. The leaves tile the rows from
+    ``skip`` on, as a repack probe's range need not start at row 0;
+    the rows before it are split with the rest but never sized.
+    """
+    schema = LEAF_SCHEMAS[layout]
+    rows = [pool[pick % len(pool)][:len(schema)] for pick in picks]
+    records = [encode_record(schema, row) for row in rows]
+    skip = min(skip, len(records) - 1)
+    leaves, start, i = [], skip, 0
     while start < len(records):
         step = cuts[i % len(cuts)]
         leaves.append(records[start:start + step])
         start += step
         i += 1
-    leaf_views = build_leaf_views(
-        build_column_views(schema, *join_records(records)),
-        record_offsets(np.array([len(leaf) for leaf in leaves])))
-    assert leaf_views is not None
+    bounds = skip + record_offsets(np.array([len(leaf) for leaf in leaves]))
+    views = build_column_views(schema, *join_records(records))
     for algorithm in ALGORITHMS:
-        got = sum(algorithm.size_of(views, schema)
-                  for views in leaf_views)
+        got = algorithm.size_of(views, schema, bounds)
         want = sum(algorithm.compress(leaf, schema).payload_size
                    for leaf in leaves)
         assert got == want, algorithm.name
+
+
+@pytest.mark.parametrize("spec", ["char(6)", "integer"])
+def test_derived_pointers_are_sized_per_leaf(spec):
+    """A 300-entry leaf takes 2-byte pointers, its 3-entry neighbour 1."""
+    schema = Schema([Column.of("a", spec)])
+    values = list(range(300)) + [0, 1, 2] * 4
+    records = [encode_record(schema, (str(v) if spec != "integer" else v,))
+               for v in values]
+    bounds = np.array([0, 300, len(records)], dtype=np.int64)
+    views = build_column_views(schema, *join_records(records))
+    for algorithm in (DictionaryCompression(pointer_bytes=None),
+                      DictionaryCompression(pointer_bytes=None,
+                                            entry_storage="null_suppressed")):
+        leaves = [algorithm.compress(records[a:b], schema).payload_size
+                  for a, b in ((0, 300), (300, len(records)))]
+        assert algorithm.size_of(views, schema, bounds) == sum(leaves)
+
+
+@pytest.mark.parametrize("spec", ["char(6)", "integer"])
+@pytest.mark.parametrize("algorithm", [
+    DictionaryCompression(pointer_bytes=1), PageCompression(pointer_bytes=1)],
+    ids=["dictionary", "page"])
+def test_pointer_overflow_in_one_leaf_raises_on_both_routes(spec,
+                                                            algorithm):
+    """257 entries in one leaf overflow a 1-byte pointer either way."""
+    schema = Schema([Column.of("a", spec)])
+    values = list(range(257)) + [0] * 5
+    records = [encode_record(schema, (str(v) if spec != "integer" else v,))
+               for v in values]
+    views = build_column_views(schema, *join_records(records))
+    with pytest.raises(CompressionError):
+        algorithm.compress(records[:257], schema)
+    assert algorithm.compress(records[257:], schema).payload_size > 0
+    with pytest.raises(CompressionError):
+        algorithm.size_of(views, schema,
+                          np.array([0, 257, len(records)], dtype=np.int64))
+    assert algorithm.size_of(
+        views, schema, np.array([257, len(records)], dtype=np.int64)) \
+        == algorithm.compress(records[257:], schema).payload_size
 
 
 @settings(max_examples=25, deadline=None)

@@ -32,3 +32,18 @@ def test_size_kernel_speedups_come_from_the_baseline():
             f"`runs` mode has a kernel too, at "
             f"**{runs['speedup_cold']:.1f}x** cold"):
         assert phrase in readme, phrase
+
+
+def test_executor_figures_come_from_the_baseline():
+    baseline = json.loads((REPO / "benchmarks" / "results"
+                           / "BENCH_executors.json").read_text())["results"]
+    readme = readme_text()
+    for label, shape in (("**many samples**", "many_samples"),
+                         ("**single sample**", "single_sample")):
+        result = baseline[shape]
+        seconds = result["seconds"]
+        bullet = readme.split(label, 1)[1].split("* **", 1)[0]
+        phrase = (f"serial {seconds['serial']:.3f} s, pool "
+                  f"{seconds['process']:.3f} s, "
+                  f"**{result['speedup_vs_serial']['process']:.2f}x**")
+        assert phrase in bullet, (label, phrase)

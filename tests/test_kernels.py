@@ -9,9 +9,9 @@ import pytest
 from repro.compression import kernels
 from repro.compression.kernels import (ColumnView, DISABLE_KERNELS_ENV,
                                        build_column_views, build_leaf_views,
-                                       distinct_count, kernels_enabled,
-                                       magnitude_widths, minimal_int_widths,
-                                       stripped_lengths, unique_rows)
+                                       kernels_enabled, magnitude_widths,
+                                       minimal_int_widths, stripped_lengths,
+                                       value_codes)
 from repro.compression.registry import get_algorithm, list_algorithms
 from repro.core.samplecf import SampleCF, true_cf_table
 from repro.engine import EstimationEngine, EstimationRequest
@@ -82,11 +82,30 @@ class TestPrimitives:
         got = stripped_lengths(matrix)
         assert got.tolist() == [len(r.rstrip(b" ")) for r in raws]
 
-    def test_unique_rows_and_distinct_count(self):
+    def test_value_codes_number_distinct_rows(self):
         matrix = np.frombuffer(b"aabbaaccaabb", np.uint8).reshape(6, 2)
-        view = ColumnView(None, 6, matrix=matrix)
-        assert unique_rows(view).shape == (3, 2)
-        assert distinct_count(view) == 3
+        codes = ColumnView(None, 6, matrix=matrix).codes
+        assert sorted(set(codes.tolist())) == [0, 1, 2]
+        assert codes[0] == codes[2] == codes[4] != codes[1] == codes[5]
+
+    @pytest.mark.parametrize("width", [3, 8, 20])
+    def test_value_codes_check_rows_that_hash_equal(self, width,
+                                                    monkeypatch):
+        rng = np.random.default_rng(5)
+        pool = rng.integers(0, 3, size=(7, width), dtype=np.uint8)
+        matrix = pool[rng.integers(0, 7, size=200)]
+        want = np.unique(matrix, axis=0, return_inverse=True)[1].ravel()
+
+        def exact(codes):
+            pairs = set(zip(codes.tolist(), want.tolist()))
+            return len(pairs) == len(set(codes.tolist())) \
+                == int(want.max()) + 1 == int(codes.max()) + 1
+
+        assert exact(value_codes(matrix))
+        # Every row hashing equal must still give one code per value.
+        monkeypatch.setattr(kernels, "row_hashes", lambda words: np.zeros(
+            words.shape[0], dtype=np.uint64))
+        assert exact(value_codes(matrix))
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +148,8 @@ class TestColumnViews:
         padded = view.padded_matrix
         assert (padded[0] == padded[2]).all()
         assert not (padded[0] == padded[1]).all()
-        assert distinct_count(view) == 3
+        codes = view.codes
+        assert codes[0] == codes[2] and len(set(codes.tolist())) == 3
 
     def test_rejects_empty_and_misfit_batches(self):
         schema = fixed_schema()
@@ -152,7 +172,7 @@ class TestColumnViews:
         assert parent is leaf_views[2][1]._parent is parents[1]
         ints = np.concatenate([v[1].int_values for v in leaf_views])
         assert ints.tolist() == list(range(10))
-        assert "ints" in parent._derived
+        assert "int_values" in parent._derived
 
 
 # ----------------------------------------------------------------------
@@ -164,9 +184,10 @@ class TestSizeOf:
         records = [encode_record(schema, (v,))
                    for v in ("ab", "ab", "x", "", "long one", "a  b0000")]
         views = split(schema, records)
+        bounds = np.array([0, len(records)], dtype=np.int64)
         for name in list_algorithms():
             algorithm = get_algorithm(name)
-            assert algorithm.size_of(views, schema) == \
+            assert algorithm.size_of(views, schema, bounds) == \
                 algorithm.compress(records, schema).payload_size, name
 
 
@@ -231,6 +252,24 @@ class TestEstimateCompression:
             char_oracle.compress(algorithm, accounting=accounting,
                                  repack_pages=repack)
 
+    @pytest.mark.parametrize("name", ["null_suppression", "dictionary",
+                                      "prefix", "rle", "delta", "page"])
+    def test_one_kernel_call_per_index(self, char_index, kernels_on, name,
+                                       monkeypatch):
+        algorithm = get_algorithm(name)
+        original = type(algorithm).size_of
+        calls = []
+
+        def spy(self, views, schema, *bounds):
+            calls.append(bounds)
+            return original(self, views, schema, *bounds)
+
+        monkeypatch.setattr(type(algorithm), "size_of", spy)
+        char_index.estimate_compression(algorithm)
+        assert char_index.num_leaf_pages > 1
+        assert len(calls) == 1
+        assert calls[0][0].tolist() == char_index.bounds.tolist()
+
     def test_counts_kernel_blocks(self, char_index, kernels_on):
         hits = {"kernel": 0, "fallback": 0}
         char_index.estimate_compression(
@@ -239,18 +278,18 @@ class TestEstimateCompression:
                                                hits["kernel"] + 1),
             on_fallback=lambda: hits.__setitem__("fallback",
                                                  hits["fallback"] + 1))
-        assert hits["kernel"] == char_index.size().leaf_pages
+        assert hits["kernel"] == 1
         assert hits["fallback"] == 0
 
     def test_counts_scalar_fallbacks_for_uncovered_codec(self, char_index):
         # Every registered codec now has a kernel (NS runs included),
         # so an uncovered one is simulated: a codec whose size_of
-        # declares itself unavailable must route every block scalar.
+        # declares itself unavailable must size the index scalar.
         from repro.compression.null_suppression import NullSuppression
         from repro.errors import KernelUnavailable
 
         class Uncovered(NullSuppression):
-            def size_of(self, views, schema):
+            def size_of(self, views, schema, bounds):
                 raise KernelUnavailable("deliberately scalar-only")
 
         hits = {"kernel": 0, "fallback": 0}
@@ -261,7 +300,7 @@ class TestEstimateCompression:
             on_fallback=lambda: hits.__setitem__("fallback",
                                                  hits["fallback"] + 1))
         assert hits["kernel"] == 0
-        assert hits["fallback"] == char_index.size().leaf_pages
+        assert hits["fallback"] == 1
 
     def test_repack_is_one_kernel_block(self, char_index, kernels_on):
         hits = {"kernel": 0, "fallback": 0}
@@ -281,7 +320,7 @@ class TestEstimateCompression:
         from repro.errors import KernelUnavailable
 
         class Uncovered(DictionaryCompression):
-            def size_of(self, views, schema):
+            def size_of(self, views, schema, bounds):
                 raise KernelUnavailable("deliberately scalar-only")
 
         hits = {"kernel": 0, "fallback": 0}
