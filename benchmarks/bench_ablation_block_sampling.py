@@ -26,8 +26,8 @@ from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.compression.null_suppression import NullSuppression
 from repro.core.metrics import ErrorSummary
 from repro.core.samplecf import SampleCF, true_cf_table
+from repro.engine import EstimationEngine, EstimationRequest
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_trials
 from repro.workloads.generators import histogram_to_table, make_histogram
 
 from _common import write_report
@@ -52,11 +52,11 @@ def tables() -> dict:
 
 
 def _error_summary(table, algorithm, sampler, truth, seed) -> ErrorSummary:
-    estimator = SampleCF(algorithm, sampler=sampler, page_size=PAGE)
-    estimates = run_trials(
-        lambda rng: estimator.estimate_table(
-            table, F, ["a"], seed=rng).estimate,
-        trials=TRIALS, seed=seed)
+    request = EstimationRequest(table=table, columns=("a",),
+                                algorithm=algorithm, fraction=F,
+                                trials=TRIALS, sampler=sampler,
+                                page_size=PAGE)
+    estimates = EstimationEngine(seed=seed).estimate(request).values
     return ErrorSummary.from_estimates(truth, estimates)
 
 

@@ -19,7 +19,7 @@ from repro.core.estimator import DistinctPlugInEstimator
 from repro.core.samplecf import SampleCF
 from repro.engine.requests import derive_seed
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_trials
+from repro.sampling.rng import spawn_rngs
 from repro.workloads.generators import make_histogram
 
 from _common import write_report
@@ -40,7 +40,8 @@ ESTIMATOR_NAMES = ("scale_up", "chao84", "gee", "shlosser")
 
 
 def _mean_ratio_error(estimator_fn, truth: float, seed: int) -> float:
-    estimates = run_trials(estimator_fn, trials=TRIALS, seed=seed)
+    estimates = np.asarray([estimator_fn(rng)
+                            for rng in spawn_rngs(seed, TRIALS)])
     errors = np.maximum(truth / estimates, estimates / truth)
     return float(errors.mean())
 

@@ -19,9 +19,9 @@ from repro.compression.dictionary import DictionaryCompression
 from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.core.cf_models import (global_dictionary_cf,
                                   paged_dictionary_cf)
-from repro.core.samplecf import SampleCF, true_cf_table
+from repro.core.samplecf import true_cf_table
+from repro.engine import EstimationEngine, EstimationRequest
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_trials
 from repro.workloads.generators import (histogram_to_table,
                                         make_histogram)
 
@@ -128,13 +128,11 @@ def test_estimator_tracks_paged_truth(benchmark):
     histogram = make_histogram(N, 100, K, seed=721)
     truth = paged_dictionary_cf(histogram, pointer_bytes=P,
                                 page_size=PAGE)
-    estimator = SampleCF(DictionaryCompression(pointer_bytes=P),
-                         page_size=PAGE)
+    request = EstimationRequest(
+        histogram=histogram, algorithm=DictionaryCompression(pointer_bytes=P),
+        fraction=0.01, trials=40, page_size=PAGE)
     estimates = benchmark.pedantic(
-        lambda: run_trials(
-            lambda rng: estimator.estimate_histogram(
-                histogram, 0.01, seed=rng).estimate,
-            trials=40, seed=722),
+        lambda: EstimationEngine(seed=722).estimate(request).values,
         rounds=1, iterations=1)
     errors = np.maximum(truth / estimates, estimates / truth)
     assert errors.mean() < 1.6

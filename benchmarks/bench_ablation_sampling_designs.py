@@ -22,9 +22,9 @@ from repro.compression.null_suppression import NullSuppression
 from repro.core.cf_models import global_dictionary_cf, ns_cf
 from repro.core.metrics import ErrorSummary
 from repro.core.samplecf import SampleCF
+from repro.engine import EstimationEngine, EstimationRequest
 from repro.engine.requests import derive_seed
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_trials
 from repro.workloads.generators import make_histogram
 
 from _common import write_report
@@ -61,15 +61,14 @@ def grid() -> dict:
     for fraction in FRACTIONS:
         for design_name, sampler in _designs(fraction).items():
             for algo_name, algorithm in algorithms.items():
-                estimator = SampleCF(algorithm, sampler=sampler)
+                request = EstimationRequest(
+                    histogram=histogram, algorithm=algorithm,
+                    fraction=fraction, trials=TRIALS, sampler=sampler)
                 # derive_seed, not hash(): PYTHONHASHSEED randomises str
                 # hashes per process, so the payload would not replay.
-                estimates = run_trials(
-                    lambda rng: estimator.estimate_histogram(
-                        histogram, fraction, seed=rng).estimate,
-                    trials=TRIALS,
-                    seed=derive_seed("abl-replacement", design_name,
-                                     algo_name, fraction))
+                engine = EstimationEngine(seed=derive_seed(
+                    "abl-replacement", design_name, algo_name, fraction))
+                estimates = engine.estimate(request).values
                 results[(fraction, design_name, algo_name)] = \
                     ErrorSummary.from_estimates(truths[algo_name],
                                                 estimates)

@@ -23,8 +23,8 @@ from repro.core.bounds import example1, ns_stddev_bound
 from repro.core.cf_models import ns_cf
 from repro.core.metrics import ErrorSummary
 from repro.core.samplecf import SampleCF
+from repro.engine import EstimationEngine, EstimationRequest
 from repro.experiments.report import format_table
-from repro.experiments.runner import run_trials
 from repro.workloads.generators import make_histogram
 
 from _common import write_report
@@ -41,11 +41,10 @@ def measurements() -> dict:
     histogram = make_histogram(N, 5_000, K, distribution="zipf",
                                min_len=2, max_len=18, seed=404)
     truth = ns_cf(histogram)
-    estimator = SampleCF(NullSuppression())
-    estimates = run_trials(
-        lambda rng: estimator.estimate_histogram(histogram, F,
-                                                 seed=rng).estimate,
-        trials=TRIALS, seed=405)
+    request = EstimationRequest(histogram=histogram,
+                                algorithm=NullSuppression(), fraction=F,
+                                trials=TRIALS)
+    estimates = EstimationEngine(seed=405).estimate(request).values
     return {"histogram": histogram,
             "summary": ErrorSummary.from_estimates(truth, estimates)}
 

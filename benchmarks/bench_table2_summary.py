@@ -25,8 +25,7 @@ from repro.core.bounds import (dict_large_d_bound, dict_small_d_bound,
                                ns_variance_bound)
 from repro.core.cf_models import global_dictionary_cf, ns_cf
 from repro.core.metrics import ErrorSummary
-from repro.core.samplecf import SampleCF
-from repro.experiments.runner import run_trials
+from repro.engine import EstimationEngine, EstimationRequest
 from repro.experiments.report import format_table
 from repro.workloads.generators import make_histogram
 
@@ -43,11 +42,9 @@ LARGE_D = N // 2                    # O(n) regime (alpha = 0.5)
 
 
 def _cell(algorithm, histogram, truth, seed) -> ErrorSummary:
-    estimator = SampleCF(algorithm)
-    estimates = run_trials(
-        lambda rng: estimator.estimate_histogram(histogram, F,
-                                                 seed=rng).estimate,
-        trials=TRIALS, seed=seed)
+    request = EstimationRequest(histogram=histogram, algorithm=algorithm,
+                                fraction=F, trials=TRIALS)
+    estimates = EstimationEngine(seed=seed).estimate(request).values
     return ErrorSummary.from_estimates(truth, estimates)
 
 

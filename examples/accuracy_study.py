@@ -10,12 +10,13 @@ Run:  python examples/accuracy_study.py
 
 from __future__ import annotations
 
-from repro import (GlobalDictionaryCompression, NullSuppression,
+from repro import (EstimationEngine, EstimationRequest,
+                   GlobalDictionaryCompression, NullSuppression,
                    SampleCF, dict_large_d_bound, dict_small_d_bound,
                    make_histogram, ns_stddev_bound)
 from repro.core.cf_models import global_dictionary_cf, ns_cf
 from repro.core.metrics import ErrorSummary
-from repro.experiments import format_table, run_trials
+from repro.experiments import format_table
 
 N = 200_000
 K = 20
@@ -25,11 +26,9 @@ TRIALS = 100
 
 
 def measure(histogram, algorithm, truth, seed) -> ErrorSummary:
-    estimator = SampleCF(algorithm)
-    estimates = run_trials(
-        lambda rng: estimator.estimate_histogram(histogram, F,
-                                                 seed=rng).estimate,
-        trials=TRIALS, seed=seed)
+    request = EstimationRequest(histogram=histogram, algorithm=algorithm,
+                                fraction=F, trials=TRIALS)
+    estimates = EstimationEngine(seed=seed).estimate(request).values
     return ErrorSummary.from_estimates(truth, estimates)
 
 

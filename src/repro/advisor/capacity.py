@@ -13,14 +13,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import AdvisorError
-from repro.sampling.rng import SeedLike, make_rng
+from repro.sampling.rng import SeedLike
 from repro.storage.index import IndexKind
 from repro.storage.table import Table
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.null_suppression import NullSuppression
 from repro.compression.registry import get_algorithm
 from repro.core.confidence import ConfidenceInterval, ns_confidence_interval
-from repro.core.samplecf import SampleCF
+from repro.engine.engine import EstimationEngine
+from repro.engine.requests import EstimationRequest
 
 
 @dataclass(frozen=True)
@@ -86,27 +87,36 @@ def plan_capacity(tables: Sequence[Table],
     """Estimate compressed sizes for archiving ``tables``.
 
     Each table is sized through a clustered index on all of its columns
-    (archival stores whole rows). For null suppression the Theorem 1
-    interval is attached; other algorithms report point estimates.
+    (archival stores whole rows), and every table must have fixed-width
+    rows; that is checked before any sample is drawn. The estimates run
+    as one engine batch, one request per table, on an
+    :class:`~repro.engine.engine.EstimationEngine` whose master seed is
+    ``seed`` (``None`` draws a fresh one). For null suppression the
+    Theorem 1 interval is attached; other algorithms report point
+    estimates.
     """
     if not tables:
         raise AdvisorError("no tables to plan for")
     if isinstance(algorithm, str):
         algorithm = get_algorithm(algorithm)
-    rng = make_rng(seed)
-    entries: list[CapacityEntry] = []
+    row_bytes: list[int] = []
     for table in tables:
-        estimator = SampleCF(algorithm, page_size=table.page_size)
-        estimate = estimator.estimate_table(
-            table, fraction, list(table.schema.names),
-            kind=IndexKind.CLUSTERED,
-            seed=int(rng.integers(0, 2**63 - 1)))
-        row_bytes = table.schema.fixed_row_size
-        if row_bytes is None:
+        size = table.schema.fixed_row_size
+        if size is None:
             raise AdvisorError(
                 f"table {table.name!r} has variable-width rows; "
                 "capacity planning sizes fixed-width schemas")
-        uncompressed = table.num_rows * row_bytes
+        row_bytes.append(size)
+    batch = EstimationEngine(seed=seed).execute([
+        EstimationRequest(table=table, columns=tuple(table.schema.names),
+                          algorithm=algorithm, fraction=fraction,
+                          kind=IndexKind.CLUSTERED,
+                          page_size=table.page_size)
+        for table in tables])
+    entries: list[CapacityEntry] = []
+    for table, size, result in zip(tables, row_bytes, batch.results):
+        estimate = result.estimates[0]
+        uncompressed = table.num_rows * size
         interval = None
         if isinstance(algorithm, NullSuppression):
             interval = ns_confidence_interval(

@@ -40,6 +40,15 @@ Examples::
     python -m repro bounds theorem3 --alpha 0.5 --fraction 0.01 --k 20 \
         --p 2
 
+``estimate --trials T`` runs one ``T``-trial
+:class:`~repro.engine.requests.EstimationRequest` with ``--seed`` as
+both the request's seed and its private engine's master seed. Trial 0
+draws with ``--seed`` itself, so ``--trials 1`` prints what
+``SampleCF(...).estimate_histogram(..., seed=--seed)`` returns; trial
+``j`` draws with a seed derived from ``--seed`` and ``j``.
+``--adaptive`` runs a prefix of those same trials, and a non-positive
+``--trials`` is an error.
+
 The ``estimate-batch`` spec is a JSON object with named ``workloads``
 (a scenario reference or explicit ``n``/``d``/``k``, optionally
 ``"storage": true`` to materialise a real table) and a list of
@@ -68,15 +77,13 @@ import pathlib
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro._version import __version__
 from repro.errors import ReproError
 from repro.compression.registry import get_algorithm, list_algorithms
 from repro.core.bounds import (dict_large_d_bound, dict_small_d_bound,
                                ns_stddev_bound)
 from repro.core.metrics import ErrorSummary, ratio_error
-from repro.core.samplecf import SampleCF, true_cf_histogram
+from repro.core.samplecf import true_cf_histogram
 from repro.engine.engine import EstimationEngine
 from repro.engine.requests import PartialBatchResult
 from repro.faults import RetryPolicy
@@ -84,7 +91,6 @@ from repro.engine.executors import EXECUTOR_NAMES, make_executor
 from repro.engine.requests import EstimationRequest
 from repro.experiments.registry import list_experiments
 from repro.experiments.report import fmt_bytes, format_table
-from repro.sampling.rng import make_rng
 from repro.store import SampleStore
 from repro.workloads.generators import make_histogram
 from repro.workloads.scenarios import SCENARIOS, get_scenario
@@ -456,15 +462,15 @@ def _cmd_estimate(args: argparse.Namespace) -> str:
                                    seed=args.seed)
         workload = f"n={args.n:,} d={args.d:,} k={args.k}"
     algorithm = get_algorithm(args.algorithm)
-    # Always a private engine, never the process-wide default one: the
-    # int-seeded per-trial samples below are never-reusable draws that
-    # must not pin rows in (or evict reusable samples from) a shared
-    # cache. With --store-dir the engine is store-backed, so
-    # deterministic estimates persist and re-running the same command
-    # is a disk read.
+    # Always a private engine, never the process-wide default one, so
+    # the command's samples never pin rows in (or evict reusable
+    # samples from) a shared cache. With --store-dir the engine is
+    # store-backed, so the estimates persist and re-running the same
+    # command is a disk read.
     engine = EstimationEngine(seed=args.seed, store=args.store_dir)
-    estimator = SampleCF(algorithm, page_size=args.page_size,
-                         engine=engine)
+    request = EstimationRequest(
+        histogram=histogram, algorithm=algorithm, fraction=args.fraction,
+        trials=args.trials, seed=args.seed, page_size=args.page_size)
     lines = [f"workload  : {workload} "
              f"(n={histogram.n:,}, d={histogram.d:,}, "
              f"{histogram.dtype.name})",
@@ -474,13 +480,8 @@ def _cmd_estimate(args: argparse.Namespace) -> str:
         if args.trials <= 1:
             raise ReproError("--adaptive needs --trials > 1 (the "
                              "trial budget)")
-        from repro.engine.requests import EstimationRequest
         from repro.experiments.runner import run_request_trials_adaptive
 
-        request = EstimationRequest(
-            histogram=histogram, algorithm=algorithm,
-            fraction=args.fraction, trials=args.trials,
-            page_size=args.page_size)
         outcome = run_request_trials_adaptive(
             request, engine=engine, tolerance=args.tolerance)
         estimates = outcome.values
@@ -494,25 +495,14 @@ def _cmd_estimate(args: argparse.Namespace) -> str:
                      f"{'/'.join(map(str, outcome.stages))}, "
                      f"mean-CI half-width {halfwidth} vs tolerance "
                      f"{args.tolerance})")
-    elif args.trials <= 1:
-        estimate = estimator.estimate_histogram(histogram, args.fraction,
-                                                seed=args.seed)
+    elif args.trials == 1:
+        estimate = engine.estimate(request).estimates[0]
         lines.append(f"estimate  : CF' = {estimate.estimate:.6f} "
                      f"({estimate.sample_rows:,} rows sampled, "
                      f"d' = {estimate.sample_distinct:,})")
         point = estimate.estimate
     else:
-        # Integer trial seeds drawn from the same stream spawn_rngs
-        # would use, so the numbers match the historical run_trials
-        # path bit for bit — but int-seeded estimates are cacheable,
-        # which is what lets --store-dir persist multi-trial runs
-        # (opaque Generator seeds bypass the store by design).
-        trial_seeds = make_rng(args.seed).integers(0, 2 ** 63 - 1,
-                                                   size=args.trials)
-        estimates = np.asarray(
-            [estimator.estimate_histogram(histogram, args.fraction,
-                                          seed=int(trial_seed)).estimate
-             for trial_seed in trial_seeds], dtype=np.float64)
+        estimates = engine.estimate(request).values
         point = float(estimates.mean())
         lines.append(f"estimate  : mean CF' = {point:.6f} over "
                      f"{args.trials} trials "

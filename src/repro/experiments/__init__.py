@@ -5,9 +5,8 @@ from repro.experiments.registry import (EXPERIMENTS, ExperimentSpec,
 from repro.experiments.report import (banner, fmt_bytes, fmt_float,
                                       format_markdown_table, format_table)
 from repro.experiments.runner import (AdaptiveTrials, SweepPoint, Timed,
-                                      engine_sweep, run_request_trials,
-                                      run_request_trials_adaptive,
-                                      run_trials, timed)
+                                      engine_sweep,
+                                      run_request_trials_adaptive, timed)
 
 __all__ = [
     "AdaptiveTrials",
@@ -23,8 +22,6 @@ __all__ = [
     "format_table",
     "get_experiment",
     "list_experiments",
-    "run_request_trials",
     "run_request_trials_adaptive",
-    "run_trials",
     "timed",
 ]

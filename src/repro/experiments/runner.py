@@ -1,22 +1,16 @@
 """Multi-trial experiment execution with reproducible seeding.
 
 An estimation experiment is "run the estimator T times with independent
-randomness, compare against the truth". The runner owns the seeding
-discipline (one master seed spawns independent child generators, so any
-trial can be replayed) and returns :class:`ErrorSummary` objects ready
-for the report formatter.
-
-Two execution styles coexist:
-
-* **callable trials** (:func:`run_trials`) — the historical API: the
-  experiment supplies a function of a Generator;
-* **engine batches** (:func:`run_request_trials` /
-  :func:`engine_sweep`) — the experiment supplies
-  :class:`~repro.engine.requests.EstimationRequest` descriptions and
-  the whole sweep executes as one
-  :class:`~repro.engine.engine.EstimationEngine` batch, so sweep
-  points over the same source share materialized samples trial by
-  trial instead of re-drawing O(points × trials) times.
+randomness, compare against the truth". Every trial runs as an
+:class:`~repro.engine.requests.EstimationRequest` on an
+:class:`~repro.engine.engine.EstimationEngine`, whose master seed
+derives each trial's seed from the request's content, so any trial can
+be replayed. :func:`engine_sweep` runs a whole grid as one batch:
+sweep points over the same source share materialized samples trial by
+trial instead of re-drawing O(points × trials) times.
+:func:`run_request_trials_adaptive` runs one request's trials in
+stages and stops once their mean is tight enough. Results come back as
+:class:`ErrorSummary` objects ready for the report formatter.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.sampling.rng import SeedLike, spawn_rngs
+from repro.sampling.rng import SeedLike
 from repro.core.metrics import ErrorSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,22 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.requests import EstimationRequest
     from repro.store.store import SampleStore
 
-#: A trial function: receives a dedicated Generator, returns an estimate.
-TrialFn = Callable[[np.random.Generator], float]
-
 #: Confidence level of :func:`run_request_trials_adaptive`'s stopping
 #: interval.
 ADAPTIVE_CONFIDENCE = 0.99
-
-
-def run_trials(trial: TrialFn, trials: int,
-               seed: SeedLike = None) -> np.ndarray:
-    """Run ``trial`` with ``trials`` independent generators."""
-    if trials <= 0:
-        raise ExperimentError(f"need a positive trial count, got {trials}")
-    generators = spawn_rngs(seed, trials)
-    return np.asarray([trial(rng) for rng in generators],
-                      dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -64,9 +45,6 @@ class SweepPoint:
     extra: dict
 
 
-# ----------------------------------------------------------------------
-# Engine-backed execution (shared samples across trials and points)
-# ----------------------------------------------------------------------
 def _resolve_engine(engine: "EstimationEngine | None",
                     seed: SeedLike,
                     store: "SampleStore | str | None" = None,
@@ -91,40 +69,14 @@ def _resolve_engine(engine: "EstimationEngine | None",
                             store=store, tracer=tracer)
 
 
-def run_request_trials(request: "EstimationRequest",
-                       trials: int | None = None,
-                       engine: "EstimationEngine | None" = None,
-                       seed: SeedLike = None,
-                       executor: "PlanExecutor | str | None" = None,
-                       store: "SampleStore | str | None" = None,
-                       ) -> np.ndarray:
-    """Run one request's trials on the engine; returns the estimates.
-
-    ``trials`` overrides the request's own count when given. Trial
-    randomness derives from the engine's master seed and the request's
-    sample scope, so re-running on a same-seeded engine replays
-    exactly — on any ``executor`` (instance or name), since estimates
-    are executor-independent. ``store`` attaches the persistent disk
-    tier so repeated runs warm-start.
-    """
-    if trials is not None:
-        if trials <= 0:
-            raise ExperimentError(
-                f"need a positive trial count, got {trials}")
-        request = request.with_trials(trials)
-    batch = _resolve_engine(engine, seed, store).execute(
-        [request], executor=executor)
-    return batch.results[0].values
-
-
 @dataclass(frozen=True)
 class AdaptiveTrials:
     """Outcome of a staged (1/2/4/...) trial allocation.
 
     ``values`` holds the trials actually run — trial ``j`` is
-    bit-identical to trial ``j`` of a full-budget
-    :func:`run_request_trials` on the same engine, so a converged run
-    is a *prefix* of the exhaustive one, not a different experiment.
+    bit-identical to trial ``j`` of the full-budget request estimated
+    on the same engine, so a converged run is a *prefix* of the
+    exhaustive one, not a different experiment.
     """
 
     values: np.ndarray

@@ -38,8 +38,7 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
 def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
     """``count`` statistically independent child generators.
 
-    Used by the experiment runner so trials are independent but the whole
-    experiment replays from one seed.
+    The whole set replays from one seed.
     """
     if count < 0:
         raise SamplingError(f"cannot spawn {count} generators")

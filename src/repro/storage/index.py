@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE,
                              PAGE_HEADER_SIZE, SLOT_SIZE)
 from repro.errors import CompressionError, IndexError_, KernelUnavailable
 from repro.storage.heap import HeapFile
-from repro.storage.page import Page, PageType, pack_bounds
+from repro.storage.page import PageType, pack_bounds
 from repro.storage.record import (fixed_column_offsets, gather_spans,
                                   record_offsets)
 from repro.storage.schema import Column, Schema
@@ -292,16 +292,6 @@ class Index:
         raw = self.buffer[base:int(self.offsets[stop])].tobytes()
         cuts = (self.offsets[start:stop + 1] - base).tolist()
         return [raw[a:b] for a, b in zip(cuts, cuts[1:])]
-
-    def leaf_pages(self) -> Iterator[Page]:
-        """Each leaf as a slotted :class:`Page`, filled record by record."""
-        bounds = self.bounds.tolist()
-        for page_id, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-            page = Page(self.page_size, page_id=page_id,
-                        page_type=PageType.INDEX_LEAF)
-            for record in self.leaf_records(start, stop):
-                page.insert(record)
-            yield page
 
     def leaf_table(self) -> Table:
         """The leaf level as a :class:`Table` (cached until rebuilt).

@@ -32,7 +32,7 @@ from repro.compression.repack import (RepackedPage, RepackResult,
 from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE,
                              PAGE_HEADER_SIZE, SLOT_SIZE)
 from repro.errors import CompressionError, IndexError_
-from repro.storage.index import RID_COLUMN, IndexKind
+from repro.storage.index import RID_COLUMN, Index, IndexKind
 from repro.storage.page import Page, PageType
 from repro.storage.record import encode_record
 from repro.storage.rid import RID
@@ -398,6 +398,18 @@ def _chunk_children(nodes: list, fanout: int) -> list[list]:
     if len(groups) > 1 and len(groups[-1]) == 1:
         groups[-1].insert(0, groups[-2].pop())
     return groups
+
+
+def leaf_pages(index: Index) -> Iterator[Page]:
+    """Each leaf of ``index`` as a slotted :class:`Page`, filled record
+    by record (what its page images must equal)."""
+    bounds = index.bounds.tolist()
+    for page_id, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        page = Page(index.page_size, page_id=page_id,
+                    page_type=PageType.INDEX_LEAF)
+        for record in index.leaf_records(start, stop):
+            page.insert(record)
+        yield page
 
 
 def greedy_repack(records: Sequence[bytes], schema: Schema,

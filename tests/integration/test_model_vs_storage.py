@@ -16,6 +16,7 @@ from repro.compression.rle import RunLengthEncoding
 from repro.core.cf_models import ColumnHistogram
 from repro.core.samplecf import SampleCF, true_cf_table
 from repro.workloads.generators import histogram_to_table, make_histogram
+from tests.btree_oracle import leaf_pages
 
 PAGE = 1024
 
@@ -96,7 +97,7 @@ def test_paged_dictionary_model_tracks_leaf_boundaries():
     index = Index.over(table, ["a"], kind=IndexKind.CLUSTERED,
                        page_size=PAGE)
     total_entries = 0
-    for page in index.leaf_pages():
+    for page in leaf_pages(index):
         distinct_on_page = len({bytes(record)
                                 for record in page.records()})
         total_entries += distinct_on_page

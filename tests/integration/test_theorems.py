@@ -1,7 +1,9 @@
 """Integration: the paper's theorems hold empirically.
 
 These are the statistical acceptance tests of the reproduction — scaled
-versions of the benchmark experiments, sized to run in seconds.
+versions of the benchmark experiments, sized to run in seconds. Each
+trial calls the SampleCF facade with its own ``spawn_rngs`` Generator,
+so the facade's Generator-seed path stays under test.
 """
 
 import math
@@ -16,7 +18,7 @@ from repro.core.bounds import (dict_large_d_bound, dict_small_d_bound,
 from repro.core.cf_models import ns_cf, global_dictionary_cf
 from repro.core.metrics import ErrorSummary, ratio_error
 from repro.core.samplecf import SampleCF
-from repro.experiments.runner import run_trials
+from repro.sampling.rng import spawn_rngs
 from repro.workloads.generators import make_histogram
 
 K = 20
@@ -34,10 +36,9 @@ class TestTheorem1:
         truth = ns_cf(histogram)
         estimator = SampleCF(NullSuppression())
         f = 0.01
-        estimates = run_trials(
-            lambda rng: estimator.estimate_histogram(
-                histogram, f, seed=rng).estimate,
-            trials=200, seed=7)
+        estimates = np.asarray([
+            estimator.estimate_histogram(histogram, f, seed=rng).estimate
+            for rng in spawn_rngs(7, 200)])
         summary = ErrorSummary.from_estimates(truth, estimates)
         bound = ns_stddev_bound(n=histogram.n, f=f)
         # Unbiased: |bias| within 4 standard errors of the mean.
@@ -52,10 +53,9 @@ class TestTheorem1:
         estimator = SampleCF(NullSuppression())
         stds = []
         for f in (0.005, 0.05):
-            estimates = run_trials(
-                lambda rng: estimator.estimate_histogram(
-                    histogram, f, seed=rng).estimate,
-                trials=150, seed=11)
+            estimates = np.asarray([
+                estimator.estimate_histogram(histogram, f, seed=rng).estimate
+                for rng in spawn_rngs(11, 150)])
             summary = ErrorSummary.from_estimates(truth, estimates)
             assert summary.std <= ns_stddev_bound(n=histogram.n, f=f)
             stds.append(summary.std)
@@ -76,10 +76,9 @@ class TestTheorem2:
             d = max(2, int(math.isqrt(n)))
             histogram = make_histogram(n, d, K, seed=42)
             truth = global_dictionary_cf(histogram, pointer_bytes=P)
-            estimates = run_trials(
-                lambda rng: estimator.estimate_histogram(
-                    histogram, f, seed=rng).estimate,
-                trials=60, seed=13)
+            estimates = np.asarray([
+                estimator.estimate_histogram(histogram, f, seed=rng).estimate
+                for rng in spawn_rngs(13, 60)])
             errors = np.maximum(truth / estimates, estimates / truth)
             bound = dict_small_d_bound(n, d, K, P, f).bound
             assert errors.max() <= bound + 1e-9
@@ -101,10 +100,9 @@ class TestTheorem3:
             histogram = make_histogram(
                 n, d, K, distribution="singleton_heavy", seed=n + 1)
             truth = global_dictionary_cf(histogram, pointer_bytes=P)
-            estimates = run_trials(
-                lambda rng: estimator.estimate_histogram(
-                    histogram, f, seed=rng).estimate,
-                trials=40, seed=17)
+            estimates = np.asarray([
+                estimator.estimate_histogram(histogram, f, seed=rng).estimate
+                for rng in spawn_rngs(17, 40)])
             errors = np.maximum(truth / estimates, estimates / truth)
             assert errors.mean() <= bound
 
@@ -117,10 +115,9 @@ class TestTheorem3:
                 n, int(alpha * n), K, distribution="singleton_heavy",
                 seed=n)
             truth = global_dictionary_cf(histogram, pointer_bytes=P)
-            estimates = run_trials(
-                lambda rng: estimator.estimate_histogram(
-                    histogram, f, seed=rng).estimate,
-                trials=40, seed=19)
+            estimates = np.asarray([
+                estimator.estimate_histogram(histogram, f, seed=rng).estimate
+                for rng in spawn_rngs(19, 40)])
             errors = np.maximum(truth / estimates, estimates / truth)
             means.append(errors.mean())
         # 16x more rows must not inflate the error materially.
@@ -139,10 +136,9 @@ class TestDictionaryBias:
                                    seed=23)
         truth = global_dictionary_cf(histogram, pointer_bytes=P)
         estimator = SampleCF(GlobalDictionaryCompression(pointer_bytes=P))
-        estimates = run_trials(
-            lambda rng: estimator.estimate_histogram(
-                histogram, f, seed=rng).estimate,
-            trials=100, seed=29)
+        estimates = np.asarray([
+            estimator.estimate_histogram(histogram, f, seed=rng).estimate
+            for rng in spawn_rngs(29, 100)])
         summary = ErrorSummary.from_estimates(truth, estimates)
         standard_error = max(summary.std / math.sqrt(100), 1e-9)
         assert summary.bias > 5 * standard_error  # clearly biased (up)
@@ -154,10 +150,9 @@ class TestDictionaryBias:
                                    seed=23)
         truth = ns_cf(histogram)
         estimator = SampleCF(NullSuppression())
-        estimates = run_trials(
-            lambda rng: estimator.estimate_histogram(
-                histogram, f, seed=rng).estimate,
-            trials=100, seed=31)
+        estimates = np.asarray([
+            estimator.estimate_histogram(histogram, f, seed=rng).estimate
+            for rng in spawn_rngs(31, 100)])
         summary = ErrorSummary.from_estimates(truth, estimates)
         standard_error = summary.std / math.sqrt(100)
         assert abs(summary.bias) <= 4 * max(standard_error, 1e-9)

@@ -41,6 +41,7 @@ from repro.storage.schema import Column, Schema, single_char_schema
 from repro.storage.table import Table
 from repro.workloads.generators import (histogram_to_table, make_histogram,
                                         make_multicolumn_table)
+from tests.btree_oracle import leaf_pages
 
 
 def oracle_images(records: list[bytes], page_size: int,
@@ -355,7 +356,7 @@ def test_page_copies_follow_inserts():
 
 def test_leaf_table_is_the_index_leaf_pages():
     index, table = leaf_table()
-    oracle = list(index.leaf_pages())
+    oracle = list(leaf_pages(index))
     assert len(oracle) > 2
     assert any(page.free_bytes > 80 for page in oracle)  # under-filled
     assert table.heap.images.tobytes() == \

@@ -48,7 +48,7 @@ from repro.storage.record import decode_record
 from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
-from tests.btree_oracle import BPlusTree, RowIndex
+from tests.btree_oracle import BPlusTree, RowIndex, leaf_pages
 
 ALGORITHMS = [get_algorithm(name) for name in list_algorithms()]
 
@@ -123,14 +123,14 @@ def index_oracle(index, sampler, fraction, seed):
     """Figure 2 by hand over an index's leaves, and the draw's extras.
 
     The draw ``estimate_index`` makes, taken over ``leaf_records()``
-    (``leaf_pages()`` for the block sampler) and decoded, then a
+    (``leaf_pages(index)`` for the block sampler) and decoded, then a
     clustered ``RowIndex.build`` on the index key in the index's layout.
     """
     rng = make_rng(seed)
     r = rows_for_fraction(index.num_entries, fraction)
     extra = {}
     if isinstance(sampler, BlockSampler):
-        block = sampler.sample_records(list(index.leaf_pages()), r, rng)
+        block = sampler.sample_records(list(leaf_pages(index)), r, rng)
         records = block.records
         extra = {"pages_sampled": len(block.page_ids),
                  "pages_available": block.pages_available}

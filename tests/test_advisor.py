@@ -402,3 +402,21 @@ class TestCapacity:
     def test_empty_rejected(self):
         with pytest.raises(AdvisorError):
             plan_capacity([])
+
+    def test_variable_width_rejected_before_sampling(self, tables,
+                                                     monkeypatch):
+        from repro.engine.engine import EstimationEngine
+        from repro.storage.schema import Column, Schema
+        from repro.storage.table import Table
+        from repro.storage.types import VarCharType
+
+        notes = Table.from_rows(
+            "notes", Schema([Column("note", VarCharType(30))]),
+            [("short",), ("a longer note",)], page_size=PAGE)
+
+        def execute(*args, **kwargs):
+            pytest.fail("plan_capacity sampled before checking widths")
+
+        monkeypatch.setattr(EstimationEngine, "execute", execute)
+        with pytest.raises(AdvisorError, match="'notes'"):
+            plan_capacity([*tables.values(), notes], seed=3)

@@ -124,6 +124,53 @@ class TestEstimate:
             "20", "--seed", "9")
         assert first == second
 
+    TRIALS_RUN = ("estimate", "--n", "20000", "--d", "50", "--k", "20",
+                  "--fraction", "0.05", "--seed", "3")
+
+    @staticmethod
+    def engine_values(trials):
+        from repro.engine import EstimationEngine, EstimationRequest
+        from repro.workloads.generators import make_histogram
+
+        request = EstimationRequest(
+            histogram=make_histogram(20000, 50, 20, seed=3),
+            algorithm="null_suppression", fraction=0.05, trials=trials,
+            seed=3)
+        return EstimationEngine(seed=3).estimate(request).values
+
+    def test_trials_are_one_engine_request(self, capsys):
+        code, out, _ = run_cli(capsys, *self.TRIALS_RUN, "--trials", "6")
+        assert code == 0
+        mean = self.engine_values(6).mean()
+        assert f"mean CF' = {mean:.6f} over 6 trials" in out
+
+    def test_adaptive_trials_are_a_prefix_of_the_request(self, capsys):
+        code, out, _ = run_cli(capsys, *self.TRIALS_RUN, "--trials", "6",
+                               "--adaptive", "--tolerance", "0.5")
+        assert code == 0
+        ran = int(out.split(" over ", 1)[1].split("/", 1)[0])
+        mean = self.engine_values(6)[:ran].mean()
+        assert f"mean CF' = {mean:.6f} over {ran}/6 trials" in out
+
+    def test_one_trial_is_the_facade_estimate(self, capsys):
+        from repro.core.samplecf import SampleCF
+        from repro.workloads.generators import make_histogram
+
+        code, out, _ = run_cli(capsys, *self.TRIALS_RUN)
+        assert code == 0
+        estimate = SampleCF("null_suppression").estimate_histogram(
+            make_histogram(20000, 50, 20, seed=3), 0.05, seed=3)
+        assert f"CF' = {estimate.estimate:.6f} " \
+            f"({estimate.sample_rows:,} rows sampled" in out
+
+    def test_non_positive_trials_rejected(self, capsys):
+        for trials in ("0", "-3"):
+            code, out, err = run_cli(capsys, *self.TRIALS_RUN,
+                                     "--trials", trials)
+            assert code == 1
+            assert out == ""
+            assert f"trial count, got {trials}" in err
+
     def test_unknown_algorithm_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["estimate", "--n", "1000", "--d", "10", "--k", "20",

@@ -47,3 +47,13 @@ def test_executor_figures_come_from_the_baseline():
                   f"{seconds['process']:.3f} s, "
                   f"**{result['speedup_vs_serial']['process']:.2f}x**")
         assert phrase in bullet, (label, phrase)
+
+
+def test_store_warm_start_figures_come_from_the_baseline():
+    baseline = json.loads((REPO / "benchmarks" / "results"
+                           / "BENCH_store_warm_start.json").read_text())
+    result = baseline["results"]
+    phrase = (f"a **{result['warm_speedup_vs_cold']:.1f}x** warm-start "
+              f"speedup and a **{result['sample_tier_speedup_vs_cold']:.1f}x**"
+              f" sample-tier speedup")
+    assert phrase in readme_text(), phrase

@@ -14,7 +14,7 @@ from repro.sampling.row_samplers import (BernoulliSampler,
 from repro.storage.index import IndexKind
 from repro.compression.null_suppression import NullSuppression
 from repro.core.samplecf import SampleCF
-from repro.experiments.runner import engine_sweep, run_request_trials
+from repro.experiments.runner import engine_sweep
 from repro.workloads.generators import make_histogram
 from repro.engine import (EstimationEngine, EstimationRequest,
                           ProcessPoolPlanExecutor, SampleCache,
@@ -605,17 +605,13 @@ class TestRunnerIntegration:
     def test_engine_and_seed_together_rejected(self, histogram):
         from repro.errors import ExperimentError
 
-        with pytest.raises(ExperimentError):
-            run_request_trials(
-                EstimationRequest(histogram=histogram), trials=2,
-                engine=EstimationEngine(seed=1), seed=5)
+        def point(fraction):
+            return 0.5, EstimationRequest(histogram=histogram,
+                                          fraction=fraction), {}
 
-    def test_run_request_trials(self, histogram):
-        values = run_request_trials(
-            EstimationRequest(histogram=histogram, fraction=0.05),
-            trials=6, seed=3)
-        assert values.shape == (6,)
-        assert len(set(values.tolist())) > 1
+        with pytest.raises(ExperimentError):
+            engine_sweep([0.05], point, trials=2,
+                         engine=EstimationEngine(seed=1), seed=5)
 
     def test_engine_sweep_shares_samples(self, table):
         engine = EstimationEngine(seed=4)

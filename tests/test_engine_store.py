@@ -6,7 +6,7 @@ from repro.errors import AdvisorError, EstimationError, ExperimentError
 from repro.advisor.cost import Query
 from repro.advisor.selection import advise_from_data
 from repro.core.samplecf import true_cf_histogram
-from repro.experiments.runner import engine_sweep, run_request_trials
+from repro.experiments.runner import engine_sweep
 from repro.workloads.generators import make_histogram, make_table
 from repro.engine import (EstimationEngine, EstimationRequest,
                           EngineStats, SampleCache)
@@ -225,7 +225,7 @@ class TestStackIntegration:
                              store=store)
 
     def test_engine_sweep_warm_starts(self, store):
-        def run():
+        def run(**engine_or_seed):
             histogram = make_histogram(5000, 40, 16, seed=9)
             truth = true_cf_histogram(histogram, "null_suppression")
 
@@ -233,26 +233,14 @@ class TestStackIntegration:
                 return truth, EstimationRequest(
                     histogram=histogram, fraction=fraction), {}
 
-            return engine_sweep([0.02, 0.05], make, trials=3, seed=2,
-                                store=store)
+            return engine_sweep([0.02, 0.05], make, trials=3,
+                                store=store, **engine_or_seed)
 
-        cold = run()
-        warm = run()
+        cold = run(seed=2)
+        warm = run(seed=2)
         assert [p.summary.mean for p in cold] == \
             [p.summary.mean for p in warm]
         assert store.counters["estimate_hits"] >= 6
-
-    def test_run_request_trials_accepts_store(self, store):
-        table = _table()
-        request = EstimationRequest(table=table, columns=("a",),
-                                    fraction=0.02,
-                                    page_size=table.page_size)
-        first = run_request_trials(request, trials=2, seed=3,
-                                   store=store)
-        second = run_request_trials(request, trials=2, seed=3,
-                                    store=store)
-        assert list(first) == list(second)
+        # A supplied engine already decided its persistence tier.
         with pytest.raises(ExperimentError):
-            run_request_trials(request, trials=2,
-                               engine=EstimationEngine(seed=1),
-                               store=store)
+            run(engine=EstimationEngine(seed=1))

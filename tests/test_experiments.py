@@ -1,6 +1,5 @@
 """Unit tests for repro.experiments (runner, report, registry)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -8,21 +7,10 @@ from repro.experiments.registry import (EXPERIMENTS, get_experiment,
                                         list_experiments)
 from repro.experiments.report import (banner, fmt_bytes, fmt_float,
                                       format_markdown_table, format_table)
-from repro.experiments.runner import run_trials, timed
+from repro.experiments.runner import timed
 
 
 class TestRunner:
-    def test_run_trials_reproducible(self):
-        trial = lambda rng: float(rng.random())  # noqa: E731
-        first = run_trials(trial, 10, seed=5)
-        second = run_trials(trial, 10, seed=5)
-        assert np.array_equal(first, second)
-        assert len(set(first.tolist())) == 10  # independent streams
-
-    def test_run_trials_validation(self):
-        with pytest.raises(ExperimentError):
-            run_trials(lambda rng: 1.0, 0)
-
     def test_timed(self):
         result = timed(lambda: sum(range(1000)))
         assert result.value == 499500
@@ -119,12 +107,10 @@ class TestAdaptiveTrials:
 
     def test_values_are_prefix_of_full_run(self):
         from repro.engine.engine import EstimationEngine
-        from repro.experiments.runner import (run_request_trials,
-                                              run_request_trials_adaptive)
+        from repro.experiments.runner import run_request_trials_adaptive
 
         request = self.make_request()
-        full = run_request_trials(request,
-                                  engine=EstimationEngine(seed=300))
+        full = EstimationEngine(seed=300).estimate(request).values
         outcome = run_request_trials_adaptive(
             request, engine=EstimationEngine(seed=300), tolerance=0.002)
         assert outcome.trials_run <= outcome.trials_budget == 16

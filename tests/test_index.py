@@ -12,6 +12,7 @@ from repro.storage.table import Table
 from repro.compression.null_suppression import NullSuppression
 from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.compression.dictionary import DictionaryCompression
+from tests.btree_oracle import leaf_pages
 
 PAGE = 256
 
@@ -130,7 +131,7 @@ class TestCompress:
         index = build_clustered([f"v{i % 7}" for i in range(150)])
         result = index.estimate_compression(DictionaryCompression())
         manual = 0
-        for page in index.leaf_pages():
+        for page in leaf_pages(index):
             block = DictionaryCompression().compress(
                 list(page.records()), index.leaf_schema)
             manual += block.payload_size
@@ -150,6 +151,6 @@ class TestCompress:
         counts = np.diff(index.bounds)
         assert (counts > 0).all() and counts.sum() == 300
         assert index.num_leaf_pages > 1
-        for page in index.leaf_pages():
+        for page in leaf_pages(index):
             assert PAGE_HEADER_SIZE + SLOT_SIZE * len(page) \
                 + page.payload_bytes <= PAGE
