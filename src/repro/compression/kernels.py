@@ -12,10 +12,12 @@ Three building blocks live here:
 
 * :func:`build_column_views` — the one record splitter. Each column is
   compressed independently (Section II-A), so every size starts by
-  cutting records into columns; the sample draw, ``Index.build``,
-  index sizing and repack all cut them here, vectorized and validated.
-  Callers reach it through this module, so a wrapper set on it (the
-  repository benchmark's traced run) sees every split.
+  cutting records into columns; the sample draw, ``Index.build`` over
+  a whole table, repack, and the sizing of an unpickled index all cut
+  them here, vectorized and validated. An index's leaf views are its
+  records' views taken in key order (:meth:`ColumnView.take`), not a
+  second split. Callers reach it through this module, so a wrapper set
+  on it (the repository benchmark's traced run) sees every split.
   :func:`build_leaf_views` row-slices one split per leaf page; nothing
   in the package calls it, but the benchmark's traced run wraps it by
   name.
@@ -206,13 +208,16 @@ class ColumnView:
                  offsets: np.ndarray | None = None,
                  lengths: np.ndarray | None = None,
                  parent: "ColumnView | None" = None,
-                 row_start: int = 0) -> None:
+                 row_start: int = 0, grouped: bool = False) -> None:
         self.dtype = dtype
         self.count = count
         self.matrix = matrix
         self.payload = payload
         self.offsets = offsets
         self.lengths = lengths
+        #: Whether equal rows are adjacent, as in an index's leading key
+        #: column taken in key order.
+        self.grouped = grouped
         self._parent = parent
         self._row_start = row_start
         self._derived: dict = {}
@@ -374,9 +379,20 @@ class ColumnView:
 
     @property
     def codes(self) -> np.ndarray:
-        """A dense value code per row (see :func:`value_codes`)."""
-        return self._derive("codes",
-                            lambda: value_codes(self.comparison_matrix))
+        """A dense value code per row (see :func:`value_codes`).
+
+        A :attr:`grouped` view numbers its runs of equal rows instead,
+        from :attr:`first_differences`, with no hash or sort.
+        """
+        def number() -> np.ndarray:
+            if not self.grouped:
+                return value_codes(self.comparison_matrix)
+            starts = self.first_differences \
+                < self.comparison_matrix.shape[1]
+            starts[:1] = True
+            return np.cumsum(starts) - 1
+
+        return self._derive("codes", number)
 
     @property
     def code_ns_sizes(self) -> np.ndarray:
@@ -393,6 +409,27 @@ class ColumnView:
             cached[codes] = self.ns_sizes
             self._derived["code_ns_sizes"] = cached
         return cached
+
+    def take(self, order: np.ndarray,
+             grouped: bool = False) -> "ColumnView":
+        """A view of this view's rows ``order``: row ``i`` is ``order[i]``.
+
+        ``Index.build`` takes a batch's views in key order this way, so
+        an index's leaf views are its records' views, sorted, with no
+        second split; ``grouped`` says ``order`` puts equal rows next to
+        each other (the leading key column). Nothing derived is carried
+        over: the new view derives its own arrays, row-relative ones
+        against the row before in ``order``.
+        """
+        if self.matrix is not None:
+            return ColumnView(self.dtype, order.size,
+                              matrix=self.matrix[order], grouped=grouped)
+        lengths = self.lengths[order]
+        return ColumnView(self.dtype, order.size,
+                          payload=gather_spans(self.payload,
+                                               self.offsets[order], lengths),
+                          offsets=record_offsets(lengths)[:-1],
+                          lengths=lengths, grouped=grouped)
 
     def slice_rows(self, start: int, count: int) -> "ColumnView":
         """A child view over rows ``[start, start + count)``.

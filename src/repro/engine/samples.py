@@ -7,10 +7,15 @@ A :class:`MaterializedSample` captures the draw once per distinct
 (source, sampler, fraction, seed) as one record buffer, and carries a
 per-layout cache of sample indexes, each an
 :class:`~repro.storage.index.Index` sorted and packed straight from
-those bytes. A batch of (column-set × algorithm) candidates over
-one table therefore pays the draw once and the index build once per
-layout — every algorithm then only re-sizes shared leaves. No record
-is decoded on this path.
+those bytes. The sample, not the index, is the unit of that work: the
+draw's split into column views stays on the sample, the records are
+sorted once per key-column tuple, and each column's view in that order
+is taken once, so both index kinds on one key, at every page size and
+fill factor, share one split, one sort and the same sorted views, with
+every array the size kernels derive on them. A batch of (column-set ×
+algorithm) candidates over one table therefore pays the draw once, the
+sort once per key and the pack once per layout — every algorithm then
+only re-sizes shared leaves. No record is decoded on this path.
 
 :class:`SampleCache` is a thread-safe LRU with single-flight semantics:
 when several plan nodes race for the same key, exactly one thread
@@ -30,17 +35,26 @@ from typing import Any, Callable, TYPE_CHECKING
 import numpy as np
 
 from repro.compression import kernels
+from repro.compression.kernels import ColumnView
 from repro.errors import EstimationError
 from repro.obs import NULL_TRACER
 from repro.sampling.base import RowSampler, rows_for_fraction
 from repro.sampling.block import BlockSampler
 from repro.sampling.rng import make_rng
+from repro.storage import index as storage_index
 from repro.storage.index import Index, IndexKind
 from repro.storage.table import Table
 from repro.core.cf_models import ColumnHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import NullTracer, Tracer
+
+
+#: A sample's lock and caches, none of them pickled or stored: the
+#: records' column views, per key-column tuple the key order and its
+#: distinct count, and per (key columns, column position) that column's
+#: view in key order.
+_UNPICKLED = ("_lock", "_views", "_orders", "_sorted")
 
 
 @dataclass
@@ -53,13 +67,17 @@ class MaterializedSample:
     per record). Histogram-path samples hold the sampled
     :class:`ColumnHistogram`. ``indexes`` maps ``(columns, kind,
     page_size, fill_factor)`` to the sample index built for that
-    layout — built lazily, exactly once.
+    layout — built lazily, exactly once, from the draw's column views,
+    one :func:`~repro.storage.index.key_order` per key-column tuple and
+    one sorted view per (key columns, column), all cached here.
 
-    The index-build lock is a plain attribute, not a dataclass field:
-    samples must pickle (process-pool execution, snapshotting), and
-    ``threading.Lock`` objects cannot. ``__getstate__`` drops the lock
-    and ``__setstate__`` rebuilds a fresh one — a lock guards in-process
-    construction races, which never survive serialization anyway.
+    The index-build lock and the caches are plain attributes, not
+    dataclass fields: samples must pickle (process-pool execution, the
+    persistent store), and ``threading.Lock`` objects cannot.
+    ``__getstate__`` drops them, so a stored sample's bytes do not
+    depend on what was built on it, and ``__setstate__`` recreates them
+    empty; the first ``index_for`` then splits, and so validates, the
+    records again. The caches are not charged to :attr:`nbytes`.
     """
 
     fraction: float
@@ -80,16 +98,24 @@ class MaterializedSample:
     nbytes: int = 0
 
     def __post_init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        """A fresh lock and empty caches (see :data:`_UNPICKLED`)."""
         self._lock = threading.Lock()
+        self._views: tuple[ColumnView, ...] | None = None
+        self._orders: dict[tuple[str, ...], tuple[np.ndarray, int]] = {}
+        self._sorted: dict[tuple[tuple[str, ...], int], ColumnView] = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_lock"]
+        for name in _UNPICKLED:
+            del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self._reset()
 
     @property
     def sample_rows(self) -> int:
@@ -119,8 +145,9 @@ class MaterializedSample:
                              kind=kind.value) as span:
                 index = Index(
                     "samplecf_sample", table.schema, columns, kind=kind,
-                    page_size=page_size, fill_factor=fill_factor,
-                ).build(self.buffer, self.offsets, self.rids)
+                    page_size=page_size, fill_factor=fill_factor)
+                index.build(self.buffer, self.offsets, self.rids,
+                            *self._sorted_views(index))
                 span.annotate(rows=index.num_entries,
                               leaves=index.num_leaf_pages,
                               bytes=index.uncompressed_size())
@@ -128,6 +155,32 @@ class MaterializedSample:
             if on_build is not None:
                 on_build()
             return index
+
+    def _sorted_views(self, index: Index) -> tuple[
+            list[ColumnView], tuple[np.ndarray, int]]:
+        """``index``'s stored columns' views in key order, and that order.
+
+        Called under the lock. ``key_order`` is called through its
+        module, as the draw calls ``build_column_views``, so a wrapper
+        set there sees every sort.
+        """
+        if self._views is None:
+            self._views = kernels.build_column_views(
+                index.table_schema, self.buffer, self.offsets)
+        columns = index.key_columns
+        key = self._orders.get(columns)
+        if key is None:
+            key = self._orders[columns] = storage_index.key_order(
+                [self._views[p] for p in index.key_positions])
+        views = []
+        for position in index.stored_positions:
+            view = self._sorted.get((columns, position))
+            if view is None:
+                view = self._sorted[(columns, position)] = \
+                    self._views[position].take(
+                        key[0], grouped=position == index.key_positions[0])
+            views.append(view)
+        return views, key
 
 
 def materialize_table_sample(table: Table,
@@ -143,7 +196,8 @@ def materialize_table_sample(table: Table,
     images into one buffer, in one gather, and checked against the
     schema without decoding them: the record splitter,
     :func:`~repro.compression.kernels.build_column_views`, raises
-    :class:`~repro.errors.EncodingError` for a malformed record. A
+    :class:`~repro.errors.EncodingError` for a malformed record, and
+    the sample keeps the views it returns for its index builds. A
     block draw gathers every record of the pages
     :meth:`~repro.sampling.block.BlockSampler.choose_pages` picks.
     """
@@ -164,10 +218,12 @@ def materialize_table_sample(table: Table,
         path = "storage"
     buffer, offsets, rids = heap.gather(ordinals)
     # Validates as a decode would; raises EncodingError if malformed.
-    kernels.build_column_views(table.schema, buffer, offsets)
-    return MaterializedSample(
+    views = kernels.build_column_views(table.schema, buffer, offsets)
+    sample = MaterializedSample(
         fraction=fraction, seed=seed, path=path, buffer=buffer,
         offsets=offsets, rids=rids, extra=extra, nbytes=int(buffer.size))
+    sample._views = views
+    return sample
 
 
 def materialize_histogram_sample(histogram: ColumnHistogram,

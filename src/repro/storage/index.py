@@ -16,13 +16,24 @@ number of distinct keys.
 records, or every record of a table through :meth:`Index.over`) without
 decoding a record: one split into column views
 (:func:`~repro.compression.kernels.build_column_views`, which also
-validates the records), then one sort-and-pack. Entries are ordered by
-``memcmp`` on one byte sort key per record, taken from the views: the
-concatenation, in key-column order, of:
+validates the records), one sort (:func:`key_order`), and each stored
+column's view taken in key order
+(:meth:`~repro.compression.kernels.ColumnView.take`). Those sorted
+views are the leaves: the leaf records are packed from them and the
+size kernels size them, so no leaf record is split. A sample keeps its
+split, orders and sorted views, so its indexes on one key, of both
+kinds, share them.
 
-* CHAR: the value without its trailing blanks, zero-filled to the
-  column width, then that length as 2 big-endian bytes (the padded
-  bytes alone would put ``"ab"`` after ``"ab\\x01"``);
+Entries are ordered by ``memcmp`` on one byte sort key per record, taken
+from the views: the concatenation, in key-column order, of:
+
+* CHAR: when no byte of the column is below the pad byte (``0x20``),
+  the stored, blank-padded bytes. Where a longer value extends a
+  shorter one, the shorter one's padding then meets blanks and, where
+  they first differ, a byte above the blank. Otherwise the value
+  without its trailing blanks, zero-filled to the column width, then
+  that length as 2 big-endian bytes (the padded bytes alone would put
+  ``"ab"`` after ``"ab\\x01"``). Each column takes its own route;
 * VARCHAR: the payload zero-filled to the batch's widest value, then
   its length as 2 big-endian bytes (trailing blanks count);
 * INTEGER/BIGINT: the stored sign-flipped big-endian bytes.
@@ -54,12 +65,11 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from repro.constants import (DEFAULT_FILL_FACTOR, DEFAULT_PAGE_SIZE,
-                             PAGE_HEADER_SIZE, SLOT_SIZE)
+                             PAD_BYTE, PAGE_HEADER_SIZE, SLOT_SIZE)
 from repro.errors import CompressionError, IndexError_, KernelUnavailable
 from repro.storage.heap import HeapFile
 from repro.storage.page import PageType, pack_bounds
-from repro.storage.record import (fixed_column_offsets, gather_spans,
-                                  record_offsets)
+from repro.storage.record import gather_spans, record_offsets
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from repro.storage.types import (BigIntType, CharType, IntegerType,
@@ -75,6 +85,7 @@ Accounting = Literal["payload", "physical"]
 #: Name of the synthetic locator column in non-clustered leaf schemas.
 RID_COLUMN = "_rid"
 
+_PAD = PAD_BYTE[0]
 _PREFIX = VarCharType.LENGTH_PREFIX_BYTES
 _SIGN_FLIP_64 = np.uint64(1 << 63)
 
@@ -105,6 +116,8 @@ def _sort_key(view: ColumnView) -> np.ndarray:
     """``(count, width)`` bytes whose memcmp order is the column's order."""
     dtype = view.dtype
     if isinstance(dtype, CharType):
+        if view.matrix.min(initial=_PAD) >= _PAD:
+            return view.matrix  # blank-padded bytes order like the key
         kept = view.char_stripped_lengths
         filled = np.where(np.arange(dtype.k) < kept[:, None], view.matrix,
                           0).astype(np.uint8)
@@ -117,15 +130,34 @@ def _sort_key(view: ColumnView) -> np.ndarray:
     raise IndexError_(f"no byte order for {dtype.name} keys")
 
 
-def _interleave(views: Sequence[ColumnView], order: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The views' rows ``order`` as records, back to back, and lengths.
+def key_order(views: Sequence[ColumnView]) -> tuple[np.ndarray, int]:
+    """The stable order of key columns ``views``' rows, and distinct keys.
 
-    Record ``i`` is row ``order[i]`` of every view, in view order.
+    The one sort of every index build: rows are ordered by ``memcmp``
+    on their concatenated sort keys, one per view in key-column order,
+    with equal keys kept in input order.
+    """
+    key = np.ascontiguousarray(np.hstack([_sort_key(view)
+                                          for view in views]))
+    order = np.argsort(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                       kind="stable")
+    ordered = key[order]
+    distinct = int(np.count_nonzero(
+        (ordered[1:] != ordered[:-1]).any(axis=1))) + 1 if order.size else 0
+    return order, distinct
+
+
+def _interleave(views: Sequence[ColumnView],
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The views' rows as records, back to back, and their lengths.
+
+    Record ``i`` is row ``i`` of every view, in view order. The records
+    of a single fixed-width view are its matrix's own bytes, not a copy.
     """
     if all(view.matrix is not None for view in views):
-        rows = np.hstack([view.matrix[order] for view in views])
-        return rows.reshape(-1), np.full(order.size, rows.shape[1],
+        rows = views[0].matrix if len(views) == 1 \
+            else np.hstack([view.matrix for view in views])
+        return rows.reshape(-1), np.full(rows.shape[0], rows.shape[1],
                                          dtype=np.int64)
     sources, starts, spans, base = [], [], [], 0
     for view in views:
@@ -137,8 +169,8 @@ def _interleave(views: Sequence[ColumnView], order: np.ndarray,
         else:
             sources.append(view.payload)
             start, span = view.offsets, view.lengths
-        starts.append(base + start[order])
-        spans.append(span[order])
+        starts.append(base + start)
+        spans.append(span)
         base += sources[-1].size
     widths = np.column_stack(spans)
     return gather_spans(np.concatenate(sources),
@@ -169,27 +201,34 @@ class Index:
         self.kind = kind
         self.page_size = page_size
         self.fill_factor = fill_factor
-        self._key_positions = [table_schema.index_of(column)
-                               for column in key_columns]
+        #: Table-schema positions of the key columns, in key order.
+        self.key_positions = tuple(table_schema.index_of(column)
+                                   for column in key_columns)
         if kind is IndexKind.CLUSTERED:
             self.leaf_schema = table_schema
+            #: Table-schema positions of the columns a leaf record
+            #: stores, in leaf order (a non-clustered leaf adds its RID).
+            self.stored_positions = tuple(range(len(table_schema.columns)))
         else:
             projected = list(table_schema.project(key_columns).columns)
             projected.append(Column(RID_COLUMN, BigIntType()))
             self.leaf_schema = Schema(projected)
+            self.stored_positions = self.key_positions
         self._adopt(np.zeros(0, dtype=np.uint8),
                     np.zeros(1, dtype=np.int64),
-                    np.zeros(1, dtype=np.int64), 0)
+                    np.zeros(1, dtype=np.int64), 0, None)
 
     def _adopt(self, buffer: np.ndarray, offsets: np.ndarray,
-               bounds: np.ndarray, distinct: int) -> None:
+               bounds: np.ndarray, distinct: int,
+               views: tuple[ColumnView, ...] | None) -> None:
         self.buffer = buffer
         self.offsets = offsets
         self.bounds = bounds
         self.distinct = distinct
-        # Column views for the size kernels and the leaf table, each
-        # built lazily and shared by every call until the next build.
-        self._views: tuple | None = None
+        # The leaf records' column views for the size kernels (one
+        # split, if unpickling dropped the build's) and the leaf table
+        # (built lazily), shared by every call until the next build.
+        self._views = views
         self._leaf_table: Table | None = None
 
     def __getstate__(self) -> dict:
@@ -219,46 +258,49 @@ class Index:
             np.arange(table.num_rows, dtype=np.int64)))
 
     def build(self, buffer: np.ndarray, offsets: np.ndarray,
-              rids: np.ndarray) -> "Index":
+              rids: np.ndarray,
+              views: Sequence[ColumnView] | None = None,
+              key: tuple[np.ndarray, int] | None = None) -> "Index":
         """Sort and pack records of :attr:`table_schema` into the leaves.
 
         ``buffer`` holds the records back to back, ``offsets`` their
         ``n + 1`` fence posts and ``rids`` their ``(page_id << 32) |
         slot`` locators. A clustered leaf record is the table record; a
         non-clustered one is the key columns' stored bytes followed by
-        the BIGINT encoding of the RID. A malformed record raises
-        :class:`EncodingError`. Returns the index.
+        the BIGINT encoding of the RID. Returns the index.
+
+        Without ``views`` and ``key`` the build splits the records
+        (:func:`~repro.compression.kernels.build_column_views`, where a
+        malformed record raises :class:`EncodingError`), sorts them with
+        :func:`key_order` and takes each :attr:`stored_positions`
+        column's view in that order (:meth:`ColumnView.take`, grouped
+        for the leading key column). A sample
+        passes its own: those views, and ``key``, the ``(order,
+        distinct)`` of :func:`key_order`. The sorted views, plus the
+        RIDs in key order for a non-clustered index, become the leaf
+        records' column views, which sizing reads.
         """
         if not 0.0 < self.fill_factor <= 1.0:
             raise IndexError_(
                 f"fill factor must be in (0, 1], got {self.fill_factor}")
-        views = kernels.build_column_views(self.table_schema, buffer,
-                                           offsets)
+        if key is None or views is None:
+            split = kernels.build_column_views(self.table_schema, buffer,
+                                               offsets)
+            key = key_order([split[p] for p in self.key_positions])
+            views = [split[p].take(key[0],
+                                   grouped=p == self.key_positions[0])
+                     for p in self.stored_positions]
         count = offsets.size - 1
         if rids.size != count:
             raise IndexError_(f"{rids.size} RID locators for "
                               f"{count} records")
-        positions = self._key_positions
-        key = np.ascontiguousarray(
-            np.hstack([_sort_key(views[p]) for p in positions]))
-        order = np.argsort(key.view(np.dtype((np.void, key.shape[1])))
-                           .ravel(), kind="stable")
-        ordered = key[order]
-        distinct = int(np.count_nonzero(
-            (ordered[1:] != ordered[:-1]).any(axis=1))) + 1 if count else 0
-        if self.kind is IndexKind.CLUSTERED:
-            # The leaf record is the table record: whole rows of a
-            # fixed-width table, else one span per record.
-            lengths = np.diff(offsets)[order]
-            leaf_buffer = buffer.reshape(count, -1)[order].reshape(-1) \
-                if fixed_column_offsets(self.table_schema) is not None \
-                else gather_spans(buffer, offsets[:-1][order], lengths)
-        else:
-            locators = (rids.astype(np.uint64) ^ _SIGN_FLIP_64) \
+        order, distinct = key
+        leaf_views = tuple(views)
+        if self.kind is IndexKind.NONCLUSTERED:
+            locators = (rids[order].astype(np.uint64) ^ _SIGN_FLIP_64) \
                 .astype(">u8").view(np.uint8).reshape(-1, 8)
-            leaf_buffer, lengths = _interleave(
-                [views[p] for p in positions]
-                + [ColumnView(BigIntType(), count, matrix=locators)], order)
+            leaf_views += (ColumnView(BigIntType(), count, matrix=locators),)
+        leaf_buffer, lengths = _interleave(leaf_views)
         # A leaf takes records while its header plus every record and
         # slot entry stay within int(fill_factor * page_size) bytes,
         # and always at least one record.
@@ -270,7 +312,7 @@ class Index:
                 f"{self.page_size}-byte leaf page")
         self._adopt(leaf_buffer, record_offsets(lengths), pack_bounds(
             lengths, int(self.fill_factor * self.page_size)
-            - PAGE_HEADER_SIZE), distinct)
+            - PAGE_HEADER_SIZE), distinct, leaf_views)
         return self
 
     # ------------------------------------------------------------------
@@ -345,9 +387,13 @@ class Index:
         kernels apply, and from the codec's scalar ``compress``, leaf
         by leaf, where they don't; results are bit-identical either
         way, which is what keeps kernel-produced estimates
-        interchangeable with persisted scalar ones. Column views are
-        cached on the index, so a batch of algorithms over one index
-        splits its records, and derives each shared array, once.
+        interchangeable with persisted scalar ones. The leaf records'
+        column views are the ones :meth:`build` assembled the leaves
+        from, so sizing splits no record (a repack splits the leaf
+        records it refills); an unpickled index splits its records
+        once. A batch of algorithms over one index derives each
+        shared array once, and both index kinds on one sample key share
+        the key columns' views and their arrays.
 
         ``on_kernel`` / ``on_fallback`` are accounting hooks called once
         per call, whichever route sized the index (a repacked index
@@ -428,8 +474,10 @@ class Index:
         """Cached column views of the leaf records, or ``None``.
 
         ``None`` (the scalar path) when kernels are disabled or a
-        column's dtype has none. One split of the leaf buffer serves
-        every leaf, scope and algorithm, with one set of derived arrays.
+        column's dtype has none. The views are the build's sorted views
+        or, once they are gone (after unpickling), one split of the leaf
+        buffer; either serves every leaf, scope and algorithm, with one
+        set of derived arrays.
         """
         if not kernels.kernels_enabled() \
                 or not kernels.kernels_cover(self.leaf_schema):

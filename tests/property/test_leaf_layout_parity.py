@@ -16,7 +16,9 @@ Existing indexes are one more source: ``SampleCF.estimate_index``
 (the table path over the index's leaf pages) must equal the same draw
 taken by hand over the leaves, decoded and rebuilt with the oracle.
 Ground truth is another: ``true_cf_table`` must equal the oracle built
-over every decoded row. Guard tests prove the sample path and truth
+over every decoded row. The one sort, ``key_order``, must be Python's
+stable sort on the decoded keys, over CHAR columns on either sort-key
+route. Guard tests prove the sample path and truth
 never decode, encode or build through the B+-tree, and that the draw
 still rejects a malformed heap record.
 """
@@ -28,9 +30,10 @@ import os
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.compression.kernels import DISABLE_KERNELS_ENV
+from repro.compression.kernels import (DISABLE_KERNELS_ENV,
+                                       build_column_views)
 from repro.compression.registry import get_algorithm, list_algorithms
 from repro.constants import PAGE_HEADER_SIZE, SLOT_SIZE
 from repro.core.samplecf import SampleCF, true_cf_table
@@ -43,8 +46,8 @@ from repro.sampling.rng import make_rng
 from repro.sampling.row_samplers import (BernoulliSampler,
                                          WithReplacementSampler,
                                          WithoutReplacementSampler)
-from repro.storage.index import Index, IndexKind
-from repro.storage.record import decode_record
+from repro.storage.index import Index, IndexKind, key_order
+from repro.storage.record import decode_record, encode_record, join_records
 from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -311,6 +314,90 @@ def test_truth_matches_an_oracle_over_every_row(case):
                     accounting=accounting, repack=repack, **layout) == \
                     want.compression_fraction, (kind, algorithm.name,
                                                 accounting, repack)
+
+
+# ----------------------------------------------------------------------
+# The one sort: key_order is Python's stable sort on the decoded keys
+# ----------------------------------------------------------------------
+#: CHAR alphabets with and without bytes below the pad byte: a column
+#: drawn from the second sorts on its stored bytes, from the first on
+#: its zero-filled value and length.
+KEY_CHAR_ALPHABETS = ("ab \x00\x01\x1f\xff0", "ab ~\xff0")
+
+
+@st.composite
+def key_batches(draw):
+    """A schema of 1–3 key columns and 0–120 rows with duplicate keys."""
+    specs = draw(st.lists(st.one_of(
+        st.tuples(st.integers(1, 8).map(lambda k: f"char({k})"),
+                  st.sampled_from(KEY_CHAR_ALPHABETS)),
+        st.tuples(st.integers(1, 8).map(lambda m: f"varchar({m})"),
+                  st.just(VARCHAR_ALPHABET)),
+        st.tuples(st.sampled_from(["integer", "bigint"]), st.none())),
+        min_size=1, max_size=3))
+    pools = []
+    for spec, alphabet in specs:
+        values = values_for(spec) if alphabet is None else st.text(
+            alphabet=alphabet, max_size=int(spec.split("(")[1][:-1]))
+        pools.append(draw(st.lists(values, min_size=1, max_size=draw(
+            st.sampled_from([2, 5, 30])))))
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)),
+                         max_size=120))
+    return [spec for spec, _ in specs], rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(batch=key_batches())
+@example(batch=(["char(4)"],                        # stored bytes
+                [("ab",), ("a",), ("ab c",), ("",), ("ab",), ("a~",)]))
+@example(batch=(["char(4)"],                        # zero-filled key
+                [("ab\x01",), ("ab",), ("ab\x00",), ("a",), ("ab",),
+                 ("ab \x1f",)]))
+@example(batch=(["char(3)"],                        # 0x1f, just below
+                [("ab",), ("ab\x1f",), ("a",), ("ab",)]))
+@example(batch=(["char(3)", "char(3)"],             # one route each
+                [("b", "x\x01"), ("a", "x"), ("b", "x"), ("a", "x\x00"),
+                 ("ab", "x"), ("b", "x")]))
+def test_key_order_is_a_stable_sort_on_decoded_keys(batch):
+    specs, rows = batch
+    schema = Schema([Column.of(f"c{i}", spec)
+                     for i, spec in enumerate(specs)])
+    records = [encode_record(schema, row) for row in rows]
+    keys = [decode_record(schema, record) for record in records]
+    order, distinct = key_order(build_column_views(
+        schema, *join_records(records)))
+    assert order.tolist() == sorted(range(len(keys)),
+                                    key=keys.__getitem__)
+    assert distinct == len(set(keys))
+
+
+def test_every_index_on_one_sample_matches_the_oracle():
+    """One sample, many keys and layouts: the cached orders and sorted
+    views of one key never leak into another's index."""
+    schema = Schema([Column.of("a", "char(5)"), Column.of("n", "integer"),
+                     Column.of("v", "varchar(6)"), Column.of("b", "char(3)")])
+    rows = [(f"k{i % 7}", i % 5 - 2, "x" * (i % 4), ["p", "q\x01", ""][i % 3])
+            for i in range(300)]
+    table = Table.from_rows("t", schema, rows, page_size=512)
+    sample = materialize_table_sample(table, WithoutReplacementSampler(),
+                                      0.5, 7)
+    for columns in (("a",), ("n", "a"), ("v",), ("b", "v"), ("a", "n")):
+        for kind in IndexKind:
+            for page_size, fill_factor in ((256, 1.0), (512, 0.7)):
+                oracle, decoded = oracle_index(table, sample, columns, kind,
+                                               page_size, fill_factor)
+                entry = sample.index_for(table, columns, kind, page_size,
+                                         fill_factor)
+                bounds = entry.bounds.tolist()
+                assert [entry.leaf_records(a, b) for a, b in
+                        zip(bounds, bounds[1:])] == \
+                    [list(page.records()) for page in oracle.leaf_pages()]
+                assert entry.distinct == \
+                    len({oracle.key_of(row) for row in decoded})
+                for algorithm in ALGORITHMS:
+                    assert entry.estimate_compression(algorithm) == \
+                        oracle.compress(algorithm), (columns, kind,
+                                                     algorithm.name)
 
 
 # ----------------------------------------------------------------------

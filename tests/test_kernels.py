@@ -16,6 +16,7 @@ from repro.compression.registry import get_algorithm, list_algorithms
 from repro.core.samplecf import SampleCF, true_cf_table
 from repro.engine import EstimationEngine, EstimationRequest
 from repro.errors import EncodingError
+from repro.storage import index as storage_index
 from repro.storage.index import Index, IndexKind
 from repro.storage.record import (encode_record, fixed_column_offsets,
                                   join_records, split_record, split_records)
@@ -159,6 +160,19 @@ class TestColumnViews:
             split(schema, [record[:-1]])
         with pytest.raises(EncodingError):
             split(schema, [record, record + b"x"])
+
+    def test_grouped_codes_number_runs_like_value_codes(self):
+        rng = np.random.default_rng(4)
+        matrix = rng.integers(0, 3, size=(7, 9), dtype=np.uint8)[
+            rng.integers(0, 7, size=300)]
+        view = ColumnView(None, 300, matrix=matrix)
+        order = np.argsort(matrix.view(np.dtype((np.void, 9))).ravel(),
+                           kind="stable")
+        grouped = view.take(order, grouped=True).codes
+        hashed = value_codes(matrix[order])
+        assert grouped.tolist() == sorted(grouped.tolist())
+        assert len(set(zip(grouped.tolist(), hashed.tolist()))) \
+            == len(set(grouped.tolist())) == len(set(hashed.tolist())) == 7
 
     def test_leaf_views_slice_one_parent(self):
         schema = fixed_schema()
@@ -369,15 +383,39 @@ class TestEstimateCompression:
         assert clone.estimate_compression(get_algorithm("dictionary")) \
             == char_oracle.compress(get_algorithm("dictionary"))
 
+    @pytest.mark.parametrize("kind", list(IndexKind))
+    def test_cleared_views_split_the_leaves_once(self, char_table, kind,
+                                                 kernels_on, monkeypatch):
+        # bench_size_kernels.py times cold sizing by clearing _views.
+        index = Index.over(char_table, ["a"], kind=kind, page_size=2048)
+        algorithms = [get_algorithm("null_suppression"),
+                      get_algorithm("dictionary")]
+        warm = [index.estimate_compression(a) for a in algorithms]
+        seen = []
+        original = kernels.build_column_views
+
+        def spy(schema, *args, **kwargs):
+            seen.append(schema)
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "build_column_views", spy)
+        index._views = None
+        assert [index.estimate_compression(a) for a in algorithms] == warm
+        assert seen == [index.leaf_schema]
+
     def test_cache_invalidated_by_rebuild(self, kernels_on):
         table = make_table(300, 20, 12, seed=3)
         index = Index("t", table.schema, ["a"], page_size=1024)
         buffer, offsets, rids = table.heap.gather(np.arange(300))
         index.build(buffer[:offsets[-2]], offsets[:-1], rids[:-1])
         before = index.estimate_compression(get_algorithm("dictionary"))
-        assert index._views is not None
+        stale = index._views
+        assert stale is not None
         index.build(buffer, offsets, rids)
-        assert index._views is None
+        assert isinstance(index._views, tuple)
+        assert index._views is not stale
+        assert {view.count for view in stale} == {299}
+        assert {view.count for view in index._views} == {300}
         after = index.estimate_compression(get_algorithm("dictionary"))
         oracle = RowIndex("t", table.schema, ["a"], page_size=1024) \
             .build_from_rows(table.rows())
@@ -439,9 +477,56 @@ class TestOneSplitter:
                            page_size=1024), 0.3, seed=3)
         leaf_schema = Index("t", table.schema, key,
                             kind=IndexKind.NONCLUSTERED).leaf_schema
-        assert table.schema in seen  # the draw and Index.build
-        assert leaf_schema in seen   # sizing the leaves
+        assert table.schema in seen  # the draw and Index.over
+        assert leaf_schema in seen   # repack and the leaf-table draw
         assert forbidden == []
+
+    def test_one_split_per_draw_and_one_sort_per_sample(
+            self, kernels_on, monkeypatch):
+        table = make_table(600, 30, 12, seed=9)
+        splits, sorts = [], []
+        split, sort = kernels.build_column_views, storage_index.key_order
+
+        def split_spy(schema, *args, **kwargs):
+            splits.append(schema)
+            return split(schema, *args, **kwargs)
+
+        def sort_spy(views):
+            sorts.append(views)
+            return sort(views)
+
+        monkeypatch.setattr(kernels, "build_column_views", split_spy)
+        monkeypatch.setattr(storage_index, "key_order", sort_spy)
+        codecs = ("null_suppression", "dictionary", "prefix", "rle", "page")
+        requests = [EstimationRequest(table=table, columns=("a",),
+                                      algorithm=name, fraction=0.3,
+                                      trials=3, kind=kind, page_size=1024)
+                    for name in codecs for kind in IndexKind]
+        engine = EstimationEngine(seed=3)
+        batch = engine.execute(requests)
+        assert (batch.stats["samples_materialized"],
+                batch.stats["indexes_built"],
+                batch.stats["size_kernel_hits"]) == (3, 6, 30)
+        # One split per draw and one sort per sample: building and
+        # sizing both kinds split and sort nothing again.
+        assert splits == [table.schema] * 3
+        assert len(sorts) == 3
+        samples = list(engine.cache._entries.values())
+        assert len(samples) == 3
+        for sample in samples:
+            kinds = {key[1]: index for key, index in sample.indexes.items()}
+            clustered = kinds[IndexKind.CLUSTERED.value]
+            nonclustered = kinds[IndexKind.NONCLUSTERED.value]
+            assert clustered._views[0] is nonclustered._views[0]
+        # An index over a table splits its records once, for the build;
+        # sizing it splits nothing.
+        del splits[:]
+        index = Index.over(table, ("a",), kind=IndexKind.NONCLUSTERED,
+                           page_size=1024)
+        for name in codecs:
+            index.estimate_compression(get_algorithm(name))
+        assert splits == [table.schema]
+        assert len(sorts) == 4
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Unit tests for repro.store — the persistent sample/estimate store."""
 
+import dataclasses
 import os
 import pickle
 
 import pytest
 
+from repro.compression.registry import get_algorithm, list_algorithms
 from repro.errors import StoreError
 from repro.sampling.row_samplers import (WithoutReplacementSampler,
                                          WithReplacementSampler)
@@ -12,11 +14,13 @@ from repro.storage.table import Table
 from repro.storage.schema import single_char_schema
 from repro.workloads.generators import make_histogram, make_table
 from repro.engine import EstimationEngine, EstimationRequest
-from repro.engine.samples import materialize_table_sample
+from repro.engine.samples import MaterializedSample, materialize_table_sample
 from repro.engine.units import plan_units
+from repro.storage.index import IndexKind
 from repro.store import (STORE_FORMAT, SampleStore, digest_parts,
                          estimate_store_key, histogram_fingerprint,
                          open_store, sample_store_key)
+from repro.store.store import _sample_for_disk
 from tests.conftest import draw_bytes
 
 
@@ -132,6 +136,38 @@ class TestRoundTrip:
         store.put_sample(key, sample)
         assert sample.indexes  # caller's copy untouched
         assert store.get_sample(key).indexes == {}
+
+    def test_stored_bytes_ignore_what_was_built(self, table):
+        # The draw's views, key orders and sorted views are caches: a
+        # store entry pickles the same before and after both kinds are
+        # built, and holds the dataclass fields only.
+        sample = _sample_for(table)
+        before = pickle.dumps(_sample_for_disk(sample))
+        for kind in IndexKind:
+            sample.index_for(table, ("a",), kind, 1024, 1.0)
+        assert pickle.dumps(_sample_for_disk(sample)) == before
+        assert tuple(sample.__getstate__()) == tuple(
+            f.name for f in dataclasses.fields(MaterializedSample))
+
+    def test_state_without_caches_builds_like_a_fresh_draw(self, table):
+        fresh = _sample_for(table, fraction=0.1)
+        # A state dict as a store entry holds it: the fields only.
+        state = {f.name: getattr(fresh, f.name)
+                 for f in dataclasses.fields(MaterializedSample)}
+        state["indexes"] = {}
+        restored = MaterializedSample.__new__(MaterializedSample)
+        restored.__setstate__(pickle.loads(pickle.dumps(state)))
+        for kind in IndexKind:
+            for page_size in (512, 1024):
+                want, got = (sample.index_for(table, ("a",), kind,
+                                              page_size, 0.8)
+                             for sample in (fresh, restored))
+                assert got.leaf_records() == want.leaf_records()
+                assert got.bounds.tolist() == want.bounds.tolist()
+                assert got.distinct == want.distinct
+                for name in list_algorithms():
+                    assert got.estimate_compression(get_algorithm(name)) \
+                        == want.estimate_compression(get_algorithm(name))
 
     def test_estimate_roundtrip(self, store, table):
         request = EstimationRequest(table=table, columns=("a",),
