@@ -22,6 +22,7 @@ import os
 import pathlib
 
 from repro._version import __version__
+from repro.engine.engine import EstimationEngine
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -29,18 +30,19 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 RESULT_SCHEMA_VERSION = 1
 
 
-def bench_store() -> str | None:
-    """Optional shared sample/estimate store for artefact regeneration.
+def bench_engine(seed: int) -> EstimationEngine:
+    """The engine an artefact sweep runs on, at master seed ``seed``.
 
-    Set ``REPRO_BENCH_STORE_DIR`` to let every engine-backed bench
-    warm-start from samples and estimates persisted by earlier runs
-    (and by each other): a full-suite regeneration then materializes
-    each (source, fraction, trial) sample once across figures instead
-    of once per bench. Unset (the default, and what CI uses) keeps the
-    benches hermetic.
+    Set ``REPRO_BENCH_STORE_DIR`` to back it with a shared
+    sample/estimate store, so every engine-backed bench warm-starts
+    from samples and estimates persisted by earlier runs (and by each
+    other): a full-suite regeneration then materializes each (source,
+    fraction, trial) sample once across figures instead of once per
+    bench. Unset (the default, and what CI uses) keeps the benches
+    hermetic.
     """
     directory = os.environ.get("REPRO_BENCH_STORE_DIR")
-    return directory if directory else None
+    return EstimationEngine(seed=seed, store=directory or None)
 
 
 def emit_result(experiment_id: str, payload: object,

@@ -9,7 +9,7 @@ candidate-sizing workload twice —
   (:func:`enumerate_candidates` once per algorithm: every compressed
   candidate draws, decodes, and indexes its own sample);
 * **batched** — one :class:`EstimationEngine` batch
-  (:func:`enumerate_candidates_batch`): per table one materialized
+  (:meth:`WhatIfAdvisor.candidates`): per table one materialized
   sample, per column set one built index, shared by all algorithms —
 
 and asserts the batched path is faster while producing equivalent
@@ -21,9 +21,9 @@ from __future__ import annotations
 import pytest
 
 from repro.advisor.candidates import (enumerate_candidates,
-                                      enumerate_candidates_batch,
                                       workload_key_sets)
 from repro.advisor.cost import Query
+from repro.advisor.whatif import WhatIfAdvisor
 from repro.engine import EstimationEngine
 from repro.experiments.report import format_table
 from repro.experiments.runner import timed
@@ -82,9 +82,9 @@ def _naive(workload: dict) -> list:
 
 
 def _batched(workload: dict, engine: EstimationEngine) -> list:
-    return enumerate_candidates_batch(
+    return WhatIfAdvisor(
         workload["tables"], workload["queries"], algorithms=ALGORITHMS,
-        fraction=FRACTION, engine=engine)
+        fraction=FRACTION, engine=engine).candidates()
 
 
 def test_engine_batching(benchmark, workload):

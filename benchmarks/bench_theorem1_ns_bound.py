@@ -26,7 +26,7 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import engine_sweep
 from repro.workloads.generators import make_histogram
 
-from _common import bench_store, emit_result
+from _common import bench_engine, emit_result
 
 N = 1_000_000
 K = 20
@@ -67,9 +67,9 @@ def _sweep(name: str, fractions=FRACTIONS) -> list[dict]:
         return truth, request, {}
 
     points = []
+    engine = bench_engine(derive_seed("thm1", name, "trials"))
     for point in engine_sweep(fractions, make, trials=TRIALS,
-                              seed=derive_seed("thm1", name, "trials"),
-                              store=bench_store()):
+                              engine=engine):
         fraction = point.parameter
         r = round(fraction * N)
         points.append({

@@ -21,7 +21,7 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import engine_sweep
 from repro.workloads.generators import make_histogram
 
-from _common import bench_store, emit_result
+from _common import bench_engine, emit_result
 
 K = 20
 P = 2
@@ -47,9 +47,9 @@ def _sweep(sizes) -> list[dict]:
         return truth, request, {"d": d}
 
     points = []
+    engine = bench_engine(derive_seed("thm2", "trials"))
     for point in engine_sweep(sizes, make, trials=TRIALS,
-                              seed=derive_seed("thm2", "trials"),
-                              store=bench_store()):
+                              engine=engine):
         n = point.parameter
         d = point.extra["d"]
         points.append({

@@ -19,7 +19,7 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import engine_sweep
 from repro.workloads.generators import make_histogram
 
-from _common import bench_store, emit_result
+from _common import bench_engine, emit_result
 
 K = 20
 P = 2
@@ -48,9 +48,9 @@ def _sweep(cells) -> dict:
         return truth, request, {}
 
     grid = {}
+    engine = bench_engine(derive_seed("thm3", "trials"))
     for point in engine_sweep(cells, make, trials=TRIALS,
-                              seed=derive_seed("thm3", "trials"),
-                              store=bench_store()):
+                              engine=engine):
         alpha, n = point.parameter
         grid[(alpha, n)] = {
             "alpha": alpha,

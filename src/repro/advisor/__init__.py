@@ -2,7 +2,6 @@
 
 from repro.advisor.candidates import (CandidateIndex, candidate_request,
                                       enumerate_candidates,
-                                      enumerate_candidates_batch,
                                       resolve_algorithms,
                                       uncompressed_index_bytes,
                                       workload_key_sets)
@@ -15,8 +14,7 @@ from repro.advisor.selection import (AdvisorResult, advise_from_data,
                                      select_indexes)
 from repro.advisor.whatif import (CandidateState, PruneEvent,
                                   WhatIfAdvisor, WhatIfReport,
-                                  WhatIfResult, advise_what_if,
-                                  prior_cf_interval)
+                                  WhatIfResult, prior_cf_interval)
 
 __all__ = [
     "AdvisorResult",
@@ -33,13 +31,11 @@ __all__ = [
     "WhatIfResult",
     "WorkloadCost",
     "advise_from_data",
-    "advise_what_if",
     "candidate_gain",
     "candidate_request",
     "covers",
     "design_summary",
     "enumerate_candidates",
-    "enumerate_candidates_batch",
     "plan_capacity",
     "prior_cf_interval",
     "resolve_algorithms",

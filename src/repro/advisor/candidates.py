@@ -13,10 +13,10 @@ Two estimation paths exist:
 * :func:`enumerate_candidates` — the historical per-candidate loop
   (one fresh sample per compressed candidate), kept for its ``exact``
   oracle and as the baseline batching is measured against;
-* :func:`enumerate_candidates_batch` — the engine-backed path, which is
-  :meth:`WhatIfAdvisor.candidates
-  <repro.advisor.whatif.WhatIfAdvisor.candidates>`: all (column-set ×
-  algorithm) candidates go into one
+* :meth:`WhatIfAdvisor.candidates
+  <repro.advisor.whatif.WhatIfAdvisor.candidates>` — the engine-backed
+  path: all (column-set × algorithm) candidates, each built here by
+  :func:`candidate_request`, go into one
   :class:`~repro.engine.engine.EstimationEngine` batch, so every
   candidate on a table shares one materialized sample per trial and
   every algorithm probing a column set shares one built sample index —
@@ -39,9 +39,7 @@ from repro.core.samplecf import SampleCF, true_cf_table
 from repro.advisor.cost import Query
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import EstimationEngine
-    from repro.engine.executors import PlanExecutor
-    from repro.store.store import SampleStore
+    from repro.engine.requests import EstimationRequest
 
 SizeSource = Literal["samplecf", "exact"]
 
@@ -114,7 +112,9 @@ def enumerate_candidates(tables: dict[str, Table],
     from actually compressing the full index (``"exact"``, the oracle
     the ablation compares against). This is the naive per-candidate
     loop — every compressed candidate draws its own sample; prefer
-    :func:`enumerate_candidates_batch` when sizing more than a handful.
+    :meth:`WhatIfAdvisor.candidates
+    <repro.advisor.whatif.WhatIfAdvisor.candidates>` when sizing more
+    than a handful.
     """
     if isinstance(algorithm, str):
         algorithm = get_algorithm(algorithm)
@@ -176,48 +176,3 @@ def candidate_request(table: Table, table_name: str,
         page_size=table.page_size,
         label=f"{table_name}:{','.join(key_columns)}:{algorithm.name}")
 
-
-def enumerate_candidates_batch(
-        tables: dict[str, Table], queries: Sequence[Query],
-        algorithms: Sequence[CompressionAlgorithm | str] = ("page",),
-        fraction: float = 0.01,
-        trials: int = 1,
-        engine: "EstimationEngine | None" = None,
-        seed: SeedLike = None,
-        executor: "PlanExecutor | str | None" = None,
-        store: "SampleStore | str | None" = None,
-        ) -> list[CandidateIndex]:
-    """Engine-backed candidate enumeration from data.
-
-    Sizes every (key set × algorithm) compressed candidate in **one**
-    engine batch: per trial, each table is sampled once and shared
-    across all of its candidates; each column set's sample index is
-    built once and shared across algorithms. With ``trials > 1`` the
-    per-candidate CF is the mean over trials (variance reduction at
-    almost no extra sampling cost, since trials of different candidates
-    still share table samples).
-
-    Unlike :func:`enumerate_candidates`, callers never supply CF
-    numbers — the estimates come straight from the tables. This is
-    :meth:`WhatIfAdvisor.candidates
-    <repro.advisor.whatif.WhatIfAdvisor.candidates>` at a budget of
-    ``trials``.
-
-    ``executor`` overrides how the batch runs (an executor instance or
-    a name: ``"serial"``, ``"process"``, ``"remote"``). The advisor
-    batch is embarrassingly parallel and compress-heavy, which is
-    exactly the shape the process pool is for; estimates are
-    byte-identical across executors for a fixed seed.
-
-    ``store`` (a :class:`~repro.store.store.SampleStore` or a
-    directory path) attaches the persistent disk tier, so repeated
-    advisor runs over the same stored tables warm-start instead of
-    re-sampling — the paper's "design tools call the estimator many
-    times over the same data" scenario.
-    """
-    from repro.advisor.whatif import WhatIfAdvisor  # lazy: cycle guard
-
-    return WhatIfAdvisor(
-        tables, queries, algorithms=algorithms, fraction=fraction,
-        max_trials=trials, engine=engine, seed=seed, executor=executor,
-        store=store).candidates()

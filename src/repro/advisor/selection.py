@@ -14,8 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import AdvisorError
 from repro.sampling.rng import SeedLike
-from repro.advisor.candidates import (CandidateIndex,
-                                      enumerate_candidates_batch)
+from repro.advisor.candidates import CandidateIndex
 from repro.advisor.cost import (CostModel, Query, TableStats,
                                 stats_for_tables, workload_cost)
 
@@ -23,8 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.table import Table
     from repro.compression.base import CompressionAlgorithm
     from repro.engine.engine import EstimationEngine
-    from repro.engine.executors import PlanExecutor
-    from repro.store.store import SampleStore
 
 
 @dataclass(frozen=True)
@@ -132,27 +129,24 @@ def advise_from_data(tables: dict[str, "Table"],
                      model: CostModel | None = None,
                      engine: "EstimationEngine | None" = None,
                      seed: SeedLike = None,
-                     executor: "PlanExecutor | str | None" = None,
-                     store: "SampleStore | str | None" = None,
                      ) -> AdvisorResult:
     """End-to-end advisor run straight from live tables.
 
     The engine-backed path: candidate CFs are *estimated from the data*
-    (one shared-sample engine batch across every key set × algorithm)
-    rather than supplied by the caller, and table statistics are
-    derived from the heaps. This is the paper's motivating application
-    loop — SampleCF inside a physical design tool — packaged as one
-    call. ``executor`` (instance or name: ``"serial"``, ``"process"``,
-    ``"remote"``) picks how the sizing batch runs; results are
-    byte-identical across executors for a fixed seed. ``store`` (a
-    :class:`~repro.store.store.SampleStore` or directory path) makes
-    repeated advisor runs over the same stored tables warm-start from
-    the persistent sample/estimate store.
+    (:meth:`WhatIfAdvisor.candidates
+    <repro.advisor.whatif.WhatIfAdvisor.candidates>`, one shared-sample
+    engine batch across every key set × algorithm) rather than supplied
+    by the caller, and table statistics are derived from the heaps.
+    This is the paper's motivating application loop — SampleCF inside
+    a physical design tool — packaged as one call. The batch runs on
+    ``engine`` (or a new one at ``seed``; not both), whose executor
+    and store decide how it runs, never what it returns.
     """
-    candidates = enumerate_candidates_batch(
+    from repro.advisor.whatif import WhatIfAdvisor  # lazy: cycle guard
+
+    candidates = WhatIfAdvisor(
         tables, queries, algorithms=algorithms, fraction=fraction,
-        trials=trials, engine=engine, seed=seed, executor=executor,
-        store=store)
+        max_trials=trials, engine=engine, seed=seed).candidates()
     return select_indexes(candidates, queries, stats_for_tables(tables),
                           storage_bound_bytes, model=model)
 

@@ -74,9 +74,7 @@ from repro.advisor.selection import AdvisorResult, candidate_gain
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.table import Table
     from repro.engine.engine import EstimationEngine
-    from repro.engine.executors import PlanExecutor
     from repro.engine.requests import EstimationRequest
-    from repro.store.store import SampleStore
 
 #: Sizes are clamped here before density division; real candidate sizes
 #: are orders of magnitude larger, so the floor only guards the
@@ -300,16 +298,18 @@ def prior_cf_interval(request: "EstimationRequest") -> CFInterval:
 class WhatIfAdvisor:
     """Drive greedy index selection lazily through the engine.
 
-    Construction mirrors :func:`advise_from_data` (same tables /
-    queries / algorithms / fraction / seed / executor / store
-    contract); :meth:`advise` then answers any number of storage
-    bounds against the same engine, reusing samples and estimates
-    across calls. With ``prune=False`` every surviving candidate is
-    estimated at the full budget (the engine batches still share
-    samples); with ``adaptive=False`` refinement jumps straight to
-    ``max_trials`` instead of staging through 1, 2, 4, ... trials.
-    :meth:`candidates` is the eager advisor: every candidate at the
-    full budget, on the same engine and trials.
+    Construction mirrors :func:`advise_from_data`. Every estimate runs
+    on ``engine`` or on a new serial engine at ``seed`` (not both): an
+    engine built with an executor, a store or a tracer runs the advisor
+    on a pool, warm-starts it from disk or traces it. :meth:`advise`
+    then answers any number of storage bounds against that engine,
+    reusing samples and estimates across calls. With ``prune=False``
+    every surviving candidate is estimated at the full budget (the
+    engine batches still share samples); with ``adaptive=False``
+    refinement jumps straight to ``max_trials`` instead of staging
+    through 1, 2, 4, ... trials. :meth:`candidates` is the eager
+    advisor: every candidate at the full budget, on the same engine
+    and trials.
     """
 
     def __init__(self, tables: dict[str, "Table"],
@@ -321,43 +321,21 @@ class WhatIfAdvisor:
                  model: CostModel | None = None,
                  engine: "EstimationEngine | None" = None,
                  seed: SeedLike = None,
-                 executor: "PlanExecutor | str | None" = None,
-                 store: "SampleStore | str | None" = None,
                  prune: bool = True,
                  adaptive: bool = True,
-                 use_probabilistic: bool = True,
-                 tracer: object = None) -> None:
-        from repro.engine.engine import EstimationEngine  # lazy: cycle
+                 use_probabilistic: bool = True) -> None:
+        from repro.engine.engine import resolve_engine  # lazy: cycle
 
         if max_trials <= 0:
             raise AdvisorError(
                 f"need a positive trial budget, got {max_trials}")
-        if engine is None:
-            engine = EstimationEngine(
-                seed=seed if seed is not None else 0, store=store,
-                tracer=tracer)
-        else:
-            if seed is not None:
-                raise AdvisorError(
-                    "pass either engine= or seed=, not both: a supplied "
-                    "engine's master seed governs the randomness")
-            if store is not None:
-                raise AdvisorError(
-                    "pass either engine= or store=, not both: a "
-                    "supplied engine already decided its persistence "
-                    "tier")
-            if tracer is not None:
-                raise AdvisorError(
-                    "pass either engine= or tracer=, not both: a "
-                    "supplied engine already carries its tracer")
         self.tables = tables
         self.queries = list(queries)
         self.algorithms = resolve_algorithms(algorithms)
         self.fraction = float(fraction)
         self.max_trials = int(max_trials)
         self.model = model or CostModel()
-        self.engine = engine
-        self.executor = executor
+        self.engine = resolve_engine(engine, seed, AdvisorError)
         self.prune = prune
         self.adaptive = adaptive
         self.use_probabilistic = use_probabilistic
@@ -639,7 +617,7 @@ class WhatIfAdvisor:
             fresh = state.trial_requests[state.trials_run:target]
             allocations.append((state, len(fresh)))
             requests.extend(fresh)
-        batch = self.engine.execute(requests, executor=self.executor)
+        batch = self.engine.execute(requests)
         cursor = 0
         for state, count in allocations:
             for offset in range(count):
@@ -680,10 +658,3 @@ class WhatIfAdvisor:
                                  for s in compressed},
             prune_events=prune_events)
 
-
-def advise_what_if(tables: dict[str, "Table"], queries: Sequence[Query],
-                   storage_bound_bytes: float,
-                   **kwargs: Any) -> WhatIfResult:
-    """One-call lazy advisor run (mirrors :func:`advise_from_data`)."""
-    advisor = WhatIfAdvisor(tables, queries, **kwargs)
-    return advisor.advise(storage_bound_bytes)

@@ -61,12 +61,14 @@ The ``advise`` spec describes a physical-design problem: named
 with ``"n"`` for a multi-column table), a ``queries`` list
 (``table`` / ``columns`` / ``selectivity`` / ``weight``), and a
 ``storage_bound_bytes``. Both modes run one
-:class:`~repro.advisor.whatif.WhatIfAdvisor`. The default is eager: it
-sizes every candidate at the full trial budget, then runs the greedy
-scan. ``--what-if`` selects lazily instead, pruning candidates via
-Theorem 1/2 CF bounds and allocating trials adaptively — the JSON
-output then includes the pruning/early-stop report alongside the
-selected design (identical to the eager one for the same seed).
+:class:`~repro.advisor.whatif.WhatIfAdvisor` on one engine built from
+``--executor``, ``--workers``, ``--store-dir`` and ``--trace``. The
+default is eager: it sizes every candidate at the full trial budget,
+then runs the greedy scan. ``--what-if`` selects lazily instead,
+pruning candidates via Theorem 1/2 CF bounds and allocating trials
+adaptively — the JSON output then includes the pruning/early-stop
+report alongside the selected design (identical to the eager one for
+the same seed).
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ from repro.advisor import WhatIfAdvisor, select_indexes, stats_for_tables
 from repro.obs import Tracer, one_line, read_trace, render, summarize
 # The JSON spec language is shared with the HTTP service; the builders
 # live in repro.service.schemas and the CLI imports them back.
-from repro.service.schemas import (build_advise, build_batch,
-                                   candidate_entry, parse_spec_text,
+from repro.service.schemas import (advise_result_entry, build_advise,
+                                   build_batch, parse_spec_text,
                                    request_result_entry)
 
 
@@ -607,17 +609,18 @@ def _cmd_advise(args: argparse.Namespace) -> str:
     }
     tracer = (Tracer.to_path(args.trace) if args.trace is not None
               else None)
+    engine = EstimationEngine(seed=parsed.seed, executor=executor,
+                              store=store_dir, tracer=tracer)
     advisor = WhatIfAdvisor(
         parsed.tables, parsed.queries, algorithms=parsed.algorithms,
         fraction=parsed.fraction, max_trials=parsed.trials,
-        seed=parsed.seed, executor=executor, store=store_dir,
-        prune=args.prune, adaptive=args.adaptive, tracer=tracer)
+        engine=engine, prune=args.prune, adaptive=args.adaptive)
     if args.what_if:
         result = advisor.advise(parsed.storage_bound_bytes)
         payload["prune"] = args.prune
         payload["adaptive"] = args.adaptive
         payload["what_if"] = result.report.as_dict()
-        stats = advisor.engine.stats.snapshot()
+        stats = engine.stats.snapshot()
         payload["engine"] = {
             name: stats[name]
             for name in ("trials", "samples_materialized",
@@ -631,14 +634,7 @@ def _cmd_advise(args: argparse.Namespace) -> str:
             parsed.storage_bound_bytes)
     if tracer is not None:
         _close_and_summarize(tracer, args.trace)
-    payload.update({
-        "cost_before": result.cost_before,
-        "cost_after": result.cost_after,
-        "improvement": result.improvement,
-        "bytes_used": result.bytes_used,
-        "chosen": [candidate_entry(c) for c in result.chosen],
-        "steps": list(result.steps),
-    })
+    payload.update(advise_result_entry(result))
     indent = args.indent if args.indent and args.indent > 0 else None
     return json.dumps(payload, indent=indent)
 

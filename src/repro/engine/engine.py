@@ -72,9 +72,9 @@ class EstimationEngine:
         Master seed. Requests without an explicit seed derive their
         per-trial randomness from it (content-keyed, order-free).
     executor:
-        Default :class:`PlanExecutor` (or a name understood by
-        :func:`~repro.engine.executors.make_executor`); serial unless
-        given.
+        The :class:`PlanExecutor` every :meth:`execute` runs on (or a
+        name understood by :func:`~repro.engine.executors.make_executor`);
+        serial unless given.
     sample_cache_size:
         Memory-tier LRU capacity, counted in materialized samples.
         ``None`` (the default) resolves via the
@@ -152,7 +152,6 @@ class EstimationEngine:
     # ------------------------------------------------------------------
     def execute(self,
                 requests: Sequence[EstimationRequest] | EstimationPlan,
-                executor: PlanExecutor | str | None = None,
                 deadline: "Deadline | float | None" = None,
                 ) -> BatchResult | PartialBatchResult:
         """Run a batch (or a pre-built plan) and fan results back out.
@@ -179,9 +178,6 @@ class EstimationEngine:
             else:
                 with tracer.span("plan.build"):
                     plan = self.plan(requests)
-            if isinstance(executor, str):
-                executor = make_executor(executor)
-            runner = executor or self.executor
             local = EngineStats(cache=self.cache)
             local.add("requests", plan.num_requests)
             local.add("unique_requests", plan.num_unique)
@@ -189,7 +185,7 @@ class EstimationEngine:
             units = plan_units(plan)
             batch_span.annotate(requests=plan.num_requests,
                                 units=plan.num_units,
-                                executor=runner.name)
+                                executor=self.executor.name)
             if isinstance(deadline, (int, float)):
                 deadline = Deadline.after(float(deadline))
             # Per-batch store attribution: the store handle is shared
@@ -206,7 +202,7 @@ class EstimationEngine:
                                   retry=self.retry_policy,
                                   injector=self.injector,
                                   store_counters=store_counters)
-            values = runner.run(units, context)
+            values = self.executor.run(units, context)
             estimates_by_node: list[tuple[SampleCFEstimate, ...]] = []
             failed_nodes: set[int] = set()
             cursor = 0
@@ -288,6 +284,25 @@ class EstimationEngine:
         return (f"EstimationEngine(seed={self.master_seed}, "
                 f"executor={self.executor.name!r}, "
                 f"cached_samples={len(self.cache)}{store_note})")
+
+
+def resolve_engine(engine: EstimationEngine | None, seed: SeedLike,
+                   error: type[Exception]) -> EstimationEngine:
+    """The engine an entry point runs on: ``engine``, or a new one.
+
+    Entry points that estimate (the advisors, the experiment runners)
+    take ``engine=`` or ``seed=``, never both. A supplied engine's
+    master seed decides what the estimates are, and its executor, store
+    and tracer decide how they run; a seed builds a plain serial engine
+    (``seed=None`` means master seed 0). ``error`` is the exception the
+    caller's layer raises for both at once.
+    """
+    if engine is None:
+        return EstimationEngine(seed=seed if seed is not None else 0)
+    if seed is not None:
+        raise error("pass either engine= or seed=, not both: a supplied "
+                    "engine's master seed governs the randomness")
+    return engine
 
 
 # ----------------------------------------------------------------------

@@ -27,9 +27,7 @@ from repro.core.metrics import ErrorSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import EstimationEngine
-    from repro.engine.executors import PlanExecutor
     from repro.engine.requests import EstimationRequest
-    from repro.store.store import SampleStore
 
 #: Confidence level of :func:`run_request_trials_adaptive`'s stopping
 #: interval.
@@ -43,30 +41,6 @@ class SweepPoint:
     parameter: Any
     summary: ErrorSummary
     extra: dict
-
-
-def _resolve_engine(engine: "EstimationEngine | None",
-                    seed: SeedLike,
-                    store: "SampleStore | str | None" = None,
-                    tracer: object = None) -> "EstimationEngine":
-    from repro.engine.engine import EstimationEngine  # lazy: cycle guard
-
-    if engine is not None:
-        if seed is not None:
-            raise ExperimentError(
-                "pass either engine= or seed=, not both: a supplied "
-                "engine's master seed governs the randomness")
-        if store is not None:
-            raise ExperimentError(
-                "pass either engine= or store=, not both: a supplied "
-                "engine already decided its persistence tier")
-        if tracer is not None:
-            raise ExperimentError(
-                "pass either engine= or tracer=, not both: a supplied "
-                "engine already carries its tracer")
-        return engine
-    return EstimationEngine(seed=seed if seed is not None else 0,
-                            store=store, tracer=tracer)
 
 
 @dataclass(frozen=True)
@@ -103,9 +77,6 @@ def run_request_trials_adaptive(request: "EstimationRequest",
                                 trials: int | None = None,
                                 engine: "EstimationEngine | None" = None,
                                 seed: SeedLike = None,
-                                executor: "PlanExecutor | str | None"
-                                = None,
-                                store: "SampleStore | str | None" = None,
                                 tolerance: float = 0.005,
                                 ) -> AdaptiveTrials:
     """Staged trial allocation for a plain request, outside the advisor.
@@ -118,10 +89,12 @@ def run_request_trials_adaptive(request: "EstimationRequest",
     *full-budget* trial mean has half-width at most ``tolerance`` —
     i.e. once the remaining trials provably cannot move the answer
     beyond the tolerance. Requires a non-opaque seed (staged replay
-    needs reproducible per-trial identities).
+    needs reproducible per-trial identities). Every stage runs on
+    ``engine`` (or a new one at ``seed``; not both).
     """
     from repro.core.confidence import (empirical_trial_mean_interval,
                                        next_trial_stage)
+    from repro.engine.engine import resolve_engine  # lazy: cycle guard
 
     budget = trials if trials is not None else request.trials
     if budget <= 0:
@@ -130,7 +103,7 @@ def run_request_trials_adaptive(request: "EstimationRequest",
     if tolerance <= 0:
         raise ExperimentError(
             f"need a positive tolerance, got {tolerance}")
-    resolved = _resolve_engine(engine, seed, store)
+    resolved = resolve_engine(engine, seed, ExperimentError)
     per_trial = resolved.trial_requests(request.with_trials(budget))
     values: list[float] = []
     stages: list[int] = []
@@ -139,7 +112,7 @@ def run_request_trials_adaptive(request: "EstimationRequest",
     while len(values) < budget:
         stage = per_trial[len(values):next_trial_stage(len(values),
                                                        budget)]
-        batch = resolved.execute(list(stage), executor=executor)
+        batch = resolved.execute(list(stage))
         values.extend(float(result.values[0])
                       for result in batch.results)
         stages.append(len(stage))
@@ -161,10 +134,7 @@ def engine_sweep(parameters: Iterable[Any],
                      [Any], tuple[float, "EstimationRequest", dict]],
                  trials: int,
                  engine: "EstimationEngine | None" = None,
-                 seed: SeedLike = None,
-                 executor: "PlanExecutor | str | None" = None,
-                 store: "SampleStore | str | None" = None,
-                 tracer: object = None) -> list[SweepPoint]:
+                 seed: SeedLike = None) -> list[SweepPoint]:
     """Evaluate an estimator grid as **one** shared-sample batch.
 
     ``make_truth_and_request(parameter)`` returns ``(truth, request,
@@ -172,19 +142,17 @@ def engine_sweep(parameters: Iterable[Any],
     requests target the same source and fraction share one materialized
     sample per trial, which is what makes algorithm sweeps and advisor
     grids O(samples + points) instead of O(points × trials) full
-    passes. ``executor`` (instance or name: ``"serial"``,
-    ``"process"``, ``"remote"``) picks how that batch runs without
-    changing any estimate. ``store`` (a
-    :class:`~repro.store.store.SampleStore` or directory path) lets
-    whole artefact regenerations warm-start from samples and estimates
-    persisted by earlier sweeps. ``tracer`` (a
-    :class:`~repro.obs.Tracer`) records the sweep's spans; mutually
-    exclusive with ``engine=`` like ``seed``/``store``.
+    passes. The batch runs on ``engine`` (or a new one at ``seed``; not
+    both), so an engine built with an executor, a store or a tracer
+    runs the sweep on a pool, warm-starts it from earlier sweeps, or
+    traces it, without changing any estimate.
     """
+    from repro.engine.engine import resolve_engine  # lazy: cycle guard
+
     if trials <= 0:
         raise ExperimentError(f"need a positive trial count, got {trials}")
     parameters = list(parameters)
-    resolved = _resolve_engine(engine, seed, store, tracer)
+    resolved = resolve_engine(engine, seed, ExperimentError)
     truths: list[float] = []
     extras: list[dict] = []
     requests: list["EstimationRequest"] = []
@@ -193,7 +161,7 @@ def engine_sweep(parameters: Iterable[Any],
         truths.append(truth)
         extras.append(dict(extra))
         requests.append(request.with_trials(trials))
-    batch = resolved.execute(requests, executor=executor)
+    batch = resolved.execute(requests)
     return [SweepPoint(parameter=parameter,
                        summary=ErrorSummary.from_estimates(
                            truth, result.values),

@@ -1,7 +1,7 @@
 """Sampling infrastructure: tuple, Bernoulli, reservoir and block designs."""
 
 from repro.sampling.base import RowSampler, rows_for_fraction
-from repro.sampling.block import BlockSample, BlockSampler
+from repro.sampling.block import BlockSampler
 from repro.sampling.reservoir import (ReservoirSampler, StreamingReservoir,
                                       reservoir_sample_r, reservoir_sample_x)
 from repro.sampling.rng import SeedLike, make_rng, spawn_rngs
@@ -11,7 +11,6 @@ from repro.sampling.row_samplers import (BernoulliSampler,
 
 __all__ = [
     "BernoulliSampler",
-    "BlockSample",
     "BlockSampler",
     "ReservoirSampler",
     "RowSampler",

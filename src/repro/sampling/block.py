@@ -16,33 +16,18 @@ demonstrates, so the sampler operates only on real pages.
 
 from __future__ import annotations
 
-from collections import abc
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.storage.page import Page
-from repro.storage.rid import RID
-
-
-@dataclass(frozen=True)
-class BlockSample:
-    """Outcome of a block-level draw."""
-
-    records: tuple[bytes, ...]
-    rids: tuple[RID, ...]
-    page_ids: tuple[int, ...]
-    pages_available: int
-
-    @property
-    def rows(self) -> int:
-        return len(self.records)
 
 
 class BlockSampler:
-    """Uniform page sampling without replacement, whole pages kept."""
+    """Uniform page sampling without replacement, whole pages kept.
+
+    A draw is :meth:`choose_pages` over the heap's per-page record
+    counts, then one gather of every record on the chosen pages
+    (:func:`~repro.engine.samples.materialize_table_sample`).
+    """
 
     name = "block"
     with_replacement = False
@@ -66,42 +51,3 @@ class BlockSampler:
         if collected[-1] == 0:
             raise SamplingError("sampled pages contain no records")
         return order[:int(np.searchsorted(collected, target_rows)) + 1]
-
-    def sample_records(self, pages: Sequence[Page], target_rows: int,
-                       rng: np.random.Generator) -> BlockSample:
-        """Draw pages until at least ``target_rows`` rows are collected.
-
-        Pages are drawn uniformly without replacement; every record on a
-        drawn page enters the sample (the block-sampling contract). If
-        the table runs out of pages first, the whole table is returned.
-        The pages are those :meth:`choose_pages` picks, so this draws
-        what a draw over a heap with the same pages draws.
-        """
-        if not isinstance(pages, abc.Sequence):
-            pages = list(pages)
-        chosen = self.choose_pages(
-            np.fromiter((page.slot_count for page in pages),
-                        dtype=np.int64, count=len(pages)),
-            target_rows, rng)
-        records: list[bytes] = []
-        rids: list[RID] = []
-        page_ids: list[int] = []
-        for position in chosen.tolist():
-            page = pages[position]
-            page_ids.append(page.page_id)
-            for slot, record in enumerate(page.records()):
-                records.append(record)
-                rids.append(RID(page.page_id, slot))
-        return BlockSample(records=tuple(records), rids=tuple(rids),
-                           page_ids=tuple(page_ids),
-                           pages_available=len(pages))
-
-    def sample_fraction(self, pages: Sequence[Page], fraction: float,
-                        total_rows: int,
-                        rng: np.random.Generator) -> BlockSample:
-        """Draw pages until roughly ``fraction`` of all rows are sampled."""
-        if not 0.0 < fraction <= 1.0:
-            raise SamplingError(
-                f"sampling fraction must be in (0, 1], got {fraction}")
-        target = max(1, round(fraction * total_rows))
-        return self.sample_records(pages, target, rng)

@@ -51,9 +51,9 @@ from repro.obs import (MetricsRegistry, absorb_engine_stats,
 from repro.service.batching import MicroBatcher
 from repro.service.errors import (BadRequest, DeadlineExceeded,
                                   PayloadTooLarge, ServiceError)
-from repro.service.schemas import (WorkloadCache, build_advise,
-                                   build_advise_table, build_batch,
-                                   build_batch_workload, candidate_entry,
+from repro.service.schemas import (WorkloadCache, advise_result_entry,
+                                   build_advise, build_advise_table,
+                                   build_batch, build_batch_workload,
                                    parse_spec_text, request_result_entry)
 
 
@@ -233,10 +233,10 @@ class EstimationService:
                    ) -> dict[str, Any]:
         """One what-if advisor run over an advise spec.
 
-        A fresh advisor (and engine) per call, seeded by the spec so
-        selections are bit-identical to ``repro advise --what-if`` —
-        but sharing the service's disk store, so repeated advise runs
-        over the same tables warm-start across clients.
+        A fresh advisor on a fresh serial engine per call, seeded by
+        the spec so selections are bit-identical to ``repro advise
+        --what-if`` — but sharing the service's disk store, so repeated
+        advise runs over the same tables warm-start across clients.
         """
         from repro.advisor import WhatIfAdvisor
 
@@ -244,7 +244,8 @@ class EstimationService:
         advisor = WhatIfAdvisor(
             parsed.tables, parsed.queries, algorithms=parsed.algorithms,
             fraction=parsed.fraction, max_trials=parsed.trials,
-            seed=parsed.seed, store=self.engine.store,
+            engine=EstimationEngine(seed=parsed.seed,
+                                    store=self.engine.store),
             prune=bool(spec.get("prune", True)),
             adaptive=bool(spec.get("adaptive", True)))
         with self.batcher.try_execute_slot():
@@ -255,12 +256,7 @@ class EstimationService:
             "mode": "what-if",
             "seed": parsed.seed,
             "storage_bound_bytes": parsed.storage_bound_bytes,
-            "cost_before": result.cost_before,
-            "cost_after": result.cost_after,
-            "improvement": result.improvement,
-            "bytes_used": result.bytes_used,
-            "chosen": [candidate_entry(c) for c in result.chosen],
-            "steps": list(result.steps),
+            **advise_result_entry(result),
             "what_if": result.report.as_dict(),
         }
 

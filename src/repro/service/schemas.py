@@ -273,6 +273,18 @@ def candidate_entry(candidate) -> dict[str, Any]:
     }
 
 
+def advise_result_entry(result) -> dict[str, Any]:
+    """An advisor run's design and costs, as ``advise`` prints them."""
+    return {
+        "cost_before": result.cost_before,
+        "cost_after": result.cost_after,
+        "improvement": result.improvement,
+        "bytes_used": result.bytes_used,
+        "chosen": [candidate_entry(c) for c in result.chosen],
+        "steps": list(result.steps),
+    }
+
+
 # ----------------------------------------------------------------------
 # Cross-client workload identity
 # ----------------------------------------------------------------------

@@ -412,6 +412,29 @@ def leaf_pages(index: Index) -> Iterator[Page]:
         yield page
 
 
+def block_draw(pages: Sequence[Page], target_rows: int, rng,
+               ) -> tuple[list[bytes], list[RID], list[int]]:
+    """A block draw by its definition, one :class:`Page` at a time.
+
+    Pages are taken in one ``rng.permutation`` order until at least
+    ``target_rows`` records are in (every page if they run out first),
+    and every record on a taken page enters the sample. Returns the
+    records, their RIDs and the taken page ids, in draw order.
+    """
+    records: list[bytes] = []
+    rids: list[RID] = []
+    page_ids: list[int] = []
+    for position in rng.permutation(len(pages)).tolist():
+        page = pages[position]
+        page_ids.append(page.page_id)
+        for slot, record in enumerate(page.records()):
+            records.append(record)
+            rids.append(RID(page.page_id, slot))
+        if len(records) >= target_rows:
+            break
+    return records, rids, page_ids
+
+
 def greedy_repack(records: Sequence[bytes], schema: Schema,
                   algorithm: CompressionAlgorithm, page_size: int,
                   ) -> RepackResult:

@@ -12,7 +12,7 @@ must all give the oracle's images byte for byte. Pinned fingerprints
 hold the content identity store keys hash. Unpickling and loading a
 saved table reject every corruption ``Page.from_bytes`` rejects; the
 row and RID accessors agree on under-filled pages; and a block draw
-over a heap equals ``BlockSampler.sample_records`` over its pages.
+over a heap equals the oracle's page-by-page draw over its pages.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.storage.schema import Column, Schema, single_char_schema
 from repro.storage.table import Table
 from repro.workloads.generators import (histogram_to_table, make_histogram,
                                         make_multicolumn_table)
-from tests.btree_oracle import leaf_pages
+from tests.btree_oracle import block_draw, leaf_pages
 
 
 def oracle_images(records: list[bytes], page_size: int,
@@ -384,18 +384,6 @@ def test_accessors_agree_on_under_filled_pages():
         list(range(table.heap.page(1).slot_count))
 
 
-def page_loop_draw(pages: list[Page], target_rows: int, rng) -> list[int]:
-    """Page ids a block draw keeps: pages in one permutation order until
-    ``target_rows`` records are in, as a loop over ``Page`` objects."""
-    chosen, rows = [], 0
-    for position in rng.permutation(len(pages)):
-        chosen.append(pages[int(position)].page_id)
-        rows += pages[int(position)].slot_count
-        if rows >= target_rows:
-            break
-    return chosen
-
-
 @pytest.mark.parametrize("fraction, seed", [(0.05, 1), (0.3, 7), (1.0, 3)])
 def test_block_draw_over_heap_equals_draw_over_pages(fraction, seed):
     table = histogram_to_table(make_histogram(3000, 60, 14, seed=5),
@@ -404,12 +392,10 @@ def test_block_draw_over_heap_equals_draw_over_pages(fraction, seed):
                                       seed)
     r = rows_for_fraction(table.num_rows, fraction)
     pages = list(table.pages())
-    block = BlockSampler().sample_records(pages, r, make_rng(seed))
-    assert list(block.page_ids) == page_loop_draw(pages, r, make_rng(seed))
+    records, rids, page_ids = block_draw(pages, r, make_rng(seed))
     data, cuts = sample.buffer.tobytes(), sample.offsets.tolist()
-    assert [data[a:b] for a, b in zip(cuts, cuts[1:])] == \
-        list(block.records)
+    assert [data[a:b] for a, b in zip(cuts, cuts[1:])] == records
     assert sample.rids.tolist() == [(rid.page_id << 32) | rid.slot
-                                    for rid in block.rids]
-    assert sample.extra == {"pages_sampled": len(block.page_ids),
-                            "pages_available": block.pages_available}
+                                    for rid in rids]
+    assert sample.extra == {"pages_sampled": len(page_ids),
+                            "pages_available": len(pages)}

@@ -51,7 +51,7 @@ from repro.storage.record import decode_record, encode_record, join_records
 from repro.storage.rid import RID
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
-from tests.btree_oracle import BPlusTree, RowIndex, leaf_pages
+from tests.btree_oracle import BPlusTree, RowIndex, block_draw, leaf_pages
 
 ALGORITHMS = [get_algorithm(name) for name in list_algorithms()]
 
@@ -133,10 +133,10 @@ def index_oracle(index, sampler, fraction, seed):
     r = rows_for_fraction(index.num_entries, fraction)
     extra = {}
     if isinstance(sampler, BlockSampler):
-        block = sampler.sample_records(list(leaf_pages(index)), r, rng)
-        records = block.records
-        extra = {"pages_sampled": len(block.page_ids),
-                 "pages_available": block.pages_available}
+        pages = list(leaf_pages(index))
+        records, _, page_ids = block_draw(pages, r, rng)
+        extra = {"pages_sampled": len(page_ids),
+                 "pages_available": len(pages)}
     else:
         leaves = list(index.leaf_records())
         records = [leaves[position] for position in

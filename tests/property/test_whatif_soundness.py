@@ -27,6 +27,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine import EstimationEngine
 from repro.workloads.generators import make_multicolumn_table
 from repro.advisor import (CostModel, Query, WhatIfAdvisor,
                            advise_from_data)
@@ -90,15 +91,15 @@ def eager_design(tables, queries, algorithms, trials, fraction, bound,
     return advise_from_data(
         tables, queries, bound, algorithms=algorithms,
         fraction=fraction, trials=trials, model=CostModel(PAGE),
-        seed=seed, executor=executor)
+        engine=EstimationEngine(seed=seed, executor=executor))
 
 
 def lazy_advisor(tables, queries, algorithms, trials, fraction, seed,
                  executor=None, **kwargs):
     return WhatIfAdvisor(
         tables, queries, algorithms=algorithms, fraction=fraction,
-        max_trials=trials, model=CostModel(PAGE), seed=seed,
-        executor=executor, **kwargs)
+        max_trials=trials, model=CostModel(PAGE),
+        engine=EstimationEngine(seed=seed, executor=executor), **kwargs)
 
 
 def check_soundness(eager, lazy, advisor, trials):

@@ -6,13 +6,13 @@ import pytest
 from repro.errors import AdvisorError
 from repro.workloads.generators import make_multicolumn_table, make_table
 from repro.advisor.candidates import (CandidateIndex, enumerate_candidates,
-                                      enumerate_candidates_batch,
                                       uncompressed_index_bytes)
 from repro.advisor.capacity import plan_capacity
 from repro.advisor.cost import (CostModel, Query, TableStats, covers,
                                 stats_for_tables, workload_cost)
 from repro.advisor.selection import (advise_from_data, design_summary,
                                      select_indexes)
+from repro.advisor.whatif import WhatIfAdvisor
 
 PAGE = 1024
 
@@ -307,9 +307,9 @@ class TestEngineBackedPath:
 
     def test_batch_enumeration_shape(self, tables, queries):
         algorithms = ["null_suppression", "page"]
-        candidates = enumerate_candidates_batch(
+        candidates = WhatIfAdvisor(
             tables, queries, algorithms=algorithms, fraction=0.05,
-            seed=2)
+            seed=2).candidates()
         # 3 key sets -> 1 uncompressed + 2 compressed each.
         assert len(candidates) == 3 * (1 + len(algorithms))
         compressed = [c for c in candidates if c.compressed]
@@ -321,32 +321,32 @@ class TestEngineBackedPath:
         from repro.engine import EstimationEngine
 
         engine = EstimationEngine(seed=2)
-        enumerate_candidates_batch(
+        WhatIfAdvisor(
             tables, queries, algorithms=["null_suppression", "page"],
-            fraction=0.05, engine=engine)
+            fraction=0.05, engine=engine).candidates()
         # One sample per table, reused by every candidate over it.
         assert engine.stats["samples_materialized"] == len(tables)
         assert engine.stats["index_reuse_hits"] >= 3
 
     def test_batch_enumeration_reproducible(self, tables, queries):
-        one = enumerate_candidates_batch(
+        one = WhatIfAdvisor(
             tables, queries, algorithms=["null_suppression"],
-            fraction=0.05, seed=9)
-        two = enumerate_candidates_batch(
+            fraction=0.05, seed=9).candidates()
+        two = WhatIfAdvisor(
             tables, queries, algorithms=["null_suppression"],
-            fraction=0.05, seed=9)
+            fraction=0.05, seed=9).candidates()
         assert [(c.name, c.size_bytes) for c in one] == \
             [(c.name, c.size_bytes) for c in two]
 
     def test_batch_enumeration_needs_algorithms(self, tables, queries):
         with pytest.raises(AdvisorError):
-            enumerate_candidates_batch(tables, queries, algorithms=[])
+            WhatIfAdvisor(tables, queries, algorithms=[])
 
     def test_engine_and_seed_together_rejected(self, tables, queries):
         from repro.engine import EstimationEngine
 
         with pytest.raises(AdvisorError):
-            enumerate_candidates_batch(
+            WhatIfAdvisor(
                 tables, queries, engine=EstimationEngine(seed=1), seed=5)
 
     def test_advise_from_data_end_to_end(self, tables, queries):

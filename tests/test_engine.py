@@ -447,7 +447,7 @@ class TestExecutors:
         engine = EstimationEngine(seed=2, executor="process")
         assert engine.executor.name == "process"
         request = EstimationRequest(histogram=histogram, fraction=0.05)
-        by_name = engine.execute([request], executor="serial")
+        by_name = engine.execute([request])
         assert by_name.results[0].estimates[0].estimate > 0
 
 

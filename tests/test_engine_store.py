@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AdvisorError, EstimationError, ExperimentError
+from repro.errors import EstimationError
 from repro.advisor.cost import Query
 from repro.advisor.selection import advise_from_data
 from repro.core.samplecf import true_cf_histogram
@@ -206,26 +206,21 @@ class TestStackIntegration:
     def test_advisor_warm_starts(self, store):
         tables, queries = self._workload()
         bound = 10 * tables["t"].num_rows * 30
-        first = advise_from_data(tables, queries, bound, seed=5,
-                                 store=store)
+        first = advise_from_data(
+            tables, queries, bound,
+            engine=EstimationEngine(seed=5, store=store))
         cold_counters = dict(store.counters)
         tables2, queries2 = self._workload()
-        second = advise_from_data(tables2, queries2, bound, seed=5,
-                                  store=store)
+        second = advise_from_data(
+            tables2, queries2, bound,
+            engine=EstimationEngine(seed=5, store=store))
         assert [c.size_bytes for c in first.chosen] == \
             [c.size_bytes for c in second.chosen]
         assert store.counters["estimate_hits"] > \
             cold_counters["estimate_hits"]
 
-    def test_advisor_rejects_engine_plus_store(self, store):
-        tables, queries = self._workload()
-        with pytest.raises(AdvisorError):
-            advise_from_data(tables, queries, 10_000,
-                             engine=EstimationEngine(seed=1),
-                             store=store)
-
     def test_engine_sweep_warm_starts(self, store):
-        def run(**engine_or_seed):
+        def run():
             histogram = make_histogram(5000, 40, 16, seed=9)
             truth = true_cf_histogram(histogram, "null_suppression")
 
@@ -233,14 +228,12 @@ class TestStackIntegration:
                 return truth, EstimationRequest(
                     histogram=histogram, fraction=fraction), {}
 
-            return engine_sweep([0.02, 0.05], make, trials=3,
-                                store=store, **engine_or_seed)
+            return engine_sweep(
+                [0.02, 0.05], make, trials=3,
+                engine=EstimationEngine(seed=2, store=store))
 
-        cold = run(seed=2)
-        warm = run(seed=2)
+        cold = run()
+        warm = run()
         assert [p.summary.mean for p in cold] == \
             [p.summary.mean for p in warm]
         assert store.counters["estimate_hits"] >= 6
-        # A supplied engine already decided its persistence tier.
-        with pytest.raises(ExperimentError):
-            run(engine=EstimationEngine(seed=1))

@@ -256,8 +256,9 @@ class TestEndpoints:
         base, _ = served
         status, payload = http_post(base, "/advise", ADVISE_SPEC)
         assert status == 200
-        assert payload["chosen"] == cli_payload["chosen"]
-        assert payload["cost_after"] == cli_payload["cost_after"]
+        for key in ("cost_before", "cost_after", "improvement",
+                    "bytes_used", "chosen", "steps", "what_if"):
+            assert payload[key] == cli_payload[key], key
         assert [c["name"] for c in payload["chosen"]] == \
             ["ix_t_a__page", "ix_t_a"]
 

@@ -19,8 +19,7 @@ from repro.core.samplecf import true_cf_table
 from repro.engine import EstimationEngine, EstimationRequest
 from repro.advisor import (CandidateIndex, CostModel, Query,
                            WhatIfAdvisor, advise_from_data,
-                           advise_what_if, select_indexes,
-                           stats_for_tables)
+                           select_indexes, stats_for_tables)
 
 PAGE = 1024
 SEED = 41
@@ -68,7 +67,8 @@ def run_eager(tables, queries, bound):
 
 def make_advisor(tables, queries, **kwargs):
     options = dict(algorithms=ALGORITHMS, fraction=FRACTION,
-                   max_trials=TRIALS, model=CostModel(PAGE), seed=SEED)
+                   max_trials=TRIALS, model=CostModel(PAGE),
+                   engine=EstimationEngine(seed=SEED))
     options.update(kwargs)
     return WhatIfAdvisor(tables, queries, **options)
 
@@ -137,14 +137,6 @@ class TestSelectionParity:
         # Everything needed was already estimated: no new units.
         assert again.report.units_executed == 0
 
-    def test_advise_what_if_convenience(self, tables, queries):
-        bound = BOUNDS[1]
-        lazy = advise_what_if(
-            tables, queries, bound, algorithms=ALGORITHMS,
-            fraction=FRACTION, max_trials=TRIALS, model=CostModel(PAGE),
-            seed=SEED)
-        assert_identical(run_eager(tables, queries, bound), lazy)
-
 
 class TestStoreWarmStart:
     def test_bit_identical_with_warm_store(self, queries, tmp_path):
@@ -153,8 +145,9 @@ class TestStoreWarmStart:
         for _ in range(2):
             # Tables rebuild each run: warm starts must come from
             # content, not object identity.
-            advisor = make_advisor(build_tables(), queries,
-                                   store=str(store_dir))
+            advisor = make_advisor(
+                build_tables(), queries,
+                engine=EstimationEngine(seed=SEED, store=str(store_dir)))
             results.append((advisor.advise(BOUNDS[0]),
                             advisor.engine.stats.snapshot()))
         (cold, cold_stats), (warm, warm_stats) = results
@@ -169,9 +162,10 @@ class TestStoreWarmStart:
         eager = advise_from_data(
             tables, queries, BOUNDS[0], algorithms=ALGORITHMS,
             fraction=FRACTION, trials=TRIALS, model=CostModel(PAGE),
-            seed=SEED, store=str(store_dir))
-        advisor = make_advisor(build_tables(), queries,
-                               store=str(store_dir))
+            engine=EstimationEngine(seed=SEED, store=str(store_dir)))
+        advisor = make_advisor(
+            build_tables(), queries,
+            engine=EstimationEngine(seed=SEED, store=str(store_dir)))
         lazy = advisor.advise(BOUNDS[0])
         assert_identical(eager, lazy)
         stats = advisor.engine.stats.snapshot()
@@ -357,11 +351,6 @@ class TestValidation:
         with pytest.raises(AdvisorError):
             WhatIfAdvisor(tables, queries, engine=EstimationEngine(1),
                           seed=2)
-
-    def test_engine_and_store_rejected(self, tables, queries, tmp_path):
-        with pytest.raises(AdvisorError):
-            WhatIfAdvisor(tables, queries, engine=EstimationEngine(1),
-                          store=str(tmp_path / "s"))
 
     def test_trial_budget_must_be_positive(self, tables, queries):
         with pytest.raises(AdvisorError):
