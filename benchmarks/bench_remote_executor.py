@@ -29,6 +29,7 @@ Results land in ``benchmarks/results/BENCH_remote_executor.json``. Run::
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from repro.engine.remote import (UnitCostModel, lpt_assign,  # noqa: E402
                                  spawn_local_workers)
 from repro.engine.units import plan_units  # noqa: E402
 from repro.experiments.runner import timed  # noqa: E402
+from repro.obs import Tracer  # noqa: E402
 from repro.storage.index import IndexKind  # noqa: E402
 from repro.workloads.generators import (make_histogram,  # noqa: E402
                                         make_multicolumn_table)
@@ -98,11 +100,18 @@ def fingerprint(batch) -> list[tuple]:
             for estimate in result.estimates]
 
 
-def run_batch(requests, executor, store_dir=None):
+def run_batch(requests, executor, store_dir=None, tracer=None):
     engine = EstimationEngine(seed=MASTER_SEED, executor=executor,
-                              store=store_dir)
+                              store=store_dir, tracer=tracer)
     outcome = timed(lambda: engine.execute(requests))
     return outcome.value, outcome.seconds
+
+
+def calibration_of(tracer: Tracer) -> dict[str, float]:
+    """The cost-model gauges a traced remote run published."""
+    gauges = tracer.metrics.snapshot()["gauges"]
+    return {name: gauges[name] for name in sorted(gauges)
+            if name.startswith("cost_model.")}
 
 
 def with_workers(count, store_dir, simulate, fn):
@@ -156,12 +165,13 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
         # -- identity + store priming (2 real workers, no simulation) --
         serial_batch, serial_seconds = run_batch(
             requests, SerialExecutor(), store_dir=store_dir)
+        tracer = Tracer.to_stream(io.StringIO())
         remote_batch, remote_seconds = with_workers(
             2, store_dir, False,
             lambda addresses: run_batch(
                 requests,
                 RemotePlanExecutor(workers=addresses, chunk_units=2),
-                store_dir=store_dir))
+                store_dir=store_dir, tracer=tracer))
         identical = fingerprint(serial_batch) == fingerprint(remote_batch)
         if not identical:
             raise AssertionError(
@@ -177,12 +187,11 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
         # -- cost-model calibration from observed span timings ---------
         # The dispatcher feeds every unit's measured seconds back into
         # UnitCostModel and publishes the EMA rates plus the
-        # predicted-vs-actual error as engine gauges; a remote run that
-        # stops producing them (or produces nonsense) is a scheduler
-        # quality regression even when the estimates stay correct.
-        gauges = remote_batch.stats["gauges"]
-        calibration = {name: gauges[name] for name in sorted(gauges)
-                       if name.startswith("cost_model.")}
+        # predicted-vs-actual error as gauges in the tracer's metrics;
+        # a remote run that stops producing them (or produces
+        # nonsense) is a scheduler quality regression even when the
+        # estimates stay correct.
+        calibration = calibration_of(tracer)
         report["calibration"] = calibration
         rates = [value for name, value in calibration.items()
                  if name.startswith("cost_model.seconds_per_cost.")]
@@ -238,13 +247,14 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
         if not smoke:
             scaling = {}
             for count in (1, 2, 4):
+                tracer = Tracer.to_stream(io.StringIO())
                 batch, seconds = with_workers(
                     count, store_dir, True,
                     lambda addresses: run_batch(
                         requests,
                         RemotePlanExecutor(workers=addresses,
                                            chunk_units=2),
-                        store_dir=store_dir))
+                        store_dir=store_dir, tracer=tracer))
                 scaling[str(count)] = {
                     "seconds": round(seconds, 4),
                     "units_per_second": round(units / seconds, 2),
@@ -263,7 +273,7 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
             # scale * predicted cost, so the feedback loop must
             # calibrate tightly — a large mean error means observed
             # timings are no longer reaching the cost model.
-            sim_error = batch.stats["gauges"].get(
+            sim_error = calibration_of(tracer).get(
                 "cost_model.mean_abs_rel_error")
             scaling["mean_abs_rel_error_simulated"] = (
                 round(sim_error, 4) if sim_error is not None else None)

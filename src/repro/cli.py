@@ -332,9 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "on it: specs are seed-normalized)")
     serve.add_argument("--window", type=float, default=0.02,
                        metavar="SECONDS",
-                       help="micro-batch collection window; concurrent "
-                            "clients arriving within it share one "
-                            "engine batch (default: 0.02)")
+                       help="longest a micro-batch round waits for "
+                            "requests still being read; it closes as "
+                            "soon as none is, and concurrent clients "
+                            "in one round share an engine batch "
+                            "(default: 0.02; 0 never waits)")
     serve.add_argument("--store-dir", default=None,
                        help="persistent sample/estimate store shared "
                             "by every client of this service")

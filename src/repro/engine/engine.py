@@ -238,7 +238,8 @@ class EstimationEngine:
             if store_counters is not None:
                 stats["store"] = dict(store_counters)
             if deadline is None:
-                return BatchResult(results=tuple(slots), stats=stats)
+                return BatchResult(results=tuple(slots), stats=stats,
+                                   span_id=batch_span.span_id)
             degraded = context.degraded or set()
             outcomes = []
             for position, (unit, value) in enumerate(zip(units, values)):
@@ -256,7 +257,8 @@ class EstimationEngine:
                         status="done"))
             return PartialBatchResult(results=tuple(slots),
                                       outcomes=tuple(outcomes),
-                                      stats=stats)
+                                      stats=stats,
+                                      span_id=batch_span.span_id)
 
     def estimate(self, request: EstimationRequest,
                  deadline: "Deadline | float | None" = None,

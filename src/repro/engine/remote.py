@@ -1130,14 +1130,18 @@ class RemotePlanExecutor:
 
     def _publish_calibration(self, state: _DispatchState,
                              context: UnitContext) -> None:
-        """Expose cost-model calibration as gauges on the batch stats.
+        """Expose cost-model calibration as gauges in the tracer's metrics.
 
         ``cost_model.seconds_per_cost.<algorithm>`` is the EMA rate the
         model converged to; ``cost_model.mean_abs_rel_error`` is the
         mean |predicted - observed| / observed over units that had a
         prediction *before* their observation folded in — the metric
-        ``bench_remote_executor`` asserts calibration quality on.
+        ``bench_remote_executor`` asserts calibration quality on. They
+        are wall-clock figures, so they stay out of the batch stats,
+        which print next to the estimates and repeat run to run.
         """
+        if not context.tracer.enabled:
+            return
         with state.lock:
             observed_units = state.observed_units
             compared = state.compared_units
@@ -1145,20 +1149,14 @@ class RemotePlanExecutor:
             observed_seconds = state.observed_seconds
         if not observed_units:
             return
-        stats = context.stats
+        gauge = context.tracer.metrics.gauge
         for name, rate in self.cost_model.snapshot().items():
-            stats.set_gauge(f"cost_model.seconds_per_cost.{name}", rate)
-        stats.set_gauge("cost_model.observed_units", observed_units)
-        stats.set_gauge("cost_model.observed_seconds", observed_seconds)
+            gauge(f"cost_model.seconds_per_cost.{name}").set(rate)
+        gauge("cost_model.observed_units").set(observed_units)
+        gauge("cost_model.observed_seconds").set(observed_seconds)
         if compared:
-            stats.set_gauge("cost_model.mean_abs_rel_error",
-                            error / compared)
-            stats.set_gauge("cost_model.compared_units", compared)
-        if context.tracer.enabled:
-            registry = context.tracer.metrics
-            for name, value in stats.gauges().items():
-                if name.startswith("cost_model."):
-                    registry.gauge(name).set(value)
+            gauge("cost_model.mean_abs_rel_error").set(error / compared)
+            gauge("cost_model.compared_units").set(compared)
 
     def _next_chunk(self, link: _WorkerLink,
                     state: _DispatchState) -> list[int]:

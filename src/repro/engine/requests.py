@@ -233,6 +233,9 @@ class BatchResult:
     results: tuple[RequestResult, ...]
     #: Engine stats delta attributable to this batch.
     stats: dict = field(default_factory=dict)
+    #: Id of the ``engine.execute`` span that ran the batch (traced
+    #: engines only), so a caller's own spans can link to it.
+    span_id: str | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -284,6 +287,8 @@ class PartialBatchResult:
     outcomes: tuple[UnitOutcome, ...]
     #: Engine stats delta attributable to this batch.
     stats: dict = field(default_factory=dict)
+    #: As :attr:`BatchResult.span_id`.
+    span_id: str | None = field(default=None, compare=False)
 
     @property
     def complete(self) -> bool:

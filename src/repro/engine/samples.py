@@ -416,15 +416,14 @@ class EngineStats:
     fallback executed because no worker could (the local pool for the
     remote executor, the parent process for the pool).
 
-    Counters are not the only series: :meth:`set_gauge` stores named
-    point-in-time values (cost-model calibration rates, queue depths)
-    that :meth:`gauges` reports alongside the computed sample-cache
-    gauges when a ``cache`` backref is attached. :meth:`as_dict` keeps
-    counters at the top level and nests every gauge under a ``gauges``
-    key so JSON consumers can tell the two apart; :meth:`snapshot`,
-    :meth:`delta`, and :meth:`merge` stay counters-only (gauges are
-    points, not movement — merging copies the other side's last-set
-    values instead of summing).
+    Counters are not the only series: :meth:`gauges` reports the
+    sample cache's occupancy when a ``cache`` backref is attached.
+    :meth:`as_dict` keeps counters at the top level and nests the
+    gauges under a ``gauges`` key so JSON consumers can tell the two
+    apart; :meth:`snapshot`, :meth:`delta`, and :meth:`merge` are
+    counters-only. Wall-clock figures (the pool's cost-model
+    calibration) go to the tracer's metrics instead: these stats print
+    next to the estimates and must repeat run to run.
 
     This bag is the **authoritative** engine-side accounting; the
     :mod:`repro.obs` metrics registry only mirrors it (see
@@ -451,7 +450,6 @@ class EngineStats:
         self._lock = threading.Lock()
         self._cache = cache
         self._counts: dict[str, int] = {name: 0 for name in self.FIELDS}
-        self._gauges: dict[str, float] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
         if name not in self._counts:
@@ -463,15 +461,9 @@ class EngineStats:
         with self._lock:
             return self._counts[name]
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Record a point-in-time value (not a counter; last set wins)."""
-        with self._lock:
-            self._gauges[name] = float(value)
-
     def gauges(self) -> dict[str, float]:
-        """Stored gauges plus the attached cache's computed size gauges."""
-        with self._lock:
-            data = dict(self._gauges)
+        """The attached cache's size gauges (none without a cache)."""
+        data: dict[str, float] = {}
         if self._cache is not None:
             data["sample_cache_size"] = len(self._cache)
             data["sample_cache_capacity"] = self._cache.capacity
@@ -497,19 +489,13 @@ class EngineStats:
         and how worker deltas reach a batch's counters —
         one atomic merge instead of racy before/after snapshots.
         """
-        if isinstance(other, EngineStats):
-            counts = other.snapshot()
-            with other._lock:
-                gauges = dict(other._gauges)
-        else:
-            counts = other
-            gauges = {}
+        counts = (other.snapshot() if isinstance(other, EngineStats)
+                  else other)
         with self._lock:
             for name, amount in counts.items():
                 if name not in self._counts:
                     raise EstimationError(f"unknown engine stat {name!r}")
                 self._counts[name] += amount
-            self._gauges.update(gauges)
 
     def as_dict(self) -> dict[str, Any]:
         """Counters at the top level, every gauge nested under ``gauges``.

@@ -16,7 +16,8 @@ Naming scheme (dotted, lowercase):
 * ``store.bytes_read`` / ``store.bytes_written`` — store I/O volume;
 * ``cost_model.*`` — calibration gauges (EMA seconds-per-cost per
   algorithm, predicted-vs-actual error) published by the remote
-  dispatcher.
+  dispatcher, only here: they are wall-clock figures, so they stay
+  out of the batch stats printed next to estimates.
 """
 
 from __future__ import annotations

@@ -104,6 +104,7 @@ class _NullSpan:
     """The shared do-nothing span the null tracer hands out."""
 
     __slots__ = ()
+    span_id = None
 
     def annotate(self, **attrs: Any) -> None:
         pass

@@ -24,6 +24,20 @@ Request flow for ``/estimate`` and ``/estimate-batch``:
    (503 when saturated), returning per-request typed nulls plus the
    engine's per-unit outcome accounting.
 
+The batcher's round waits only for requests on their way, so the
+server counts them (:meth:`MicroBatcher.arrive`): a new connection
+from just before ``accept()`` (until then it sits in the listen
+backlog, which the batcher probes), a keep-alive connection's next
+request from its request line. A request stops counting when it
+submits or as soon as it is known not to: any GET, ``/advise``,
+``/cache``, a deadline run, any error response.
+
+With a tracer, each estimate opens a ``service.request`` span whose
+children are ``batch.window`` (see :mod:`repro.service.batching`) and
+``batch.demux``; it carries ``batch``, the id of the
+``engine.execute`` span that ran the batch it joined (a child of the
+round leader's request span), and ``coalesced_with``.
+
 ``/advise`` runs the lazy what-if advisor; with ``"stream": true`` the
 response is chunked NDJSON — one event per greedy round as it
 completes, then the final result record.
@@ -32,6 +46,8 @@ completes, then the final result record.
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -48,7 +64,7 @@ from repro.engine.requests import (EstimationRequest,
                                    PartialBatchResult, RequestResult)
 from repro.obs import (MetricsRegistry, absorb_engine_stats,
                        absorb_store_counters)
-from repro.service.batching import MicroBatcher
+from repro.service.batching import Arrival, MicroBatcher
 from repro.service.errors import (BadRequest, DeadlineExceeded,
                                   PayloadTooLarge, ServiceError)
 from repro.service.schemas import (WorkloadCache, advise_result_entry,
@@ -67,7 +83,9 @@ class ServiceConfig:
     #: The engine's master seed. Request randomness never depends on it
     #: (specs are seed-normalized), so it only namespaces the engine.
     seed: int = 0
-    #: Micro-batch collection window in seconds.
+    #: Longest a micro-batch round waits, in seconds, for other
+    #: requests on their way; it closes as soon as none is (0: never
+    #: waits).
     window: float = 0.02
     #: Persistent sample/estimate store directory (optional).
     store_dir: str | None = None
@@ -164,48 +182,62 @@ class EstimationService:
                                        estimates=estimates)))
         return entries
 
-    def run_batch(self, spec: dict) -> dict[str, Any]:
-        """One ``/estimate-batch`` (or ``/estimate``) evaluation."""
-        requests, seed = build_batch(
-            spec, workload_builder=self.workloads)
-        if len(requests) > self.config.max_batch_requests:
-            raise PayloadTooLarge(
-                f"batch has {len(requests)} requests; this service "
-                f"accepts at most {self.config.max_batch_requests} "
-                f"per submission")
-        expanded = self._expand(requests, seed)
-        flat = [trial for trials in expanded for trial in trials]
-        deadline = spec.get("deadline")
-        payload: dict[str, Any] = {
-            "seed": seed,
-            "requests": len(requests),
-            "trial_units": len(flat),
-        }
-        if deadline is not None:
-            self.count("deadline_requests")
-            with self.batcher.try_execute_slot():
-                batch = self.engine.execute(flat,
-                                            deadline=float(deadline))
-            payload["results"] = self._reassemble(
-                requests, expanded, batch.results)
-            payload["stats"] = batch.stats
-            payload["deadline"] = float(deadline)
-            if isinstance(batch, PartialBatchResult):
-                payload["complete"] = batch.complete
-                payload["outcome_counts"] = batch.counts()
-            return payload
-        submission = self.batcher.submit(flat)
-        assert submission.results is not None
-        payload["results"] = self._reassemble(
-            requests, expanded, submission.results)
-        payload["stats"] = submission.stats
-        payload["batching"] = {
-            "coalesced_with": submission.coalesced_with,
-            "window_seconds": self.batcher.window,
-        }
-        return payload
+    def run_batch(self, spec: dict,
+                  arrival: Arrival | None = None) -> dict[str, Any]:
+        """One ``/estimate-batch`` (or ``/estimate``) evaluation.
 
-    def run_estimate(self, spec: dict) -> dict[str, Any]:
+        ``arrival`` is the HTTP request's count in the batcher: it
+        becomes the batcher submission, or closes for a deadline run.
+        """
+        tracer = self.engine.tracer
+        with tracer.span("service.request") as request_span:
+            requests, seed = build_batch(
+                spec, workload_builder=self.workloads)
+            if len(requests) > self.config.max_batch_requests:
+                raise PayloadTooLarge(
+                    f"batch has {len(requests)} requests; this service "
+                    f"accepts at most {self.config.max_batch_requests} "
+                    f"per submission")
+            expanded = self._expand(requests, seed)
+            flat = [trial for trials in expanded for trial in trials]
+            deadline = spec.get("deadline")
+            payload: dict[str, Any] = {
+                "seed": seed,
+                "requests": len(requests),
+                "trial_units": len(flat),
+            }
+            if deadline is not None:
+                if arrival is not None:
+                    arrival.close()
+                self.count("deadline_requests")
+                with self.batcher.try_execute_slot():
+                    batch = self.engine.execute(flat,
+                                                deadline=float(deadline))
+                payload["results"] = self._reassemble(
+                    requests, expanded, batch.results)
+                payload["stats"] = batch.stats
+                payload["deadline"] = float(deadline)
+                if isinstance(batch, PartialBatchResult):
+                    payload["complete"] = batch.complete
+                    payload["outcome_counts"] = batch.counts()
+                return payload
+            submission = self.batcher.submit(flat, arrival=arrival)
+            request_span.annotate(
+                batch=submission.batch_span,
+                coalesced_with=submission.coalesced_with)
+            assert submission.results is not None
+            with tracer.span("batch.demux"):
+                payload["results"] = self._reassemble(
+                    requests, expanded, submission.results)
+            payload["stats"] = submission.stats
+            payload["batching"] = {
+                "coalesced_with": submission.coalesced_with,
+                "window_seconds": self.batcher.window,
+            }
+            return payload
+
+    def run_estimate(self, spec: dict,
+                     arrival: Arrival | None = None) -> dict[str, Any]:
         """Single-request convenience: ``request`` instead of a list."""
         item = spec.get("request")
         if not isinstance(item, dict):
@@ -215,7 +247,7 @@ class EstimationService:
         batch_spec = dict(spec)
         batch_spec.pop("request")
         batch_spec["requests"] = [item]
-        payload = self.run_batch(batch_spec)
+        payload = self.run_batch(batch_spec, arrival=arrival)
         entry = payload["results"][0]
         if entry.get("deadline_exceeded"):
             raise DeadlineExceeded(
@@ -333,11 +365,48 @@ class _ServiceServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver listens with a backlog of 5. A burst of more clients
+    # overflows it: the kernel drops a handshake's last ACK, that
+    # client stalls for a 1 s retransmit, and no round sees it coming.
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int],
                  service: EstimationService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        # Each accepted connection's arrival, until its handler takes it.
+        self._arrivals: dict[socket.socket, Arrival] = {}
+        service.batcher.connection_waiting = self.connection_waiting
+
+    def get_request(self) -> tuple[socket.socket, Any]:
+        # Counted from just before accept(): a connection is always
+        # either counted or still in the listen backlog.
+        arrival = self.service.batcher.arrive()
+        try:
+            request, address = super().get_request()
+        except OSError:
+            arrival.close()
+            raise
+        self._arrivals[request] = arrival
+        return request, address
+
+    def take_arrival(self, request: Any) -> Arrival | None:
+        return self._arrivals.pop(request, None)
+
+    def shutdown_request(self, request: Any) -> None:
+        arrival = self.take_arrival(request)
+        if arrival is not None:  # its handler never ran
+            arrival.close()
+        super().shutdown_request(request)
+
+    def connection_waiting(self) -> bool:
+        """Whether a connection waits in the listen backlog."""
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self.socket, selectors.EVENT_READ)
+                return bool(selector.select(0))
+        except (OSError, ValueError):  # the socket closed on shutdown
+            return False
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -347,10 +416,36 @@ class _Handler(BaseHTTPRequestHandler):
     # the body waits for the client's delayed ACK of the headers.
     disable_nagle_algorithm = True
     server: _ServiceServer
+    #: This request's count in the batcher while it may still submit.
+    arrival: Arrival | None = None
 
     @property
     def service(self) -> EstimationService:
         return self.server.service
+
+    # -- arrivals ------------------------------------------------------
+    def setup(self) -> None:
+        super().setup()
+        # The server counted this connection; that count is its first
+        # request's arrival.
+        self.arrival = self.server.take_arrival(self.request)
+
+    def parse_request(self) -> bool:
+        if self.arrival is None:  # a keep-alive connection's next one
+            self.arrival = self.service.batcher.arrive()
+        return super().parse_request()
+
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        finally:
+            self._settle()
+
+    def _settle(self) -> None:
+        """This request will not submit (or has): stop counting it."""
+        if self.arrival is not None:
+            self.arrival.close()
+            self.arrival = None
 
     # -- I/O helpers ---------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
@@ -366,6 +461,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_error(self, exc: Exception) -> None:
+        self._settle()
         self.service.count("http_errors")
         if isinstance(exc, ServiceError):
             status, code = exc.status, exc.code
@@ -416,6 +512,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routing -------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
+        self._settle()
         self.service.count("http_requests")
         path = urlparse(self.path).path.rstrip("/") or "/"
         try:
@@ -436,14 +533,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.service.count("http_requests")
         parsed = urlparse(self.path)
         path = parsed.path.rstrip("/") or "/"
+        if path not in ("/estimate", "/estimate-batch"):
+            self._settle()  # only estimates join a round
         try:
             spec = self._read_spec()
             if path == "/estimate":
                 self.service.count("estimate_requests")
-                self._send_json(200, self.service.run_estimate(spec))
+                self._send_json(200, self.service.run_estimate(
+                    spec, arrival=self.arrival))
             elif path == "/estimate-batch":
                 self.service.count("batch_requests")
-                self._send_json(200, self.service.run_batch(spec))
+                self._send_json(200, self.service.run_batch(
+                    spec, arrival=self.arrival))
             elif path == "/advise":
                 self.service.count("advise_requests")
                 stream = bool(spec.get("stream")) \

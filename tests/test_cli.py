@@ -237,6 +237,26 @@ class TestEstimateBatch:
         assert serial["results"] == process["results"]
         assert process["executor"] == "process"
 
+    def test_process_runs_print_identical_json(self, capsys, tmp_path):
+        """Everything printed beside the estimates repeats run to run;
+        the pool's wall-clock cost-model calibration goes only to a
+        tracer's metrics."""
+        path = tmp_path / "chaos.json"
+        path.write_text(json.dumps({
+            "seed": 7,
+            "workloads": {"w": {"n": 20000, "d": 100, "k": 16}},
+            "requests": [
+                {"workload": "w", "algorithm": "null_suppression",
+                 "fraction": 0.01, "trials": 3},
+                {"workload": "w", "algorithm": "dictionary",
+                 "fraction": 0.01, "trials": 3}]}), encoding="utf-8")
+        outputs = [run_cli(capsys, "estimate-batch", str(path),
+                           "--executor", "process", "--workers", "2")
+                   for _ in range(2)]
+        assert [code for code, _, _ in outputs] == [0, 0]
+        assert outputs[0][1] == outputs[1][1]
+        assert "cost_model" not in outputs[0][1]
+
     def test_remote_executor_matches_serial(self, capsys, spec_path):
         """Full CLI loop: worker serve subprocesses + --executor remote."""
         from repro.engine.remote import spawn_local_workers

@@ -24,7 +24,8 @@ import pytest
 from repro.cli import main
 from repro.engine import (EngineStats, EstimationEngine,
                           EstimationRequest, ProcessPoolPlanExecutor,
-                          RemotePlanExecutor, SerialExecutor)
+                          RemotePlanExecutor, SampleCache,
+                          SerialExecutor)
 from repro.engine.remote import start_worker_thread
 from repro.obs import (NULL_TRACER, MetricsRegistry, SpanContext,
                        Tracer, absorb_engine_stats, one_line,
@@ -138,15 +139,15 @@ class TestMetricsRegistry:
             pytest.approx(0.006)
 
     def test_absorb_engine_stats_is_a_projection(self):
-        stats = EngineStats()
+        stats = EngineStats(cache=SampleCache(capacity=9))
         stats.add("trials", 3)
-        stats.set_gauge("cost_model.rate", 0.5)
         registry = MetricsRegistry()
         absorb_engine_stats(registry, stats)
         absorb_engine_stats(registry, stats)  # snapshot, not a sum
         snapshot = registry.snapshot()
         assert snapshot["counters"]["engine.trials"] == 3
-        assert snapshot["gauges"]["engine.gauges.cost_model.rate"] == 0.5
+        assert snapshot["gauges"][
+            "engine.gauges.sample_cache_capacity"] == 9
 
 
 class TestCollectorReparenting:

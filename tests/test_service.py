@@ -8,11 +8,15 @@ service preserves it across transports and concurrency:
 * micro-batching — N concurrent clients coalesce into shared engine
   batches yet get results bit-identical to serial submission, and
   cross-client duplicate specs materialize each sample exactly once;
+* closing a round early — a round waits only for requests on their
+  way, checked by the batcher's counters rather than by timings, and
+  a traced request links to the engine batch it joined;
 * typed degradation — 400/404/413/429/503/504 envelopes, deadline
   runs returning typed nulls instead of wrong numbers;
 * the ``repro serve`` subprocess boot path and its ready line.
 """
 
+import http.client
 import json
 import socket
 import subprocess
@@ -27,9 +31,12 @@ import pytest
 
 from repro.cli import main
 from repro.engine.engine import EstimationEngine
+from repro.engine.requests import EstimationRequest
+from repro.obs import read_trace, summarize
 from repro.service import (MicroBatcher, ServiceConfig, TooManyRequests,
                            make_server)
 from repro.service.app import EstimationService, _Handler
+from repro.workloads.generators import make_histogram
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -376,6 +383,241 @@ class TestMicroBatching:
             assert len(payload["results"]) == 2
         finally:
             stop()
+
+    def test_traced_requests_link_to_the_batch_they_joined(
+            self, tmp_path, capsys):
+        trace_path = tmp_path / "serve.jsonl"
+        base, service, stop = start_server(
+            ServiceConfig(window=30.0, trace_path=str(trace_path)))
+        # A held arrival keeps the round open until both clients are
+        # queued: in one process, a client thread can lose the GIL to
+        # the leader for longer than the leader takes to submit.
+        hold = service.batcher.arrive()
+        outcomes: list = []
+        try:
+            posting = threading.Thread(
+                target=lambda: outcomes.extend(self._concurrent_post(
+                    base, [BATCH_SPEC, BATCH_SPEC])))
+            posting.start()
+            wait_for_pending(service.batcher, 2)
+            hold.close()
+            posting.join(timeout=60)
+            assert [status for status, _ in outcomes] == [200, 200]
+            assert service.batcher.snapshot()["coalesced_rounds"] == 1
+        finally:
+            hold.close()
+            stop()
+        records = read_trace(trace_path)
+        spans = [r for r in records if r.get("type") == "span"]
+        children: dict = {}
+        for span in spans:
+            children.setdefault(span["parent"], []).append(span["name"])
+        requests = [s for s in spans if s["name"] == "service.request"]
+        (execute,) = [s for s in spans if s["name"] == "engine.execute"]
+        assert len(requests) == 2
+        leader = next(r for r in requests if r["id"] == execute["parent"])
+        (follower,) = [r for r in requests if r is not leader]
+        assert sorted(children[leader["id"]]) == \
+            ["batch.demux", "batch.window", "engine.execute"]
+        assert sorted(children[follower["id"]]) == \
+            ["batch.demux", "batch.window"]
+        for request in requests:
+            assert request["attrs"]["batch"] == execute["id"]
+            assert request["attrs"]["coalesced_with"] == 1
+        # The window is a named leaf of the trace report.
+        window = summarize(records)["phases"]["batch.window"]
+        assert window["count"] == 2
+        assert window["self"] == window["total"]
+        assert main(["trace", "summarize", str(trace_path)]) == 0
+        assert "batch.window" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# Closing a round early: checked by counters, not timings
+# ----------------------------------------------------------------------
+def tiny_request(fraction: float = 0.05) -> EstimationRequest:
+    return EstimationRequest(
+        histogram=make_histogram(2000, 20, 10, seed=1),
+        fraction=fraction, seed=3)
+
+
+def submit_in_thread(batcher: MicroBatcher, requests: list,
+                     arrival=None) -> tuple[threading.Thread, dict]:
+    outcome: dict = {}
+
+    def run() -> None:
+        outcome["submission"] = batcher.submit(requests, arrival=arrival)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+def wait_for_pending(batcher: MicroBatcher, count: int) -> None:
+    deadline = time.monotonic() + 30
+    while batcher.snapshot()["pending"] < count:
+        assert time.monotonic() < deadline, "the submission never queued"
+        time.sleep(0.001)
+
+
+class TestEarlyClose:
+    def test_round_waits_for_an_arrival_that_submits(self):
+        batcher = MicroBatcher(EstimationEngine(seed=0), window=30.0)
+        arrival = batcher.arrive()
+        leader, led = submit_in_thread(batcher, [tiny_request(0.05)])
+        wait_for_pending(batcher, 1)
+        assert batcher.snapshot()["rounds"] == 0
+        follower, followed = submit_in_thread(
+            batcher, [tiny_request(0.1)], arrival)
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert led["submission"].coalesced_with == 1
+        assert followed["submission"].coalesced_with == 1
+        snapshot = batcher.snapshot()
+        assert snapshot["rounds"] == snapshot["early_closes"] == 1
+        assert snapshot["arriving"] == 0
+
+    def test_round_closes_early_when_the_arrival_leaves(self):
+        batcher = MicroBatcher(EstimationEngine(seed=0), window=30.0)
+        arrival = batcher.arrive()
+        leader, led = submit_in_thread(batcher, [tiny_request()])
+        wait_for_pending(batcher, 1)
+        assert batcher.snapshot()["rounds"] == 0
+        arrival.close()
+        leader.join(timeout=30)
+        assert not leader.is_alive()
+        assert led["submission"].coalesced_with == 0
+        snapshot = batcher.snapshot()
+        assert snapshot["rounds"] == snapshot["early_closes"] == 1
+
+    @pytest.mark.parametrize("window", [0.0, 0.05])
+    def test_window_caps_the_wait(self, window):
+        batcher = MicroBatcher(EstimationEngine(seed=0), window=window)
+        arrival = batcher.arrive()
+        leader, led = submit_in_thread(batcher, [tiny_request()])
+        leader.join(timeout=30)
+        assert not leader.is_alive()
+        assert led["submission"].coalesced_with == 0
+        snapshot = batcher.snapshot()
+        assert snapshot["rounds"] == 1
+        assert snapshot["early_closes"] == 0
+        assert snapshot["arriving"] == 1
+        arrival.close()
+        assert batcher.snapshot()["arriving"] == 0
+
+    def test_arrivals_balance_under_thread_stress(self):
+        """Many threads arriving, submitting and leaving at once, with
+        a tiny switch interval: a lost update would leave a count."""
+        batcher = MicroBatcher(EstimationEngine(seed=0), window=0.05)
+        request = tiny_request()
+        errors: list = []
+
+        def client(number: int) -> None:
+            try:
+                for turn in range(12):
+                    arrival = batcher.arrive()
+                    if (number + turn) % 3:
+                        submission = batcher.submit([request],
+                                                    arrival=arrival)
+                        assert len(submission.results) == 1
+                    arrival.close()
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(number,))
+                       for number in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        snapshot = batcher.snapshot()
+        assert snapshot["arriving"] == snapshot["pending"] == 0
+        assert snapshot["submissions"] == sum(
+            1 for number in range(8) for turn in range(12)
+            if (number + turn) % 3)
+        assert snapshot["early_closes"] <= snapshot["rounds"] \
+            <= snapshot["submissions"]
+
+    def test_lone_keep_alive_client_closes_every_round_early(self):
+        base, service, stop = start_server(ServiceConfig(window=5.0))
+        host, port = base[len("http://"):].rsplit(":", 1)
+        connection = http.client.HTTPConnection(host, int(port),
+                                                timeout=60)
+        body = json.dumps(BATCH_SPEC).encode()
+        try:
+            for _ in range(3):
+                connection.request("POST", "/estimate-batch", body,
+                                   {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            snapshot = service.batcher.snapshot()
+        finally:
+            connection.close()
+            stop()
+        assert snapshot["rounds"] == snapshot["early_closes"] == 3
+
+    def test_estimate_during_a_streamed_advise_closes_early(
+            self, monkeypatch):
+        base, service, stop = start_server(ServiceConfig(window=5.0))
+        started, release = threading.Event(), threading.Event()
+        run_advise = service.run_advise
+
+        def held_advise(spec, on_round=None):
+            started.set()
+            release.wait(timeout=60)
+            return run_advise(spec, on_round=on_round)
+
+        monkeypatch.setattr(service, "run_advise", held_advise)
+        records: list = []
+        advise = threading.Thread(target=lambda: records.extend(
+            http_post_stream(base, "/advise?stream=1", ADVISE_SPEC)))
+        try:
+            advise.start()
+            assert started.wait(timeout=30)
+            status, _ = http_post(base, "/estimate-batch", BATCH_SPEC)
+            snapshot = service.batcher.snapshot()
+            release.set()
+            advise.join(timeout=60)
+        finally:
+            release.set()
+            stop()
+        assert status == 200
+        assert snapshot["rounds"] == snapshot["early_closes"] == 1
+        assert not advise.is_alive()
+        assert records[-1]["type"] == "result"
+
+    def test_refused_and_deadline_requests_stop_counting(self):
+        base, service, stop = start_server(
+            ServiceConfig(window=5.0, max_body_bytes=1024))
+        try:
+            status, _ = http_post(base, "/estimate-batch", None,
+                                  raw=b"{nope")
+            assert status == 400
+            assert service.batcher.snapshot()["arriving"] == 0
+            status, _ = http_post(base, "/estimate-batch", None,
+                                  raw=b"{" + b" " * 2048 + b"}")
+            assert status == 413
+            assert service.batcher.snapshot()["arriving"] == 0
+            status, _ = http_post(base, "/estimate-batch",
+                                  dict(BATCH_SPEC, deadline=30.0))
+            assert status == 200
+            assert service.batcher.snapshot()["arriving"] == 0
+            # Nothing is left counted, so the next round closes early.
+            status, _ = http_post(base, "/estimate-batch", BATCH_SPEC)
+            assert status == 200
+            snapshot = service.batcher.snapshot()
+        finally:
+            stop()
+        assert snapshot["rounds"] == snapshot["early_closes"] == 1
 
 
 # ----------------------------------------------------------------------
