@@ -3,9 +3,9 @@
 The advisor workload (Kimura et al.'s compression-aware physical design
 loop) is a large batch of independent (column-set × algorithm) CF
 estimations. The units are compress-heavy pure Python, so only worker
-processes parallelize them; the process-pool executor ships picklable
-plan units to forked workers, placing every unit that shares a sample
-on one worker. This bench times two advisor batches on both executors:
+processes parallelize them; the process-pool executor forks workers
+that inherit the batch, placing every unit that shares a sample on one
+worker. This bench times two advisor batches on both executors:
 
 * ``many_samples`` — two tables, several trials: more samples than
   workers, so the pool keeps each sample on one worker and its reuse
@@ -26,9 +26,8 @@ Run it directly (it is a script, not a pytest module)::
 
 Interpreting the numbers: the process pool only wins when real cores
 are available (the JSON records ``cpu_count``) and the batch is heavy
-enough to amortize worker startup plus the one-time pickling of the
-unit list. On a single-core runner serial is expected to win, which is
-itself worth recording.
+enough to amortize forking and reaping its workers. On a single-core
+runner serial is expected to win, which is itself worth recording.
 """
 
 from __future__ import annotations

@@ -12,8 +12,12 @@ suite locks that in. Three executors exist:
   thread; the default, and the fastest choice on one core;
 * :class:`~repro.engine.remote.ProcessPoolPlanExecutor` — workers
   forked per batch, for compress-heavy batches on multi-core machines;
+  each inherits the batch's units and tables by fork, so nothing but
+  ``run`` frames crosses to it;
 * :class:`~repro.engine.remote.RemotePlanExecutor` — long-lived workers
-  on other hosts, degrading to the local process pool.
+  on other hosts, degrading to the local process pool; they inherit
+  nothing, so each is sent the units it runs and their tables, pickled
+  once per batch (the ``source``/``install`` frames).
 
 The two parallel executors are one dispatcher (:mod:`repro.engine.remote`)
 that places units by sample, schedules sample groups by LPT with work

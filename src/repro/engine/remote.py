@@ -28,20 +28,24 @@ Wire protocol (one 8-byte big-endian length prefix per pickled frame):
 parent -> worker               worker -> parent
 =============================  =======================================
 ``("ping",)``                  ``("pong", info_dict)``
-``("source", index, source)``  ``("installed", count)``
-``("install", blob, store)``   ``("installed", count)``
+``("source", index, source)``  ``("installed", count)`` (remote only)
+``("install", blob, store)``   ``("installed", count)`` (remote only)
 ``("run", positions)``         ``("results", [(pos, est, sec), ...],
                                stats_delta)`` or ``("raised", exc)``
 ``("shutdown",)``              ``("bye",)``
 =============================  =======================================
 
-``install`` precedes the first chunk of each group a worker starts: the
-group's ``(position, unit)`` pairs, pickled once per batch with their
-source (table or histogram) by index, after that ``source`` frame (also
-encoded once per batch) if the worker lacks it. So a unit ships only to
-the worker that runs it, and a source at most once per worker. A unit
-that raises ends its chunk with ``("raised", exc)``; the parent
-re-raises it.
+A forked pool worker inherits its batch: the fork hands it the unit
+list and the pickled store handle as process arguments, which is
+memory it already holds, so the pool sends only ``run`` frames and no
+table is pickled, shipped or re-hashed. A remote worker lives on
+another host and inherits nothing: ``install`` precedes the first chunk
+of each group it starts, carrying the group's ``(position, unit)``
+pairs, pickled once per batch with their source (table or histogram)
+by index, after that ``source`` frame (also encoded once per batch) if
+the worker lacks it. So a unit ships only to the worker that runs it,
+and a source at most once per worker. A unit that raises ends its
+chunk with ``("raised", exc)``; the parent re-raises it.
 Traced batches append the parent ``chunk.run`` span's
 :class:`~repro.obs.SpanContext` to ``run``, and the worker appends its
 units' span records to ``results`` for the parent to adopt.
@@ -336,9 +340,10 @@ class _SourceUnpickler(pickle.Unpickler):
 
 @dataclass
 class _Shipment:
-    """A batch pickled once for all of its workers: per group its unit
-    blob and its source's index, per source (table or histogram) its
-    whole ``source`` frame, per position its group, and the store."""
+    """A batch pickled once for all of its remote workers: per group its
+    unit blob and its source's index, per source (table or histogram)
+    its whole ``source`` frame, per position its group, and the store.
+    A pool batch's is empty: its forked workers inherit the batch."""
 
     groups: list[bytes] = field(default_factory=list)
     source_of: list[int] = field(default_factory=list)
@@ -424,14 +429,17 @@ class WorkerState:
             os._exit(33)
 
 
-def handle_connection(sock: socket.socket, state: WorkerState) -> str:
+def handle_connection(sock: socket.socket, state: WorkerState,
+                      batch: Sequence[PlanUnit] = ()) -> str:
     """Serve one parent connection until EOF or shutdown.
 
     Factored out of the accept loop so tests (and the process pool)
-    drive the full protocol over a ``socket.socketpair()``. Returns why
-    the connection ended (``"eof"`` or ``"shutdown"``).
+    drive the full protocol over a ``socket.socketpair()``. ``batch``
+    is the unit list a forked pool worker inherited; its positions run
+    without an ``install``. Returns why the connection ended (``"eof"``
+    or ``"shutdown"``).
     """
-    units: dict[int, PlanUnit] = {}
+    units: dict[int, PlanUnit] = dict(enumerate(batch))
     sources: dict[int, object] = {}
     while True:
         message = recv_frame(sock)
@@ -542,9 +550,10 @@ def serve(host: str = "127.0.0.1", port: int = 0,
         listener.close()
 
 
-def _serve_connection(conn: socket.socket, state: WorkerState) -> None:
+def _serve_connection(conn: socket.socket, state: WorkerState,
+                      batch: Sequence[PlanUnit] = ()) -> None:
     try:
-        handle_connection(conn, state)
+        handle_connection(conn, state, batch)
     except (_InjectedFailure, ConnectionError, OSError, EOFError):
         pass  # the parent observes the drop and reassigns
     finally:
@@ -561,19 +570,26 @@ _POOL_ENDS: weakref.WeakSet[socket.socket] = weakref.WeakSet()
 _FORK_LOCK = threading.Lock()
 
 
-def _serve_forked(sock: socket.socket) -> None:
+def _serve_forked(sock: socket.socket, batch: list[PlanUnit],
+                  store: bytes | None) -> None:
     """Process-pool worker body: serve one socketpair end until EOF.
 
-    The fault injector arms from the inherited ``REPRO_FAULT_PLAN``, so
+    ``batch`` and ``store`` (the pickled store handle) arrive as fork
+    arguments, so the worker holds the batch's units and tables in the
+    memory it inherited, fingerprints included. The store is unpickled
+    here for a handle of the worker's own (fresh locks and counters).
+    Fault injectors arm from the inherited ``REPRO_FAULT_PLAN``, so
     chaos plans count hooks per worker.
     """
     for end in list(_POOL_ENDS):
         end.close()
     state = WorkerState(
-        context=UnitContext(cache=SampleCache(), stats=EngineStats(),
-                            injector=injector_from_env()),
+        context=UnitContext(
+            cache=SampleCache(), stats=EngineStats(),
+            store=None if store is None else pickle.loads(store),
+            injector=injector_from_env()),
         exit_on_failure=True)
-    _serve_connection(sock, state)
+    _serve_connection(sock, state, batch)
 
 
 def start_worker_thread(store: object = None,
@@ -702,6 +718,11 @@ def parse_worker_addresses(spec: str | Sequence | None,
             host, port = entry
             addresses.append((str(host), int(port)))
     return addresses
+
+
+#: Longest an idle dispatch driver sleeps between checks. Every change
+#: it acts on notifies it sooner; this bounds only a lost wake-up.
+_IDLE_WAIT = 1.0
 
 
 class _WorkerLink:
@@ -858,15 +879,15 @@ class RemotePlanExecutor:
         if pending:
             with self._batch_lock:
                 groups = placement_groups(units, pending, self._slots())
-                shipment = _pack(units, groups, context.store)
-                links = (self._connect(context, len(groups))
+                shipment = self._ship(units, groups, context)
+                links = (self._connect(context, units, groups)
                          if shipment else [])
                 try:
                     if shipment and links:
                         pending = self._dispatch(groups, _DispatchState(
                             units, results, context, links, shipment))
                 finally:
-                    self._release(links)
+                    self._release(links, context)
             if pending:
                 # Leftovers of a dispatch were marked degraded when their
                 # worker was buried; with no worker reachable at all,
@@ -915,8 +936,14 @@ class RemotePlanExecutor:
             self._breakers.clear()
 
     # -- connection management -----------------------------------------
-    def _connect(self, context: UnitContext,
-                 groups: int) -> list[_WorkerLink]:
+    def _ship(self, units: list[PlanUnit], groups: list[list[int]],
+              context: UnitContext) -> _Shipment | None:
+        """The batch pickled for workers that hold none of it, or
+        ``None`` when a unit does not pickle (it then runs here)."""
+        return _pack(units, groups, context.store)
+
+    def _connect(self, context: UnitContext, units: list[PlanUnit],
+                 groups: list[list[int]]) -> list[_WorkerLink]:
         """Collect this batch's usable links, reviving dead ones.
 
         Live links from the previous batch are reused as-is (socket,
@@ -964,7 +991,8 @@ class RemotePlanExecutor:
             links.append(link)
         return links
 
-    def _release(self, links: list[_WorkerLink]) -> None:
+    def _release(self, links: list[_WorkerLink],
+                 context: UnitContext) -> None:
         """End a batch's use of its links (remote links stay warm)."""
 
     def _slots(self) -> int:
@@ -1012,6 +1040,7 @@ class RemotePlanExecutor:
                       parent_ctx: SpanContext | None = None) -> None:
         tracer = state.context.tracer
         # The groups and sources this batch has shipped to the worker.
+        # A forked pool worker inherited the batch, so it is sent none.
         installed: set[int] = set()
         sources: set[int] = set()
         try:
@@ -1022,11 +1051,12 @@ class RemotePlanExecutor:
                     chunk = self._next_chunk(link, state)
                     if not chunk:
                         return
-                    for group in sorted({state.shipment.group_of[position]
-                                         for position in chunk}
-                                        - installed):
-                        self._install(link, state, group, sources)
-                        installed.add(group)
+                    if link.process is None:
+                        for group in sorted(
+                                {state.shipment.group_of[position]
+                                 for position in chunk} - installed):
+                            self._install(link, state, group, sources)
+                            installed.add(group)
                     with tracer.span("chunk.run", worker=link.name,
                                      units=len(chunk)) as chunk_span:
                         if tracer.enabled:
@@ -1042,6 +1072,7 @@ class RemotePlanExecutor:
                             # fine, and _dispatch re-raises the error.
                             with state.lock:
                                 state.error = state.error or reply[1]
+                                state.wake.notify_all()
                             return
                         if reply[0] != "results":
                             raise ConnectionError(
@@ -1063,6 +1094,7 @@ class RemotePlanExecutor:
                                 state.observed_units += 1
                                 self.cost_model.observe(unit, seconds)
                             state.in_flight.pop(link, None)
+                            state.wake.notify_all()
                     if spans:
                         tracer.adopt(spans[0])
                     state.context.stats.merge(delta)
@@ -1166,13 +1198,13 @@ class RemotePlanExecutor:
         a group that does not fit leaves its rest pinned, so no group
         spans two live workers. An idle worker does not exit while any
         peer is still busy: a peer may yet die and orphan its groups,
-        and a live worker is the cheapest place to retry them. It polls
-        instead of waiting on a condition because wake-ups are rare (a
-        steal or a burial) and the poll interval is far below any
-        unit's time.
+        and a live worker is the cheapest place to retry them. It waits
+        on ``state.wake``, which every change it could act on notifies
+        (a chunk's results landing, a burial, a unit raising), so the
+        last idle driver sees the batch end at once.
         """
-        while True:
-            with state.lock:
+        with state.lock:
+            while True:
                 deadline = state.context.deadline
                 if state.error is not None or (
                         deadline is not None and deadline.expired):
@@ -1203,7 +1235,7 @@ class RemotePlanExecutor:
                     for other in state.links)
                 if not busy and not state.orphans:
                     return []
-            time.sleep(0.005)
+                state.wake.wait(_IDLE_WAIT)
 
     def _steal_into(self, thief: _WorkerLink,
                     state: _DispatchState) -> None:
@@ -1252,6 +1284,7 @@ class RemotePlanExecutor:
             fresh = [position for group in requeue for position in group
                      if position not in state.degraded]
             state.degraded.update(fresh)
+            state.wake.notify_all()
         for position in fresh:
             _note_degraded(state.context, state.units[position],
                            "worker_death")
@@ -1287,13 +1320,14 @@ class ProcessPoolPlanExecutor(RemotePlanExecutor):
     compression loops are pure Python, so only processes parallelize
     them. A configuration of the remote dispatch, not a second
     implementation: ``run`` forks up to ``max_workers`` workers (one per
-    group at most; multiprocessing's default context), and each serves
+    group at most; the ``fork`` context), and each serves
     :func:`handle_connection` over a ``socket.socketpair()``. A batch
     owns its workers, so concurrent ``run`` calls proceed in parallel.
 
-    * A shared table ships once per worker and keeps shared identity
-      there. Units that do not pickle, and opaque ``Generator`` seeds
-      (pickling would fork the stream), run in the parent.
+    * Workers are forked with the batch already in them, so only
+      ``run`` frames cross and units need not pickle. Opaque
+      ``Generator`` seeds still run in the parent (a worker's copy of
+      the stream would fork it).
     * Units sharing a sample run on one worker against its fresh private
       cache (and the engine's store, if any, as a shared disk tier), so
       estimates *and* a cold batch's reuse counters equal serial's —
@@ -1317,39 +1351,66 @@ class ProcessPoolPlanExecutor(RemotePlanExecutor):
     def _slots(self) -> int:
         return self.max_workers
 
-    def _connect(self, context: UnitContext,
-                 groups: int) -> list[_WorkerLink]:
-        mp_context = multiprocessing.get_context()
+    def _ship(self, units: list[PlanUnit], groups: list[list[int]],
+              context: UnitContext) -> _Shipment | None:
+        """Nothing to pickle: the workers inherit the batch by fork."""
+        return _Shipment()
+
+    def _connect(self, context: UnitContext, units: list[PlanUnit],
+                 groups: list[list[int]]) -> list[_WorkerLink]:
+        """Fork the batch's workers, each holding the batch (``pool.fork``).
+
+        The unit list and the pickled store handle are fork arguments,
+        handed over as memory, so no unit or table is pickled. With a
+        store, every source's fingerprint is memoized first, so the
+        workers inherit it instead of hashing each heap again.
+        """
+        count = min(self.max_workers, len(groups))
+        mp_context = multiprocessing.get_context("fork")
+        store: bytes | None = None
         links: list[_WorkerLink] = []
-        try:
-            for _ in range(min(self.max_workers, groups)):
-                with _FORK_LOCK:
-                    ours, theirs = socket.socketpair()
-                    _POOL_ENDS.add(ours)
-                    link = _WorkerLink(("local", 0), self.timeout, ours)
-                    links.append(link)
-                    link.process = mp_context.Process(
-                        target=_serve_forked, args=(theirs,), daemon=True)
-                    try:
-                        link.process.start()
-                    finally:
-                        theirs.close()
-                link.address = ("local", link.process.pid or 0)
-        except BaseException:
-            self._release(links)
-            raise
+        with context.tracer.span("pool.fork", workers=count):
+            if context.store is not None:
+                from repro.store.fingerprint import source_fingerprint
+
+                for group in groups:
+                    source_fingerprint(units[group[0]])
+                store = pickle.dumps(context.store,
+                                     protocol=pickle.HIGHEST_PROTOCOL)
+            try:
+                for _ in range(count):
+                    with _FORK_LOCK:
+                        ours, theirs = socket.socketpair()
+                        _POOL_ENDS.add(ours)
+                        link = _WorkerLink(("local", 0), self.timeout, ours)
+                        links.append(link)
+                        link.process = mp_context.Process(
+                            target=_serve_forked,
+                            args=(theirs, units, store), daemon=True)
+                        try:
+                            link.process.start()
+                        finally:
+                            theirs.close()
+                    link.address = ("local", link.process.pid or 0)
+            except BaseException:
+                self._release(links, context)
+                raise
         return links
 
-    def _release(self, links: list[_WorkerLink]) -> None:
-        """Close every link (EOF ends its worker), then reap the workers."""
-        for link in links:
-            link.close()
-        for link in links:
-            if link.process is not None and link.process.pid is not None:
-                link.process.join(timeout=5)
-                if link.process.is_alive():
-                    link.process.terminate()
-                    link.process.join()
+    def _release(self, links: list[_WorkerLink],
+                 context: UnitContext) -> None:
+        """Close every link (EOF ends its worker), then reap the workers
+        (``pool.reap``)."""
+        with context.tracer.span("pool.reap", workers=len(links)):
+            for link in links:
+                link.close()
+            for link in links:
+                if link.process is not None and \
+                        link.process.pid is not None:
+                    link.process.join(timeout=5)
+                    if link.process.is_alive():
+                        link.process.terminate()
+                        link.process.join()
 
     def _run_fallback(self, units: list[PlanUnit], positions: list[int],
                       results: list, context: UnitContext) -> None:
@@ -1388,6 +1449,12 @@ class _DispatchState:
     # shared across dispatcher threads and never pickled or shipped
     # (workers receive unit blobs, not _DispatchState).
     lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Idle drivers wait on this (over ``lock``) until a chunk's
+    #: results land, a worker is buried or a unit raises.
+    # repro-lint: ignore[RPL003] -- parent-side dispatch bookkeeping,
+    # shared across dispatcher threads and never pickled or shipped
+    # (workers receive unit blobs, not _DispatchState).
+    wake: threading.Condition = field(init=False)
     done: set[int] = field(default_factory=set)
     orphans: deque[list[int]] = field(default_factory=deque)
     in_flight: dict[_WorkerLink, list[list[int]]] = field(
@@ -1402,3 +1469,6 @@ class _DispatchState:
     observed_seconds: float = 0.0
     observed_units: int = 0
     compared_units: int = 0
+
+    def __post_init__(self) -> None:
+        self.wake = threading.Condition(self.lock)

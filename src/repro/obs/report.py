@@ -12,11 +12,15 @@
 * **who was the straggler** — per-worker busy time aggregated from
   remote ``chunk.run`` spans plus steal/failure event counts.
 
-Coverage (summed main-process self-times over measured wall-clock) is
-the report's honesty metric: spans adopted from workers run
-*concurrently* with the parent's dispatch spans, so only the parent
+Coverage (the union of main-process root spans over measured
+wall-clock) is the report's honesty metric: spans adopted from workers
+run *concurrently* with the parent's dispatch spans, so only the parent
 process's spans partition wall-clock; worker time shows up under the
-per-worker busy table instead.
+per-worker busy table instead. A phase's share is its self time over
+the summed root durations, so the shares sum to 100% and coverage stays
+at or below it even when roots overlap (a service's concurrent
+requests). For one root, or roots that follow one another back to
+back, both read as self time over wall-clock.
 """
 
 from __future__ import annotations
@@ -68,7 +72,17 @@ def summarize(records: list[dict], top: int = 10) -> dict:
         entry["self"] += self_time
 
     self_total = sum(entry["self"] for entry in phases.values())
-    coverage = self_total / wall if wall > 0 else None
+    roots = sorted((s["t"], s["t"] + s.get("dur", 0.0))
+                   for s in main_spans if s.get("parent") not in by_id)
+    root_total = sum(end - start for start, end in roots)
+    covered, reach = 0.0, float("-inf")
+    for start, end in roots:  # the union of the root intervals
+        covered += max(0.0, end - max(start, reach))
+        reach = max(reach, end)
+    coverage = covered / wall if wall > 0 else None
+    for entry in phases.values():
+        entry["share"] = (entry["self"] / root_total if root_total > 0
+                          else 0.0)
 
     # Unit accounting: every executed unit exactly once, in any proc.
     # Unit indexes restart at 0 for every batch (an advise run executes
@@ -197,11 +211,10 @@ def render(summary: dict) -> str:
     lines.append("Per-phase breakdown (self time):")
     rows = []
     for name, entry in summary["phases"].items():
-        share = (entry["self"] / wall * 100.0) if wall > 0 else 0.0
         rows.append([name, str(int(entry["count"])),
                      _fmt_seconds(entry["total"]),
                      _fmt_seconds(entry["self"]),
-                     f"{share:.1f}%"])
+                     f"{entry['share'] * 100.0:.1f}%"])
     lines.extend(_table(["phase", "count", "total", "self", "share"],
                         rows))
     lines.append("")

@@ -271,6 +271,55 @@ class TestSummarize:
         assert summary["units"]["executed"] == 4
         assert summary["coverage"] >= 0.9  # pool.run covers the wait
 
+    def test_pool_batch_names_its_fork_and_reap(self, tmp_path):
+        _, records = _traced_batch(tmp_path, ProcessPoolPlanExecutor(2))
+        spans = spans_of(records)
+        (execute,) = [s for s in spans if s["name"] == "engine.execute"]
+        for name in ("pool.fork", "pool.reap"):
+            (span,) = [s for s in spans if s["name"] == name]
+            assert span["parent"] == execute["id"]
+            assert span["attrs"]["workers"] == 2
+        phases = summarize(records)["phases"]
+        assert {"pool.fork", "pool.reap"} <= set(phases)
+
+    def test_one_root_reads_self_time_over_wall(self, tmp_path):
+        _, records = _traced_batch(tmp_path, SerialExecutor())
+        summary = summarize(records)
+        wall = summary["wall_seconds"]
+        assert summary["coverage"] == pytest.approx(
+            summary["self_seconds"] / wall)
+        for entry in summary["phases"].values():
+            assert entry["share"] == pytest.approx(entry["self"] / wall)
+
+    def test_overlapping_roots_cover_wall_at_most_once(self):
+        """Four concurrent service requests, each mostly spent in its
+        window: their roots overlap, so summed self time is about three
+        times the wall-clock."""
+        records = [{"type": "meta", "proc": "main"}]
+        for client in range(4):
+            start = client * 0.001
+            records += [
+                {"type": "span", "name": "service.request",
+                 "id": f"r{client}", "parent": None, "t": start,
+                 "dur": 0.010, "proc": "main"},
+                {"type": "span", "name": "batch.window",
+                 "id": f"w{client}", "parent": f"r{client}",
+                 "t": start, "dur": 0.006, "proc": "main"}]
+        summary = summarize(records)
+        assert summary["wall_seconds"] == pytest.approx(0.013)
+        assert summary["self_seconds"] == pytest.approx(0.040)
+        assert summary["coverage"] == pytest.approx(1.0)
+        assert summary["coverage"] <= 1.0
+        phases = summary["phases"]
+        assert phases["batch.window"]["share"] == pytest.approx(0.6)
+        assert sum(entry["share"] for entry in phases.values()) \
+            == pytest.approx(1.0)
+        text = render(summary)
+        assert "self-time coverage 100.0%" in text
+        assert any(line.startswith("batch.window ")
+                   and line.endswith(" 60.0%")
+                   for line in text.splitlines())
+
     def test_render_and_one_line(self, tmp_path):
         _, records = _traced_batch(tmp_path, SerialExecutor())
         summary = summarize(records)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -351,18 +352,31 @@ class TestPoolDispatch:
         assert len(workers) == 3
         assert all(len(ran_on) == 1 for ran_on in workers.values())
 
-    def test_groups_ship_once_and_sources_once_per_worker(self,
-                                                          monkeypatch):
-        frames = sent_frames(monkeypatch)
+    @staticmethod
+    def mixed_sources():
         histogram = make_histogram(5000, 40, 12, seed=6)
-        requests = grid(trials=3) + [
+        return grid(trials=3) + [
             EstimationRequest(histogram=histogram, algorithm=name,
                               fraction=0.05, trials=3)
             for name in ("null_suppression", "rle")]
+
+    def test_groups_ship_once_and_sources_once_per_worker(self,
+                                                          monkeypatch):
+        """Remote workers inherit nothing: each is sent the groups it
+        starts, after their sources."""
+        frames = sent_frames(monkeypatch)
+        requests = self.mixed_sources()
         units = plan_units(EstimationEngine(seed=4).plan(requests))
         groups = remote.placement_groups(units, range(len(units)), 2)
-        EstimationEngine(seed=4, executor=ProcessPoolPlanExecutor(2)) \
-            .execute(requests)
+        workers = [start_worker_thread() for _ in range(2)]
+        executor = RemotePlanExecutor(
+            workers=[address for address, _ in workers])
+        try:
+            EstimationEngine(seed=4, executor=executor).execute(requests)
+        finally:
+            executor.close()
+            for _, shutdown in workers:
+                shutdown()
         installs = [worker for worker, message in frames
                     if message[0] == "install"]
         sources = [(worker, message[1]) for worker, message in frames
@@ -371,6 +385,43 @@ class TestPoolDispatch:
         assert len(installs) == len(groups) == 6
         # ...and each source (the table, the histogram) at most once.
         assert len(sources) == len(set(sources)) <= 2 * len(set(installs))
+
+    def test_pool_sends_only_run_frames(self, monkeypatch):
+        """Forked workers inherit the batch: no source, no install."""
+        frames = sent_frames(monkeypatch)
+        requests = self.mixed_sources()
+        batch = EstimationEngine(
+            seed=4, executor=ProcessPoolPlanExecutor(2)).execute(requests)
+        assert values(batch) == values(
+            EstimationEngine(seed=4).execute(requests))
+        assert batch.stats["remote_units"] == 24
+        assert {message[0] for _, message in frames} == {"run"}
+
+    def test_pool_never_pickles_a_table(self, monkeypatch, tmp_path):
+        """No table crosses to a pool worker by pickle, and with a store
+        the parent fingerprints each heap before forking."""
+        from repro.storage.heap import HeapFile
+
+        tables = [make_table(n=900, d=30, k=12, seed=seed, page_size=1024)
+                  for seed in (8, 9)]
+        requests = [EstimationRequest(table=table, columns=("a",),
+                                      algorithm=name, fraction=0.05,
+                                      trials=2, page_size=512)
+                    for table in tables
+                    for name in ("null_suppression", "rle")]
+        want = values(EstimationEngine(seed=4).execute(requests))
+
+        def refuse(heap):
+            raise RuntimeError("a table was pickled")
+
+        monkeypatch.setattr(HeapFile, "__getstate__", refuse)
+        batch = EstimationEngine(
+            seed=4, store=tmp_path,
+            executor=ProcessPoolPlanExecutor(2)).execute(requests)
+        assert values(batch) == want
+        assert batch.stats["remote_units"] == 8
+        assert batch.stats["remote_fallback_units"] == 0
+        assert all(table.heap._fingerprint is not None for table in tables)
 
     def test_dominant_sample_splits_by_index_key(self, monkeypatch):
         """A sample outweighing one worker's share (a single-table,
@@ -453,14 +504,62 @@ class TestPoolDispatch:
             table=table, columns=("a",), algorithm=LocalModel(),
             fraction=0.05, trials=2, page_size=512)]
         want = values(EstimationEngine(seed=4).execute(requests))
-        for executor in (ProcessPoolPlanExecutor(2),
-                         RemotePlanExecutor(workers=[])):
-            batch = EstimationEngine(seed=4, executor=executor) \
-                .execute(requests)
-            assert values(batch) == want
-            assert batch.stats["remote_fallback_units"] == 2
-            assert batch.stats["remote_units"] == 0
-            assert batch.stats["degraded_units"] == 0
+        remote_batch = EstimationEngine(
+            seed=4, executor=RemotePlanExecutor(workers=[])) \
+            .execute(requests)
+        assert values(remote_batch) == want
+        assert remote_batch.stats["remote_fallback_units"] == 2
+        assert remote_batch.stats["remote_units"] == 0
+        assert remote_batch.stats["degraded_units"] == 0
+        # The pool's workers inherit the units, so none must pickle.
+        pool_batch = EstimationEngine(
+            seed=4, executor=ProcessPoolPlanExecutor(2)).execute(requests)
+        assert values(pool_batch) == want
+        assert pool_batch.stats["remote_units"] == 2
+        assert pool_batch.stats["remote_fallback_units"] == 0
+
+
+class TestIdleDrivers:
+    def test_idle_driver_wakes_when_its_peer_finishes(self, monkeypatch):
+        """An idle driver waits while a peer has a chunk in flight and
+        returns as soon as that chunk's results land, not at the next
+        check of a timed wait."""
+        unit = planned_units(trials=1)[0]
+        executor = RemotePlanExecutor(workers=[])
+        release = threading.Event()
+
+        def answer(link, state, message):
+            release.wait(timeout=30)
+            return ("results", [(0, "estimate", 0.001)], {})
+
+        monkeypatch.setattr(executor, "_injected_request", answer)
+        monkeypatch.setattr(executor, "_install", lambda *args: None)
+        idle = remote._WorkerLink(("idle", 0), 1.0)
+        peer = remote._WorkerLink(("peer", 0), 1.0)
+        peer.queue.append([0])
+        state = remote._DispatchState(
+            [unit], [None],
+            UnitContext(cache=SampleCache(), stats=EngineStats()),
+            [idle, peer], remote._Shipment(group_of={0: 0}))
+        driver = threading.Thread(target=executor._drive_worker,
+                                  args=(peer, state))
+        driver.start()
+        while not state.in_flight:
+            time.sleep(0.001)
+        got: list = []
+        waiter = threading.Thread(
+            target=lambda: got.append(executor._next_chunk(idle, state)))
+        waiter.start()
+        waiter.join(timeout=0.2)
+        assert waiter.is_alive() and not got
+        released = time.perf_counter()
+        release.set()
+        waiter.join(timeout=remote._IDLE_WAIT)
+        woke = time.perf_counter() - released
+        driver.join(timeout=5)
+        assert got == [[]]
+        assert state.results == ["estimate"]
+        assert woke < remote._IDLE_WAIT / 4, woke
 
 
 class TestCircuitBreaker:
