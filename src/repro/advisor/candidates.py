@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING, Literal, Sequence
 
 from repro.errors import AdvisorError
 from repro.sampling.rng import SeedLike, make_rng
-from repro.storage.index import IndexKind
-from repro.storage.rid import RID_BYTES
+from repro.storage.index import IndexKind, leaf_schema
 from repro.storage.table import Table
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.registry import get_algorithm
@@ -69,21 +68,26 @@ class CandidateIndex:
                 f"candidate {self.key_columns} has non-positive size")
 
 
-def uncompressed_index_bytes(table: Table,
-                             key_columns: Sequence[str]) -> int:
-    """Leaf payload of a non-clustered index on ``key_columns``.
+def uncompressed_index_bytes(table: Table, key_columns: Sequence[str],
+                             kind: IndexKind = IndexKind.NONCLUSTERED,
+                             ) -> int:
+    """Uncompressed leaf payload of a ``kind`` index on ``key_columns``.
 
-    Per entry: the fixed widths of the key columns plus an 8-byte RID.
+    Rows times the width of the leaf record
+    :func:`~repro.storage.index.leaf_schema` lays out: the key columns
+    plus an 8-byte RID for a non-clustered index (the advisor's
+    candidates), the whole row for a clustered one (capacity planning).
+    Every stored column must be fixed-width.
     """
-    width = 0
-    for column in key_columns:
-        fixed = table.schema[column].dtype.fixed_size
-        if fixed is None:
-            raise AdvisorError(
-                f"column {column!r} is variable-width; the advisor "
-                "sizes fixed-width keys only")
-        width += fixed
-    return table.num_rows * (width + RID_BYTES)
+    schema = leaf_schema(table.schema, key_columns, kind)
+    width = schema.fixed_row_size
+    if width is None:
+        column = next(column for column in schema
+                      if not column.dtype.is_fixed)
+        raise AdvisorError(
+            f"column {column.name!r} of table {table.name!r} is "
+            "variable-width; index sizes need fixed-width leaf records")
+    return table.num_rows * width
 
 
 def workload_key_sets(tables: dict[str, Table], queries: Sequence[Query],

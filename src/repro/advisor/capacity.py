@@ -22,6 +22,7 @@ from repro.compression.registry import get_algorithm
 from repro.core.confidence import ConfidenceInterval, ns_confidence_interval
 from repro.engine.engine import EstimationEngine
 from repro.engine.requests import EstimationRequest
+from repro.advisor.candidates import uncompressed_index_bytes
 
 
 @dataclass(frozen=True)
@@ -87,26 +88,21 @@ def plan_capacity(tables: Sequence[Table],
     """Estimate compressed sizes for archiving ``tables``.
 
     Each table is sized through a clustered index on all of its columns
-    (archival stores whole rows), and every table must have fixed-width
-    rows; that is checked before any sample is drawn. The estimates run
-    as one engine batch, one request per table, on an
-    :class:`~repro.engine.engine.EstimationEngine` whose master seed is
-    ``seed`` (``None`` draws a fresh one). For null suppression the
-    Theorem 1 interval is attached; other algorithms report point
-    estimates.
+    (archival stores whole rows; :func:`uncompressed_index_bytes`), and
+    every table must have fixed-width rows; that is checked before any
+    sample is drawn. The estimates run as one engine batch, one request
+    per table, on an :class:`~repro.engine.engine.EstimationEngine`
+    whose master seed is ``seed`` (``None`` draws a fresh one). For
+    null suppression the Theorem 1 interval is attached; other
+    algorithms report point estimates.
     """
     if not tables:
         raise AdvisorError("no tables to plan for")
     if isinstance(algorithm, str):
         algorithm = get_algorithm(algorithm)
-    row_bytes: list[int] = []
-    for table in tables:
-        size = table.schema.fixed_row_size
-        if size is None:
-            raise AdvisorError(
-                f"table {table.name!r} has variable-width rows; "
-                "capacity planning sizes fixed-width schemas")
-        row_bytes.append(size)
+    sizes = [uncompressed_index_bytes(table, table.schema.names,
+                                      IndexKind.CLUSTERED)
+             for table in tables]
     batch = EstimationEngine(seed=seed).execute([
         EstimationRequest(table=table, columns=tuple(table.schema.names),
                           algorithm=algorithm, fraction=fraction,
@@ -114,9 +110,8 @@ def plan_capacity(tables: Sequence[Table],
                           page_size=table.page_size)
         for table in tables])
     entries: list[CapacityEntry] = []
-    for table, size, result in zip(tables, row_bytes, batch.results):
+    for table, uncompressed, result in zip(tables, sizes, batch.results):
         estimate = result.estimates[0]
-        uncompressed = table.num_rows * size
         interval = None
         if isinstance(algorithm, NullSuppression):
             interval = ns_confidence_interval(

@@ -51,8 +51,7 @@ import numpy as np
 from repro.errors import AdvisorError
 from repro.sampling.base import rows_for_fraction
 from repro.sampling.rng import SeedLike
-from repro.storage.index import IndexKind
-from repro.storage.types import BigIntType
+from repro.storage.index import leaf_schema
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.dictionary import DictionaryCompression
 from repro.compression.global_dictionary import GlobalDictionaryCompression
@@ -255,15 +254,6 @@ class WhatIfResult(AdvisorResult):
 # ----------------------------------------------------------------------
 # Priors
 # ----------------------------------------------------------------------
-def leaf_entry_dtypes(table: "Table", columns: Sequence[str],
-                      kind: IndexKind) -> list:
-    """Column dtypes of one leaf entry for the candidate's layout."""
-    if kind is IndexKind.NONCLUSTERED:
-        return [table.schema[column].dtype for column in columns] \
-            + [BigIntType()]
-    return [column.dtype for column in table.schema.columns]
-
-
 def prior_cf_interval(request: "EstimationRequest") -> CFInterval:
     """Pre-sampling CF interval for one advisor request.
 
@@ -278,8 +268,8 @@ def prior_cf_interval(request: "EstimationRequest") -> CFInterval:
     if request.table is None or request.accounting != "payload" \
             or request.repack:
         return TRIVIAL_CF_INTERVAL
-    dtypes = leaf_entry_dtypes(request.table, request.columns,
-                               request.kind)
+    dtypes = [column.dtype for column in leaf_schema(
+        request.table.schema, request.columns, request.kind)]
     algorithm = request.algorithm
     if isinstance(algorithm, NullSuppression):
         return ns_prior_cf_interval(dtypes, algorithm.mode)

@@ -18,8 +18,8 @@ Three building blocks live here:
   records' views taken in key order (:meth:`ColumnView.take`), not a
   second split. Callers reach it through this module, so a wrapper set
   on it (the repository benchmark's traced run) sees every split.
-  :func:`build_leaf_views` row-slices one split per leaf page; nothing
-  in the package calls it, but the benchmark's traced run wraps it by
+  :func:`build_leaf_views` takes one view set per leaf page; nothing in
+  the package calls it, but the benchmark's traced run wraps it by
   name.
 * :class:`ColumnView` — one column of a record batch in columnar form.
   Fixed-width columns become a ``(n, width)`` ``uint8`` matrix; VARCHAR
@@ -197,9 +197,8 @@ class ColumnView:
     trailing-pad scan, integer decode, run changes and value codes.
     Row-relative arrays (first differences, delta widths) describe each
     row against the row before it; a segment's first row ignores that
-    entry. A view may be a row *slice* of a parent view (see
-    :func:`build_leaf_views`); sliced views inherit the parent's
-    per-row arrays as zero-copy slices.
+    entry. A view of some of another view's rows (:meth:`take`) derives
+    its own arrays.
     """
 
     def __init__(self, dtype: DataType, count: int,
@@ -207,8 +206,7 @@ class ColumnView:
                  payload: np.ndarray | None = None,
                  offsets: np.ndarray | None = None,
                  lengths: np.ndarray | None = None,
-                 parent: "ColumnView | None" = None,
-                 row_start: int = 0, grouped: bool = False) -> None:
+                 grouped: bool = False) -> None:
         self.dtype = dtype
         self.count = count
         self.matrix = matrix
@@ -218,25 +216,15 @@ class ColumnView:
         #: Whether equal rows are adjacent, as in an index's leading key
         #: column taken in key order.
         self.grouped = grouped
-        self._parent = parent
-        self._row_start = row_start
         self._derived: dict = {}
 
     def _derive(self, name: str,
                 compute: Callable[[], np.ndarray]) -> np.ndarray:
-        """The per-row array of property ``name``, cached on first use.
-
-        A sliced view takes the parent's array over its rows; a whole
-        view calls ``compute``.
-        """
+        """The array of property ``name``: ``compute()``, cached on
+        first use."""
         cached = self._derived.get(name)
         if cached is None:
-            if self._parent is not None:
-                cached = getattr(self._parent, name)[
-                    self._row_start:self._row_start + self.count]
-            else:
-                cached = compute()
-            self._derived[name] = cached
+            cached = self._derived[name] = compute()
         return cached
 
     # -- CHAR ----------------------------------------------------------
@@ -396,19 +384,15 @@ class ColumnView:
 
     @property
     def code_ns_sizes(self) -> np.ndarray:
-        """:attr:`ns_sizes` of each code's value, indexed by code.
-
-        Not inherited: a sliced view scatters its own rows, which covers
-        every code it holds.
-        """
-        cached = self._derived.get("code_ns_sizes")
-        if cached is None:
+        """:attr:`ns_sizes` of each code's value, indexed by code."""
+        def scatter() -> np.ndarray:
             codes = self.codes
-            cached = np.zeros(int(codes.max(initial=-1)) + 1,
-                              dtype=np.int64)
-            cached[codes] = self.ns_sizes
-            self._derived["code_ns_sizes"] = cached
-        return cached
+            sizes = np.zeros(int(codes.max(initial=-1)) + 1,
+                             dtype=np.int64)
+            sizes[codes] = self.ns_sizes
+            return sizes
+
+        return self._derive("code_ns_sizes", scatter)
 
     def take(self, order: np.ndarray,
              grouped: bool = False) -> "ColumnView":
@@ -430,21 +414,6 @@ class ColumnView:
                                                self.offsets[order], lengths),
                           offsets=record_offsets(lengths)[:-1],
                           lengths=lengths, grouped=grouped)
-
-    def slice_rows(self, start: int, count: int) -> "ColumnView":
-        """A child view over rows ``[start, start + count)``.
-
-        Array attributes are zero-copy slices; derived arrays resolve
-        lazily through the parent so whole-batch derivations are
-        shared by every child.
-        """
-        if self.matrix is not None:
-            return ColumnView(self.dtype, count,
-                              matrix=self.matrix[start:start + count],
-                              parent=self, row_start=start)
-        return ColumnView(self.dtype, count,
-                          lengths=self.lengths[start:start + count],
-                          parent=self, row_start=start)
 
 
 def kernels_cover(schema: Schema) -> bool:
@@ -526,15 +495,14 @@ def build_column_views(schema: Schema, buffer: np.ndarray,
 
 def build_leaf_views(parents: tuple[ColumnView, ...], bounds: np.ndarray,
                      ) -> list[tuple[ColumnView, ...]]:
-    """Row slices of ``parents``, one set per leaf page.
+    """``parents``' rows as one view set per leaf page (:meth:`take`).
 
     Leaf ``i`` holds rows ``bounds[i]`` to ``bounds[i + 1]``. Sizing
     does not need it — a size kernel takes the bounds themselves — but
     the repository benchmark's traced run wraps it by name.
     """
     edges = bounds.tolist()
-    return [tuple(parent.slice_rows(start, stop - start)
-                  for parent in parents)
+    return [tuple(parent.take(np.arange(start, stop)) for parent in parents)
             for start, stop in zip(edges, edges[1:])]
 
 

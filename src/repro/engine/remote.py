@@ -42,10 +42,12 @@ table is pickled, shipped or re-hashed. A remote worker lives on
 another host and inherits nothing: ``install`` precedes the first chunk
 of each group it starts, carrying the group's ``(position, unit)``
 pairs, pickled once per batch with their source (table or histogram)
-by index, after that ``source`` frame (also encoded once per batch) if
-the worker lacks it. So a unit ships only to the worker that runs it,
-and a source at most once per worker. A unit that raises ends its
-chunk with ``("raised", exc)``; the parent re-raises it.
+by index, after that ``source`` frame (also encoded once per batch,
+and only once a worker link is live) if the worker lacks it. So a unit
+ships only to the worker that runs it, a source at most once per
+worker, and a batch with no reachable worker pickles no source. A unit
+that raises ends its chunk with ``("raised", exc)``; the parent
+re-raises it.
 Traced batches append the parent ``chunk.run`` span's
 :class:`~repro.obs.SpanContext` to ``run``, and the worker appends its
 units' span records to ``results`` for the parent to adopt.
@@ -342,20 +344,32 @@ class _SourceUnpickler(pickle.Unpickler):
 class _Shipment:
     """A batch pickled once for all of its remote workers: per group its
     unit blob and its source's index, per source (table or histogram)
-    its whole ``source`` frame, per position its group, and the store.
-    A pool batch's is empty: its forked workers inherit the batch."""
+    the source and, once :meth:`seal` ran, its whole ``source`` frame,
+    per position its group, and the store. A pool batch's is empty: its
+    forked workers inherit the batch."""
 
     groups: list[bytes] = field(default_factory=list)
     source_of: list[int] = field(default_factory=list)
-    sources: list[bytes] = field(default_factory=list)
+    sources: list[object] = field(default_factory=list)
+    frames: list[bytes] = field(default_factory=list)
     group_of: dict[int, int] = field(default_factory=dict)
     store: bytes | None = None
+
+    def seal(self) -> "_Shipment":
+        """Pickle each source's ``source`` frame, once a worker is
+        connected to take it (a batch with none pickles no table)."""
+        self.frames = [pickle.dumps(("source", number, source),
+                                    protocol=pickle.HIGHEST_PROTOCOL)
+                       for number, source in enumerate(self.sources)]
+        return self
 
 
 def _pack(units: list[PlanUnit], groups: list[list[int]],
           store: object) -> _Shipment | None:
-    """Pickle a batch for its workers, or ``None`` when a unit does not
-    pickle (a locally defined algorithm, say): it then runs here."""
+    """Pickle a batch's units for its workers, or ``None`` when a unit
+    does not pickle (a locally defined algorithm, say): it then runs
+    here. A unit refers to its source by index, so no source is pickled
+    here (see :meth:`_Shipment.seal`)."""
     shipment = _Shipment(store=None if store is None else pickle.dumps(
         store, protocol=pickle.HIGHEST_PROTOCOL))
     index: dict[int, int] = {}
@@ -366,9 +380,7 @@ def _pack(units: list[PlanUnit], groups: list[list[int]],
                       else request.histogram)
             if id(source) not in index:
                 index[id(source)] = len(shipment.sources)
-                shipment.sources.append(pickle.dumps(
-                    ("source", index[id(source)], source),
-                    protocol=pickle.HIGHEST_PROTOCOL))
+                shipment.sources.append(source)
             shipment.source_of.append(index[id(source)])
             buffer = io.BytesIO()
             _SourcePickler(buffer, index).dump(
@@ -885,7 +897,8 @@ class RemotePlanExecutor:
                 try:
                     if shipment and links:
                         pending = self._dispatch(groups, _DispatchState(
-                            units, results, context, links, shipment))
+                            units, results, context, links,
+                            shipment.seal()))
                 finally:
                     self._release(links, context)
             if pending:
@@ -1116,7 +1129,7 @@ class RemotePlanExecutor:
         shipment = state.shipment
         source = shipment.source_of[group]
         replies: list[tuple] = [] if source in sources else [
-            link.exchange(shipment.sources[source])]
+            link.exchange(shipment.frames[source])]
         replies.append(link.request(
             ("install", shipment.groups[group], shipment.store)))
         if any(reply[0] != "installed" for reply in replies):

@@ -4,8 +4,10 @@
 :func:`summarize`, which answers three questions about one traced run:
 
 * **where did the wall-clock go** — per-span-name totals and *self*
-  times (duration minus same-process child durations, so the phase
-  table partitions the run instead of double-counting nested spans);
+  times (duration minus the time same-process children cover, so the
+  phase table partitions the run instead of double-counting nested
+  spans, and concurrent children, one ``chunk.run`` per worker at a
+  time, are subtracted from their parent once);
 * **did every unit run exactly once** — ``unit.run`` spans carry the
   plan-unit index, checked against the ``units`` count annotated on
   the ``engine.execute`` root;
@@ -17,15 +19,16 @@ wall-clock) is the report's honesty metric: spans adopted from workers
 run *concurrently* with the parent's dispatch spans, so only the parent
 process's spans partition wall-clock; worker time shows up under the
 per-worker busy table instead. A phase's share is its self time over
-the summed root durations, so the shares sum to 100% and coverage stays
-at or below it even when roots overlap (a service's concurrent
-requests). For one root, or roots that follow one another back to
-back, both read as self time over wall-clock.
+the summed root durations, so the shares sum to 100% (more where a
+span's children overlap, since each child keeps its own self time) and
+coverage stays at or below 100% even when roots overlap (a service's
+concurrent requests). For one root, or roots that follow one another
+back to back, both read as self time over wall-clock.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 
 def _main_proc(records: list[dict]) -> str:
@@ -33,6 +36,15 @@ def _main_proc(records: list[dict]) -> str:
         if record.get("type") == "meta":
             return str(record.get("proc", "main"))
     return "main"
+
+
+def _union(intervals: Iterable[tuple[float, float]]) -> float:
+    """Total length covered by ``(start, end)`` intervals."""
+    covered, reach = 0.0, float("-inf")
+    for start, end in sorted(intervals):
+        covered += max(0.0, end - max(start, reach))
+        reach = max(reach, end)
+    return covered
 
 
 def summarize(records: list[dict], top: int = 10) -> dict:
@@ -51,20 +63,27 @@ def summarize(records: list[dict], top: int = 10) -> dict:
     else:
         wall = 0.0
 
-    # Self time: duration minus same-proc children (telescopes, so the
-    # per-name totals partition each root span's duration exactly).
-    child_sums: dict[str, float] = {}
+    # Self time: duration minus the union of same-proc children's
+    # intervals, clipped to the span. Children that run one after
+    # another telescope, so the per-name totals partition each root
+    # span's duration; concurrent children (one ``chunk.run`` per
+    # worker) are subtracted once. The floor at 0 absorbs rounding
+    # where the children cover the whole span.
+    children: dict[str, list[tuple[float, float]]] = {}
     by_id = {s["id"]: s for s in main_spans}
     for span in main_spans:
-        parent = span.get("parent")
-        if parent in by_id:
-            child_sums[parent] = child_sums.get(parent, 0.0) \
-                + span.get("dur", 0.0)
+        parent = by_id.get(span.get("parent"))
+        if parent is not None:
+            children.setdefault(parent["id"], []).append((
+                max(span["t"], parent["t"]),
+                min(span["t"] + span.get("dur", 0.0),
+                    parent["t"] + parent.get("dur", 0.0))))
 
     phases: dict[str, dict[str, float]] = {}
     for span in main_spans:
         duration = span.get("dur", 0.0)
-        self_time = duration - child_sums.get(span["id"], 0.0)
+        self_time = max(0.0, duration
+                        - _union(children.get(span["id"], ())))
         entry = phases.setdefault(
             span["name"], {"count": 0, "total": 0.0, "self": 0.0})
         entry["count"] += 1
@@ -72,14 +91,10 @@ def summarize(records: list[dict], top: int = 10) -> dict:
         entry["self"] += self_time
 
     self_total = sum(entry["self"] for entry in phases.values())
-    roots = sorted((s["t"], s["t"] + s.get("dur", 0.0))
-                   for s in main_spans if s.get("parent") not in by_id)
+    roots = [(s["t"], s["t"] + s.get("dur", 0.0))
+             for s in main_spans if s.get("parent") not in by_id]
     root_total = sum(end - start for start, end in roots)
-    covered, reach = 0.0, float("-inf")
-    for start, end in roots:  # the union of the root intervals
-        covered += max(0.0, end - max(start, reach))
-        reach = max(reach, end)
-    coverage = covered / wall if wall > 0 else None
+    coverage = _union(roots) / wall if wall > 0 else None
     for entry in phases.values():
         entry["share"] = (entry["self"] / root_total if root_total > 0
                           else 0.0)

@@ -3,15 +3,18 @@
 Types, schemas, records, slotted pages, heap files, tables and indexes
 (each index held as its key-ordered leaf pages) — the substrate the
 paper's estimator runs against. The README's "How an estimate is
-computed" section walks through them.
+computed" section walks through them. :func:`leaf_schema` is the one
+statement of which columns an index's leaf record stores. Tables are
+saved and loaded one file each (:func:`save_table`, :func:`load_table`);
+the estimator's entry points are in :mod:`repro.core` and
+:mod:`repro.engine`.
 """
 
-from repro.storage.catalog import CompressionSavingsReport, Database
 from repro.storage.filestore import (load_heap, load_table, save_heap,
                                      save_table)
 from repro.storage.heap import HeapFile
 from repro.storage.index import (Accounting, Index, IndexKind, IndexSize,
-                                 RID_COLUMN)
+                                 RID_COLUMN, leaf_schema)
 from repro.storage.page import Page, PageType, records_per_page
 from repro.storage.record import decode_record, encode_record, split_record
 from repro.storage.rid import RID, RID_BYTES
@@ -26,9 +29,7 @@ __all__ = [
     "BigIntType",
     "CharType",
     "Column",
-    "CompressionSavingsReport",
     "DataType",
-    "Database",
     "HeapFile",
     "Index",
     "IndexKind",
@@ -44,6 +45,7 @@ __all__ = [
     "VarCharType",
     "decode_record",
     "encode_record",
+    "leaf_schema",
     "length_header_bytes",
     "load_heap",
     "load_table",

@@ -12,6 +12,10 @@ number of distinct keys.
 * a **non-clustered** index stores the key columns plus an 8-byte RID
   locator per entry.
 
+:func:`leaf_schema` states that layout once; every caller that sizes
+an index's leaves without building it (the advisor, capacity planning)
+reads it there.
+
 :meth:`Index.build` fills an index from record bytes (a sample's drawn
 records, or every record of a table through :meth:`Index.over`) without
 decoding a record: one split into column views
@@ -105,6 +109,22 @@ class IndexSize:
     physical_bytes: int
     leaf_pages: int
     entries: int
+
+
+def leaf_schema(table_schema: Schema, key_columns: Sequence[str],
+                kind: IndexKind) -> Schema:
+    """The columns one leaf record stores, in leaf order, per index kind.
+
+    A clustered leaf stores the whole table row; a non-clustered one
+    the key columns, then the BIGINT RID locator (:data:`RID_COLUMN`).
+    This is the one statement of a leaf layout: :class:`Index` builds
+    its leaves to it, and the advisor's plain sizes and priors and the
+    capacity planner read it.
+    """
+    if kind is IndexKind.CLUSTERED:
+        return table_schema
+    return Schema([*table_schema.project(key_columns).columns,
+                   Column(RID_COLUMN, BigIntType())])
 
 
 def _be16(values: np.ndarray) -> np.ndarray:
@@ -204,16 +224,11 @@ class Index:
         #: Table-schema positions of the key columns, in key order.
         self.key_positions = tuple(table_schema.index_of(column)
                                    for column in key_columns)
-        if kind is IndexKind.CLUSTERED:
-            self.leaf_schema = table_schema
-            #: Table-schema positions of the columns a leaf record
-            #: stores, in leaf order (a non-clustered leaf adds its RID).
-            self.stored_positions = tuple(range(len(table_schema.columns)))
-        else:
-            projected = list(table_schema.project(key_columns).columns)
-            projected.append(Column(RID_COLUMN, BigIntType()))
-            self.leaf_schema = Schema(projected)
-            self.stored_positions = self.key_positions
+        self.leaf_schema = leaf_schema(table_schema, key_columns, kind)
+        #: Table-schema positions of the columns a leaf record stores,
+        #: in leaf order (a non-clustered leaf adds its RID).
+        self.stored_positions = tuple(range(len(table_schema))) \
+            if kind is IndexKind.CLUSTERED else self.key_positions
         self._adopt(np.zeros(0, dtype=np.uint8),
                     np.zeros(1, dtype=np.int64),
                     np.zeros(1, dtype=np.int64), 0, None)

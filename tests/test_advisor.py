@@ -13,6 +13,10 @@ from repro.advisor.cost import (CostModel, Query, TableStats, covers,
 from repro.advisor.selection import (advise_from_data, design_summary,
                                      select_indexes)
 from repro.advisor.whatif import WhatIfAdvisor
+from repro.engine.requests import EstimationRequest
+from repro.storage.index import Index, IndexKind
+from repro.storage.schema import Schema
+from repro.storage.table import Table
 
 PAGE = 1024
 
@@ -107,6 +111,22 @@ class TestCandidates:
         assert uncompressed_index_bytes(table, ["status", "customer"]) \
             == 2000 * (10 + 24 + 8)
 
+    def test_nonclustered_candidate_sizes(self, tables, queries):
+        # The plain twin holds 2000 x (10 + 8) bytes; the compressed one
+        # is its estimated CF times that size.
+        plain, packed = enumerate_candidates(tables, queries[:1],
+                                             fraction=0.05, seed=1)
+        assert plain.size_bytes == 2000 * (10 + 8)
+        assert 0 < packed.estimated_cf <= 1.5
+        assert packed.size_bytes == pytest.approx(
+            packed.estimated_cf * plain.size_bytes)
+
+    def test_clustered_plain_size(self, tables):
+        # A clustered leaf holds the whole row, whatever the key.
+        assert uncompressed_index_bytes(
+            tables["orders"], ["status"], IndexKind.CLUSTERED) == \
+            2000 * (10 + 24)
+
     def test_enumeration_has_both_variants(self, tables, queries):
         candidates = enumerate_candidates(tables, queries,
                                           fraction=0.05, seed=1)
@@ -149,6 +169,52 @@ class TestCandidates:
             algorithm="page", size_bytes=10.0, size_source="samplecf",
             estimated_cf=0.5)
         assert candidate.name == "ix_t_a_b__page"
+
+
+def _layout_cases():
+    orders = make_multicolumn_table(
+        "orders", 300, [("status", 10, 5), ("customer", 24, 40)],
+        page_size=PAGE, seed=5)
+    mixed = Table.from_rows(
+        "mixed", Schema.of(code="char(6)", qty="integer", total="bigint"),
+        [(f"c{i % 7}", 3 * i - 50, -i ** 3) for i in range(200)],
+        page_size=PAGE)
+    return [(orders, ("status",)), (orders, ("customer", "status")),
+            (mixed, ("qty",)), (mixed, ("total", "code"))]
+
+
+class TestLeafLayout:
+    """Every caller that sizes an index without building it reads the
+    leaf layout the built index has."""
+
+    @pytest.mark.parametrize("kind", list(IndexKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("case", range(4))
+    def test_plain_size_matches_the_built_index(self, kind, case):
+        table, columns = _layout_cases()[case]
+        assert uncompressed_index_bytes(table, columns, kind) == \
+            Index.over(table, columns, kind=kind).uncompressed_size()
+
+    @pytest.mark.parametrize("kind", list(IndexKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("case", range(4))
+    def test_prior_reads_the_index_leaf_schema(self, kind, case,
+                                               monkeypatch):
+        import repro.advisor.whatif as whatif
+
+        table, columns = _layout_cases()[case]
+        seen = []
+
+        def capture(dtypes, *args):
+            seen.append(list(dtypes))
+            return whatif.TRIVIAL_CF_INTERVAL
+
+        monkeypatch.setattr(whatif, "ns_prior_cf_interval", capture)
+        monkeypatch.setattr(whatif, "dict_prior_cf_interval", capture)
+        for algorithm in ("null_suppression", "dictionary"):
+            whatif.prior_cf_interval(EstimationRequest(
+                table=table, columns=columns, algorithm=algorithm,
+                fraction=0.1, kind=kind, page_size=PAGE))
+        leaf = Index(table.name, table.schema, columns, kind=kind)
+        assert seen == [[column.dtype for column in leaf.leaf_schema]] * 2
 
 
 class TestSelection:

@@ -320,6 +320,30 @@ class TestSummarize:
                    and line.endswith(" 60.0%")
                    for line in text.splitlines())
 
+    def test_concurrent_children_subtract_from_their_parent_once(self):
+        """Two workers' ``chunk.run`` spans run at once:
+        ``shard.dispatch`` loses the time they cover together, once, so
+        no self time or share goes negative."""
+        records = [{"type": "meta", "proc": "main"}]
+        for name, ident, parent, start, end in (
+                ("engine.execute", "e", None, 0.000, 0.030),
+                ("pool.fork", "f", "e", 0.000, 0.002),
+                ("shard.dispatch", "d", "e", 0.002, 0.022),
+                ("chunk.run", "c1", "d", 0.003, 0.020),
+                ("chunk.run", "c2", "d", 0.004, 0.021)):
+            records.append({"type": "span", "name": name, "id": ident,
+                            "parent": parent, "t": start,
+                            "dur": end - start, "proc": "main"})
+        summary = summarize(records)
+        phases = summary["phases"]
+        assert phases["shard.dispatch"]["self"] == pytest.approx(0.002)
+        assert phases["engine.execute"]["self"] == pytest.approx(0.008)
+        assert phases["chunk.run"]["self"] == pytest.approx(0.034)
+        assert all(entry["self"] >= 0 and entry["share"] >= 0
+                   for entry in phases.values())
+        assert summary["coverage"] == pytest.approx(1.0)
+        assert summary["coverage"] <= 1.0
+
     def test_render_and_one_line(self, tmp_path):
         _, records = _traced_batch(tmp_path, SerialExecutor())
         summary = summarize(records)

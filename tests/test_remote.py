@@ -423,6 +423,42 @@ class TestPoolDispatch:
         assert batch.stats["remote_fallback_units"] == 0
         assert all(table.heap._fingerprint is not None for table in tables)
 
+    @pytest.mark.parametrize("reachable", ["no_address", "unreachable"])
+    def test_remote_without_a_live_worker_pickles_no_table(
+            self, monkeypatch, reachable):
+        """With no worker address, or none that answers, the batch runs
+        on the local pool and no table is pickled for a worker; only
+        the unreachable case marks its units degraded."""
+        from repro.storage.heap import HeapFile
+
+        table = make_table(n=900, d=30, k=12, seed=8, page_size=1024)
+        requests = [EstimationRequest(table=table, columns=("a",),
+                                      algorithm="null_suppression",
+                                      fraction=0.05, trials=2,
+                                      page_size=512)]
+        want = values(EstimationEngine(seed=4).execute(requests))
+        workers = []
+        if reachable == "unreachable":
+            with socket.socket() as probe:  # closed: nothing listens
+                probe.bind(("127.0.0.1", 0))
+                workers.append(probe.getsockname())
+
+        def refuse(heap):
+            raise RuntimeError("a table was pickled")
+
+        monkeypatch.setattr(HeapFile, "__getstate__", refuse)
+        executor = RemotePlanExecutor(workers=workers, max_local_workers=2,
+                                      connect_timeout=0.2)
+        batch = EstimationEngine(seed=4, executor=executor).execute(
+            requests, deadline=600.0)
+        executor.close()
+        assert values(batch) == want
+        assert batch.stats["remote_fallback_units"] == 2
+        degraded = 2 if reachable == "unreachable" else 0
+        assert batch.stats["degraded_units"] == degraded
+        assert [outcome.status for outcome in batch.outcomes] == \
+            ["degraded" if degraded else "done"] * 2
+
     def test_dominant_sample_splits_by_index_key(self, monkeypatch):
         """A sample outweighing one worker's share (a single-table,
         single-trial advisor batch) spreads across workers by index
