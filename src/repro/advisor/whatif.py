@@ -54,7 +54,6 @@ from repro.sampling.rng import SeedLike
 from repro.storage.index import leaf_schema
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.dictionary import DictionaryCompression
-from repro.compression.global_dictionary import GlobalDictionaryCompression
 from repro.compression.null_suppression import NullSuppression
 from repro.core.bounds import (TRIVIAL_CF_INTERVAL, CFInterval,
                                dict_prior_cf_interval, mix_trials_interval,
@@ -273,8 +272,7 @@ def prior_cf_interval(request: "EstimationRequest") -> CFInterval:
     algorithm = request.algorithm
     if isinstance(algorithm, NullSuppression):
         return ns_prior_cf_interval(dtypes, algorithm.mode)
-    if isinstance(algorithm, (DictionaryCompression,
-                              GlobalDictionaryCompression)):
+    if isinstance(algorithm, DictionaryCompression):  # either scope
         r = rows_for_fraction(request.table.num_rows, request.fraction)
         return dict_prior_cf_interval(dtypes, r,
                                       algorithm.pointer_bytes,

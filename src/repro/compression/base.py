@@ -4,7 +4,8 @@ Design
 ------
 The paper's estimator is *agnostic to the internals of the compression
 algorithm*: it only needs "bytes before" and "bytes after". To honour
-that, every algorithm implements one narrow interface:
+that, every algorithm answers one narrow interface, which
+:class:`CompressionAlgorithm` implements once for all of them:
 
 * :meth:`CompressionAlgorithm.compress` — take the record byte-strings of
   one unit (a page for page-scoped algorithms, the whole index for
@@ -13,9 +14,12 @@ that, every algorithm implements one narrow interface:
 * :meth:`CompressionAlgorithm.decompress` — invert it exactly (tests
   round-trip every algorithm).
 
-Each column is compressed independently (paper Section II-A), so
-algorithms are built from per-column codecs operating on column byte
-slices.
+Each column is compressed independently (paper Section II-A), so both
+are one loop over the schema's columns, and a codec is only its column
+hooks: ``_compress_column(dtype, slices)`` returns one
+:class:`CompressedColumn` and ``_decompress_column(dtype, blob, count)``
+inverts it. A custom codec subclasses :class:`CompressionAlgorithm`
+and implements those two.
 
 Two size views
 --------------
@@ -33,7 +37,10 @@ Two ways to size a unit
 ``compress`` is the reference. :meth:`CompressionAlgorithm.size_of` is
 the size kernel every estimate runs on: the same ``payload_size``,
 summed over every leaf page of an index in one call, computed
-vectorized from column views without building a blob. Repacking
+vectorized from column views without building a blob. It too is one
+loop over the columns, summing the codec's third hook,
+``_size_column(dtype, view, bounds)``; a codec without a kernel leaves
+that hook out, and its callers fall back to ``compress``. Repacking
 (:mod:`repro.compression.repack`) sizes candidate pages with the same
 two.
 """
@@ -47,6 +54,7 @@ from typing import TYPE_CHECKING, Literal, Sequence
 from repro.errors import CompressionError, KernelUnavailable
 from repro.storage.record import split_records
 from repro.storage.schema import Schema
+from repro.storage.types import DataType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -99,18 +107,52 @@ class CompressionAlgorithm(ABC):
     #: Whether the algorithm operates per page or across the whole index.
     scope: Scope = "page"
 
-    # -- mandatory interface -------------------------------------------
+    # -- the column hooks a codec implements ----------------------------
     @abstractmethod
-    def compress(self, records: Sequence[bytes], schema: Schema,
-                 ) -> CompressedBlock:
-        """Compress one unit of records."""
+    def _compress_column(self, dtype: DataType, slices: list[bytes],
+                         ) -> CompressedColumn:
+        """Compress one column's value slices, one per row."""
 
     @abstractmethod
+    def _decompress_column(self, dtype: DataType, blob: bytes, count: int,
+                           ) -> list[bytes]:
+        """Exactly invert :meth:`_compress_column` into ``count`` slices."""
+
+    def _size_column(self, dtype: DataType, view: "ColumnView",
+                     bounds: "np.ndarray") -> int:
+        """One column's share of :meth:`size_of` (the size kernel).
+
+        Codecs with a vectorized kernel override this; the default has
+        none, so :meth:`size_of` raises and its callers fall back to
+        :meth:`compress`.
+        """
+        raise KernelUnavailable(
+            f"{self.name} has no vectorized size kernel")
+
+    # -- the unit interface: one column loop each -----------------------
+    def compress(self, records: Sequence[bytes], schema: Schema,
+                 ) -> CompressedBlock:
+        """Compress one unit of records, column by column."""
+        if not records:
+            raise CompressionError("cannot compress an empty record set")
+        columns = self.columnize(records, schema)
+        compressed = tuple(
+            self._compress_column(col.dtype, slices)
+            for col, slices in zip(schema.columns, columns))
+        return CompressedBlock(algorithm=self.name, row_count=len(records),
+                               columns=compressed)
+
     def decompress(self, block: CompressedBlock, schema: Schema,
                    ) -> list[bytes]:
         """Exactly invert :meth:`compress`."""
+        if len(block.columns) != len(schema):
+            raise CompressionError(
+                f"block has {len(block.columns)} columns, schema has "
+                f"{len(schema)}")
+        return self.recordize([
+            self._decompress_column(col.dtype, comp.blob, block.row_count)
+            for col, comp in zip(schema.columns, block.columns)])
 
-    # -- optional capabilities -----------------------------------------
     def size_of(self, views: Sequence["ColumnView"], schema: Schema,
                 bounds: "np.ndarray") -> int:
         """Exact summed ``compress(...).payload_size`` without blobs.
@@ -121,20 +163,21 @@ class CompressionAlgorithm(ABC):
         non-empty segments: segment ``i`` is rows ``bounds[i]`` to
         ``bounds[i + 1]``, and rows outside ``bounds[0]:bounds[-1]`` are
         not read. The result is the sum over segments of ``compress(
-        segment).payload_size``, computed in one vectorized pass per
-        column: an index passes its leaf bounds (or ``[0, n]`` for an
-        index-scoped codec), repack one ``[start, stop]`` range.
+        segment).payload_size``, computed as the sum over columns of
+        :meth:`_size_column`, one vectorized pass per column: an index
+        passes its leaf bounds (or ``[0, n]`` for an index-scoped
+        codec), repack one ``[start, stop]`` range.
 
-        Implementations must be **bit-identical** to the scalar path —
-        the estimator treats the two routes as interchangeable,
-        including for persisted estimates. A segment ``compress``
-        rejects (more dictionary entries than its pointer addresses)
-        raises :class:`CompressionError` here too. Raise
-        :class:`~repro.errors.KernelUnavailable` for any input the
-        kernel does not cover; callers fall back to :meth:`compress`.
+        Kernels must be **bit-identical** to the scalar path — the
+        estimator treats the two routes as interchangeable, including
+        for persisted estimates. A segment ``compress`` rejects (more
+        dictionary entries than its pointer addresses) raises
+        :class:`CompressionError` here too. A kernel raises
+        :class:`~repro.errors.KernelUnavailable` for any input it does
+        not cover; callers fall back to :meth:`compress`.
         """
-        raise KernelUnavailable(
-            f"{self.name} has no vectorized size kernel")
+        return sum(self._size_column(col.dtype, view, bounds)
+                   for col, view in zip(schema.columns, views))
 
     def cf_from_histogram(self, histogram: "ColumnHistogram",  # noqa: F821
                           **layout) -> float:
@@ -178,7 +221,10 @@ class CompressionAlgorithm(ABC):
         return [b"".join(col[row] for col in columns)
                 for row in range(counts.pop())]
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
+        # Part of the persisted identity of delta and prefix, which hold
+        # a NullSuppression: ``algorithm_key`` reprs instance state, so
+        # this names configuration only.
         return f"{type(self).__name__}(name={self.name!r})"
 
 

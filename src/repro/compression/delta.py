@@ -16,14 +16,10 @@ Stored size per column: ``(1 + width_first) + sum_{i>0} (1 + width(delta_i))``.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.errors import CompressionError
-from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, DataType, IntegerType,
                                  minimal_int_bytes)
-from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm)
+from repro.compression.base import CompressedColumn, CompressionAlgorithm
 from repro.compression.null_suppression import NullSuppression
 
 _MODE_NS_FALLBACK = 0
@@ -50,17 +46,6 @@ class DeltaEncoding(CompressionAlgorithm):
     def __init__(self) -> None:
         self._ns = NullSuppression()
 
-    def compress(self, records: Sequence[bytes], schema: Schema,
-                 ) -> CompressedBlock:
-        if not records:
-            raise CompressionError("cannot compress an empty record set")
-        columns = self.columnize(records, schema)
-        compressed = tuple(
-            self._compress_column(col.dtype, slices)
-            for col, slices in zip(schema.columns, columns))
-        return CompressedBlock(algorithm=self.name, row_count=len(records),
-                               columns=compressed)
-
     def _compress_column(self, dtype: DataType, slices: list[bytes],
                          ) -> CompressedColumn:
         if not _is_integer(dtype):
@@ -79,40 +64,6 @@ class DeltaEncoding(CompressionAlgorithm):
             payload += 1 + width
             previous = value
         return CompressedColumn(b"".join(parts), payload)
-
-    def size_of(self, views, schema: Schema, bounds) -> int:
-        """Vectorized delta payload: first values + widths of diffs.
-
-        Each segment's first integer pays its NS size; every later row
-        pays a 1-byte header plus the width of its difference from the
-        row before, so the differences across segment boundaries drop
-        out. Other columns pay their NS sizes, matching the scalar
-        fallback.
-        """
-        low, high = int(bounds[0]), int(bounds[-1])
-        firsts = bounds[:-1]
-        total = 0
-        for col, view in zip(schema.columns, views):
-            if not _is_integer(col.dtype):
-                total += int(view.ns_sizes[low:high].sum())
-                continue
-            widths = view.delta_widths
-            total += (high - low - firsts.size) \
-                + int(widths[low:high].sum()) - int(widths[firsts].sum()) \
-                + int(view.ns_sizes[firsts].sum())
-        return total
-
-    def decompress(self, block: CompressedBlock, schema: Schema,
-                   ) -> list[bytes]:
-        if len(block.columns) != len(schema):
-            raise CompressionError(
-                f"block has {len(block.columns)} columns, schema has "
-                f"{len(schema)}")
-        columns = [
-            self._decompress_column(col.dtype, comp.blob,
-                                    block.row_count)
-            for col, comp in zip(schema.columns, block.columns)]
-        return self.recordize(columns)
 
     def _decompress_column(self, dtype: DataType, blob: bytes,
                            count: int) -> list[bytes]:
@@ -145,3 +96,21 @@ class DeltaEncoding(CompressionAlgorithm):
             raise CompressionError(
                 f"{len(body) - offset} trailing bytes in delta blob")
         return out
+
+    def _size_column(self, dtype: DataType, view, bounds) -> int:
+        """Vectorized delta payload: first values + widths of diffs.
+
+        Each segment's first integer pays its NS size; every later row
+        pays a 1-byte header plus the width of its difference from the
+        row before, so the differences across segment boundaries drop
+        out. Other columns pay their NS sizes, matching the scalar
+        fallback.
+        """
+        if not _is_integer(dtype):
+            return self._ns._size_column(dtype, view, bounds)
+        low, high = int(bounds[0]), int(bounds[-1])
+        firsts = bounds[:-1]
+        widths = view.delta_widths
+        return (high - low - firsts.size) \
+            + int(widths[low:high].sum()) - int(widths[firsts].sum()) \
+            + int(view.ns_sizes[firsts].sum())

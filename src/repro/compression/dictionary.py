@@ -9,8 +9,8 @@ model* where one index-wide dictionary holds each distinct value once::
     CF_D = (d * k + n * p) / (n * k) = d/n + p/k        (simplified model)
 
 This module implements the page-scoped algorithm; the simplified global
-model lives in :mod:`repro.compression.global_dictionary` and shares the
-same codec with ``scope = "index"``.
+model (:mod:`repro.compression.global_dictionary`) is this class at
+``scope = "index"``.
 
 Parameters
 ----------
@@ -34,11 +34,9 @@ import numpy as np
 
 from repro.constants import DEFAULT_POINTER_BYTES, PAD_BYTE
 from repro.errors import CompressionError
-from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
                                  VarCharType)
-from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm)
+from repro.compression.base import CompressedColumn, CompressionAlgorithm
 from repro.compression.null_suppression import ns_header_bytes
 
 EntryStorage = Literal["fixed", "null_suppressed"]
@@ -75,7 +73,11 @@ def _entry_stored_size(dtype: DataType, slice_: bytes,
 
 
 class _DictionaryCodec:
-    """Column-level dictionary encode/decode shared by both scopes."""
+    """Column-level dictionary encode, decode and size.
+
+    The dictionary codec's column hooks (either scope) forward here, and
+    PAGE compression uses it for its dictionary pass.
+    """
 
     def __init__(self, pointer_bytes: int | None,
                  entry_storage: EntryStorage) -> None:
@@ -226,11 +228,14 @@ class DictionaryCompression(CompressionAlgorithm):
 
     scope = "page"
 
+    #: The name before its ``_derived`` suffix (``pointer_bytes=None``).
+    name_prefix = "dictionary"
+
     def __init__(self, pointer_bytes: int | None = DEFAULT_POINTER_BYTES,
                  entry_storage: EntryStorage = "fixed") -> None:
         self._codec = _DictionaryCodec(pointer_bytes, entry_storage)
         suffix = "" if pointer_bytes is not None else "_derived"
-        self.name = f"dictionary{suffix}"
+        self.name = f"{self.name_prefix}{suffix}"
 
     @property
     def pointer_bytes(self) -> int | None:
@@ -240,33 +245,17 @@ class DictionaryCompression(CompressionAlgorithm):
     def entry_storage(self) -> EntryStorage:
         return self._codec.entry_storage
 
-    def compress(self, records: Sequence[bytes], schema: Schema,
-                 ) -> CompressedBlock:
-        if not records:
-            raise CompressionError("cannot compress an empty record set")
-        columns = self.columnize(records, schema)
-        compressed = tuple(
-            self._codec.compress_column(col.dtype, slices)
-            for col, slices in zip(schema.columns, columns))
-        return CompressedBlock(algorithm=self.name, row_count=len(records),
-                               columns=compressed)
+    def _compress_column(self, dtype: DataType, slices: list[bytes],
+                         ) -> CompressedColumn:
+        return self._codec.compress_column(dtype, slices)
 
-    def size_of(self, views, schema: Schema, bounds) -> int:
+    def _decompress_column(self, dtype: DataType, blob: bytes, count: int,
+                           ) -> list[bytes]:
+        return self._codec.decompress_column(dtype, blob, count)
+
+    def _size_column(self, dtype: DataType, view, bounds) -> int:
         """Vectorized dictionary payload, one dictionary per segment."""
-        return sum(self._codec.size_of_column(col.dtype, view, bounds)
-                   for col, view in zip(schema.columns, views))
-
-    def decompress(self, block: CompressedBlock, schema: Schema,
-                   ) -> list[bytes]:
-        if len(block.columns) != len(schema):
-            raise CompressionError(
-                f"block has {len(block.columns)} columns, schema has "
-                f"{len(schema)}")
-        columns = [
-            self._codec.decompress_column(col.dtype, comp.blob,
-                                          block.row_count)
-            for col, comp in zip(schema.columns, block.columns)]
-        return self.recordize(columns)
+        return self._codec.size_of_column(dtype, view, bounds)
 
     def cf_from_histogram(self, histogram, **layout) -> float:
         """Closed-form paged-dictionary CF on a sorted clustered layout."""

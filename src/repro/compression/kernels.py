@@ -41,11 +41,12 @@ estimates computed through kernels are interchangeable with (and
 cache-compatible with) scalar ones, including entries already
 persisted in a :class:`~repro.store.store.SampleStore`.
 
-Codecs opt in by implementing
-:meth:`~repro.compression.base.CompressionAlgorithm.size_of`; anything
-uncovered (an exotic dtype, a third-party algorithm) raises
-:class:`~repro.errors.KernelUnavailable` and the caller falls
-back to the scalar path. Setting ``REPRO_DISABLE_KERNELS=1`` forces
+:meth:`~repro.compression.base.CompressionAlgorithm.size_of` is one
+loop over the columns, and a codec opts in by implementing its column
+hook, ``_size_column(dtype, view, bounds)``, from these blocks.
+Anything uncovered (an exotic dtype, a third-party algorithm without
+that hook) raises :class:`~repro.errors.KernelUnavailable` and the
+caller falls back to the scalar path. Setting ``REPRO_DISABLE_KERNELS=1`` forces
 the fallback everywhere, which CI uses to keep the scalar path tested.
 """
 

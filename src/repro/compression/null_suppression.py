@@ -23,16 +23,14 @@ Both modes are exactly invertible; the test suite round-trips them.
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Literal
 
 from repro.constants import PAD_BYTE
 from repro.errors import CompressionError
-from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
                                  VarCharType, length_header_bytes,
                                  minimal_int_bytes)
-from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm)
+from repro.compression.base import CompressedColumn, CompressionAlgorithm
 
 _ESCAPE = 0x1B  # ASCII ESC, rare in stored text
 _TOKEN_LITERAL = 0x00
@@ -152,19 +150,8 @@ class NullSuppression(CompressionAlgorithm):
             else "null_suppression_runs"
 
     # ------------------------------------------------------------------
-    # Compression
+    # Column hooks
     # ------------------------------------------------------------------
-    def compress(self, records: Sequence[bytes], schema: Schema,
-                 ) -> CompressedBlock:
-        if not records:
-            raise CompressionError("cannot compress an empty record set")
-        columns = self.columnize(records, schema)
-        compressed = tuple(
-            self._compress_column(col.dtype, slices)
-            for col, slices in zip(schema.columns, columns))
-        return CompressedBlock(algorithm=self.name, row_count=len(records),
-                               columns=compressed)
-
     def _compress_column(self, dtype: DataType, slices: list[bytes],
                          ) -> CompressedColumn:
         if isinstance(dtype, CharType):
@@ -192,38 +179,6 @@ class NullSuppression(CompressionAlgorithm):
             return CompressedColumn(b"".join(parts), payload)
         raise CompressionError(
             f"null suppression unsupported for {dtype.name}")
-
-    # ------------------------------------------------------------------
-    # Size-only kernel
-    # ------------------------------------------------------------------
-    def size_of(self, views, schema: Schema, bounds) -> int:
-        """Vectorized NS payload for both modes: per-row sizes, summed.
-
-        NS is layout-free, so segment bounds only delimit the range.
-        ``trailing`` sizes are a pad scan plus minimal-int widths;
-        ``runs`` additionally prices interior pad/zero runs at the
-        escape-token rate (see
-        :func:`~repro.compression.kernels.ns_runs_char_body_lengths`).
-        """
-        low, high = int(bounds[0]), int(bounds[-1])
-        if self.mode == "runs":
-            return sum(int(view.ns_runs_sizes[low:high].sum())
-                       for view in views)
-        return sum(int(view.ns_sizes[low:high].sum()) for view in views)
-
-    # ------------------------------------------------------------------
-    # Decompression
-    # ------------------------------------------------------------------
-    def decompress(self, block: CompressedBlock, schema: Schema,
-                   ) -> list[bytes]:
-        if len(block.columns) != len(schema):
-            raise CompressionError(
-                f"block has {len(block.columns)} columns, schema has "
-                f"{len(schema)}")
-        columns = [
-            self._decompress_column(col.dtype, comp.blob, block.row_count)
-            for col, comp in zip(schema.columns, block.columns)]
-        return self.recordize(columns)
 
     def _decompress_column(self, dtype: DataType, blob: bytes, count: int,
                            ) -> list[bytes]:
@@ -267,6 +222,18 @@ class NullSuppression(CompressionAlgorithm):
             raise CompressionError(
                 f"{len(blob) - offset} trailing bytes in NS blob")
         return out
+
+    def _size_column(self, dtype: DataType, view, bounds) -> int:
+        """Vectorized NS payload for both modes: per-row sizes, summed.
+
+        NS is layout-free, so segment bounds only delimit the range.
+        ``trailing`` sizes are a pad scan plus minimal-int widths;
+        ``runs`` additionally prices interior pad/zero runs at the
+        escape-token rate (see
+        :func:`~repro.compression.kernels.ns_runs_char_body_lengths`).
+        """
+        sizes = view.ns_runs_sizes if self.mode == "runs" else view.ns_sizes
+        return int(sizes[int(bounds[0]):int(bounds[-1])].sum())
 
     # ------------------------------------------------------------------
     # The closed-form model

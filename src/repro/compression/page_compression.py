@@ -22,16 +22,12 @@ SampleCF's algorithm-agnosticism on a realistic composite technique.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.constants import DEFAULT_POINTER_BYTES, PAD_BYTE
 from repro.errors import CompressionError
-from repro.storage.schema import Schema
 from repro.storage.types import CharType, DataType
-from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm)
+from repro.compression.base import CompressedColumn, CompressionAlgorithm
 from repro.compression.dictionary import _DictionaryCodec
 from repro.compression.null_suppression import ns_header_bytes
 from repro.compression.prefix import common_prefix
@@ -54,17 +50,6 @@ class PageCompression(CompressionAlgorithm):
     @property
     def pointer_bytes(self) -> int | None:
         return self._codec.pointer_bytes
-
-    def compress(self, records: Sequence[bytes], schema: Schema,
-                 ) -> CompressedBlock:
-        if not records:
-            raise CompressionError("cannot compress an empty record set")
-        columns = self.columnize(records, schema)
-        compressed = tuple(
-            self._compress_column(col.dtype, slices)
-            for col, slices in zip(schema.columns, columns))
-        return CompressedBlock(algorithm=self.name, row_count=len(records),
-                               columns=compressed)
 
     def _compress_column(self, dtype: DataType, slices: list[bytes],
                          ) -> CompressedColumn:
@@ -102,45 +87,6 @@ class PageCompression(CompressionAlgorithm):
             parts.append(pointer.to_bytes(width, "big"))
         payload += len(pointers) * width
         return CompressedColumn(b"".join(parts), payload)
-
-    def size_of(self, views, schema: Schema, bounds) -> int:
-        """Vectorized composite payload: prefix + dictionary + NS.
-
-        For a CHAR column a segment's distinct *remainders* biject onto
-        its distinct stripped values (all share the segment's prefix),
-        so the value codes give each segment's dictionary size, and the
-        entries' NS sizes less one prefix each give its entry bytes.
-        Non-CHAR columns take the null-suppressed-entry dictionary
-        kernel.
-        """
-        from repro.compression.kernels import (segment_entries,
-                                               segment_prefixes)
-
-        total = 0
-        for col, view in zip(schema.columns, views):
-            dtype = col.dtype
-            if not isinstance(dtype, CharType):
-                total += self._codec.size_of_column(dtype, view, bounds)
-                continue
-            prefixes = segment_prefixes(view, bounds)
-            distinct, entry_bytes = segment_entries(view, bounds)
-            widths = self._codec.pointer_widths(distinct)
-            total += prefixes.size * ns_header_bytes(dtype) \
-                + int((prefixes * (1 - distinct)).sum()) \
-                + int(entry_bytes.sum()) \
-                + int((np.diff(bounds) * widths).sum())
-        return total
-
-    def decompress(self, block: CompressedBlock, schema: Schema,
-                   ) -> list[bytes]:
-        if len(block.columns) != len(schema):
-            raise CompressionError(
-                f"block has {len(block.columns)} columns, schema has "
-                f"{len(schema)}")
-        columns = [
-            self._decompress_column(col.dtype, comp.blob, block.row_count)
-            for col, comp in zip(schema.columns, block.columns)]
-        return self.recordize(columns)
 
     def _decompress_column(self, dtype: DataType, blob: bytes, count: int,
                            ) -> list[bytes]:
@@ -190,3 +136,26 @@ class PageCompression(CompressionAlgorithm):
             raise CompressionError(
                 f"{len(body) - offset} trailing bytes in PAGE blob")
         return out
+
+    def _size_column(self, dtype: DataType, view, bounds) -> int:
+        """Vectorized composite payload: prefix + dictionary + NS.
+
+        For a CHAR column a segment's distinct *remainders* biject onto
+        its distinct stripped values (all share the segment's prefix),
+        so the value codes give each segment's dictionary size, and the
+        entries' NS sizes less one prefix each give its entry bytes.
+        Non-CHAR columns take the null-suppressed-entry dictionary
+        kernel.
+        """
+        from repro.compression.kernels import (segment_entries,
+                                               segment_prefixes)
+
+        if not isinstance(dtype, CharType):
+            return self._codec.size_of_column(dtype, view, bounds)
+        prefixes = segment_prefixes(view, bounds)
+        distinct, entry_bytes = segment_entries(view, bounds)
+        widths = self._codec.pointer_widths(distinct)
+        return prefixes.size * ns_header_bytes(dtype) \
+            + int((prefixes * (1 - distinct)).sum()) \
+            + int(entry_bytes.sum()) \
+            + int((np.diff(bounds) * widths).sum())

@@ -24,10 +24,8 @@ import numpy as np
 
 from repro.constants import PAD_BYTE
 from repro.errors import CompressionError
-from repro.storage.schema import Schema
 from repro.storage.types import CharType, DataType
-from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm)
+from repro.compression.base import CompressedColumn, CompressionAlgorithm
 from repro.compression.null_suppression import (NullSuppression,
                                                 ns_header_bytes)
 
@@ -52,17 +50,6 @@ class PrefixCompression(CompressionAlgorithm):
     def __init__(self) -> None:
         self._ns = NullSuppression()
 
-    def compress(self, records: Sequence[bytes], schema: Schema,
-                 ) -> CompressedBlock:
-        if not records:
-            raise CompressionError("cannot compress an empty record set")
-        columns = self.columnize(records, schema)
-        compressed = tuple(
-            self._compress_column(col.dtype, slices)
-            for col, slices in zip(schema.columns, columns))
-        return CompressedBlock(algorithm=self.name, row_count=len(records),
-                               columns=compressed)
-
     def _compress_column(self, dtype: DataType, slices: list[bytes],
                          ) -> CompressedColumn:
         if not isinstance(dtype, CharType):
@@ -84,36 +71,6 @@ class PrefixCompression(CompressionAlgorithm):
             parts.append(remainder)
             payload += header + len(remainder)
         return CompressedColumn(b"".join(parts), payload)
-
-    def size_of(self, views, schema: Schema, bounds) -> int:
-        """Vectorized prefix payload: segment prefixes + NS sizes.
-
-        Per CHAR column and segment the closed form is
-        ``(c + |P|) + n*c + sum(l_i) - n*|P|``; other dtypes pay their
-        NS sizes (the scalar fallback they compress with).
-        """
-        from repro.compression.kernels import segment_prefixes
-
-        low, high = int(bounds[0]), int(bounds[-1])
-        total = 0
-        for col, view in zip(schema.columns, views):
-            total += int(view.ns_sizes[low:high].sum())
-            if isinstance(col.dtype, CharType):
-                prefixes = segment_prefixes(view, bounds)
-                total += prefixes.size * ns_header_bytes(col.dtype) \
-                    + int((prefixes * (1 - np.diff(bounds))).sum())
-        return total
-
-    def decompress(self, block: CompressedBlock, schema: Schema,
-                   ) -> list[bytes]:
-        if len(block.columns) != len(schema):
-            raise CompressionError(
-                f"block has {len(block.columns)} columns, schema has "
-                f"{len(schema)}")
-        columns = [
-            self._decompress_column(col.dtype, comp.blob, block.row_count)
-            for col, comp in zip(schema.columns, block.columns)]
-        return self.recordize(columns)
 
     def _decompress_column(self, dtype: DataType, blob: bytes, count: int,
                            ) -> list[bytes]:
@@ -146,3 +103,19 @@ class PrefixCompression(CompressionAlgorithm):
             raise CompressionError(
                 f"{len(body) - offset} trailing bytes in prefix blob")
         return out
+
+    def _size_column(self, dtype: DataType, view, bounds) -> int:
+        """Vectorized prefix payload: segment prefixes + NS sizes.
+
+        Per CHAR column and segment the closed form is
+        ``(c + |P|) + n*c + sum(l_i) - n*|P|``; other dtypes pay their
+        NS sizes (the scalar fallback they compress with).
+        """
+        from repro.compression.kernels import segment_prefixes
+
+        size = self._ns._size_column(dtype, view, bounds)
+        if isinstance(dtype, CharType):
+            prefixes = segment_prefixes(view, bounds)
+            size += prefixes.size * ns_header_bytes(dtype) \
+                + int((prefixes * (1 - np.diff(bounds))).sum())
+        return size

@@ -17,17 +17,13 @@ null-suppressed value.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.constants import PAD_BYTE
 from repro.errors import CompressionError
-from repro.storage.schema import Schema
 from repro.storage.types import (BigIntType, CharType, DataType, IntegerType,
                                  VarCharType, minimal_int_bytes)
-from repro.compression.base import (CompressedBlock, CompressedColumn,
-                                    CompressionAlgorithm)
+from repro.compression.base import CompressedColumn, CompressionAlgorithm
 from repro.compression.null_suppression import ns_header_bytes
 
 #: Bytes used to store one run's repetition count.
@@ -77,17 +73,6 @@ class RunLengthEncoding(CompressionAlgorithm):
     scope = "page"
     name = "rle"
 
-    def compress(self, records: Sequence[bytes], schema: Schema,
-                 ) -> CompressedBlock:
-        if not records:
-            raise CompressionError("cannot compress an empty record set")
-        columns = self.columnize(records, schema)
-        compressed = tuple(
-            self._compress_column(col.dtype, slices)
-            for col, slices in zip(schema.columns, columns))
-        return CompressedBlock(algorithm=self.name, row_count=len(records),
-                               columns=compressed)
-
     def _compress_column(self, dtype: DataType, slices: list[bytes],
                          ) -> CompressedColumn:
         header = ns_header_bytes(dtype)
@@ -107,33 +92,6 @@ class RunLengthEncoding(CompressionAlgorithm):
             parts.append(body)
             payload += rle_run_stored_size(dtype, value)
         return CompressedColumn(b"".join(parts), payload)
-
-    def size_of(self, views, schema: Schema, bounds) -> int:
-        """Vectorized RLE payload: run starts + NS'd run values.
-
-        A run starts where a value changes and at every segment start;
-        each run pays its count field plus its value's NS size.
-        """
-        from repro.compression.kernels import segment_run_starts
-
-        low, high = int(bounds[0]), int(bounds[-1])
-        total = 0
-        for view in views:
-            starts = segment_run_starts(view, bounds)
-            total += int(np.count_nonzero(starts)) * RUN_COUNT_BYTES \
-                + int(view.ns_sizes[low:high][starts].sum())
-        return total
-
-    def decompress(self, block: CompressedBlock, schema: Schema,
-                   ) -> list[bytes]:
-        if len(block.columns) != len(schema):
-            raise CompressionError(
-                f"block has {len(block.columns)} columns, schema has "
-                f"{len(schema)}")
-        columns = [
-            self._decompress_column(col.dtype, comp.blob, block.row_count)
-            for col, comp in zip(schema.columns, block.columns)]
-        return self.recordize(columns)
 
     def _decompress_column(self, dtype: DataType, blob: bytes, count: int,
                            ) -> list[bytes]:
@@ -170,6 +128,19 @@ class RunLengthEncoding(CompressionAlgorithm):
             raise CompressionError(
                 f"{len(blob) - offset} trailing bytes in RLE blob")
         return out
+
+    def _size_column(self, dtype: DataType, view, bounds) -> int:
+        """Vectorized RLE payload: run starts + NS'd run values.
+
+        A run starts where a value changes and at every segment start;
+        each run pays its count field plus its value's NS size.
+        """
+        from repro.compression.kernels import segment_run_starts
+
+        starts = segment_run_starts(view, bounds)
+        values = view.ns_sizes[int(bounds[0]):int(bounds[-1])][starts]
+        return int(np.count_nonzero(starts)) * RUN_COUNT_BYTES \
+            + int(values.sum())
 
     def cf_from_histogram(self, histogram, **layout) -> float:
         """Closed-form RLE CF on a sorted clustered page layout."""

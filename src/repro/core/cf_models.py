@@ -101,13 +101,16 @@ class ColumnHistogram:
                     ) -> "ColumnHistogram":
         """Same distinct values with new counts; zero-count values drop.
 
-        This is how samplers express "the histogram of the sample".
+        This is how samplers express "the histogram of the sample". A
+        negative count is an error, as in the constructor.
         """
         counts_array = np.asarray(counts, dtype=np.int64)
         if counts_array.shape[0] != len(self.values):
             raise EstimationError(
                 f"expected {len(self.values)} counts, "
                 f"got {counts_array.shape[0]}")
+        if np.any(counts_array < 0):
+            raise EstimationError("histogram counts must not be negative")
         keep = counts_array > 0
         if not np.any(keep):
             raise EstimationError("sample histogram would be empty")
@@ -161,9 +164,13 @@ class ColumnHistogram:
     def sorted_by_value(self) -> "ColumnHistogram":
         """Histogram with values in index-key order (cached).
 
-        Python-value order equals encoded-byte order for every supported
-        type (latin-1 CHAR and sign-flipped integers), so this is the
-        order a clustered index lays rows out in.
+        Python-value order is the order
+        :func:`repro.storage.index.key_order` gives the encoded values,
+        so this is the order a clustered index lays rows out in
+        (:func:`pages_spanned` relies on it). For CHAR that is not
+        padded-byte order: ``'ab'`` sorts before ``'ab\\x01'`` although
+        its blank padding sorts after, and ``key_order`` puts it first
+        too. (CHAR values carry no trailing blanks, as decoded ones.)
         """
         if self._sorted_cache is None:
             order = sorted(range(self.d), key=lambda i: self.values[i])

@@ -58,11 +58,12 @@ class CompressionError(ReproError):
 class KernelUnavailable(ReproError):
     """No vectorized size kernel covers this algorithm/column combination.
 
-    Raised by :meth:`CompressionAlgorithm.size_of` implementations to
-    signal "use the scalar path"; callers treat it as a routing decision,
-    never as a failure, which is why it is not a
-    :class:`CompressionError` subclass (a genuine compression failure
-    must not be silently absorbed by the fallback).
+    Raised by a codec's ``_size_column`` (the base one has no kernel)
+    through :meth:`CompressionAlgorithm.size_of` to signal "use the
+    scalar path"; callers treat it as a routing decision, never as a
+    failure, which is why it is not a :class:`CompressionError`
+    subclass (a genuine compression failure must not be silently
+    absorbed by the fallback).
     """
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, TypeVar
 import numpy as np
 
 from repro.errors import SamplingError
-from repro.sampling.base import RowSampler
+from repro.sampling.row_samplers import WithoutReplacementSampler
 from repro.sampling.rng import SeedLike, make_rng
 
 T = TypeVar("T")
@@ -89,16 +89,17 @@ def reservoir_sample_x(stream: Iterable[T], r: int,
         t += skip + 1
 
 
-class ReservoirSampler(RowSampler):
+class ReservoirSampler(WithoutReplacementSampler):
     """Row sampler backed by reservoir sampling over a position stream.
 
     Distributionally identical to
     :class:`~repro.sampling.row_samplers.WithoutReplacementSampler`; it
     exists to model the streaming access pattern (one sequential scan).
+    A reservoir sample is a uniform without-replacement sample, so its
+    histogram draw is the inherited multivariate hypergeometric one.
     """
 
     name = "reservoir"
-    with_replacement = False
 
     def __init__(self, variant: str = "r") -> None:
         if variant not in ("r", "x"):
@@ -111,15 +112,6 @@ class ReservoirSampler(RowSampler):
         sampler = reservoir_sample_r if self.variant == "r" \
             else reservoir_sample_x
         return np.asarray(sampler(range(n), r, rng))
-
-    def sample_histogram(self, histogram, r: int,
-                         rng: np.random.Generator):
-        # A reservoir sample is a uniform without-replacement sample, so
-        # the histogram equivalent is multivariate hypergeometric.
-        self._check(histogram.n, r)
-        counts = histogram.counts.astype(np.int64)
-        sampled = rng.multivariate_hypergeometric(counts, r)
-        return histogram.with_counts(sampled)
 
 
 class StreamingReservoir:

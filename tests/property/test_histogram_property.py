@@ -5,11 +5,15 @@ import string
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.compression.kernels import build_column_views
 from repro.sampling.rng import make_rng
 from repro.sampling.row_samplers import (BernoulliSampler,
                                          WithoutReplacementSampler,
                                          WithReplacementSampler)
-from repro.storage.types import CharType
+from repro.storage.index import key_order
+from repro.storage.record import encode_record, join_records
+from repro.storage.schema import Column, Schema
+from repro.storage.types import BigIntType, CharType, IntegerType, VarCharType
 from repro.core.cf_models import (ColumnHistogram, global_dictionary_cf,
                                   ns_cf, paged_dictionary_cf)
 
@@ -70,6 +74,43 @@ def test_sorted_is_permutation(histogram):
     assert sorted(ordered.values) == list(ordered.values)
     assert set(zip(ordered.values, ordered.counts.tolist())) == \
         set(zip(histogram.values, histogram.counts.tolist()))
+
+
+#: Short texts over blanks, bytes below 0x20 and high latin-1, so that
+#: values are often prefixes of one another.
+key_texts = st.text(alphabet="\x00\x01\x1f ab~\xff", max_size=6)
+
+
+@st.composite
+def key_columns(draw):
+    """A key dtype and distinct values of it, in no particular order."""
+    dtype = draw(st.sampled_from(
+        [CharType(6), VarCharType(6), IntegerType(), BigIntType()]))
+    if isinstance(dtype, CharType):
+        # A CHAR value has no trailing blanks (its padding).
+        values = key_texts.map(lambda text: text.rstrip(" "))
+    elif isinstance(dtype, VarCharType):
+        values = key_texts
+    else:
+        bits = 8 * dtype.fixed_size - 1
+        values = st.integers(-(1 << bits), (1 << bits) - 1)
+    return dtype, draw(st.lists(values, min_size=1, max_size=25,
+                                unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column=key_columns())
+def test_sorted_by_value_is_key_order(column):
+    """The paged models' value order is the index's key order."""
+    dtype, values = column
+    histogram = ColumnHistogram(dtype, values, [1] * len(values))
+    schema = Schema([Column("a", dtype)])
+    views = build_column_views(schema, *join_records(
+        [encode_record(schema, (value,)) for value in values]))
+    order, distinct = key_order(views)
+    assert distinct == len(values)
+    assert [values[i] for i in order] == \
+        list(histogram.sorted_by_value().values)
 
 
 @settings(max_examples=40, deadline=None)

@@ -70,6 +70,12 @@ class TestColumnHistogram:
         with pytest.raises(EstimationError):
             histogram.with_counts([0])
 
+    def test_with_counts_negative_rejected(self, char8):
+        # Counts the constructor rejects must not vanish with the zeros.
+        histogram = ColumnHistogram(char8, ["a", "b", "c"], [5, 5, 5])
+        with pytest.raises(EstimationError, match="negative"):
+            histogram.with_counts([-3, 2, 0])
+
     def test_frequency_of_frequencies(self, char8):
         histogram = ColumnHistogram(char8, ["a", "b", "c", "d"],
                                     [1, 1, 2, 5])

@@ -1,15 +1,17 @@
 """Unit tests for repro.compression.base and registry and repack."""
 
+import numpy as np
 import pytest
 
 from repro.constants import PAGE_HEADER_SIZE
-from repro.errors import CompressionError
-from repro.storage.record import encode_record
+from repro.errors import CompressionError, KernelUnavailable
+from repro.storage.record import encode_record, join_records
 from repro.storage.schema import Column, Schema, single_char_schema
 from repro.compression.base import (CompressedBlock, CompressedColumn,
                                     CompressionAlgorithm, CompressionResult)
 from repro.compression.null_suppression import NullSuppression
 from repro.compression.dictionary import DictionaryCompression
+from repro.compression.kernels import build_column_views
 from repro.compression.page_compression import PageCompression
 from repro.compression.registry import (get_algorithm, list_algorithms,
                                         register_algorithm)
@@ -48,6 +50,48 @@ class TestColumnize:
 
     def test_empty_recordize(self):
         assert CompressionAlgorithm.recordize([]) == []
+
+
+class Verbatim(CompressionAlgorithm):
+    """The least custom codec: fixed-width columns kept as they are."""
+
+    name = "verbatim"
+
+    def _compress_column(self, dtype, slices):
+        blob = b"".join(slices)
+        return CompressedColumn(blob, len(blob))
+
+    def _decompress_column(self, dtype, blob, count):
+        width = dtype.fixed_size
+        return [blob[row * width:(row + 1) * width] for row in range(count)]
+
+
+class TestColumnHooks:
+    """The base class owns the column loops; a codec is its hooks."""
+
+    def test_custom_codec_implements_only_the_column_hooks(self):
+        schema = Schema([Column.of("a", "char(4)"),
+                         Column.of("b", "integer")])
+        records = [encode_record(schema, (f"v{i}", i)) for i in range(40)]
+        codec = Verbatim()
+        block = codec.compress(records, schema)
+        assert block.algorithm == "verbatim"
+        assert block.payload_size == sum(len(record) for record in records)
+        assert codec.decompress(block, schema) == records
+        views = build_column_views(schema, *join_records(records))
+        with pytest.raises(KernelUnavailable):
+            codec.size_of(views, schema, np.array([0, 40]))
+        # Without a kernel, repack sizes its pages through compress.
+        assert repack(records, schema, codec, 256).payload_size == \
+            block.payload_size
+
+    def test_no_codec_redefines_the_column_loops(self):
+        for algorithm in all_algorithms():
+            for cls in type(algorithm).__mro__:
+                if cls is CompressionAlgorithm:
+                    break
+                assert not {"compress", "decompress", "size_of"} \
+                    & set(vars(cls)), cls.__name__
 
 
 class TestBlockTypes:

@@ -57,3 +57,19 @@ def test_store_warm_start_figures_come_from_the_baseline():
               f"speedup and a **{result['sample_tier_speedup_vs_cold']:.1f}x**"
               f" sample-tier speedup")
     assert phrase in readme_text(), phrase
+
+
+def test_whatif_figures_come_from_the_baseline():
+    baseline = json.loads((REPO / "benchmarks" / "results"
+                           / "BENCH_whatif_advisor.json").read_text())
+    result = baseline["results"]
+    savings = [run["savings_fraction"] for run in result["runs"]]
+    speedups = [run["speedup"] for run in result["runs"]]
+    phrase = (f"cuts engine units by "
+              f"**{100 * result['worst_savings_fraction']:.0f}–"
+              f"{100 * max(savings):.0f}%** "
+              f"(worst bound {100 * result['worst_savings_fraction']:.0f}%, "
+              f"mean {100 * result['mean_savings_fraction']:.0f}%) at "
+              f"bit-identical designs, "
+              f"{min(speedups):.1f}–{max(speedups):.1f}x wall-clock")
+    assert phrase in readme_text(), phrase

@@ -14,6 +14,7 @@ from repro.storage.table import Table
 from repro.storage.schema import single_char_schema
 from repro.workloads.generators import make_histogram, make_table
 from repro.engine import EstimationEngine, EstimationRequest
+from repro.engine.requests import algorithm_key
 from repro.engine.samples import MaterializedSample, materialize_table_sample
 from repro.engine.units import plan_units
 from repro.storage.index import IndexKind
@@ -22,6 +23,53 @@ from repro.store import (STORE_FORMAT, SampleStore, digest_parts,
                          open_store, sample_store_key)
 from repro.store.store import _sample_for_disk
 from tests.conftest import draw_bytes
+
+
+#: ``algorithm_key`` of every registered codec (plus the derived-pointer
+#: dictionaries), as persisted estimates were keyed. The key is class
+#: name, ``name`` and the repr of every instance attribute, so renaming
+#: a class or adding an attribute changes it and orphans every estimate
+#: in every store: such a change must be deliberate, and update these.
+PINNED_ALGORITHM_KEYS = {
+    ("delta", None): (
+        "DeltaEncoding", "delta",
+        (("_ns", "NullSuppression(name='null_suppression')"),)),
+    ("dictionary", None): (
+        "DictionaryCompression", "dictionary",
+        (("_codec",
+          "_DictionaryCodec(pointer_bytes=2, entry_storage='fixed')"),
+         ("name", "'dictionary'"))),
+    ("global_dictionary", None): (
+        "GlobalDictionaryCompression", "global_dictionary",
+        (("_codec",
+          "_DictionaryCodec(pointer_bytes=2, entry_storage='fixed')"),
+         ("name", "'global_dictionary'"))),
+    ("null_suppression", None): (
+        "NullSuppression", "null_suppression",
+        (("mode", "'trailing'"), ("name", "'null_suppression'"))),
+    ("null_suppression_runs", None): (
+        "NullSuppression", "null_suppression_runs",
+        (("mode", "'runs'"), ("name", "'null_suppression_runs'"))),
+    ("page", None): (
+        "PageCompression", "page",
+        (("_codec", "_DictionaryCodec(pointer_bytes=2, "
+                    "entry_storage='null_suppressed')"),
+         ("name", "'page'"))),
+    ("prefix", None): (
+        "PrefixCompression", "prefix",
+        (("_ns", "NullSuppression(name='null_suppression')"),)),
+    ("rle", None): ("RunLengthEncoding", "rle", ()),
+    ("dictionary", "derived"): (
+        "DictionaryCompression", "dictionary_derived",
+        (("_codec",
+          "_DictionaryCodec(pointer_bytes=None, entry_storage='fixed')"),
+         ("name", "'dictionary_derived'"))),
+    ("global_dictionary", "derived"): (
+        "GlobalDictionaryCompression", "global_dictionary_derived",
+        (("_codec",
+          "_DictionaryCodec(pointer_bytes=None, entry_storage='fixed')"),
+         ("name", "'global_dictionary_derived'"))),
+}
 
 
 @pytest.fixture
@@ -110,6 +158,14 @@ class TestFingerprints:
             sample_store_key(unit)
         with pytest.raises(StoreError):
             estimate_store_key(unit)
+
+    def test_algorithm_keys_are_pinned(self):
+        assert sorted(name for name, variant in PINNED_ALGORITHM_KEYS
+                      if variant is None) == list_algorithms()
+        for (name, variant), want in PINNED_ALGORITHM_KEYS.items():
+            kwargs = {"pointer_bytes": None} if variant else {}
+            assert algorithm_key(get_algorithm(name, **kwargs)) == want, \
+                (name, variant)
 
     def test_digest_parts_is_stable(self):
         assert digest_parts("a", 1, 2.5) == digest_parts("a", 1, 2.5)
