@@ -13,11 +13,12 @@ Three building blocks live here:
 * :func:`build_column_views` — the one record splitter. Each column is
   compressed independently (Section II-A), so every size starts by
   cutting records into columns; the sample draw, ``Index.build`` over
-  a whole table, repack, and the sizing of an unpickled index all cut
-  them here, vectorized and validated. An index's leaf views are its
-  records' views taken in key order (:meth:`ColumnView.take`), not a
-  second split. Callers reach it through this module, so a wrapper set
-  on it (the repository benchmark's traced run) sees every split.
+  a whole table, repack, the sizing of an unpickled index and of a
+  histogram's encoded distinct values all cut them here, vectorized
+  and validated. An index's leaf views are its records' views taken
+  in key order (:meth:`ColumnView.take`), not a second split. Callers
+  reach it through this module, so a wrapper set on it (the
+  repository benchmark's traced run) sees every split.
   :func:`build_leaf_views` takes one view set per leaf page; nothing in
   the package calls it, but the benchmark's traced run wraps it by
   name.

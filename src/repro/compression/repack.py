@@ -14,9 +14,10 @@ codec's size kernel
 (:meth:`~repro.compression.base.CompressionAlgorithm.size_of`) as one
 range of one split of the joined records, so every probe shares that
 split's derived arrays, or by its ``compress`` when the kernels are
-off, do not cover it or reject the records. A range the
-codec rejects (more dictionary entries than its pointers can address)
-does not fit.
+off, the codec keeps the base ``_size_column`` (it has no kernel, and
+its records are not split), or the kernels do not cover it or reject
+the records. A range the codec rejects (more dictionary entries than
+its pointers can address) does not fit.
 
 The interplay matters for page-scoped dictionary compression: packing
 more rows per page lets one dictionary entry cover more occurrences,
@@ -104,7 +105,11 @@ def repack_with_route(records: Sequence[bytes], schema: Schema,
         raise CompressionError("cannot repack an empty record set")
     capacity = compressed_page_capacity(page_size)
     views: tuple[kernels.ColumnView, ...] | None = None
-    if kernels.kernels_enabled():
+    # The base ``_size_column`` has no kernel, so a codec that keeps it
+    # would discard the split on its first range.
+    has_kernel = type(algorithm)._size_column \
+        is not CompressionAlgorithm._size_column
+    if has_kernel and kernels.kernels_enabled():
         try:
             views = kernels.build_column_views(schema,
                                                *join_records(records))

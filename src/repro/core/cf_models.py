@@ -29,7 +29,7 @@ against the models transfer to the engine.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Literal, Mapping, Sequence
+from typing import Any, Callable, Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -37,17 +37,54 @@ from repro.constants import DEFAULT_PAGE_SIZE, DEFAULT_POINTER_BYTES
 from repro.errors import EstimationError
 from repro.sampling.rng import SeedLike, make_rng
 from repro.storage.page import records_per_page
+from repro.storage.record import join_records
+from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
+from repro.compression import kernels
 from repro.compression.dictionary import (EntryStorage, _entry_stored_size,
                                           pointer_bytes_for)
-from repro.compression.null_suppression import NSMode, ns_header_bytes
+from repro.compression.null_suppression import (NSMode, ns_header_bytes,
+                                                ns_stored_size)
 from repro.compression.rle import RUN_COUNT_BYTES
 
 Order = Literal["sorted", "shuffled"]
 
+#: The scalar reference of each per-value size array, one value at a
+#: time: what the size kernels compute for all distinct values at once.
+#: ``ns_*`` is the null-suppressed size per mode, ``entry_*`` the
+#: dictionary entry size per entry storage.
+_SCALAR_SIZES: dict[str, Callable[[DataType, Any], int]] = {
+    "encoded": lambda dtype, value: dtype.encoded_size(value),
+    "ns_trailing": lambda dtype, value: ns_stored_size(dtype, value,
+                                                       "trailing"),
+    "ns_runs": lambda dtype, value: ns_stored_size(dtype, value, "runs"),
+    "entry_fixed": lambda dtype, value: _entry_stored_size(
+        dtype, dtype.encode(value), "fixed"),
+    "entry_null_suppressed": lambda dtype, value: _entry_stored_size(
+        dtype, dtype.encode(value), "null_suppressed"),
+}
+
 
 class ColumnHistogram:
-    """Exact value multiset of one column: distinct values and counts."""
+    """Exact value multiset of one column: distinct values and counts.
+
+    Its per-distinct-value arrays (uncompressed size, null-suppressed
+    size per mode, dictionary entry size per entry storage), ``n``,
+    :attr:`total_bytes` and the :meth:`sorted_by_value` order are
+    computed on first use and cached; the constructor computes none of
+    them. A histogram built from values sizes them once, with the
+    size kernels over one :class:`~repro.compression.kernels.ColumnView`
+    of its encoded distinct values (or, with ``REPRO_DISABLE_KERNELS``
+    set, with the scalar references ``ns_stored_size`` and
+    ``_entry_stored_size``). A histogram that :meth:`with_counts` or
+    :meth:`sorted_by_value` derives is its parent plus counts: it keeps
+    the parent (the histogram that sized the values, never a sample)
+    and the positions of its values there, validates nothing, and
+    gathers every array, and its :attr:`values`, from the parent's.
+    Filling a cache is idempotent, so threads may share a histogram.
+    A pickle holds ``dtype``, ``values`` and ``counts`` but no cache
+    and no parent: it unpickles as a histogram of its own.
+    """
 
     def __init__(self, dtype: DataType, values: Sequence[Any],
                  counts: Sequence[int] | np.ndarray) -> None:
@@ -64,10 +101,46 @@ class ColumnHistogram:
             raise EstimationError("histogram counts must be positive")
         for value in values:
             dtype.validate(value)
+        self._adopt(dtype, values, counts_array)
+
+    def _adopt(self, dtype: DataType, values: tuple | None,
+               counts: np.ndarray,
+               source: "tuple[ColumnHistogram, np.ndarray] | None" = None,
+               ) -> None:
+        """Set every attribute. A root has its ``values``; a derived
+        histogram has, instead, its ``source``: the parent and the
+        positions of its values there."""
         self.dtype = dtype
-        self.values = values
-        self.counts = counts_array
+        self._values = values
+        self.counts = counts
         self._sorted_cache: "ColumnHistogram | None" = None
+        self._source = source
+        self._cache: dict[str, Any] = {}
+
+    def __getstate__(self) -> dict:
+        # The keys a histogram pickled with before it cached anything,
+        # so a sample's store entry keeps its bytes; a content
+        # fingerprint the store memoized on it travels along.
+        state = {"dtype": self.dtype, "values": self.values,
+                 "counts": self.counts, "_sorted_cache": None}
+        fingerprint = self.__dict__.get("_content_fingerprint")
+        if fingerprint is not None:
+            state["_content_fingerprint"] = fingerprint
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        self._adopt(state.pop("dtype"), state.pop("values"),
+                    state.pop("counts"))
+        state.pop("_sorted_cache", None)
+        self.__dict__.update(state)
+
+    def _cached(self, name: str, compute: Callable[[], Any]) -> Any:
+        """``compute()``, cached under ``name`` on first use."""
+        value = self._cache.get(name)
+        if value is None:
+            value = self._cache.setdefault(name, compute())
+        return value
 
     # ------------------------------------------------------------------
     # Construction
@@ -102,33 +175,57 @@ class ColumnHistogram:
         """Same distinct values with new counts; zero-count values drop.
 
         This is how samplers express "the histogram of the sample". A
-        negative count is an error, as in the constructor.
+        negative count is an error, as in the constructor. The result
+        is this histogram's parent plus the kept positions and their
+        counts: no value is validated again, and its size arrays are
+        gathers of the parent's.
         """
         counts_array = np.asarray(counts, dtype=np.int64)
-        if counts_array.shape[0] != len(self.values):
+        if counts_array.shape[0] != self.d:
             raise EstimationError(
-                f"expected {len(self.values)} counts, "
-                f"got {counts_array.shape[0]}")
+                f"expected {self.d} counts, got {counts_array.shape[0]}")
         if np.any(counts_array < 0):
             raise EstimationError("histogram counts must not be negative")
-        keep = counts_array > 0
-        if not np.any(keep):
+        kept = np.flatnonzero(counts_array > 0)
+        if kept.size == 0:
             raise EstimationError("sample histogram would be empty")
-        values = [value for value, kept in zip(self.values, keep) if kept]
-        return ColumnHistogram(self.dtype, values, counts_array[keep])
+        return self._gather(kept, counts_array[kept])
+
+    def _gather(self, positions: np.ndarray,
+                counts: np.ndarray) -> "ColumnHistogram":
+        """This histogram's values at ``positions``, with ``counts``."""
+        if self._source is None:
+            source = (self, positions)
+        else:
+            parent, kept = self._source
+            source = (parent, kept[positions])
+        histogram = ColumnHistogram.__new__(ColumnHistogram)
+        histogram._adopt(self.dtype, None, counts, source)
+        return histogram
 
     # ------------------------------------------------------------------
     # Basic statistics
     # ------------------------------------------------------------------
     @property
+    def values(self) -> tuple:
+        """The distinct values (a derived histogram's, gathered on
+        first use)."""
+        if self._values is None:
+            assert self._source is not None  # a root keeps its values
+            parent, kept = self._source
+            values = parent.values
+            self._values = tuple([values[i] for i in kept.tolist()])
+        return self._values
+
+    @property
     def n(self) -> int:
         """Total number of rows."""
-        return int(self.counts.sum())
+        return self._cached("n", lambda: int(self.counts.sum()))
 
     @property
     def d(self) -> int:
         """Number of distinct values."""
-        return len(self.values)
+        return self.counts.shape[0]
 
     def frequency_of_frequencies(self) -> dict[int, int]:
         """``f_j``: how many distinct values occur exactly ``j`` times."""
@@ -136,27 +233,72 @@ class ColumnHistogram:
         return {int(j): int(t) for j, t in zip(unique, tallies)}
 
     # ------------------------------------------------------------------
-    # Size vectors
+    # Size vectors: one entry per distinct value, in value order. Each
+    # is computed once by the histogram that sized the values and
+    # gathered by those derived from it; every one is cached and
+    # read-only.
     # ------------------------------------------------------------------
     def uncompressed_value_sizes(self) -> np.ndarray:
         """Uncompressed stored bytes of each distinct value."""
-        return np.asarray(
-            [self.dtype.encoded_size(value) for value in self.values],
-            dtype=np.int64)
+        return self._sizes("encoded")
 
     @property
     def total_bytes(self) -> int:
         """Uncompressed bytes of the whole column (the CF denominator)."""
-        return int((self.uncompressed_value_sizes() * self.counts).sum())
+        return self._cached("total_bytes", lambda: int(
+            (self.uncompressed_value_sizes() * self.counts).sum()))
 
     def ns_stored_sizes(self, mode: NSMode = "trailing") -> np.ndarray:
         """Per-distinct-value stored size under null suppression."""
-        from repro.compression.null_suppression import ns_stored_size
+        return self._sizes(f"ns_{mode}")
 
-        return np.asarray(
-            [ns_stored_size(self.dtype, value, mode)
-             for value in self.values],
-            dtype=np.int64)
+    def dictionary_entry_sizes(self, entry_storage: EntryStorage = "fixed",
+                               ) -> np.ndarray:
+        """Dictionary entry bytes of each distinct value."""
+        return self._sizes(f"entry_{entry_storage}")
+
+    def _sizes(self, name: str) -> np.ndarray:
+        """The size array ``name``: the parent's, gathered, or computed."""
+        if name not in _SCALAR_SIZES:
+            raise EstimationError(f"unknown size vector {name!r}")
+
+        def compute() -> np.ndarray:
+            if self._source is not None:
+                parent, kept = self._source
+                sizes = parent._sizes(name)[kept]
+            elif kernels.kernels_enabled() and kernels.kernels_cover(
+                    self._schema()):
+                sizes = self._kernel_sizes(name)
+            else:
+                size = _SCALAR_SIZES[name]
+                sizes = np.fromiter(
+                    (size(self.dtype, value) for value in self.values),
+                    dtype=np.int64, count=self.d)
+            sizes.flags.writeable = False
+            return sizes
+
+        return self._cached(name, compute)
+
+    def _schema(self) -> Schema:
+        return Schema([Column("value", self.dtype)])
+
+    def _kernel_sizes(self, name: str) -> np.ndarray:
+        """Size array ``name`` of every distinct value at once.
+
+        A fixed-width value and its fixed dictionary entry take the
+        type's width; the rest is read off one view of the encoded
+        values. Null suppression keeps a VARCHAR slice, length prefix
+        included, as it is, so its encoded size is its NS size, and a
+        null-suppressed dictionary entry costs its value's trailing NS
+        size.
+        """
+        width = self.dtype.fixed_size
+        if name in ("encoded", "entry_fixed") and width is not None:
+            return np.full(self.d, width, dtype=np.int64)
+        view = self._cached("view", lambda: kernels.build_column_views(
+            self._schema(), *join_records(
+                [self.dtype.encode(value) for value in self.values]))[0])
+        return view.ns_runs_sizes if name == "ns_runs" else view.ns_sizes
 
     # ------------------------------------------------------------------
     # Ordering and materialisation
@@ -171,15 +313,34 @@ class ColumnHistogram:
         padded-byte order: ``'ab'`` sorts before ``'ab\\x01'`` although
         its blank padding sorts after, and ``key_order`` puts it first
         too. (CHAR values carry no trailing blanks, as decoded ones.)
+        The result is derived like a :meth:`with_counts` one.
         """
         if self._sorted_cache is None:
-            order = sorted(range(self.d), key=lambda i: self.values[i])
-            histogram = ColumnHistogram(
-                self.dtype, [self.values[i] for i in order],
-                self.counts[order])
+            order = self._key_order()
+            histogram = self._gather(order, self.counts[order])
             histogram._sorted_cache = histogram
             self._sorted_cache = histogram
         return self._sorted_cache
+
+    def _key_order(self) -> np.ndarray:
+        """Positions of the values in :meth:`sorted_by_value` order.
+
+        A root sorts its values once; a derived histogram argsorts its
+        values' ranks in the parent's order.
+        """
+        def order() -> np.ndarray:
+            if self._source is None:
+                return np.array(
+                    sorted(range(self.d), key=self.values.__getitem__),
+                    dtype=np.int64)
+            parent, kept = self._source
+            return np.argsort(parent._ranks()[kept])
+
+        return self._cached("order", order)
+
+    def _ranks(self) -> np.ndarray:
+        """Each value's position in key order."""
+        return self._cached("ranks", lambda: np.argsort(self._key_order()))
 
     def expand_codes(self, order: Order = "sorted",
                      seed: SeedLike = None) -> np.ndarray:
@@ -227,16 +388,6 @@ def ns_cf(histogram: ColumnHistogram, mode: NSMode = "trailing") -> float:
     return float((stored * histogram.counts).sum()) / histogram.total_bytes
 
 
-def _entry_sizes(histogram: ColumnHistogram,
-                 entry_storage: EntryStorage) -> np.ndarray:
-    """Dictionary entry bytes per distinct value."""
-    return np.asarray(
-        [_entry_stored_size(histogram.dtype,
-                            histogram.dtype.encode(value), entry_storage)
-         for value in histogram.values],
-        dtype=np.int64)
-
-
 def global_dictionary_cf(histogram: ColumnHistogram,
                          pointer_bytes: int | None = DEFAULT_POINTER_BYTES,
                          entry_storage: EntryStorage = "fixed") -> float:
@@ -248,7 +399,7 @@ def global_dictionary_cf(histogram: ColumnHistogram,
     """
     width = pointer_bytes if pointer_bytes is not None \
         else pointer_bytes_for(histogram.d)
-    entries = int(_entry_sizes(histogram, entry_storage).sum())
+    entries = int(histogram.dictionary_entry_sizes(entry_storage).sum())
     compressed = entries + histogram.n * width
     return compressed / histogram.total_bytes
 
@@ -305,7 +456,7 @@ def paged_dictionary_cf(histogram: ColumnHistogram,
         histogram, page_size, record_bytes, fill_factor)
     ordered = histogram.sorted_by_value()
     spans = pages_spanned(ordered, rows_per_page)
-    entries = _entry_sizes(ordered, entry_storage)
+    entries = ordered.dictionary_entry_sizes(entry_storage)
     compressed = int((spans * entries).sum()) + ordered.n * pointer_bytes
     return compressed / ordered.total_bytes
 

@@ -93,8 +93,12 @@ class MaterializedSample:
     extra: dict = field(default_factory=dict)
     indexes: dict[tuple, Index] = field(default_factory=dict)
     #: Payload bytes this sample pins in memory (the record buffer's
-    #: length, or the sampled histogram's bytes). Set at
-    #: materialization; the byte-aware LRU evicts against it.
+    #: length, or the sampled histogram's ``total_bytes``). Set at
+    #: materialization; the byte-aware LRU evicts against it. A
+    #: histogram sample also keeps its parent histogram alive (it
+    #: gathers its sizes from it) but is not charged for it: the parent
+    #: lives in the request that sampled it, or in the service's
+    #: workload cache, and every sample of it shares it.
     nbytes: int = 0
 
     def __post_init__(self) -> None:
@@ -229,7 +233,13 @@ def materialize_table_sample(table: Table,
 def materialize_histogram_sample(histogram: ColumnHistogram,
                                  sampler: RowSampler, fraction: float,
                                  seed: object) -> MaterializedSample:
-    """Draw one reusable sampled histogram (the closed-form fast path)."""
+    """Draw one reusable sampled histogram (the closed-form fast path).
+
+    The sampler's draw ends in ``histogram.with_counts``, so the sample
+    is ``histogram`` plus counts: it validates no value and gathers the
+    per-value sizes ``histogram`` computes once, on first use, and it
+    keeps ``histogram`` alive (see :attr:`MaterializedSample.nbytes`).
+    """
     rng = make_rng(seed)
     r = rows_for_fraction(histogram.n, fraction)
     sample = sampler.sample_histogram(histogram, r, rng)

@@ -5,7 +5,9 @@ import string
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.compression.dictionary import _entry_stored_size
 from repro.compression.kernels import build_column_views
+from repro.compression.null_suppression import ns_stored_size
 from repro.sampling.rng import make_rng
 from repro.sampling.row_samplers import (BernoulliSampler,
                                          WithoutReplacementSampler,
@@ -15,7 +17,7 @@ from repro.storage.record import encode_record, join_records
 from repro.storage.schema import Column, Schema
 from repro.storage.types import BigIntType, CharType, IntegerType, VarCharType
 from repro.core.cf_models import (ColumnHistogram, global_dictionary_cf,
-                                  ns_cf, paged_dictionary_cf)
+                                  ns_cf, paged_dictionary_cf, paged_rle_cf)
 
 K = 12
 
@@ -159,3 +161,99 @@ def test_expand_conserves_multiset(histogram, seed):
         counts[value] = counts.get(value, 0) + 1
     assert counts == dict(zip(histogram.values,
                               (int(c) for c in histogram.counts)))
+
+
+# ----------------------------------------------------------------------
+# Cached size arrays: kernels (or the scalar route) against the scalar
+# references, on a root, its samples and their sorted copies
+# ----------------------------------------------------------------------
+WIDTH = 10
+
+#: CHAR pieces: single bytes (below 0x20, the escape byte, high latin-1)
+#: and runs of blanks or ASCII zeros long enough for runs-mode escapes.
+char_pieces = st.one_of(
+    st.sampled_from(["\x00", "\x01", "\x1b", "\x1f", "a", "Z", "\xff"]),
+    st.builds(lambda byte, run: byte * run, st.sampled_from([" ", "0"]),
+              st.integers(1, 8)))
+
+#: Cut to the width, so long draws fill it.
+char_values = st.lists(char_pieces, max_size=6).map(
+    lambda pieces: "".join(pieces)[:WIDTH])
+
+
+@st.composite
+def sized_histograms(draw):
+    dtype = draw(st.sampled_from([CharType(WIDTH), VarCharType(WIDTH),
+                                  IntegerType(), BigIntType()]))
+    if isinstance(dtype, CharType):
+        values = char_values
+    elif isinstance(dtype, VarCharType):
+        values = st.text(alphabet="\x00\x01 0ab\xff", max_size=WIDTH)
+    else:
+        bits = 8 * dtype.fixed_size - 1
+        values = st.one_of(st.integers(-(1 << bits), (1 << bits) - 1),
+                           st.integers(-300, 300))
+    distinct = draw(st.lists(values, min_size=1, max_size=40, unique=True))
+    counts = draw(st.lists(st.integers(1, 60), min_size=len(distinct),
+                           max_size=len(distinct)))
+    return ColumnHistogram(dtype, distinct, counts)
+
+
+def thinned(histogram, rng):
+    """``histogram`` with binomially thinned counts, through with_counts."""
+    counts = rng.binomial(histogram.counts, 0.5)
+    if not counts.any():
+        counts[rng.integers(counts.size)] = 1
+    return histogram.with_counts(counts)
+
+
+def assert_sizes_are_the_scalar_references(histogram):
+    dtype, values = histogram.dtype, histogram.values
+    encoded = [dtype.encode(value) for value in values]
+    assert histogram.uncompressed_value_sizes().tolist() == \
+        [dtype.encoded_size(value) for value in values]
+    for mode in ("trailing", "runs"):
+        assert histogram.ns_stored_sizes(mode).tolist() == \
+            [ns_stored_size(dtype, value, mode) for value in values]
+    for storage in ("fixed", "null_suppressed"):
+        assert histogram.dictionary_entry_sizes(storage).tolist() == \
+            [_entry_stored_size(dtype, raw, storage) for raw in encoded]
+    assert histogram.n == int(histogram.counts.sum())
+    assert histogram.total_bytes == sum(
+        dtype.encoded_size(value) * int(count)
+        for value, count in zip(values, histogram.counts))
+
+
+def closed_forms(histogram):
+    layout = {"page_size": 256, "record_bytes": 16}
+    return [ns_cf(histogram, "trailing"), ns_cf(histogram, "runs"),
+            global_dictionary_cf(histogram),
+            global_dictionary_cf(histogram, pointer_bytes=None),
+            global_dictionary_cf(histogram, entry_storage="null_suppressed"),
+            paged_dictionary_cf(histogram, **layout),
+            paged_dictionary_cf(histogram, entry_storage="null_suppressed",
+                                **layout),
+            paged_rle_cf(histogram, **layout)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(histogram=sized_histograms(), seed=st.integers(0, 2**31))
+def test_cached_sizes_match_the_scalar_references(histogram, seed):
+    """Root, sample, sample of the sample and each one's sorted copy."""
+    rng = make_rng(seed)
+    sample = thinned(histogram, rng)
+    resample = thinned(sample, rng)
+    for derived in (histogram, sample, resample):
+        ordered = derived.sorted_by_value()
+        assert list(ordered.values) == sorted(derived.values)
+        assert dict(zip(ordered.values, ordered.counts.tolist())) == \
+            dict(zip(derived.values, derived.counts.tolist()))
+        for checked in (derived, ordered):
+            assert_sizes_are_the_scalar_references(checked)
+    for derived in (sample, resample):
+        # A gather from the wrong positions sizes the wrong values.
+        fresh = ColumnHistogram(derived.dtype, derived.values,
+                                derived.counts)
+        assert closed_forms(derived) == closed_forms(fresh)
+        assert closed_forms(derived.sorted_by_value()) == \
+            closed_forms(fresh)

@@ -1,11 +1,17 @@
 """Unit tests for repro.core.cf_models."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import EstimationError
+from repro.sampling.rng import make_rng
+from repro.sampling.row_samplers import WithoutReplacementSampler
 from repro.storage.page import records_per_page
 from repro.storage.types import CharType, IntegerType
+from repro.workloads.generators import make_histogram
 from repro.core.cf_models import (ColumnHistogram,
                                   expected_distinct_in_sample,
                                   global_dictionary_cf,
@@ -257,3 +263,84 @@ class TestExpectedDistinct:
             sampler.sample_histogram(histogram, 100, rng).d
             for _ in range(300)])
         assert observed == pytest.approx(analytic, rel=0.05)
+
+
+def closed_forms(histogram):
+    return (ns_cf(histogram), ns_cf(histogram, "runs"),
+            global_dictionary_cf(histogram),
+            global_dictionary_cf(histogram, entry_storage="null_suppressed"),
+            paged_dictionary_cf(histogram, page_size=256),
+            paged_rle_cf(histogram, page_size=256), histogram.total_bytes)
+
+
+class TestSharedSizes:
+    """A histogram sizes its values once; derived ones gather."""
+
+    def test_construction_sizes_nothing(self, char8, monkeypatch):
+        histogram = ColumnHistogram(char8, ["b", "a", "c"], [2, 3, 1])
+
+        def refuse(value):
+            raise AssertionError("encoded a value")
+
+        monkeypatch.setattr(char8, "encode", refuse)
+        # What table set-ups read needs no size.
+        assert histogram.sorted_by_value().values == ("a", "b", "c")
+        assert histogram.expand_codes().tolist() == [0, 0, 0, 1, 1, 2]
+        with pytest.raises(AssertionError, match="encoded a value"):
+            ns_cf(histogram)
+
+    def test_samples_validate_and_size_nothing(self, char8, monkeypatch):
+        values = [f"v{i}" for i in range(60)]
+        parent = ColumnHistogram(char8, values, np.arange(1, 61))
+        closed_forms(parent)
+
+        def refuse(value):
+            raise AssertionError("validated a value")
+
+        monkeypatch.setattr(char8, "validate", refuse)
+        sample = WithoutReplacementSampler().sample_histogram(
+            parent, 200, make_rng(4))
+        resample = sample.with_counts(np.minimum(sample.counts, 1))
+        derived = (sample, resample, resample.sorted_by_value())
+        cfs = [closed_forms(histogram) for histogram in derived]
+        monkeypatch.undo()
+        assert [closed_forms(ColumnHistogram(char8, histogram.values,
+                                             histogram.counts))
+                for histogram in derived] == cfs
+
+    def test_threads_size_one_fresh_parent(self):
+        def parent():
+            return make_histogram(20_000, 3_000, 20, seed=8)
+
+        def estimates(histogram):
+            sampler = WithoutReplacementSampler()
+            return [closed_forms(sampler.sample_histogram(
+                histogram, 500, make_rng(seed))) for seed in range(6)]
+
+        serial = estimates(parent())
+        shared = parent()
+        results, errors = {}, []
+        barrier = threading.Barrier(8, timeout=30)
+
+        def worker(number):
+            try:
+                barrier.wait()
+                results[number] = estimates(shared)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(number,),
+                                        daemon=True)
+                       for number in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert results == {number: serial for number in range(8)}

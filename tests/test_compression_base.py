@@ -11,6 +11,7 @@ from repro.compression.base import (CompressedBlock, CompressedColumn,
                                     CompressionAlgorithm, CompressionResult)
 from repro.compression.null_suppression import NullSuppression
 from repro.compression.dictionary import DictionaryCompression
+from repro.compression import kernels
 from repro.compression.kernels import build_column_views
 from repro.compression.page_compression import PageCompression
 from repro.compression.registry import (get_algorithm, list_algorithms,
@@ -18,6 +19,7 @@ from repro.compression.registry import (get_algorithm, list_algorithms,
 from repro.compression.repack import (COMPRESSION_INFO_BYTES,
                                       compressed_page_capacity, repack)
 
+from tests.btree_oracle import greedy_repack
 from tests.conftest import all_algorithms
 
 
@@ -84,6 +86,30 @@ class TestColumnHooks:
         # Without a kernel, repack sizes its pages through compress.
         assert repack(records, schema, codec, 256).payload_size == \
             block.payload_size
+
+    def test_repack_splits_only_for_a_codec_with_a_kernel(
+            self, monkeypatch):
+        """A codec that keeps the base ``_size_column`` repacks through
+        ``compress`` without splitting its records first."""
+        monkeypatch.delenv(kernels.DISABLE_KERNELS_ENV, raising=False)
+        schema = Schema([Column.of("a", "char(4)"),
+                         Column.of("b", "integer")])
+        records = [encode_record(schema, (f"v{i % 7}", i))
+                   for i in range(300)]
+        splits = []
+        original = kernels.build_column_views
+
+        def spy(*args, **kwargs):
+            splits.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "build_column_views", spy)
+        for codec, expected_splits in ((Verbatim(), 0),
+                                       (NullSuppression(), 1)):
+            splits.clear()
+            result = repack(records, schema, codec, 256)
+            assert len(splits) == expected_splits, codec.name
+            assert result == greedy_repack(records, schema, codec, 256)
 
     def test_no_codec_redefines_the_column_loops(self):
         for algorithm in all_algorithms():

@@ -1,6 +1,7 @@
 """Unit tests for repro.store — the persistent sample/estimate store."""
 
 import dataclasses
+import hashlib
 import os
 import pickle
 
@@ -13,9 +14,14 @@ from repro.sampling.row_samplers import (WithoutReplacementSampler,
 from repro.storage.table import Table
 from repro.storage.schema import single_char_schema
 from repro.workloads.generators import make_histogram, make_table
+from repro.workloads.scenarios import get_scenario
+from repro.core.cf_models import (global_dictionary_cf, ns_cf,
+                                  paged_dictionary_cf, paged_rle_cf)
 from repro.engine import EstimationEngine, EstimationRequest
 from repro.engine.requests import algorithm_key
-from repro.engine.samples import MaterializedSample, materialize_table_sample
+from repro.engine.samples import (MaterializedSample,
+                                  materialize_histogram_sample,
+                                  materialize_table_sample)
 from repro.engine.units import plan_units
 from repro.storage.index import IndexKind
 from repro.store import (STORE_FORMAT, SampleStore, digest_parts,
@@ -204,6 +210,29 @@ class TestRoundTrip:
         assert pickle.dumps(_sample_for_disk(sample)) == before
         assert tuple(sample.__getstate__()) == tuple(
             f.name for f in dataclasses.fields(MaterializedSample))
+
+    def test_histogram_sample_bytes_ignore_its_size_caches(self):
+        # A histogram sample caches gathered sizes, a key order and a
+        # sorted copy; none of them, nor its parent, reaches the store.
+        parent = get_scenario("status_codes").build(50_000, seed=3)
+        sample = materialize_histogram_sample(
+            parent, WithoutReplacementSampler(), 0.02, 17)
+
+        def digest():
+            return hashlib.sha256(
+                pickle.dumps(_sample_for_disk(sample))).hexdigest()
+
+        def models(histogram):
+            return (ns_cf(histogram), global_dictionary_cf(histogram),
+                    paged_dictionary_cf(histogram),
+                    paged_rle_cf(histogram))
+
+        before = digest()
+        cfs = models(sample.histogram)
+        assert digest() == before
+        loaded = pickle.loads(pickle.dumps(_sample_for_disk(sample)))
+        assert loaded.histogram.values == sample.histogram.values
+        assert models(loaded.histogram) == cfs
 
     def test_state_without_caches_builds_like_a_fresh_draw(self, table):
         fresh = _sample_for(table, fraction=0.1)
