@@ -122,7 +122,12 @@ class WorkloadCost:
     """Total workload cost with a per-query breakdown."""
 
     total: float = 0.0
+    #: Best cost by query name; queries that share a name share a key.
     per_query: dict[str, float] = field(default_factory=dict)
+    #: Best cost of each query, in query order: what
+    #: :func:`~repro.advisor.selection.candidate_gain` prices a probe
+    #: from.
+    best_costs: list[float] = field(default_factory=list)
 
 
 def workload_cost(queries: Sequence[Query],
@@ -132,7 +137,10 @@ def workload_cost(queries: Sequence[Query],
     """Cost of the workload given the chosen physical design.
 
     Each query uses the cheapest applicable access path among the chosen
-    indexes, falling back to a heap scan.
+    indexes, falling back to a heap scan. ``total`` adds the queries'
+    best costs in query order, starting from 0.0, and ``best_costs``
+    keeps them by position, so a caller that prices one more index
+    from them reproduces this sum float for float.
     """
     from repro.advisor.candidates import CandidateIndex  # cycle guard
 
@@ -159,5 +167,6 @@ def workload_cost(queries: Sequence[Query],
                 query, leaf_pages, candidate.compressed)
             best = min(best, cost)
         result.per_query[query.name] = best
+        result.best_costs.append(best)
         result.total += best
     return result

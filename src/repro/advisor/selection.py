@@ -16,7 +16,8 @@ from repro.errors import AdvisorError
 from repro.sampling.rng import SeedLike
 from repro.advisor.candidates import CandidateIndex
 from repro.advisor.cost import (CostModel, Query, TableStats,
-                                stats_for_tables, workload_cost)
+                                WorkloadCost, covers, stats_for_tables,
+                                workload_cost)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.table import Table
@@ -44,9 +45,8 @@ class AdvisorResult:
 
 
 def candidate_gain(candidate: CandidateIndex, queries: Sequence[Query],
-                   tables: dict[str, TableStats],
-                   chosen: Sequence[CandidateIndex], model: CostModel,
-                   current: float) -> tuple[float, float]:
+                   design: WorkloadCost,
+                   model: CostModel) -> tuple[float, float]:
     """``(cost reduction, new total)`` from adding one candidate.
 
     The marginal-benefit evaluation both the eager greedy loop and the
@@ -55,10 +55,31 @@ def candidate_gain(candidate: CandidateIndex, queries: Sequence[Query],
     reduction is non-increasing in ``candidate.size_bytes`` (a bigger
     index touches at least as many pages for every query), which is the
     monotonicity the what-if bounds rely on.
+
+    ``design`` is :func:`~repro.advisor.cost.workload_cost` of the
+    chosen indexes over ``queries``. Only the queries ``candidate``
+    covers on its table are re-priced: each keeps the cheaper of its
+    best cost in ``design`` and the candidate's access cost, and the
+    new total adds the per-query bests in query order, as
+    ``workload_cost`` does. The result is therefore float for float
+    ``workload_cost(queries, tables, chosen + [candidate], model)``,
+    at one float per query instead of one walk over the design.
     """
-    trial = workload_cost(queries, tables, list(chosen) + [candidate],
-                          model)
-    return current - trial.total, trial.total
+    if not isinstance(candidate, CandidateIndex):
+        raise AdvisorError(f"not a candidate index: {candidate!r}")
+    if len(design.best_costs) != len(queries):
+        raise AdvisorError(
+            f"design priced {len(design.best_costs)} queries, "
+            f"not {len(queries)}")
+    leaf_pages = model.pages_for_bytes(candidate.size_bytes)
+    total = 0.0
+    for query, best in zip(queries, design.best_costs):
+        if query.table == candidate.table \
+                and covers(candidate.key_columns, query):
+            best = min(best, model.index_access_cost(
+                query, leaf_pages, candidate.compressed))
+        total += best
+    return design.total - total, total
 
 
 def select_indexes(candidates: Sequence[CandidateIndex],
@@ -83,6 +104,7 @@ def select_indexes(candidates: Sequence[CandidateIndex],
     steps: list[str] = []
     budget = float(storage_bound_bytes)
     baseline = workload_cost(queries, tables, chosen, model)
+    design = baseline
     current = baseline.total
     remaining = [c for c in candidates if c.size_bytes <= budget]
     while True:
@@ -92,8 +114,8 @@ def select_indexes(candidates: Sequence[CandidateIndex],
         for candidate in remaining:
             if candidate.size_bytes > budget:
                 continue
-            reduction, total = candidate_gain(candidate, queries, tables,
-                                              chosen, model, current)
+            reduction, total = candidate_gain(candidate, queries, design,
+                                              model)
             if reduction <= 0:
                 continue
             density = reduction / candidate.size_bytes
@@ -109,6 +131,7 @@ def select_indexes(candidates: Sequence[CandidateIndex],
         steps.append(
             f"+{best_candidate.name} ({best_candidate.size_bytes:.0f} B, "
             f"cost {current:.1f} -> {best_cost:.1f})")
+        design = workload_cost(queries, tables, chosen, model)
         current = best_cost
     return AdvisorResult(
         chosen=tuple(chosen),

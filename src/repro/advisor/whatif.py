@@ -44,6 +44,7 @@ and skipping its estimation cannot change the selection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -61,11 +62,12 @@ from repro.core.bounds import (TRIVIAL_CF_INTERVAL, CFInterval,
 from repro.core.confidence import (empirical_trial_mean_interval,
                                    next_trial_stage,
                                    ns_trial_mean_interval)
+from repro.engine.plan import resolve_trial_seeds, trial_request
 from repro.advisor.candidates import (CandidateIndex, candidate_request,
                                       resolve_algorithms,
                                       uncompressed_index_bytes,
                                       workload_key_sets)
-from repro.advisor.cost import (CostModel, Query, TableStats,
+from repro.advisor.cost import (CostModel, Query, WorkloadCost,
                                 stats_for_tables, workload_cost)
 from repro.advisor.selection import AdvisorResult, candidate_gain
 
@@ -102,7 +104,9 @@ class CandidateState:
     max_trials: int
     algorithm: CompressionAlgorithm | None = None
     request: "EstimationRequest | None" = None
-    trial_requests: tuple = ()
+    #: The resolved seed of each of the request's ``max_trials``
+    #: trials; candidates of one sample scope share one tuple.
+    trial_seeds: tuple = ()
     prior: CFInterval = field(
         default_factory=lambda: CFInterval(1.0, 1.0))
     #: Per-entry stored-fraction range when Theorem 1 applies (NS).
@@ -110,6 +114,10 @@ class CandidateState:
     #: Rows per trial sample (Theorem 1's ``r``).
     sample_rows: int = 0
     values: list[float] = field(default_factory=list)
+    #: ``((use_probabilistic, *values), interval)`` of the last
+    #: :meth:`cf_interval` call.
+    _interval_memo: tuple | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def trials_run(self) -> int:
@@ -120,7 +128,7 @@ class CandidateState:
         """Whether the candidate's size is a point (no interval left)."""
         return not self.compressed or self.trials_run >= self.max_trials
 
-    @property
+    @cached_property
     def name(self) -> str:
         """Delegates to :attr:`CandidateIndex.name`: the soundness
         suite joins report keys to eager candidates by this string, so
@@ -132,7 +140,22 @@ class CandidateState:
         return float(np.mean(np.asarray(self.values, dtype=np.float64)))
 
     def cf_interval(self, use_probabilistic: bool) -> CFInterval:
-        """Tightest current interval for the final trial-mean CF."""
+        """Tightest current interval for the final trial-mean CF.
+
+        A pure function of the trial values so far (and of
+        ``use_probabilistic``), computed once per set of values: the
+        memo is keyed by the values themselves, so appending a trial
+        recomputes it.
+        """
+        key = (use_probabilistic, *self.values)
+        memo = self._interval_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        interval = self._interval(use_probabilistic)
+        self._interval_memo = (key, interval)
+        return interval
+
+    def _interval(self, use_probabilistic: bool) -> CFInterval:
         if not self.compressed:
             return CFInterval(1.0, 1.0)
         if self.trials_run >= self.max_trials:
@@ -171,6 +194,17 @@ class CandidateState:
             compressed=True, algorithm=self.algorithm.name,
             size_bytes=self.plain_bytes * cf, size_source="engine",
             estimated_cf=cf)
+
+    def stage_requests(self, target: int) -> list["EstimationRequest"]:
+        """Single-trial requests for trials ``[trials_run, target)``.
+
+        Trial ``j``'s request is :func:`~repro.engine.plan.trial_request`
+        at ``trial_seeds[j]``, so it equals
+        ``engine.trial_requests(request)[j]``: a stage runs exactly the
+        trials the full request would, built only when it runs.
+        """
+        return [trial_request(self.request, seed)
+                for seed in self.trial_seeds[self.trials_run:target]]
 
     def probe(self, size_bytes: float) -> CandidateIndex:
         """A hypothetical candidate at ``size_bytes`` for cost probing."""
@@ -334,8 +368,16 @@ class WhatIfAdvisor:
     # Candidate construction
     # ------------------------------------------------------------------
     def _build_states(self) -> list[CandidateState]:
-        """States in eager enumeration order: plain then per-algorithm."""
+        """States in eager enumeration order: plain then per-algorithm.
+
+        Every candidate request on one table has the same sample scope
+        (table, sampler, fraction) and no seed of its own, so its trial
+        seeds are the scope's: they are resolved once per table and
+        shared. No trial request is built here; each stage builds its
+        own (:meth:`CandidateState.stage_requests`).
+        """
         states: list[CandidateState] = []
+        scope_seeds: dict[str, tuple] = {}
         for table_name, key_columns in workload_key_sets(self.tables,
                                                          self.queries):
             table = self.tables[table_name]
@@ -350,6 +392,10 @@ class WhatIfAdvisor:
                     table, table_name, key_columns, algorithm,
                     self.fraction, self.max_trials)
                 prior = prior_cf_interval(request)
+                seeds = scope_seeds.get(table_name)
+                if seeds is None:
+                    seeds = scope_seeds[table_name] = resolve_trial_seeds(
+                        request, self.engine.master_seed)
                 ns_range = None
                 if isinstance(algorithm, NullSuppression) \
                         and prior is not TRIVIAL_CF_INTERVAL \
@@ -361,8 +407,7 @@ class WhatIfAdvisor:
                     key_columns=key_columns, compressed=True,
                     plain_bytes=plain_bytes,
                     max_trials=self.max_trials, algorithm=algorithm,
-                    request=request,
-                    trial_requests=self.engine.trial_requests(request),
+                    request=request, trial_seeds=seeds,
                     prior=prior, ns_range=ns_range,
                     sample_rows=rows_for_fraction(table.num_rows,
                                                   self.fraction)))
@@ -407,6 +452,7 @@ class WhatIfAdvisor:
         steps: list[str] = []
         budget = float(storage_bound_bytes)
         baseline = workload_cost(self.queries, stats, chosen, self.model)
+        design = baseline
         current = baseline.total
         available = list(self.states)
         prune_events: list[PruneEvent] = []
@@ -420,9 +466,8 @@ class WhatIfAdvisor:
                 self.engine.stats.add("whatif_rounds")
                 with tracer.span("whatif.round",
                                  round=rounds) as round_span:
-                    winner = self._run_round(rounds, available, chosen,
-                                             budget, current, stats,
-                                             prune_events)
+                    winner = self._run_round(rounds, available, design,
+                                             budget, prune_events)
                     round_span.annotate(
                         winner=winner.name if winner is not None
                         else None)
@@ -434,10 +479,11 @@ class WhatIfAdvisor:
                                   "budget_remaining": budget})
                     break
                 candidate = winner.as_candidate()
-                reduction, total = candidate_gain(
-                    candidate, self.queries, stats, chosen, self.model,
-                    current)
+                _, total = candidate_gain(candidate, self.queries, design,
+                                          self.model)
                 chosen.append(candidate)
+                design = workload_cost(self.queries, stats, chosen,
+                                       self.model)
                 available.remove(winner)
                 budget -= candidate.size_bytes
                 steps.append(
@@ -465,11 +511,17 @@ class WhatIfAdvisor:
 
     def _run_round(self, round_no: int,
                    available: list[CandidateState],
-                   chosen: list[CandidateIndex], budget: float,
-                   current: float, stats: dict[str, TableStats],
+                   design: WorkloadCost, budget: float,
                    prune_events: list[PruneEvent],
                    ) -> CandidateState | None:
-        """One greedy round: bound, prune, refine, decide."""
+        """One greedy round: bound, prune, refine, decide.
+
+        ``design`` is the cost of the indexes chosen so far, which
+        every probe is priced from. It, the budget and so every
+        candidate's densities stay fixed within a round, so a
+        candidate is evaluated once per trial count: refinement
+        re-evaluates only the candidates whose trials it ran.
+        """
         logged: set[int] = set()
 
         def log_prune(state: CandidateState, reason: str,
@@ -491,27 +543,20 @@ class WhatIfAdvisor:
                 "whatif.prune", candidate=state.name, reason=reason,
                 round=round_no)
 
-        # A resolved candidate's interval, size, and densities cannot
-        # change within a round (chosen/budget/current only move
-        # between rounds), so its evaluation is computed once per
-        # round instead of once per refinement iteration.
-        resolved_cache: dict[int, tuple[CFInterval, float, float]] = {}
+        # position -> (trials run, interval, density_lo, density_hi)
+        evaluated: dict[int, tuple[int, CFInterval, float, float]] = {}
         while True:
             evaluations: list[tuple[CandidateState, CFInterval,
                                     float, float]] = []
             for state in available:
-                cached = resolved_cache.get(state.position)
-                if cached is not None:
-                    evaluations.append((state, *cached))
-                    continue
-                interval = state.cf_interval(self.use_probabilistic)
-                density_lo, density_hi = self._density_bounds(
-                    state, interval, chosen, budget, current, stats)
-                if state.resolved:
-                    resolved_cache[state.position] = (
-                        interval, density_lo, density_hi)
-                evaluations.append((state, interval, density_lo,
-                                    density_hi))
+                cached = evaluated.get(state.position)
+                if cached is None or cached[0] != state.trials_run:
+                    interval = state.cf_interval(self.use_probabilistic)
+                    cached = (state.trials_run, interval,
+                              *self._density_bounds(state, interval,
+                                                    design, budget))
+                    evaluated[state.position] = cached
+                evaluations.append((state, *cached[1:]))
             incumbent = max((density_lo for _, _, density_lo, _
                              in evaluations), default=0.0)
             survivors: list[tuple[CandidateState, float]] = []
@@ -551,11 +596,8 @@ class WhatIfAdvisor:
                 state.plain_bytes * interval.high)
 
     def _density_bounds(self, state: CandidateState,
-                        interval: CFInterval,
-                        chosen: list[CandidateIndex], budget: float,
-                        current: float,
-                        stats: dict[str, TableStats],
-                        ) -> tuple[float, float]:
+                        interval: CFInterval, design: WorkloadCost,
+                        budget: float) -> tuple[float, float]:
         """Guaranteed and best-case benefit density for one candidate.
 
         ``density_hi`` evaluates the candidate at its smallest possible
@@ -569,16 +611,14 @@ class WhatIfAdvisor:
             return 0.0, 0.0
         probe_lo = max(lo_size, _SIZE_FLOOR)
         reduction_hi, _ = candidate_gain(
-            state.probe(probe_lo), self.queries, stats, chosen,
-            self.model, current)
+            state.probe(probe_lo), self.queries, design, self.model)
         density_hi = (reduction_hi / probe_lo
                       if reduction_hi > 0 else 0.0)
         density_lo = 0.0
         if hi_size <= budget:
             probe_hi = max(hi_size, _SIZE_FLOOR)
             reduction_lo, _ = candidate_gain(
-                state.probe(probe_hi), self.queries, stats, chosen,
-                self.model, current)
+                state.probe(probe_hi), self.queries, design, self.model)
             if reduction_lo > 0:
                 density_lo = reduction_lo / probe_hi
         return density_lo, density_hi
@@ -602,7 +642,7 @@ class WhatIfAdvisor:
             else:
                 target = next_trial_stage(state.trials_run,
                                           self.max_trials)
-            fresh = state.trial_requests[state.trials_run:target]
+            fresh = state.stage_requests(target)
             allocations.append((state, len(fresh)))
             requests.extend(fresh)
         batch = self.engine.execute(requests)

@@ -126,6 +126,18 @@ def resolve_trial_seeds(request: EstimationRequest,
                  for trial in range(request.trials))
 
 
+def trial_request(request: EstimationRequest,
+                  seed: int) -> EstimationRequest:
+    """One trial of ``request`` as a single-trial request.
+
+    ``seed`` is the trial's resolved seed from
+    :func:`resolve_trial_seeds`. :func:`expand_trials` is this over
+    every trial; a caller that runs a request's trials in stages
+    resolves the seeds once and builds each stage with it.
+    """
+    return replace(request, trials=1, seed=int(seed))
+
+
 def expand_trials(request: EstimationRequest,
                   master_seed: int) -> tuple[EstimationRequest, ...]:
     """Split a multi-trial request into per-trial requests, seed-exact.
@@ -141,16 +153,17 @@ def expand_trials(request: EstimationRequest,
     bit and still shares samples with same-scope requests.
 
     This is the engine's incremental-execution primitive: the what-if
-    advisor uses it to run trials ``[t, t')`` of a candidate only when
-    its confidence interval is still too wide to decide the greedy
-    round, without ever re-running trials ``[0, t)``.
+    advisor runs trials ``[t, t')`` of a candidate only when its
+    confidence interval is still too wide to decide the greedy round,
+    without ever re-running trials ``[0, t)``; it builds each stage's
+    requests with :func:`trial_request` from seeds it resolved once
+    per sample scope.
     """
     if request.seed_is_opaque():
         raise EstimationError(
             "a Generator-seeded request has one unsplittable trial")
     seeds = resolve_trial_seeds(request, master_seed)
-    return tuple(
-        replace(request, trials=1, seed=int(seed)) for seed in seeds)
+    return tuple(trial_request(request, seed) for seed in seeds)
 
 
 def plan_batch(requests: Sequence[EstimationRequest],

@@ -11,22 +11,37 @@ from __future__ import annotations
 
 import string
 
+import numpy as np
+
 from repro.errors import ExperimentError
 from repro.sampling.rng import SeedLike, make_rng
 
 _ALPHABET = string.ascii_lowercase
 _BASE36 = string.digits + string.ascii_lowercase
+_ALPHABET_CODES = np.frombuffer(_ALPHABET.encode("ascii"), dtype=np.uint8)
+_BASE36_CODES = np.frombuffer(_BASE36.encode("ascii"), dtype=np.uint8)
 
 
-def _encode_base36(value: int, width: int) -> str:
-    """Fixed-width base-36 rendering of a non-negative integer."""
-    digits = []
-    for _ in range(width):
-        value, rem = divmod(value, 36)
-        digits.append(_BASE36[rem])
-    if value:
-        raise ExperimentError(f"value does not fit in {width} base-36 digits")
-    return "".join(reversed(digits))
+def _base36_codes(d: int, width: int) -> np.ndarray:
+    """ASCII codes of the fixed-width base-36 ids ``0 .. d - 1``.
+
+    One row per id, most significant digit first: ``width`` divmod
+    passes over all ids at once. ``width`` must be at least
+    :func:`_id_width` of ``d``.
+    """
+    codes = np.empty((d, width), dtype=np.uint8)
+    value = np.arange(d)
+    for position in range(width - 1, -1, -1):
+        value, digit = np.divmod(value, 36)
+        codes[:, position] = _BASE36_CODES[digit]
+    return codes
+
+
+def _base36_ids(d: int, width: int) -> list[str]:
+    """The ids of :func:`_base36_codes` as strings."""
+    text = _base36_codes(d, width).tobytes().decode("ascii")
+    return [text[start:start + width]
+            for start in range(0, d * width, width)]
 
 
 def _id_width(d: int) -> int:
@@ -61,17 +76,23 @@ def distinct_strings(d: int, k: int, min_len: int | None = None,
             f"empty length range [{low}, {high}] for d={d}, k={k}")
     rng = make_rng(seed)
     targets = rng.integers(low, high + 1, size=d)
+    # One letter per character, ids included, though ids use none: the
+    # draw count fixes the generator's state for the caller's next draw.
     letters = rng.integers(0, len(_ALPHABET), size=int(targets.sum()))
-    values: list[str] = []
-    cursor = 0
-    for index in range(d):
-        target = int(targets[index])
-        filler_len = target - width
-        filler = "".join(_ALPHABET[j]
-                         for j in letters[cursor:cursor + filler_len])
-        cursor += filler_len
-        values.append(_encode_base36(index, width) + filler)
-    return values
+    # All values laid end to end: value i's id, then its filler. The
+    # fillers take consecutive letters, value after value, so the
+    # non-id positions in order take the first letters drawn.
+    ends = np.cumsum(targets)
+    starts = ends - targets
+    chars = np.empty(int(ends[-1]), dtype=np.uint8)
+    id_positions = starts[:, None] + np.arange(width)
+    chars[id_positions] = _base36_codes(d, width)
+    filler = np.ones(len(chars), dtype=bool)
+    filler[id_positions] = False
+    chars[filler] = _ALPHABET_CODES[letters[:len(chars) - d * width]]
+    text = chars.tobytes().decode("ascii")
+    return [text[start:end]
+            for start, end in zip(starts.tolist(), ends.tolist())]
 
 
 def fixed_length_strings(d: int, k: int, length: int) -> list[str]:
@@ -84,7 +105,7 @@ def fixed_length_strings(d: int, k: int, length: int) -> list[str]:
         raise ExperimentError(
             f"{d} distinct values need {width} characters, length={length}")
     filler = "z" * (length - width)
-    return [_encode_base36(i, width) + filler for i in range(d)]
+    return [value + filler for value in _base36_ids(d, width)]
 
 
 def zero_padded_ids(d: int, k: int, width: int | None = None) -> list[str]:
@@ -115,7 +136,7 @@ def prefixed_names(d: int, k: int, prefix: str = "SKU-") -> list[str]:
     if len(prefix) + width > k:
         raise ExperimentError(
             f"prefix {prefix!r} plus {width} id characters exceed k={k}")
-    return [prefix + _encode_base36(i, width) for i in range(d)]
+    return [prefix + value for value in _base36_ids(d, width)]
 
 
 def comment_strings(d: int, k: int, seed: SeedLike = None,

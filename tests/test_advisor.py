@@ -337,8 +337,8 @@ class TestSelectionDeterminism:
         stats, queries, first, _ = self._twin_setup()
         model = CostModel(PAGE)
         current = workload_cost(queries, stats, [], model).total
-        reduction, total = candidate_gain(first, queries, stats, [],
-                                          model, current)
+        reduction, total = candidate_gain(
+            first, queries, workload_cost(queries, stats, [], model), model)
         assert total == workload_cost(queries, stats, [first],
                                       model).total
         assert reduction == current - total
@@ -350,15 +350,14 @@ class TestSelectionDeterminism:
 
         stats, queries, first, _ = self._twin_setup()
         model = CostModel(PAGE)
-        current = workload_cost(queries, stats, [], model).total
+        design = workload_cost(queries, stats, [], model)
         previous = float("inf")
         for pages in (1, 2, 4, 8, 50, 200):
             sized = CandidateIndex(
                 table="t1", key_columns=("a",), compressed=False,
                 algorithm=None, size_bytes=float(pages * PAGE),
                 size_source="schema")
-            reduction, _ = candidate_gain(sized, queries, stats, [],
-                                          model, current)
+            reduction, _ = candidate_gain(sized, queries, design, model)
             assert reduction <= previous
             previous = reduction
 

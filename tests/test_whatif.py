@@ -8,6 +8,9 @@ winner; and the ``whatif_*`` engine counters reconcile exactly with the
 units that actually ran.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.errors import AdvisorError
@@ -340,6 +343,169 @@ class TestIncrementalExecution:
 
         with pytest.raises(EstimationError):
             engine.trial_requests(request)
+
+
+#: The lazy loop's decisions on perfbench's ``advise`` shape (the full
+#: ``bench_whatif_advisor.py`` workload), per (master seed, fraction of
+#: the uncompressed footprint): (units executed, rounds, early stops,
+#: pruned before any trial), trials by candidate in candidate order,
+#: the engine's (trials, whatif_rounds, whatif_pruned,
+#: whatif_early_stops, whatif_trials_saved), and the SHA-256 of the
+#: prune events' ``repr([(round, candidate, reason), ...])``. A stale
+#: memo can prune differently and still reach the same design; these
+#: cannot move without a decision moving.
+DECISION_PINS = [
+    ((7200, 0.1), (84, 2, 38, 0),
+     "4226612222122221222212222122222222212222",
+     (84, 2, 76, 38, 156),
+     "270ab2921717a5fc17b4e2ecd94a15d82c05a2bcecc1afa6a1a837c442027980"),
+    ((7200, 0.2), (85, 3, 35, 2),
+     "4226612222122641222212222122221222210022",
+     (85, 3, 112, 35, 155),
+     "2197fc3f2d47d9fd90a162d3ced0efc58cb88a16f34a01bd1e5341f7fb4731df"),
+    ((31, 0.1), (84, 2, 38, 0),
+     "4226612222122221222212222122222222212222",
+     (84, 2, 76, 38, 156),
+     "5b94032e97a5dbd988d9339b47b21e5f47fd2905cdcfa88235ccb4801708be31"),
+    ((31, 0.2), (83, 3, 35, 2),
+     "4226612222122621222212222122221222210022",
+     (83, 3, 112, 35, 157),
+     "87f8374bf17284491f6cffa66dfcd7ba2d5ac092c8037ca52c8934bbd1d3f874"),
+    ((5, 0.1), (84, 2, 38, 0),
+     "4226612222122221222212222122222222212222",
+     (84, 2, 76, 38, 156),
+     "697af231e21e9ef27170172080e83d87595583382d4134b0e53dd063cbfad49a"),
+    ((5, 0.2), (83, 3, 35, 2),
+     "4226612222122621222212222122221222210022",
+     (83, 3, 112, 35, 157),
+     "b569f19dd2fe9936875f4ab7330dc6bb53f93c14f727d7c3f86f0c42011fd5cf"),
+]
+
+
+@pytest.fixture(scope="module")
+def advise_shape():
+    """perfbench's ``advise`` tables and queries at fixed table seeds."""
+    page = 4096
+    tables = {
+        "orders": make_multicolumn_table(
+            "orders", 9000, [("status", 10, 6), ("customer", 24, 500),
+                             ("region", 12, 20)],
+            page_size=page, seed=7201),
+        "parts": make_multicolumn_table(
+            "parts", 6000, [("sku", 24, 400), ("brand", 16, 30)],
+            page_size=page, seed=7202),
+        "events": make_multicolumn_table(
+            "events", 4800, [("kind", 8, 12), ("source", 20, 150)],
+            page_size=page, seed=7203),
+    }
+    queries = [
+        Query("q_status", "orders", ("status",), selectivity=0.15,
+              weight=10),
+        Query("q_customer", "orders", ("customer",), selectivity=0.03,
+              weight=6),
+        Query("q_region", "orders", ("region",), selectivity=0.2,
+              weight=4),
+        Query("q_cust_reg", "orders", ("customer", "region"),
+              selectivity=0.02, weight=3),
+        Query("q_sku", "parts", ("sku",), selectivity=0.05, weight=5),
+        Query("q_brand", "parts", ("brand",), selectivity=0.25,
+              weight=3),
+        Query("q_kind", "events", ("kind",), selectivity=0.3, weight=4),
+        Query("q_source", "events", ("source",), selectivity=0.04,
+              weight=2),
+    ]
+    footprint = sum(
+        table.num_rows * (sum(column.dtype.fixed_size
+                              for column in table.schema.columns) + 8)
+        for table in tables.values())
+    return tables, queries, footprint, page
+
+
+class TestDecisionPins:
+    @pytest.mark.parametrize(
+        "case, report_counts, trials, counters, events_digest",
+        DECISION_PINS,
+        ids=[f"seed{seed}-bound{fraction}"
+             for (seed, fraction), *_ in DECISION_PINS])
+    def test_decisions_are_pinned(self, advise_shape, case, report_counts,
+                                  trials, counters, events_digest):
+        tables, queries, footprint, page = advise_shape
+        seed, fraction = case
+        advisor = WhatIfAdvisor(
+            tables, queries,
+            algorithms=["null_suppression", "dictionary",
+                        "global_dictionary", "rle", "prefix"],
+            fraction=0.1, max_trials=6, model=CostModel(page),
+            engine=EstimationEngine(seed=seed))
+        report = advisor.advise(fraction * footprint).report
+        assert (report.units_executed, report.rounds,
+                report.early_stopped,
+                report.pruned_never_estimated) == report_counts
+        assert list(report.trials_by_candidate) == \
+            [state.name for state in advisor.states if state.compressed]
+        assert "".join(str(count) for count
+                       in report.trials_by_candidate.values()) == trials
+        stats = advisor.engine.stats
+        assert (stats["trials"], stats["whatif_rounds"],
+                stats["whatif_pruned"], stats["whatif_early_stops"],
+                stats["whatif_trials_saved"]) == counters
+        events = [(event.round, event.candidate, event.reason)
+                  for event in report.prune_events]
+        assert hashlib.sha256(repr(events).encode()).hexdigest() == \
+            events_digest, events
+
+
+class TestCandidateState:
+    def test_appending_a_trial_changes_the_interval(self, tables,
+                                                    queries):
+        """The interval memo is keyed by the trial values: every append
+        recomputes it, and it always equals a fresh state's."""
+        advisor = make_advisor(tables, queries)
+        ns = next(s for s in advisor.states
+                  if s.compressed and s.ns_range is not None)
+        rle = next(s for s in advisor.states
+                   if s.compressed and s.algorithm.name == "rle")
+        for state in (ns, rle):
+            for use_probabilistic in (True, False):
+                state = dataclasses.replace(state, values=[])
+                before = state.cf_interval(use_probabilistic)
+                for value in (0.41, 0.47, 0.44, 0.45):
+                    state.values.append(value)
+                    interval = state.cf_interval(use_probabilistic)
+                    fresh = dataclasses.replace(
+                        state, values=list(state.values))
+                    assert interval == \
+                        fresh.cf_interval(use_probabilistic)
+                    assert interval != before
+                    before = interval
+                assert interval.is_point
+
+    def test_staged_requests_are_the_engine_trials(self, tables, queries,
+                                                   monkeypatch):
+        """Stages 1 -> 2 -> 4 -> 6 build exactly the engine's trial
+        requests, and construction builds none."""
+        import repro.engine.plan as plan
+
+        built = []
+        original = plan.trial_request
+        monkeypatch.setattr(plan, "trial_request",
+                            lambda *args: built.append(args)
+                            or original(*args))
+        advisor = make_advisor(tables, queries, max_trials=6)
+        assert built == []
+        for state in advisor.states:
+            if not state.compressed:
+                continue
+            full = advisor.engine.trial_requests(state.request)
+            for target in (1, 2, 4, 6):
+                staged = state.stage_requests(target)
+                assert len(staged) == target - state.trials_run
+                for offset, request in enumerate(staged):
+                    expected = full[state.trials_run + offset]
+                    assert request.seed == expected.seed
+                    assert request.node_key() == expected.node_key()
+                state.values.extend([0.5] * len(staged))
+            assert state.stage_requests(6) == []
 
 
 class TestValidation:
