@@ -15,7 +15,9 @@ This bench measures exactly that trade on a paper-scale workload:
   storage bound produces a design that differs from the eager one in
   any byte (candidates, sizes, step log, costs);
 * **wall-clock** per advisor run, eager vs. lazy, after one untimed
-  pass of both.
+  pass of both: the median of :data:`FULL_REPEATS` alternating runs of
+  each per bound in full mode (one in smoke mode), every one on a
+  fresh engine and a fresh advisor and held to the eager design.
 
 Run it directly (it is a script, not a pytest module)::
 
@@ -36,6 +38,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
@@ -59,6 +62,10 @@ SMOKE_ALGORITHMS = ["null_suppression", "dictionary", "rle"]
 #: Acceptance floor for full mode: the lazy advisor must execute at
 #: least this fraction fewer engine units than the eager one.
 REQUIRED_SAVINGS = 0.30
+
+#: Timed eager and lazy runs per storage bound in full mode; the
+#: baseline records their medians. Smoke mode times each once.
+FULL_REPEATS = 5
 
 #: Storage bounds as fractions of the workload's total uncompressed
 #: candidate footprint.
@@ -114,10 +121,12 @@ def design_fingerprint(result) -> list[tuple]:
              c.size_bytes) for c in result.chosen]
 
 
-def run_bound(tables, queries, algorithms, trials, fraction,
-              bound: float) -> dict:
-    """One eager run and one lazy run at the same storage bound."""
-    model = CostModel(PAGE)
+def run_pair(tables, queries, algorithms, trials, fraction, bound: float,
+             model: CostModel):
+    """One eager run and one lazy run, each on a fresh engine, checked.
+
+    Returns the lazy result, the eager units, and both timings.
+    """
     eager_engine = EstimationEngine(seed=MASTER_SEED)
     eager_timing = timed(lambda: advise_from_data(
         tables, queries, bound, algorithms=algorithms,
@@ -145,6 +154,23 @@ def run_bound(tables, queries, algorithms, trials, fraction,
         raise AssertionError(
             "what-if unit accounting does not reconcile with the "
             "eager engine's trial count")
+    return lazy, eager_units, eager_timing.seconds, lazy_timing.seconds
+
+
+def run_bound(tables, queries, algorithms, trials, fraction,
+              bound: float, repeats: int) -> dict:
+    """``repeats`` eager and lazy runs at one storage bound, in turn.
+
+    Every run must select the same design; the entry records the
+    median time of each side.
+    """
+    model = CostModel(PAGE)
+    pairs = [run_pair(tables, queries, algorithms, trials, fraction,
+                      bound, model) for _ in range(repeats)]
+    lazy, eager_units = pairs[-1][:2]
+    report = lazy.report
+    eager_seconds = statistics.median(pair[2] for pair in pairs)
+    lazy_seconds = statistics.median(pair[3] for pair in pairs)
     return {
         "storage_bound_bytes": round(bound),
         "chosen": len(lazy.chosen),
@@ -156,10 +182,9 @@ def run_bound(tables, queries, algorithms, trials, fraction,
         "pruned_never_estimated": report.pruned_never_estimated,
         "early_stopped": report.early_stopped,
         "prune_events": len(report.prune_events),
-        "eager_seconds": eager_timing.seconds,
-        "lazy_seconds": lazy_timing.seconds,
-        "speedup": round(eager_timing.seconds
-                         / max(lazy_timing.seconds, 1e-9), 3),
+        "eager_seconds": eager_seconds,
+        "lazy_seconds": lazy_seconds,
+        "speedup": round(eager_seconds / max(lazy_seconds, 1e-9), 3),
         "design": [f"{c.name} ({c.size_bytes:.0f} B)"
                    for c in lazy.chosen],
     }
@@ -171,15 +196,16 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
     fraction = 0.1
     bound_fractions = SMOKE_BOUND_FRACTIONS if smoke \
         else FULL_BOUND_FRACTIONS
+    repeats = 1 if smoke else FULL_REPEATS
     tables, queries = build_workload(smoke)
     footprint = total_plain_bytes(tables)
     bounds = [footprint * f for f in bound_fractions]
     # One untimed eager and lazy pass first, so no timed run pays the
     # process's one-time costs (the first lazy run would time the
     # scipy.special import behind its trial-mean intervals).
-    run_bound(tables, queries, algorithms, trials, fraction, bounds[0])
+    run_bound(tables, queries, algorithms, trials, fraction, bounds[0], 1)
     runs = [run_bound(tables, queries, algorithms, trials, fraction,
-                      bound) for bound in bounds]
+                      bound, repeats) for bound in bounds]
     worst = min(entry["savings_fraction"] for entry in runs)
     mean_savings = sum(entry["savings_fraction"]
                        for entry in runs) / len(runs)
@@ -203,6 +229,7 @@ def run(smoke: bool, output: pathlib.Path) -> dict:
             "trials": trials,
             "fraction": fraction,
             "uncompressed_candidate_bytes": footprint,
+            "timed_repeats": repeats,
         },
         "required_savings": REQUIRED_SAVINGS,
         "runs": runs,

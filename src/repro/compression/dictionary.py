@@ -155,23 +155,29 @@ class _DictionaryCodec:
     def size_of_column(self, dtype: DataType, view, bounds) -> int:
         """Vectorized payload of :meth:`compress_column`, per segment.
 
-        One sort of value codes gives every segment's distinct count
-        and, for null-suppressed or VARCHAR entries, their stored
-        bytes; fixed entries cost the column width each. Pointers are
-        sized per segment. Bit-identical to the scalar loop, including
-        the pointer-overflow failure mode.
+        Fixed entries of a fixed-width dtype cost the column width
+        each, so they need only every segment's distinct count
+        (:func:`~repro.compression.kernels.segment_distinct`: runs on
+        a grouped view, one sort of value codes otherwise).
+        Null-suppressed and VARCHAR entries cost each value's NS size,
+        summed with the counts by one sort of value codes
+        (:func:`~repro.compression.kernels.segment_entries`). Pointers
+        are sized per segment. Bit-identical to the scalar loop,
+        including the pointer-overflow failure mode.
         """
-        from repro.compression.kernels import segment_entries
+        from repro.compression.kernels import (segment_distinct,
+                                               segment_entries)
 
-        distinct, entry_bytes = segment_entries(view, bounds)
-        widths = self.pointer_widths(distinct)
         if self.entry_storage == "fixed" \
                 and not isinstance(dtype, VarCharType):
+            distinct = segment_distinct(view, bounds)
             entries = int(distinct.sum()) * dtype.fixed_size
         else:
             # Both a VARCHAR slice and an NS entry cost the value's NS
             # size.
+            distinct, entry_bytes = segment_entries(view, bounds)
             entries = int(entry_bytes.sum())
+        widths = self.pointer_widths(distinct)
         return entries + int((np.diff(bounds) * widths).sum())
 
     def _encode_entry(self, dtype: DataType, slice_: bytes) -> bytes:

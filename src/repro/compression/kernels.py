@@ -29,11 +29,12 @@ Three building blocks live here:
   widths, run changes, value codes, ...) are computed lazily, once per
   view, and serve every codec and every segment sized on it.
 * segmented blocks — :func:`segment_run_starts`,
-  :func:`segment_prefixes` and :func:`segment_entries` take a view and
-  the ``bounds`` of its segments (leaf pages, or one record range) and
-  return the per-segment quantities the codecs' size formulas need:
-  run starts, common prefixes, and distinct values with their stored
-  bytes.
+  :func:`segment_prefixes`, :func:`segment_distinct` and
+  :func:`segment_entries` take a view and the ``bounds`` of its
+  segments (leaf pages, or one record range) and return the
+  per-segment quantities the codecs' size formulas need: run starts,
+  common prefixes, distinct counts (from run starts on a grouped
+  view, with no sort), and distinct values with their stored bytes.
 
 Every kernel is **bit-exact** against its codec's scalar
 ``compress(...).payload_size`` summed over the segments — the parity
@@ -120,12 +121,14 @@ def stripped_lengths(matrix: np.ndarray) -> np.ndarray:
     """Per-row null-suppressed lengths of a CHAR byte matrix.
 
     ``matrix`` is ``(n, k)`` uint8; the result is ``len(row.rstrip(b' '))``
-    per row, computed as a vectorized trailing-byte scan.
+    per row: the largest 1-based position of a non-pad byte, or 0. It is
+    one ``max`` down the columns of the transposed pad mask times each
+    column's position, in the narrowest dtype that holds ``k``.
     """
-    mask = matrix != _PAD
     k = matrix.shape[1]
-    trailing_pads = np.argmax(mask[:, ::-1], axis=1)
-    return np.where(mask.any(axis=1), k - trailing_pads, 0).astype(np.int64)
+    positions = np.arange(1, k + 1, dtype=np.min_scalar_type(k))
+    kept = np.ascontiguousarray((matrix != _PAD).T) * positions[:, None]
+    return kept.max(axis=0, initial=0).astype(np.int64)
 
 
 def row_hashes(words: np.ndarray) -> np.ndarray:
@@ -519,7 +522,8 @@ def segment_run_starts(view: ColumnView, bounds: np.ndarray) -> np.ndarray:
     """Rows of ``bounds[0]:bounds[-1]`` that begin a run of equal values.
 
     A run begins where a value differs from the row before, and at the
-    start of every segment.
+    start of every segment. On a grouped view each segment's runs are
+    its distinct values (:func:`segment_distinct`).
     """
     low = int(bounds[0])
     starts = view.first_differences[low:int(bounds[-1])] \
@@ -544,28 +548,56 @@ def segment_prefixes(view: ColumnView, bounds: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(agree, bounds[:-1] - low)
 
 
+def _segment_value_keys(view: ColumnView, bounds: np.ndarray,
+                        span: int) -> np.ndarray:
+    """Each segment's distinct values, as sorted ``segment * span +
+    code`` keys: one sort of every row's key, duplicates dropped."""
+    counts = np.diff(bounds)
+    keys = np.repeat(np.arange(counts.size, dtype=np.int64) * span, counts)
+    keys += view.codes[int(bounds[0]):int(bounds[-1])]
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def segment_distinct(view: ColumnView, bounds: np.ndarray) -> np.ndarray:
+    """Per segment, its number of distinct values.
+
+    On a :attr:`~ColumnView.grouped` view equal rows are adjacent, so a
+    segment's distinct values are its runs, counted from
+    :func:`segment_run_starts` with no code or sort. On any other view
+    one segment of every row holds every (dense) value code, and other
+    segments take :func:`segment_entries`' sort of ``(segment, value
+    code)`` keys, without the entry sizes.
+    """
+    if view.grouped:
+        return np.add.reduceat(segment_run_starts(view, bounds),
+                               bounds[:-1] - int(bounds[0]),
+                               dtype=np.int64)
+    span = int(view.codes.max()) + 1
+    if bounds.size == 2 and int(bounds[1] - bounds[0]) == view.count:
+        return np.array([span], dtype=np.int64)
+    return np.bincount(_segment_value_keys(view, bounds, span) // span,
+                       minlength=bounds.size - 1)
+
+
 def segment_entries(view: ColumnView, bounds: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per segment, its distinct values and their null-suppressed bytes.
 
     One sort of ``(segment, value code)`` keys finds every segment's
     distinct values at once; the second array sums :attr:`ColumnView.
-    ns_sizes` over one row of each distinct value.
+    ns_sizes` over one row of each distinct value. A caller that needs
+    only the counts takes :func:`segment_distinct`.
     """
-    low = int(bounds[0])
     sizes = view.code_ns_sizes
     span = sizes.size
-    counts = np.diff(bounds)
-    keys = np.repeat(np.arange(counts.size, dtype=np.int64) * span, counts)
-    keys += view.codes[low:int(bounds[-1])]
-    keys.sort()
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
+    keys = _segment_value_keys(view, bounds, span)
     segments = keys // span
-    distinct = np.bincount(segments, minlength=counts.size)
-    starts = np.zeros(counts.size, dtype=np.int64)
+    distinct = np.bincount(segments, minlength=bounds.size - 1)
+    starts = np.zeros(distinct.size, dtype=np.int64)
     np.cumsum(distinct[:-1], out=starts[1:])
     return distinct, np.add.reduceat(sizes[keys - segments * span], starts)
 

@@ -6,10 +6,12 @@ each row the slotted-page image :meth:`Page.to_bytes` writes, plus the
 byte position and length of every record, parsed from the slot
 directories once. Records keep insertion order, page by page: the
 ``i``-th record is on page ``p`` where ``starts[p] <= i < starts[p +
-1]``, in slot ``i - starts[p]``, so a row's RID is computed, never
-stored. A row draw is one gather from the array (:meth:`gather`), a
-block draw takes whole pages (:meth:`page_ordinals`), and a pickled
-heap is its page size and the array.
+1]``, in slot ``i - starts[p]``. ``p`` is the page holding the
+record's last byte, so a row's RID is computed from its position,
+never stored. A row draw is one gather from the array
+(:meth:`gather`), a block draw takes whole pages
+(:meth:`page_ordinals`), and a pickled heap is its page size and the
+array.
 
 Heaps are built by one packer, :meth:`HeapFile.from_records`, which
 cuts encoded records into pages and writes every image at once;
@@ -174,15 +176,23 @@ class HeapFile:
         return np.diff(self._starts[:self._page_count + 1])
 
     def _locate(self, ordinals: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Page and slot of each insertion ordinal."""
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Position, length and ``(page_id << 32) | slot`` of each ordinal.
+
+        A record's page is the one holding its last byte, ``(position +
+        length - 1) // page_size``: an empty record sits at its page's
+        end, ``(page + 1) * page_size``, which plain division would put
+        on the next page. Its slot is its ordinal less the page's first.
+        """
         if ordinals.size and not (
                 0 <= ordinals.min() and ordinals.max() < self._count):
             raise RecordNotFoundError(
                 f"record ordinals outside [0, {self._count})")
-        starts = self._starts[:self._page_count + 1]
-        pages = np.searchsorted(starts, ordinals, side="right") - 1
-        return pages, ordinals - starts[pages]
+        positions = self._positions[ordinals]
+        lengths = self._lengths[ordinals]
+        pages = (positions + lengths - 1) // self.page_size
+        return positions, lengths, \
+            (pages << 32) | (ordinals - self._starts[pages])
 
     def gather(self, ordinals: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,14 +201,13 @@ class HeapFile:
         ``ordinals`` (int64, may repeat or arrive unsorted) count
         records in insertion order. Returns the records back to back
         (``uint8``), their ``n + 1`` int64 fence posts, and an int64
-        ``(page_id << 32) | slot`` per record.
+        ``(page_id << 32) | slot`` per record, its page found from its
+        stored position (:meth:`rid_at` finds it the same way).
         """
         ordinals = np.asarray(ordinals, dtype=np.int64)
-        pages, slots = self._locate(ordinals)
-        lengths = self._lengths[ordinals]
-        buffer = gather_spans(self._images.reshape(-1),
-                              self._positions[ordinals], lengths)
-        return buffer, record_offsets(lengths), (pages << 32) | slots
+        positions, lengths, rids = self._locate(ordinals)
+        buffer = gather_spans(self._images.reshape(-1), positions, lengths)
+        return buffer, record_offsets(lengths), rids
 
     def records_at(self, ordinals: np.ndarray,
                    ) -> tuple[list[bytes], np.ndarray]:
@@ -215,9 +224,12 @@ class HeapFile:
                             self._starts[page_ids + 1] - firsts)
 
     def rid_at(self, ordinal: int) -> RID:
-        """RID of the ``ordinal``-th record inserted."""
-        pages, slots = self._locate(np.array([ordinal], dtype=np.int64))
-        return RID(int(pages[0]), int(slots[0]))
+        """RID of the ``ordinal``-th record inserted.
+
+        Its page is the one holding its last byte, as in :meth:`gather`.
+        """
+        rid = int(self._locate(np.array([ordinal], dtype=np.int64))[2][0])
+        return RID(rid >> 32, rid & 0xFFFFFFFF)
 
     def get(self, rid: RID) -> bytes:
         """Record bytes at ``rid``."""

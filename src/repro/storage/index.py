@@ -42,9 +42,11 @@ from the views: the concatenation, in key-column order, of:
   its length as 2 big-endian bytes (trailing blanks count);
 * INTEGER/BIGINT: the stored sign-flipped big-endian bytes.
 
-That is Python's tuple order on the decoded keys. A stable argsort keeps
-equal keys in input order, and leaves are packed greedily, as a B+-tree
-bulk load packs them.
+That is Python's tuple order on the decoded keys. The key, zero-filled to
+whole 8-byte words, sorts as big-endian words with one stable
+``lexsort``, which keeps equal keys in input order, and leaves are
+packed greedily, as a B+-tree bulk load packs them (in closed form
+when every leaf record has one width).
 
 :meth:`Index.estimate_compression` sizes the leaves under three
 accountings:
@@ -155,16 +157,25 @@ def key_order(views: Sequence[ColumnView]) -> tuple[np.ndarray, int]:
 
     The one sort of every index build: rows are ordered by ``memcmp``
     on their concatenated sort keys, one per view in key-column order,
-    with equal keys kept in input order.
+    with equal keys kept in input order. The key is zero-filled to
+    whole 8-byte words, which keeps both its order and its equalities,
+    and read as big-endian words: one stable ``lexsort`` over the words
+    orders the rows, and adjacent sorted rows that differ in a word
+    count the distinct keys.
     """
-    key = np.ascontiguousarray(np.hstack([_sort_key(view)
-                                          for view in views]))
-    order = np.argsort(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
-                       kind="stable")
-    ordered = key[order]
-    distinct = int(np.count_nonzero(
-        (ordered[1:] != ordered[:-1]).any(axis=1))) + 1 if order.size else 0
-    return order, distinct
+    key = np.hstack([_sort_key(view) for view in views])
+    count, width = key.shape
+    filled = np.zeros((count, 8 * -(-width // 8)), dtype=np.uint8)
+    filled[:, :width] = key
+    words = np.ascontiguousarray(filled.view(">u8").T, dtype=np.uint64)
+    order = np.lexsort(words[::-1])
+    if count == 0:
+        return order, 0
+    new = np.zeros(count - 1, dtype=bool)
+    for word in words:
+        ordered = word[order]
+        new |= ordered[1:] != ordered[:-1]
+    return order, int(np.count_nonzero(new)) + 1
 
 
 def _interleave(views: Sequence[ColumnView],
@@ -491,13 +502,17 @@ class Index:
         ``None`` (the scalar path) when kernels are disabled or a
         column's dtype has none. The views are the build's sorted views
         or, once they are gone (after unpickling), one split of the leaf
-        buffer; either serves every leaf, scope and algorithm, with one
-        set of derived arrays.
+        buffer, whose leading key column is grouped as the build's is;
+        either serves every leaf, scope and algorithm, with one set of
+        derived arrays.
         """
         if not kernels.kernels_enabled() \
                 or not kernels.kernels_cover(self.leaf_schema):
             return None
         if self._views is None:
-            self._views = kernels.build_column_views(
+            views = kernels.build_column_views(
                 self.leaf_schema, self.buffer, self.offsets)
+            views[self.stored_positions.index(
+                self.key_positions[0])].grouped = True
+            self._views = views
         return self._views

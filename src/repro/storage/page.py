@@ -258,8 +258,14 @@ def pack_bounds(lengths: np.ndarray, budget: int) -> np.ndarray:
 
     Records go to pages in order; a page takes records while their
     bytes plus one slot entry each stay within ``budget``, and always
-    at least one record. One ``searchsorted`` per page.
+    at least one record. Records of one width fill every page but the
+    last with ``max(1, budget // (width + SLOT_SIZE))`` of them, in
+    closed form; mixed widths take one ``searchsorted`` per page.
     """
+    if lengths.size and (lengths == lengths[0]).all():
+        per_page = max(1, budget // (int(lengths[0]) + SLOT_SIZE))
+        return np.append(np.arange(0, lengths.size, per_page,
+                                   dtype=np.int64), lengths.size)
     used = record_offsets(lengths + SLOT_SIZE)
     bounds = [0]
     while bounds[-1] < lengths.size:
